@@ -281,12 +281,16 @@ def cmd_pof(args):
     return 0
 
 
-def _parse_n_range(text):
-    if ".." in text:
-        lo, hi = text.split("..", 1)
-        return range(int(lo), int(hi) + 1)
-    value = int(text)
-    return range(value, value + 1)
+def _n_range(text):
+    lo, dots, hi = text.partition("..")
+    try:
+        first = int(lo)
+        last = int(hi) if dots else first
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            "expected N or LO..HI with integer bounds, got %r" % text
+        )
+    return range(first, last + 1)
 
 
 def cmd_bench(args):
@@ -297,7 +301,7 @@ def cmd_bench(args):
     mechanism = QUERY_MECHANISMS[args.mechanism]
     arity = FIXED_ARITY.get(args.mechanism)
     rows = []
-    for n in _parse_n_range(args.n_range):
+    for n in args.n_range:
         if arity is not None and n != arity:
             continue
         agents = random_uniform_agents(args.seed * 1000003 + n, n)
@@ -387,7 +391,9 @@ def build_parser():
 
     bench = commands.add_parser("bench", help="query-count sweep over n")
     bench.add_argument("--mechanism", choices=MECHANISMS, required=True)
-    bench.add_argument("--n-range", required=True, help="like 2..128, or a single n")
+    bench.add_argument(
+        "--n-range", type=_n_range, required=True, help="like 2..128, or a single n"
+    )
     bench.add_argument("--seed", type=int, default=0)
     bench.add_argument("--format", choices=("json", "csv", "table"), default="csv")
     bench.set_defaults(func=cmd_bench)

@@ -132,7 +132,10 @@ def parse_scenario(text):
     valuations = []
     for k, agent in enumerate(agents):
         path = "agents[%d]" % k
-        ids.append(_field(agent, "id", path))
+        agent_id = _field(agent, "id", path)
+        if not isinstance(agent_id, str):
+            raise ParseError("%s.id: expected a string" % path)
+        ids.append(agent_id)
         valuations.append(_valuation(_field(agent, "valuation", path), path))
     if len(set(ids)) != len(ids):
         raise ParseError("agents: ids are not unique")

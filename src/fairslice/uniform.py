@@ -11,12 +11,14 @@ per head.
 All lengths and utilities are exact rationals.
 """
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from math import lcm
 
 from fairslice.audit import Allocation
-from fairslice.intervals import Interval, IntervalSet, union_all
+from fairslice.intervals import IntervalSet, union_all
 from fairslice.valuation import Valuation
 
 
@@ -192,36 +194,70 @@ def average_share(preferences, agents, cake):
 def min_average_subset(preferences, agents, cake):
     """The group minimising the average share; smallest then earliest group on ties.
 
-    Exhaustive over all nonempty groups, which is fine at desk scale and
-    keeps the operation easy to swap for something cleverer later.
+    Exhaustive over all nonempty groups, scanned by size and then in
+    lexicographic order, so the first strictly smaller average wins.  The
+    agents' wanted cake is split into atoms once per call; every group's
+    jointly wanted length is then an integer sum over a bitmask of atoms,
+    and averages are compared by cross-multiplying integers.  The cost is
+    2^k small-integer steps for k agents, plus one pass over the atoms.
     """
     agents = tuple(sorted(agents))
     if not agents:
         raise EmptySubset("need at least one agent")
-    best = None
-    best_avg = None
+    _, weights, bits = _atom_table(
+        [preferences[i].support().intersect(cake) for i in agents]
+    )
+    # cover[m] holds the atoms wanted by the group with member bitmask m,
+    # length[m] their total weight; each mask extends the one without its
+    # lowest member.
+    full = 1 << len(agents)
+    cover = [0] * full
+    length = [0] * full
+    for m in range(1, full):
+        low = m & -m
+        rest = m ^ low
+        own = bits[low.bit_length() - 1]
+        new = own & ~cover[rest]
+        cover[m] = cover[rest] | own
+        added = 0
+        while new:
+            atom = new & -new
+            added += weights[atom.bit_length() - 1]
+            new ^= atom
+        length[m] = length[rest] + added
+    members = [1 << j for j in range(len(agents))]
+    best = best_length = best_size = None
     for size in range(1, len(agents) + 1):
-        for group in combinations(agents, size):
-            avg = average_share(preferences, group, cake)
-            if best_avg is None or avg < best_avg:
-                best, best_avg = group, avg
-    return best
+        for group in combinations(members, size):
+            mask = sum(group)
+            if best is None or length[mask] * best_size < best_length * size:
+                best, best_length, best_size = mask, length[mask], size
+    return tuple(a for j, a in enumerate(agents) if best >> j & 1)
 
 
-def _atoms(regions, within):
-    # Split `within` at every endpoint of every region, so each resulting
-    # atom is wholly inside or wholly outside each region.
-    marks = set()
-    for region in regions:
+def _atom_table(wanted):
+    # Split the union of the wanted regions at every endpoint of every one,
+    # so each atom lies wholly inside or wholly outside each region.  Returns
+    # the atoms as (lo, hi) pairs in order, their lengths as integers over
+    # the least common denominator, and per region a bitmask of its atoms.
+    marks = sorted({x for region in wanted for iv in region for x in iv})
+    spans = []
+    for iv in union_all(wanted):
+        cuts = marks[bisect_left(marks, iv.lo) : bisect_right(marks, iv.hi)]
+        spans.extend(zip(cuts, cuts[1:]))
+    starts = [lo for lo, _ in spans]
+    bits = []
+    for region in wanted:
+        mask = 0
         for iv in region:
-            marks.add(iv.lo)
-            marks.add(iv.hi)
-    out = []
-    for iv in within:
-        cuts = sorted({iv.lo, iv.hi} | {m for m in marks if iv.lo < m < iv.hi})
-        for lo, hi in zip(cuts, cuts[1:]):
-            out.append(Interval(lo, hi))
-    return out
+            first = bisect_left(starts, iv.lo)
+            stop = bisect_left(starts, iv.hi)
+            mask |= (1 << stop) - (1 << first)
+        bits.append(mask)
+    lengths = [hi - lo for lo, hi in spans]
+    scale = lcm(*(x.denominator for x in lengths))
+    weights = [x.numerator * (scale // x.denominator) for x in lengths]
+    return spans, weights, bits
 
 
 def exact_allocation(preferences, agents, cake):
@@ -237,25 +273,25 @@ def exact_allocation(preferences, agents, cake):
     if not agents:
         raise EmptySubset("need at least one agent")
     wanted = {i: preferences[i].support().intersect(cake) for i in agents}
-    region = valued_region(preferences, agents, cake)
-    quota = average_share(preferences, agents, cake)
+    region = union_all(wanted.values())
+    quota = Fraction(region.length, len(agents))
 
-    atoms = _atoms(wanted.values(), region)
-    owners = []
-    for atom in atoms:
-        mid = (atom.lo + atom.hi) / 2
-        owners.append([i for i in agents if wanted[i].contains(mid)])
+    atoms, _, bits = _atom_table(list(wanted.values()))
+    lengths = [hi - lo for lo, hi in atoms]
+    owners = [
+        [i for i, mask in zip(agents, bits) if mask >> k & 1] for k in range(len(atoms))
+    ]
 
     # held[k][i] is how much of atom k agent i holds; spare[k] is unassigned.
     held = [dict() for _ in atoms]
-    spare = [atom.length for atom in atoms]
+    spare = list(lengths)
     need = {i: quota for i in agents}
     open_length = {
-        i: sum((a.length for k, a in enumerate(atoms) if i in owners[k]), Fraction(0))
+        i: sum((x for k, x in enumerate(lengths) if i in owners[k]), Fraction(0))
         for i in agents
     }
 
-    for k, atom in enumerate(atoms):
+    for k in range(len(atoms)):
         while spare[k] > 0:
             ready = [i for i in owners[k] if need[i] > 0]
             if not ready:
@@ -266,7 +302,7 @@ def exact_allocation(preferences, agents, cake):
             spare[k] -= take
             need[i] -= take
         for i in owners[k]:
-            open_length[i] -= atom.length - spare[k]
+            open_length[i] -= lengths[k] - spare[k]
 
     for i in agents:
         while need[i] > 0 and _augment(i, need, held, spare, owners):
@@ -275,8 +311,7 @@ def exact_allocation(preferences, agents, cake):
             raise Infeasible("cannot give agent %d a portion of length %s" % (i, quota))
 
     portions = {i: [] for i in agents}
-    for k, atom in enumerate(atoms):
-        pos = atom.lo
+    for k, (pos, _) in enumerate(atoms):
         for i in sorted(held[k]):
             amount = held[k][i]
             if amount > 0:

@@ -328,6 +328,14 @@ def test_run_report_reproducible(tmp_path, capsys):
     assert first == second
 
 
+@pytest.mark.parametrize("agent_id", [[1], 7, None])
+def test_run_non_string_id_exits_2(tmp_path, capsys, agent_id):
+    path = write(tmp_path, text_of([agent(agent_id, (0, 1))]))
+    code, out, err = run_cli(capsys, "run", path, "--mechanism", "procaccia")
+    assert code == 2 and out == ""
+    assert "agents[0].id: expected a string" in err
+
+
 def test_run_revelation_needs_uniform_agents(tmp_path, capsys):
     path = write(tmp_path, RAMP)
     code, _, err = run_cli(capsys, "run", path, "--mechanism", "length-game")
@@ -563,6 +571,15 @@ def test_bench_rejects_revelation_mechanisms(capsys):
     assert code == 2 and "query protocols" in err
 
 
+@pytest.mark.parametrize("text", ["abc", "2..", "x..4"])
+def test_bench_malformed_n_range_exits_2(capsys, text):
+    with pytest.raises(SystemExit) as caught:
+        main(["bench", "--mechanism", "even-paz", "--n-range", text])
+    assert caught.value.code == 2
+    err = capsys.readouterr().err
+    assert "--n-range" in err and "Traceback" not in err
+
+
 def test_bench_json_format(capsys):
     code, out, _ = run_cli(
         capsys, "bench", "--mechanism", "even-paz", "--n-range", "2..3",
@@ -582,6 +599,17 @@ def test_module_entry_point(tmp_path):
     path = write(tmp_path, HALVES)
     done = subprocess.run(
         [sys.executable, "-m", "fairslice.cli", "run", path, "--mechanism", "cut-and-choose"],
+        capture_output=True,
+        text=True,
+    )
+    assert done.returncode == 0
+    assert json.loads(done.stdout)["criteria"]["proportional"] is True
+
+
+def test_package_entry_point(tmp_path):
+    path = write(tmp_path, HALVES)
+    done = subprocess.run(
+        [sys.executable, "-m", "fairslice", "run", path, "--mechanism", "cut-and-choose"],
         capture_output=True,
         text=True,
     )

@@ -25,7 +25,12 @@ from fairslice.uniform import (
     valued_region,
 )
 
-from helpers import random_subregion, random_uniform_instance, uniform_preferences
+from helpers import (
+    interval_sets,
+    random_subregion,
+    random_uniform_instance,
+    uniform_preferences,
+)
 
 F = Fraction
 
@@ -194,6 +199,38 @@ class TestMinAverageSubset:
         assert min_average_subset(prefs, range(5), cake) == oracle_min_average(
             prefs, range(5), cake
         )
+
+    @given(
+        uniform_preferences(5, max_denominator=8),
+        interval_sets(max_intervals=3, max_denominator=9),
+    )
+    def test_matches_bitmask_oracle_on_a_sub_cake(self, prefs, served):
+        # Later rounds search what earlier rounds left; the grids differ, so
+        # atom lengths need a common denominator finer than either.
+        cake = IntervalSet.unit().difference(served)
+        assert min_average_subset(prefs, range(5), cake) == oracle_min_average(
+            prefs, range(5), cake
+        )
+
+    @pytest.mark.parametrize(
+        "spans,cake,expected",
+        [
+            # An identical pair on each side: three groups average 1/8.
+            ([[(0, "1/4")], [(0, "1/4")], [("1/2", "3/4")], [("1/2", "3/4")]], None, (0, 1)),
+            # The same, interleaved: (0, 2) precedes (1, 3) among the pairs.
+            ([[("1/2", "3/4")], [(0, "1/4")], [("1/2", "3/4")], [(0, "1/4")]], None, (0, 2)),
+            # Equal-length disjoint singletons lose to the identical pair.
+            ([[(0, "1/3")], [("1/3", "2/3")], [("2/3", 1)], [("1/3", "2/3")]], None, (1, 3)),
+            # Agents with nothing left in the cake average 0; the first wins.
+            ([[(0, "1/4")], [("1/2", "3/4")], [("1/2", "3/4")]], (0, "1/2"), (1,)),
+        ],
+    )
+    def test_ties_resolve_to_the_smallest_then_earliest_group(self, spans, cake, expected):
+        prefs = [UniformPreference(region(*s)) for s in spans]
+        cake = IntervalSet.unit() if cake is None else region(cake)
+        agents = range(len(prefs))
+        assert min_average_subset(prefs, agents, cake) == expected
+        assert oracle_min_average(prefs, agents, cake) == expected
 
     @given(uniform_preferences(4, max_denominator=8))
     def test_chosen_average_is_minimal(self, prefs):
