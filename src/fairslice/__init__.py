@@ -6,6 +6,8 @@ equilibrium analysis for the revelation games over piecewise uniform
 preferences, and exact linear programming for constrained welfare optima.
 """
 
+from types import ModuleType as _ModuleType
+
 from fairslice.intervals import Interval, IntervalSet, frac, union_all
 from fairslice.valuation import Valuation, Piece, CutResult, TargetUnreachable
 from fairslice.audit import (
@@ -87,80 +89,9 @@ from fairslice.scenario import (
 )
 from fairslice.generator import random_region, random_uniform_agents
 
+# Every public name imported above, none of the submodules.
 __all__ = [
-    "Interval",
-    "IntervalSet",
-    "frac",
-    "union_all",
-    "Valuation",
-    "Piece",
-    "CutResult",
-    "TargetUnreachable",
-    "Allocation",
-    "equity_table",
-    "is_proportional",
-    "is_envy_free",
-    "is_equitable",
-    "is_non_wasteful",
-    "uncovered_valued_cake",
-    "utilitarian_efficiency",
-    "egalitarian_efficiency",
-    "pareto_dominates",
-    "utilitarian_equivalent",
-    "AgentOracle",
-    "MechanismResult",
-    "QueryRecord",
-    "QueryTranscript",
-    "Recorder",
-    "sincere_oracles",
-    "ArityMismatch",
-    "cut_and_choose",
-    "even_paz",
-    "last_diminisher",
-    "selfridge",
-    "AgentOrder",
-    "EmptySubset",
-    "Infeasible",
-    "Profile",
-    "ServiceRound",
-    "UniformPreference",
-    "average_share",
-    "exact_allocation",
-    "length_game",
-    "lex_order",
-    "min_average_mechanism",
-    "min_average_rounds",
-    "min_average_subset",
-    "valued_region",
-    "EquilibriumReport",
-    "LengthOrderViolation",
-    "NotReduced",
-    "NotWellBehaved",
-    "ReducedProfile",
-    "UnallocatedValuedCake",
-    "best_response",
-    "best_response_dynamics",
-    "is_equilibrium",
-    "reduce_profile",
-    "uncontested_region",
-    "LpProblem",
-    "LpSolution",
-    "lp_solve",
-    "CRITERIA",
-    "SegmentRateMatrix",
-    "Segmentation",
-    "max_ee",
-    "max_ue",
-    "pareto_oracle",
-    "price_of",
-    "segment",
-    "segment_rates",
-    "utilitarian_optimal",
-    "ParseError",
-    "Scenario",
-    "parse_scenario",
-    "region_pairs",
-    "serialize_scenario",
-    "random_region",
-    "random_uniform_agents",
+    name
+    for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, _ModuleType)
 ]

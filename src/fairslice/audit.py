@@ -11,15 +11,17 @@ Everything here compares exact rationals for equality.  There are no
 tolerances in this module.
 """
 
+from dataclasses import dataclass
 from fractions import Fraction
 
 from fairslice.intervals import IntervalSet, union_all
 
 
+@dataclass(frozen=True, slots=True)
 class Allocation:
     """An n-tuple of pairwise disjoint portions, one region per agent."""
 
-    __slots__ = ("portions",)
+    portions: tuple
 
     def __init__(self, portions):
         cleaned = []
@@ -27,17 +29,21 @@ class Allocation:
             if not isinstance(portion, IntervalSet):
                 portion = IntervalSet(portion)
             cleaned.append(portion)
-        for i in range(len(cleaned)):
-            for j in range(i + 1, len(cleaned)):
-                if cleaned[i].overlaps(cleaned[j]):
-                    raise ValueError(
-                        "portions %d and %d overlap on %r"
-                        % (i, j, cleaned[i].intersect(cleaned[j]))
-                    )
+        # Sweep every span by its left end.  Spans of one canonical portion
+        # never overlap, so a span starting before the furthest right end
+        # seen so far overlaps the portion that reached it.
+        reach, owner = 0, None
+        for lo, hi, k in sorted(
+            (iv.lo, iv.hi, k) for k, portion in enumerate(cleaned) for iv in portion
+        ):
+            if lo < reach:
+                i, j = sorted((owner, k))
+                raise ValueError(
+                    "portions %d and %d overlap on %r"
+                    % (i, j, cleaned[i].intersect(cleaned[j]))
+                )
+            reach, owner = hi, k
         object.__setattr__(self, "portions", tuple(cleaned))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Allocation is immutable")
 
     def __len__(self):
         return len(self.portions)
@@ -48,29 +54,21 @@ class Allocation:
     def __getitem__(self, i):
         return self.portions[i]
 
-    def __eq__(self, other):
-        return isinstance(other, Allocation) and self.portions == other.portions
-
-    def __repr__(self):
-        return "Allocation(%s)" % (", ".join(repr(p) for p in self.portions))
-
     def allocated_region(self):
         return union_all(self.portions)
 
 
+@dataclass(frozen=True, slots=True)
 class EquityTable:
     """Square matrix of exact utilities: entries[i][j] = value of portion j to agent i."""
 
-    __slots__ = ("entries",)
+    entries: tuple
 
     def __init__(self, entries):
         rows = tuple(tuple(Fraction(x) for x in row) for row in entries)
         if any(len(row) != len(rows) for row in rows):
             raise ValueError("equity table must be square")
         object.__setattr__(self, "entries", rows)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("EquityTable is immutable")
 
     @property
     def n(self):
@@ -84,12 +82,6 @@ class EquityTable:
 
     def __getitem__(self, i):
         return self.entries[i]
-
-    def __eq__(self, other):
-        return isinstance(other, EquityTable) and self.entries == other.entries
-
-    def __repr__(self):
-        return "EquityTable(%r)" % (self.entries,)
 
 
 def equity_table(valuations, allocation):

@@ -256,10 +256,12 @@ def cmd_pof(args):
     scenario = _read_scenario(args)
     trace = sys.stderr if args.verbose_lp else None
     try:
-        top, _ = max_ue(scenario.valuations, None, trace)
         held, _ = max_ue(scenario.valuations, args.criterion, trace)
     except ValueError as error:
         raise UnsupportedValuationClass(str(error))
+    top = utilitarian_efficiency(
+        equity_table(scenario.valuations, utilitarian_optimal(scenario.valuations))
+    )
     row = {
         "instance": args.scenario or "stdin",
         "n": len(scenario),
@@ -395,7 +397,7 @@ def build_parser():
         "--n-range", type=_n_range, required=True, help="like 2..128, or a single n"
     )
     bench.add_argument("--seed", type=int, default=0)
-    bench.add_argument("--format", choices=("json", "csv", "table"), default="csv")
+    bench.add_argument("--format", choices=("json", "csv"), default="csv")
     bench.set_defaults(func=cmd_bench)
 
     return parser

@@ -10,6 +10,7 @@ All endpoints are `fractions.Fraction`.  Floats are refused at the boundary:
 Fraction(0.4) is not 2/5, and we never want to find that out the hard way.
 """
 
+from dataclasses import dataclass
 from fractions import Fraction
 
 
@@ -27,10 +28,12 @@ def frac(x):
     raise TypeError("expected an exact rational (int, Fraction, or string), got %r" % (x,))
 
 
+@dataclass(frozen=True, slots=True)
 class Interval:
     """A closed interval [lo, hi] inside the unit segment, possibly degenerate."""
 
-    __slots__ = ("lo", "hi")
+    lo: Fraction
+    hi: Fraction
 
     def __init__(self, lo, hi):
         lo = frac(lo)
@@ -40,21 +43,12 @@ class Interval:
         object.__setattr__(self, "lo", lo)
         object.__setattr__(self, "hi", hi)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("Interval is immutable")
-
     @property
     def length(self):
         return self.hi - self.lo
 
     def contains(self, x):
         return self.lo <= x <= self.hi
-
-    def __eq__(self, other):
-        return isinstance(other, Interval) and self.lo == other.lo and self.hi == other.hi
-
-    def __hash__(self):
-        return hash((self.lo, self.hi))
 
     def __repr__(self):
         return "[%s, %s]" % (self.lo, self.hi)
@@ -78,6 +72,7 @@ def _canonical(intervals):
     return tuple(Interval(lo, hi) for lo, hi in merged if hi > lo)
 
 
+@dataclass(frozen=True, slots=True)
 class IntervalSet:
     """Canonical finite union of closed intervals within [0,1].
 
@@ -86,7 +81,7 @@ class IntervalSet:
     immutable and compare by value.
     """
 
-    __slots__ = ("intervals",)
+    intervals: tuple
 
     def __init__(self, intervals=()):
         ivs = []
@@ -97,9 +92,6 @@ class IntervalSet:
                 lo, hi = item
                 ivs.append(Interval(lo, hi))
         object.__setattr__(self, "intervals", _canonical(ivs))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("IntervalSet is immutable")
 
     @classmethod
     def unit(cls):
@@ -162,12 +154,6 @@ class IntervalSet:
     def pairs(self):
         """Endpoint pairs, handy for serialization."""
         return [(iv.lo, iv.hi) for iv in self.intervals]
-
-    def __eq__(self, other):
-        return isinstance(other, IntervalSet) and self.intervals == other.intervals
-
-    def __hash__(self):
-        return hash(self.intervals)
 
     def __bool__(self):
         return bool(self.intervals)

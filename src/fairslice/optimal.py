@@ -11,15 +11,15 @@ welfare questions become linear programs over those lengths.
 
 The unconstrained utilitarian optimum never needs the LP: handing every
 segment to an agent with maximal density on it is already optimal, and that
-construction works for affine densities too.  Criterion-constrained optima,
-the Pareto test and price-of-fairness ratios all go through the LP and stay
-exact end to end.
+construction works for affine densities too, and it is also the numerator
+of every price-of-fairness ratio.  Criterion-constrained optima and the
+Pareto test go through the LP and stay exact end to end.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
 
-from fairslice.audit import Allocation
+from fairslice.audit import Allocation, equity_table, utilitarian_efficiency
 from fairslice.intervals import IntervalSet
 from fairslice.simplex import (
     GREATER,
@@ -275,6 +275,6 @@ def price_of(valuations, criterion):
     Always at least 1: the criterion only removes allocations.  Division is
     safe because an equal split of every segment gives total utility 1.
     """
-    unconstrained, _ = max_ue(valuations)
     constrained, _ = max_ue(valuations, criterion)
-    return unconstrained / constrained
+    top = equity_table(valuations, utilitarian_optimal(valuations))
+    return utilitarian_efficiency(top) / constrained

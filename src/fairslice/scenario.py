@@ -122,6 +122,11 @@ def parse_scenario(text):
         data = json.loads(text, parse_float=Fraction, parse_int=int)
     except json.JSONDecodeError as error:
         raise ParseError(error.msg, error.lineno, error.colno)
+    except ValueError as error:
+        # A number literal longer than Python converts from text.
+        raise ParseError("cannot read a number: %s" % error)
+    except RecursionError:
+        raise ParseError("nesting too deep")
     if not isinstance(data, dict):
         raise ParseError("top level: expected an object")
 

@@ -38,6 +38,7 @@ def _as_region(x):
     return x if isinstance(x, IntervalSet) else IntervalSet(x)
 
 
+@dataclass(frozen=True, slots=True)
 class UniformPreference:
     """An agent who wants a fixed region and is indifferent within it.
 
@@ -45,16 +46,13 @@ class UniformPreference:
     so the whole wanted region is worth exactly 1.
     """
 
-    __slots__ = ("valued",)
+    valued: IntervalSet
 
     def __init__(self, valued):
         region = _as_region(valued)
         if region.is_empty():
             raise ValueError("the wanted region must have positive length")
         object.__setattr__(self, "valued", region)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("UniformPreference is immutable")
 
     def support(self):
         return self.valued
@@ -66,28 +64,17 @@ class UniformPreference:
         """The same tastes expressed as a density-based valuation."""
         return Valuation.uniform_on(self.valued)
 
-    def __eq__(self, other):
-        return isinstance(other, UniformPreference) and self.valued == other.valued
 
-    def __hash__(self):
-        return hash(self.valued)
-
-    def __repr__(self):
-        return "UniformPreference(%r)" % (self.valued,)
-
-
+@dataclass(frozen=True, slots=True)
 class Profile:
     """One claimed region per agent, in agent order.  Empty claims are legal."""
 
-    __slots__ = ("strategies",)
+    strategies: tuple
 
     def __init__(self, strategies):
         object.__setattr__(
             self, "strategies", tuple(_as_region(s) for s in strategies)
         )
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Profile is immutable")
 
     def is_well_behaved(self, preferences):
         """True when no agent claims cake they do not want."""
@@ -116,20 +103,12 @@ class Profile:
     def __getitem__(self, i):
         return self.strategies[i]
 
-    def __eq__(self, other):
-        return isinstance(other, Profile) and self.strategies == other.strategies
 
-    def __hash__(self):
-        return hash(self.strategies)
-
-    def __repr__(self):
-        return "Profile(%s)" % (", ".join(repr(s) for s in self.strategies))
-
-
+@dataclass(frozen=True, slots=True)
 class AgentOrder:
     """A priority order over agents 0..n-1; earlier agents claim first."""
 
-    __slots__ = ("sequence",)
+    sequence: tuple
 
     def __init__(self, sequence):
         seq = tuple(int(i) for i in sequence)
@@ -137,20 +116,11 @@ class AgentOrder:
             raise ValueError("order must be a permutation of 0..n-1, got %r" % (seq,))
         object.__setattr__(self, "sequence", seq)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("AgentOrder is immutable")
-
     def __len__(self):
         return len(self.sequence)
 
     def __iter__(self):
         return iter(self.sequence)
-
-    def __eq__(self, other):
-        return isinstance(other, AgentOrder) and self.sequence == other.sequence
-
-    def __repr__(self):
-        return "AgentOrder(%r)" % (self.sequence,)
 
 
 def lex_order(profile, order):

@@ -76,6 +76,7 @@ class CutResult:
     exact: bool
 
 
+@dataclass(frozen=True, slots=True)
 class Valuation:
     """A normalised piecewise affine measure on the cake.
 
@@ -83,7 +84,7 @@ class Valuation:
     exactly 1 and rejects overlapping or negative pieces.
     """
 
-    __slots__ = ("pieces",)
+    pieces: tuple
 
     def __init__(self, pieces):
         cleaned = tuple(p for p in sorted(pieces, key=lambda p: p.interval.lo) if not p.is_zero())
@@ -94,9 +95,6 @@ class Valuation:
         if total != 1:
             raise ValueError("total mass is %s, not 1; use Valuation.normalize" % total)
         object.__setattr__(self, "pieces", cleaned)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Valuation is immutable")
 
     # ------------------------------------------------------------------
     # construction

@@ -185,3 +185,43 @@ def scan_cut(valuation, a, target, steps=4096):
             best = b
             break
     return best
+
+
+def pairwise_overlap(portions):
+    """First pair (i, j), i < j, of regions sharing positive length, else None.
+
+    The all-pairs scan Allocation once ran; its one-pass sweep must accept
+    and reject exactly the same portion lists.
+    """
+    for i in range(len(portions)):
+        for j in range(i + 1, len(portions)):
+            if portions[i].overlaps(portions[j]):
+                return i, j
+    return None
+
+
+def near_partitions(max_portions=5, max_cuts=8, max_extras=2, max_denominator=24):
+    """Portion lists, most of them disjoint and some overlapping.
+
+    Grid segments between random cuts go to random owners or to nobody, so
+    the portions start out disjoint; a few random extra spans handed to
+    random owners then may or may not create an overlap.
+    """
+
+    @st.composite
+    def build(draw):
+        n = draw(st.integers(min_value=1, max_value=max_portions))
+        points = draw(st.lists(grid_fractions(max_denominator), max_size=max_cuts))
+        cuts = sorted(set(points) | {Fraction(0), Fraction(1)})
+        spans = [[] for _ in range(n)]
+        for lo, hi in zip(cuts, cuts[1:]):
+            owner = draw(st.integers(min_value=-1, max_value=n - 1))
+            if owner >= 0:
+                spans[owner].append((lo, hi))
+        for _ in range(draw(st.integers(min_value=0, max_value=max_extras))):
+            a = draw(grid_fractions(max_denominator))
+            b = draw(grid_fractions(max_denominator))
+            spans[draw(st.integers(min_value=0, max_value=n - 1))].append((min(a, b), max(a, b)))
+        return [IntervalSet(s) for s in spans]
+
+    return build()

@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 
 import pytest
@@ -20,7 +21,7 @@ from fairslice.audit import (
 )
 from fairslice.intervals import IntervalSet
 from fairslice.valuation import Valuation
-from helpers import uniform_valuations
+from helpers import near_partitions, pairwise_overlap, uniform_valuations
 
 
 def uniform(*pairs):
@@ -82,6 +83,24 @@ def test_empty_allocation_all_zero():
 def test_overlapping_portions_rejected():
     with pytest.raises(ValueError):
         alloc([(0, "0.6")], [("0.5", 1)])
+
+
+@pytest.mark.parametrize(
+    "portions, pair, shared",
+    [
+        # Overlaps between later portions, with earlier ones disjoint.
+        ([[(0, "0.1")], [("0.2", "0.3")], [("0.25", "0.9")]], (1, 2), "[1/4, 3/10]"),
+        ([[(0, "0.1"), ("0.5", "0.6")], [("0.2", "0.3")], [("0.55", "0.9")]], (0, 2), "[11/20, 3/5]"),
+        # The overlapping span of portion 3 starts before portion 1's span.
+        ([[(0, "0.1")], [("0.6", "0.7")], [("0.2", "0.3")], [("0.5", "0.65")]], (1, 3), "[3/5, 13/20]"),
+    ],
+)
+def test_overlap_named_beyond_first_pair(portions, pair, shared):
+    with pytest.raises(ValueError) as caught:
+        Allocation([IntervalSet(p) for p in portions])
+    assert str(caught.value) == "portions %d and %d overlap on IntervalSet(%s)" % (
+        pair + (shared,)
+    )
 
 
 def test_touching_portions_allowed():
@@ -193,3 +212,17 @@ def test_scaled_egalitarian_never_beats_utilitarian(valuations, data):
     table = equity_table(valuations, allocation)
     n = len(valuations)
     assert n * egalitarian_efficiency(table) <= utilitarian_efficiency(table)
+
+
+@settings(max_examples=400)
+@given(near_partitions())
+def test_overlap_sweep_matches_pairwise_oracle(portions):
+    if pairwise_overlap(portions) is None:
+        assert Allocation(portions).portions == tuple(portions)
+        return
+    with pytest.raises(ValueError) as caught:
+        Allocation(portions)
+    match = re.fullmatch(r"portions (\d+) and (\d+) overlap on (.*)", str(caught.value))
+    i, j = int(match[1]), int(match[2])
+    assert i < j and portions[i].overlaps(portions[j])
+    assert match[3] == repr(portions[i].intersect(portions[j]))

@@ -320,6 +320,22 @@ def test_run_bad_json_exits_2_with_position(tmp_path, capsys):
     assert "line 2 column" in err
 
 
+def test_run_overlong_integer_exits_2(tmp_path, capsys):
+    # Python refuses to convert integer text of more than 4,300 digits.
+    text = text_of([agent("a", (0, "HUGE"))]).replace('"HUGE"', "1" + "0" * 4400)
+    path = write(tmp_path, text)
+    code, out, err = run_cli(capsys, "run", path, "--mechanism", "even-paz")
+    assert code == 2 and out == ""
+    assert "cannot read a number" in err
+
+
+def test_run_deep_nesting_exits_2(tmp_path, capsys):
+    path = write(tmp_path, "[" * 100000)
+    code, out, err = run_cli(capsys, "run", path, "--mechanism", "even-paz")
+    assert code == 2 and out == ""
+    assert "nesting too deep" in err
+
+
 def test_run_report_reproducible(tmp_path, capsys):
     path = write(tmp_path, WALKTHROUGH)
     argv = ("run", path, "--mechanism", "last-diminisher")
@@ -518,6 +534,13 @@ def test_pof_ratio_at_least_one(tmp_path, capsys, criterion):
     assert ratio >= 1
 
 
+def test_pof_linear_density_exits_2(tmp_path, capsys):
+    path = write(tmp_path, RAMP)
+    code, out, err = run_cli(capsys, "pof", path, "--criterion", "proportional")
+    assert code == 2 and out == ""
+    assert "rates undefined" in err
+
+
 # ----------------------------------------------------------------------
 # bench
 
@@ -589,6 +612,14 @@ def test_bench_json_format(capsys):
     rows = json.loads(out)
     assert [row["n"] for row in rows] == [2, 3]
     assert all(row["total"] == row["eval"] + row["cut"] for row in rows)
+
+
+def test_bench_table_format_exits_2(capsys):
+    with pytest.raises(SystemExit) as caught:
+        main(["bench", "--mechanism", "even-paz", "--n-range", "2", "--format", "table"])
+    assert caught.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "--format" in captured.err
 
 
 # ----------------------------------------------------------------------

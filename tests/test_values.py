@@ -1,0 +1,59 @@
+"""The core value types: immutable, compared and hashed by value."""
+
+import dataclasses
+
+import pytest
+
+from fairslice.audit import Allocation, EquityTable
+from fairslice.intervals import Interval, IntervalSet
+from fairslice.uniform import AgentOrder, Profile, UniformPreference
+from fairslice.valuation import Valuation
+
+# Each builder makes a fresh instance equal to the last one it made.
+BUILDERS = {
+    "Interval": lambda: Interval(0, "1/2"),
+    "IntervalSet": lambda: IntervalSet([("1/2", 1), (0, "1/3")]),
+    "Valuation": lambda: Valuation.piecewise_constant([((0, "1/2"), 1), (("1/2", 1), 3)]),
+    "UniformPreference": lambda: UniformPreference([(0, "1/2")]),
+    "Profile": lambda: Profile([[(0, "1/2")], []]),
+    "AgentOrder": lambda: AgentOrder([1, 0, 2]),
+    "Allocation": lambda: Allocation([[(0, "1/2")], [("1/2", 1)]]),
+    "EquityTable": lambda: EquityTable([[1, "1/2"], [0, 1]]),
+}
+
+
+@pytest.mark.parametrize("build", BUILDERS.values(), ids=list(BUILDERS))
+def test_refuses_attribute_assignment(build):
+    value = build()
+    for field in dataclasses.fields(value):
+        with pytest.raises(AttributeError):
+            setattr(value, field.name, getattr(value, field.name))
+    # Slotted instances have nowhere to keep a new name.  Python 3.11's
+    # frozen slotted dataclasses refuse it with TypeError (a CPython defect
+    # in their generated __setattr__), later versions with AttributeError.
+    with pytest.raises((AttributeError, TypeError)):
+        value.extra = 1
+
+
+@pytest.mark.parametrize("build", BUILDERS.values(), ids=list(BUILDERS))
+def test_equal_values_compare_and_hash_equal(build):
+    a, b = build(), build()
+    assert a is not b
+    assert a == b and not a != b
+    assert hash(a) == hash(b)
+    assert len({a, b}) == 1
+
+
+def test_different_values_compare_unequal():
+    assert Interval(0, "1/2") != Interval(0, "1/3")
+    assert IntervalSet([(0, "1/2")]) != IntervalSet([(0, "1/2"), ("3/4", 1)])
+    assert Valuation.uniform() != Valuation.uniform_on([(0, "1/2")])
+    assert Profile([[(0, 1)]]) != Profile([[]])
+    assert AgentOrder([0, 1]) != AgentOrder([1, 0])
+    assert Interval(0, 1) != IntervalSet([(0, 1)])
+
+
+def test_region_reprs_feed_error_messages():
+    assert repr(Interval(0, "1/2")) == "[0, 1/2]"
+    assert repr(IntervalSet([(0, "1/3"), ("1/2", 1)])) == "IntervalSet([0, 1/3] u [1/2, 1])"
+    assert repr(IntervalSet.empty()) == "IntervalSet(empty)"
