@@ -413,6 +413,11 @@ def main(argv=None):
     except OSError as error:
         print("error: %s" % error, file=sys.stderr)
         return 2
+    except RuntimeError as error:
+        # The program could not vouch for its answer, for example an LP
+        # solution that failed its certificate.
+        print("error: %s" % error, file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -14,6 +14,7 @@ text is a fixpoint: serialize(parse(text)) == text for canonical files.
 """
 
 import json
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -48,9 +49,35 @@ class Scenario:
         return len(self.valuations)
 
 
+# Fraction("1e999999999") builds 10**999999999 before anything can look at
+# the result, so exponents are held to the interpreter's limit on integer
+# digits, 4,300.
+_MAX_EXPONENT = 4300
+_EXPONENT = re.compile(r"[eE]([-+]?\d+(?:_\d+)*)\s*\Z")
+
+
+def _exponent_out_of_range(text):
+    match = _EXPONENT.search(text)
+    if match is None:
+        return False
+    exponent = match.group(1).replace("_", "")
+    return len(exponent) > _MAX_EXPONENT or abs(int(exponent)) > _MAX_EXPONENT
+
+
+def _decimal_literal(text):
+    # parse_float hook: bare JSON decimals, read exactly.
+    if _exponent_out_of_range(text):
+        raise ValueError("exponent beyond %d" % _MAX_EXPONENT)
+    return Fraction(text)
+
+
 def _number(value, path):
     if isinstance(value, bool) or not isinstance(value, (int, str, Fraction)):
         raise ParseError("%s: expected an exact number token, got %r" % (path, value))
+    if isinstance(value, str) and _exponent_out_of_range(value):
+        raise ParseError(
+            "%s: cannot read a number: exponent beyond %d" % (path, _MAX_EXPONENT)
+        )
     try:
         return Fraction(value)
     except (ValueError, ZeroDivisionError):
@@ -119,11 +146,12 @@ def _valuation(spec, path):
 def parse_scenario(text):
     """Parse scenario text; raises ParseError on any defect."""
     try:
-        data = json.loads(text, parse_float=Fraction, parse_int=int)
+        data = json.loads(text, parse_float=_decimal_literal, parse_int=int)
     except json.JSONDecodeError as error:
         raise ParseError(error.msg, error.lineno, error.colno)
     except ValueError as error:
-        # A number literal longer than Python converts from text.
+        # A number literal longer than Python converts from text, or with
+        # an exponent out of range.
         raise ParseError("cannot read a number: %s" % error)
     except RecursionError:
         raise ParseError("nesting too deep")

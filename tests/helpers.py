@@ -10,6 +10,15 @@ from fractions import Fraction
 from hypothesis import strategies as st
 
 from fairslice.intervals import IntervalSet
+from fairslice.simplex import (
+    EQUAL,
+    GREATER,
+    INFEASIBLE,
+    LESS,
+    OPTIMAL,
+    UNBOUNDED,
+    LpSolution,
+)
 from fairslice.uniform import UniformPreference
 from fairslice.valuation import Valuation
 
@@ -225,3 +234,242 @@ def near_partitions(max_portions=5, max_cuts=8, max_extras=2, max_denominator=24
         return [IntervalSet(s) for s in spans]
 
     return build()
+
+
+# ----------------------------------------------------------------------
+# the simplex on a Fraction tableau
+
+
+def reference_lp_solve(problem, trace=None):
+    """The two-phase Bland simplex on a dense tableau of Fractions.
+
+    The library pivots on an integer-preserving tableau instead; it must
+    take the same pivots, print the same trace and return the same vertex
+    and duals as this one.
+    """
+    return _ReferenceTableau(problem, trace).solve()
+
+
+class _ReferenceTableau:
+    # Column layout: structural variables, then one slack or surplus per
+    # inequality row, then artificials for rows that need one.  Rows are
+    # normalized to non-negative rhs up front; flips are remembered so the
+    # duals reported at the end refer to the rows as the caller wrote them.
+
+    def __init__(self, problem, trace):
+        self.problem = problem
+        self.trace = trace
+        self.pivots = 0
+        n = problem.n_vars
+        rows = []
+        for coefficients, sense, rhs in problem.rows:
+            coefficients = list(coefficients)
+            flipped = rhs < 0
+            if flipped:
+                coefficients = [-c for c in coefficients]
+                rhs = -rhs
+                sense = {LESS: GREATER, GREATER: LESS, EQUAL: EQUAL}[sense]
+            rows.append([coefficients, sense, rhs, flipped])
+
+        cols = n
+        slack_col = {}
+        for r, (_, sense, _, _) in enumerate(rows):
+            if sense in (LESS, GREATER):
+                slack_col[r] = cols
+                cols += 1
+        self.artificials = set()
+        art_col = {}
+        for r, (_, sense, _, _) in enumerate(rows):
+            if sense in (GREATER, EQUAL):
+                art_col[r] = cols
+                self.artificials.add(cols)
+                cols += 1
+
+        self.cols = cols
+        self.body = []
+        self.rhs = []
+        self.basis = []
+        self.id_col = []
+        self.flipped = []
+        for r, (coefficients, sense, rhs, flipped) in enumerate(rows):
+            row = coefficients + [Fraction(0)] * (cols - n)
+            if sense == LESS:
+                row[slack_col[r]] = Fraction(1)
+                self.basis.append(slack_col[r])
+                self.id_col.append(slack_col[r])
+            elif sense == GREATER:
+                row[slack_col[r]] = Fraction(-1)
+                row[art_col[r]] = Fraction(1)
+                self.basis.append(art_col[r])
+                self.id_col.append(art_col[r])
+            else:
+                row[art_col[r]] = Fraction(1)
+                self.basis.append(art_col[r])
+                self.id_col.append(art_col[r])
+            self.body.append(row)
+            self.rhs.append(rhs)
+            self.flipped.append(flipped)
+        # Dropped redundant rows keep a dual of zero.
+        self.row_of = list(range(len(rows)))
+
+    def solve(self):
+        if self.artificials:
+            status = self._optimize(self._phase1_costs(), allow=self._not_artificial)
+            if status != OPTIMAL or any(
+                self.rhs[r] != 0
+                for r in range(len(self.body))
+                if self.basis[r] in self.artificials
+            ):
+                return LpSolution(INFEASIBLE, pivots=self.pivots)
+            self._expel_artificials()
+        status = self._optimize(self._phase2_costs(), allow=self._not_artificial)
+        if status == UNBOUNDED:
+            return LpSolution(UNBOUNDED, pivots=self.pivots)
+        return self._certify()
+
+    # ------------------------------------------------------------------
+    # pivoting
+
+    def _phase1_costs(self):
+        # Maximize minus the artificial total; basic columns eliminated.
+        costs = [Fraction(0)] * self.cols
+        for a in self.artificials:
+            costs[a] = Fraction(-1)
+        return self._reduce(costs)
+
+    def _phase2_costs(self):
+        costs = list(self.problem.objective) + [Fraction(0)] * (
+            self.cols - self.problem.n_vars
+        )
+        return self._reduce(costs)
+
+    def _reduce(self, costs):
+        for r, row in enumerate(self.body):
+            factor = costs[self.basis[r]]
+            if factor != 0:
+                for c in range(self.cols):
+                    costs[c] -= factor * row[c]
+        return costs
+
+    def _not_artificial(self, col):
+        return col not in self.artificials
+
+    def _optimize(self, costs, allow):
+        while True:
+            entering = next(
+                (
+                    c
+                    for c in range(self.cols)
+                    if costs[c] > 0 and allow(c)
+                ),
+                None,
+            )
+            if entering is None:
+                self.costs = costs
+                return OPTIMAL
+            leaving = None
+            best = None
+            for r, row in enumerate(self.body):
+                if row[entering] <= 0:
+                    continue
+                ratio = self.rhs[r] / row[entering]
+                if (
+                    best is None
+                    or ratio < best
+                    or (ratio == best and self.basis[r] < self.basis[leaving])
+                ):
+                    best = ratio
+                    leaving = r
+            if leaving is None:
+                return UNBOUNDED
+            self._pivot(leaving, entering, costs)
+
+    def _pivot(self, r, c, costs):
+        self.pivots += 1
+        if self.trace is not None:
+            self.trace.write(
+                "pivot %d: column %d enters, row %d leaves\n" % (self.pivots, c, r)
+            )
+        row = self.body[r]
+        factor = row[c]
+        self.body[r] = row = [v / factor for v in row]
+        self.rhs[r] /= factor
+        for other, body_row in enumerate(self.body):
+            if other == r or body_row[c] == 0:
+                continue
+            f = body_row[c]
+            self.body[other] = [v - f * w for v, w in zip(body_row, row)]
+            self.rhs[other] -= f * self.rhs[r]
+        f = costs[c]
+        if f != 0:
+            for j in range(self.cols):
+                costs[j] -= f * row[j]
+        self.basis[r] = c
+        if self.trace is not None:
+            self._dump()
+
+    def _expel_artificials(self):
+        # Basic artificials sit at zero after a feasible phase one; pivot
+        # them out where a live column allows it, drop redundant rows.
+        keep = []
+        for r in range(len(self.body)):
+            if self.basis[r] not in self.artificials:
+                keep.append(r)
+                continue
+            col = next(
+                (
+                    c
+                    for c in range(self.cols)
+                    if c not in self.artificials and self.body[r][c] != 0
+                ),
+                None,
+            )
+            if col is None:
+                continue
+            self._pivot(r, col, [Fraction(0)] * self.cols)
+            keep.append(r)
+        self.body = [self.body[r] for r in keep]
+        self.rhs = [self.rhs[r] for r in keep]
+        self.basis = [self.basis[r] for r in keep]
+        self.row_of = [self.row_of[r] for r in keep]
+
+    # ------------------------------------------------------------------
+    # certification
+
+    def _certify(self):
+        n = self.problem.n_vars
+        x = [Fraction(0)] * self.cols
+        for r, b in enumerate(self.basis):
+            x[b] = self.rhs[r]
+        point = tuple(x[:n])
+        value = sum(
+            (c * v for c, v in zip(self.problem.objective, point)), Fraction(0)
+        )
+
+        duals = [Fraction(0)] * len(self.problem.rows)
+        for live, original in enumerate(self.row_of):
+            y = -self.costs[self.id_col[original]]
+            duals[original] = -y if self.flipped[original] else y
+
+        checks = all(v >= 0 for v in point) and sum(
+            (y * rhs for y, (_, _, rhs) in zip(duals, self.problem.rows)),
+            Fraction(0),
+        ) == value
+        for (coefficients, sense, rhs), y in zip(self.problem.rows, duals):
+            lhs = sum((c * v for c, v in zip(coefficients, point)), Fraction(0))
+            if sense == LESS:
+                checks = checks and lhs <= rhs and y >= 0
+            elif sense == GREATER:
+                checks = checks and lhs >= rhs and y <= 0
+            else:
+                checks = checks and lhs == rhs
+        if not checks:
+            raise RuntimeError("simplex returned an uncertified solution")
+        return LpSolution(OPTIMAL, value, point, tuple(duals), self.pivots)
+
+    def _dump(self):
+        for r, row in enumerate(self.body):
+            self.trace.write(
+                "  [%s | %s] basic %d\n"
+                % (" ".join(str(v) for v in row), self.rhs[r], self.basis[r])
+            )

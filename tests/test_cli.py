@@ -9,6 +9,7 @@ from fractions import Fraction
 
 import pytest
 
+import fairslice.optimal
 from fairslice.cli import main
 from fairslice.generator import GRID, random_uniform_agents
 from fairslice.scenario import (
@@ -17,6 +18,7 @@ from fairslice.scenario import (
     region_pairs,
     serialize_scenario,
 )
+from fairslice.simplex import INFEASIBLE, LpSolution
 
 F = Fraction
 
@@ -329,6 +331,33 @@ def test_run_overlong_integer_exits_2(tmp_path, capsys):
     assert "cannot read a number" in err
 
 
+@pytest.mark.parametrize(
+    "token",
+    ["1e999999999", "1e-999999999", "1.5E+4301", '"1e999999999"', '"1E-999999999"', '"1e1_000_000"'],
+)
+def test_parse_rejects_out_of_range_exponents(token):
+    # Fraction would build 10**exponent first; the bound refuses it.
+    text = text_of([agent("a", (0, "HUGE"))]).replace('"HUGE"', token)
+    with pytest.raises(ParseError, match="cannot read a number: exponent beyond 4300"):
+        parse_scenario(text)
+
+
+def test_parse_keeps_exponents_within_range():
+    text = text_of([agent("a", ("2.5e-1", "TOKEN"))]).replace('"TOKEN"', "5E-1")
+    assert parse_scenario(text).valuations[0].support().pairs() == [(F(1, 4), F(1, 2))]
+    text = text_of([agent("a", (0, "1e-4300"))])
+    assert parse_scenario(text).valuations[0].support().pairs() == [(0, F(1, 10**4300))]
+
+
+@pytest.mark.parametrize("token", ["1e999999999", '"1e-999999999"'])
+def test_run_out_of_range_exponent_exits_2(tmp_path, capsys, token):
+    text = text_of([agent("a", (0, "HUGE"))]).replace('"HUGE"', token)
+    path = write(tmp_path, text)
+    code, out, err = run_cli(capsys, "run", path, "--mechanism", "even-paz")
+    assert code == 2 and out == ""
+    assert "cannot read a number" in err
+
+
 def test_run_deep_nesting_exits_2(tmp_path, capsys):
     path = write(tmp_path, "[" * 100000)
     code, out, err = run_cli(capsys, "run", path, "--mechanism", "even-paz")
@@ -498,6 +527,31 @@ def test_optimal_verbose_lp_traces_pivots(tmp_path, capsys):
         capsys, "optimal", path, "--criterion", "proportional", "--verbose-lp"
     )
     assert code == 0 and "pivot" in err
+
+
+def uncertified_solve(problem, trace=None):
+    raise RuntimeError("simplex returned an uncertified solution")
+
+
+def infeasible_solve(problem, trace=None):
+    return LpSolution(INFEASIBLE)
+
+
+@pytest.mark.parametrize(
+    "solve,message",
+    [
+        (uncertified_solve, "simplex returned an uncertified solution"),
+        (infeasible_solve, "welfare LP came back infeasible"),
+    ],
+)
+def test_optimal_unvouched_answer_exits_1(tmp_path, capsys, monkeypatch, solve, message):
+    # A failed certificate, or an LP status the welfare code cannot explain,
+    # is an answer the program cannot vouch for: exit 1, no traceback.
+    monkeypatch.setattr(fairslice.optimal, "lp_solve", solve)
+    path = write(tmp_path, POP4)
+    code, out, err = run_cli(capsys, "optimal", path, "--criterion", "proportional")
+    assert code == 1 and out == ""
+    assert err == "error: %s\n" % message
 
 
 # ----------------------------------------------------------------------
