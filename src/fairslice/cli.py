@@ -3,8 +3,9 @@
 Six subcommands: run a mechanism, audit a given allocation, certify an
 equilibrium, compute (constrained) optima, price a fairness criterion, and
 benchmark query counts.  Reports are exact: every number prints as p/q.
-Exit codes follow one contract everywhere: 0 on success, 1 when an
---expect-* assertion fails, 2 on bad input.
+Every result goes to stdout through one writer, `_write`, as JSON, CSV or
+a plain table.  Exit codes follow one contract everywhere: 0 on success, 1
+when an --expect-* assertion fails, 2 on bad input.
 """
 
 import argparse
@@ -112,41 +113,36 @@ def _report(scenario, allocation, transcript=None, equilibrium=None):
     return report
 
 
-def _emit_report(report, fmt, out):
-    if fmt == "json":
-        out.write(json.dumps(report, indent=2, sort_keys=True) + "\n")
-        return
-    if fmt == "csv":
-        rows = [("ue", report["ue"]), ("ee", report["ee"])]
-        rows += sorted(report["criteria"].items())
-        if "queries" in report:
-            rows += sorted(report["queries"].items())
-        if "equilibrium" in report:
-            rows.append(("equilibrium", report["equilibrium"]["is_equilibrium"]))
-        out.write("field,value\n")
-        for key, value in rows:
-            out.write("%s,%s\n" % (key, _plain(value)))
-        return
+def _report_rows(report):
+    yield "field", "value"
+    yield "ue", report["ue"]
+    yield "ee", report["ee"]
+    yield from sorted(report["criteria"].items())
+    if "queries" in report:
+        yield from sorted(report["queries"].items())
+    if "equilibrium" in report:
+        yield "equilibrium", report["equilibrium"]["is_equilibrium"]
+
+
+def _report_lines(report):
     for agent, portions in zip(report["agents"], report["allocation"]):
         spans = " ".join("%s..%s" % (lo, hi) for lo, hi in portions) or "nothing"
-        out.write("agent %s: %s\n" % (agent, spans))
+        yield "agent %s: %s" % (agent, spans)
     for agent, row in zip(report["agents"], report["equity_table"]):
-        out.write("values[%s]: %s\n" % (agent, " ".join(row)))
-    flags = " ".join(
-        "%s=%s" % (key, _plain(value))
-        for key, value in sorted(report["criteria"].items())
-    )
-    out.write("criteria: %s\n" % flags)
-    out.write("ue: %s\nee: %s\n" % (report["ue"], report["ee"]))
+        yield "values[%s]: %s" % (agent, " ".join(row))
+    flags = sorted(report["criteria"].items())
+    yield "criteria: " + " ".join("%s=%s" % (key, _plain(value)) for key, value in flags)
+    yield "ue: " + report["ue"]
+    yield "ee: " + report["ee"]
     if "queries" in report:
         q = report["queries"]
-        out.write("queries: total=%d eval=%d cut=%d\n" % (q["total"], q["eval"], q["cut"]))
+        yield "queries: total=%d eval=%d cut=%d" % (q["total"], q["eval"], q["cut"])
     if "equilibrium" in report:
         e = report["equilibrium"]
         line = "equilibrium: %s" % _plain(e["is_equilibrium"])
-        if e.get("condition"):
+        if e["condition"]:
             line += " (%s, deviating agent %s)" % (e["condition"], e["deviating_agent"])
-        out.write(line + "\n")
+        yield line
 
 
 def _plain(value):
@@ -157,19 +153,42 @@ def _plain(value):
     return str(value)
 
 
-def _check_expectations(args, report):
-    failed = []
-    for key in ("proportional", "envy-free", "equitable", "non-wasteful"):
-        flag = getattr(args, "expect_" + key.replace("-", "_"), False)
-        if flag and not report["criteria"][key]:
-            failed.append(key)
-    if getattr(args, "expect_equilibrium", False) and not report.get(
-        "equilibrium", {}
-    ).get("is_equilibrium", False):
+def _write(fmt, data, rows=(), lines=()):
+    """Print one result: data as JSON, rows (header first) as CSV, or lines.
+
+    rows and lines may be generators, so only the chosen format is built.
+    """
+    if fmt == "json":
+        text = json.dumps(data, indent=2, sort_keys=True)
+    elif fmt == "csv":
+        text = "\n".join(",".join(_plain(value) for value in row) for row in rows)
+    else:
+        text = "\n".join(lines)
+    sys.stdout.write(text + "\n")
+
+
+def _answer(args, scenario, allocation, transcript=None, equilibrium=None):
+    """Write the report on an allocation; exit 1 if an --expect-* flag fails."""
+    report = _report(scenario, allocation, transcript, equilibrium)
+    _write(args.format, report, _report_rows(report), _report_lines(report))
+    failed = [
+        key
+        for key, held in report["criteria"].items()
+        if not held and getattr(args, "expect_" + key.replace("-", "_"))
+    ]
+    if getattr(args, "expect_equilibrium", False) and not equilibrium["is_equilibrium"]:
         failed.append("equilibrium")
     for name in failed:
         print("expectation failed: %s" % name, file=sys.stderr)
     return 1 if failed else 0
+
+
+def _max_ue(args, scenario):
+    trace = sys.stderr if args.verbose_lp else None
+    try:
+        return max_ue(scenario.valuations, args.criterion, trace)
+    except ValueError as error:
+        raise UnsupportedValuationClass(str(error))
 
 
 # ----------------------------------------------------------------------
@@ -197,18 +216,14 @@ def cmd_run(args):
             allocation = length_game(profile)
         else:
             allocation = min_average_mechanism(preferences)
-    report = _report(scenario, allocation, transcript=transcript)
-    _emit_report(report, args.format, sys.stdout)
-    return _check_expectations(args, report)
+    return _answer(args, scenario, allocation, transcript=transcript)
 
 
 def cmd_audit(args):
     scenario = _read_scenario(args)
     if scenario.allocation is None:
         raise ParseError("audit needs an allocation in the scenario")
-    report = _report(scenario, scenario.allocation)
-    _emit_report(report, args.format, sys.stdout)
-    return _check_expectations(args, report)
+    return _answer(args, scenario, scenario.allocation)
 
 
 def cmd_equilibrium(args):
@@ -232,54 +247,33 @@ def cmd_equilibrium(args):
             equilibrium["condition"] = "length-order"
             equilibrium["claimer"] = scenario.ids[violation.claimer]
     allocation = Allocation(list(reduced.profile))
-    report = _report(scenario, allocation, equilibrium=equilibrium)
-    _emit_report(report, args.format, sys.stdout)
-    return _check_expectations(args, report)
+    return _answer(args, scenario, allocation, equilibrium=equilibrium)
 
 
 def cmd_optimal(args):
     scenario = _read_scenario(args)
-    trace = sys.stderr if args.verbose_lp else None
     if args.criterion is None:
         allocation = utilitarian_optimal(scenario.valuations)
     else:
-        try:
-            _, allocation = max_ue(scenario.valuations, args.criterion, trace)
-        except ValueError as error:
-            raise UnsupportedValuationClass(str(error))
-    report = _report(scenario, allocation)
-    _emit_report(report, args.format, sys.stdout)
-    return _check_expectations(args, report)
+        _, allocation = _max_ue(args, scenario)
+    return _answer(args, scenario, allocation)
 
 
 def cmd_pof(args):
     scenario = _read_scenario(args)
-    trace = sys.stderr if args.verbose_lp else None
-    try:
-        held, _ = max_ue(scenario.valuations, args.criterion, trace)
-    except ValueError as error:
-        raise UnsupportedValuationClass(str(error))
+    held, _ = _max_ue(args, scenario)
     top = utilitarian_efficiency(
         equity_table(scenario.valuations, utilitarian_optimal(scenario.valuations))
     )
     row = {
-        "instance": args.scenario or "stdin",
+        "instance": "stdin" if args.scenario in (None, "-") else args.scenario,
         "n": len(scenario),
         "ue_optimal": str(top),
         "ue_constrained": str(held),
         "ratio": str(top / held),
     }
-    if args.format == "json":
-        sys.stdout.write(json.dumps(row, indent=2, sort_keys=True) + "\n")
-    elif args.format == "table":
-        for key in ("instance", "n", "ue_optimal", "ue_constrained", "ratio"):
-            sys.stdout.write("%s: %s\n" % (key, row[key]))
-    else:
-        sys.stdout.write("instance,n,ue_optimal,ue_constrained,ratio\n")
-        sys.stdout.write(
-            "%s,%d,%s,%s,%s\n"
-            % (row["instance"], row["n"], row["ue_optimal"], row["ue_constrained"], row["ratio"])
-        )
+    lines = ("%s: %s" % item for item in row.items())
+    _write(args.format, row, [row.keys(), row.values()], lines)
     return 0
 
 
@@ -302,23 +296,14 @@ def cmd_bench(args):
         )
     mechanism = QUERY_MECHANISMS[args.mechanism]
     arity = FIXED_ARITY.get(args.mechanism)
-    rows = []
+    rows = [("n", "total", "eval", "cut")]
     for n in args.n_range:
         if arity is not None and n != arity:
             continue
         agents = random_uniform_agents(args.seed * 1000003 + n, n)
         transcript = mechanism(sincere_oracles(agents)).transcript
         rows.append((n, transcript.total, transcript.eval_count, transcript.cut_count))
-    if args.format == "json":
-        data = [
-            {"n": n, "total": total, "eval": evals, "cut": cuts}
-            for n, total, evals, cuts in rows
-        ]
-        sys.stdout.write(json.dumps(data, indent=2, sort_keys=True) + "\n")
-    else:
-        sys.stdout.write("n,total,eval,cut\n")
-        for n, total, evals, cuts in rows:
-            sys.stdout.write("%d,%d,%d,%d\n" % (n, total, evals, cuts))
+    _write(args.format, [dict(zip(rows[0], row)) for row in rows[1:]], rows)
     return 0
 
 
@@ -334,10 +319,8 @@ def _add_scenario_argument(parser):
     )
 
 
-def _add_report_arguments(parser, default_format="json"):
-    parser.add_argument(
-        "--format", choices=("json", "csv", "table"), default=default_format
-    )
+def _add_report_arguments(parser):
+    parser.add_argument("--format", choices=("json", "csv", "table"), default="json")
     for criterion in ("proportional", "envy-free", "equitable", "non-wasteful"):
         parser.add_argument(
             "--expect-" + criterion,
@@ -407,11 +390,16 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ParseError, ArityMismatch, UnsupportedValuationClass, NotWellBehaved) as error:
+    except (ParseError, ArityMismatch, UnsupportedValuationClass, NotWellBehaved, OSError) as error:
         print("error: %s" % error, file=sys.stderr)
         return 2
-    except OSError as error:
-        print("error: %s" % error, file=sys.stderr)
+    except ValueError as error:
+        # An exact result too long to print: the interpreter refuses to
+        # convert an int of more digits than its limit to text.
+        if "integer string conversion" not in str(error):
+            raise
+        limit = sys.get_int_max_str_digits()
+        print("error: cannot write a number of more than %d digits" % limit, file=sys.stderr)
         return 2
     except RuntimeError as error:
         # The program could not vouch for its answer, for example an LP

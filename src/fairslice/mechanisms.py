@@ -23,7 +23,7 @@ against the true valuations are the place where that shows up.
 from fractions import Fraction
 
 from fairslice.audit import Allocation
-from fairslice.intervals import IntervalSet, frac
+from fairslice.intervals import frac
 from fairslice.oracle import MechanismResult, Recorder
 
 
@@ -32,8 +32,7 @@ class ArityMismatch(ValueError):
 
 
 def _result(portions, recorder):
-    allocation = Allocation([IntervalSet(p) for p in portions])
-    return MechanismResult(allocation, recorder.transcript)
+    return MechanismResult(Allocation(portions), recorder.transcript)
 
 
 def cut_and_choose(oracles):

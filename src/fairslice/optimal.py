@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from fairslice.audit import Allocation, equity_table, utilitarian_efficiency
-from fairslice.intervals import IntervalSet
 from fairslice.simplex import (
     GREATER,
     EQUAL,
@@ -138,7 +137,7 @@ def utilitarian_optimal(valuations):
     allocations.
     """
     seg = segment(valuations)
-    portions = [IntervalSet.empty() for _ in valuations]
+    portions = [[] for _ in valuations]
     for lo, hi in seg.segments():
         mid = (lo + hi) / 2
         densities = [
@@ -146,7 +145,7 @@ def utilitarian_optimal(valuations):
             for v in valuations
         ]
         winner = max(range(len(valuations)), key=lambda i: (densities[i], -i))
-        portions[winner] = portions[winner].union(IntervalSet([(lo, hi)]))
+        portions[winner].append((lo, hi))
     return Allocation(portions)
 
 
@@ -206,13 +205,13 @@ def _materialize(srm, x):
     # in index order; capacity slack stays unallocated.
     n = len(srm.rates)
     m = len(srm.segmentation)
-    portions = [IntervalSet.empty() for _ in range(n)]
+    portions = [[] for _ in range(n)]
     for s, (lo, hi) in enumerate(srm.segmentation.segments()):
         at = lo
         for i in range(n):
             take = x[i * m + s]
             if take > 0:
-                portions[i] = portions[i].union(IntervalSet([(at, at + take)]))
+                portions[i].append((at, at + take))
                 at += take
     return Allocation(portions)
 

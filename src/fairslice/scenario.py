@@ -202,36 +202,17 @@ def region_pairs(region):
 
 def _valuation_spec(valuation):
     if valuation.is_piecewise_uniform():
-        return {
-            "type": "uniform",
-            "pieces": [
-                {"lo": str(p.interval.lo), "hi": str(p.interval.hi)}
-                for p in valuation.pieces
-            ],
-        }
-    if valuation.is_piecewise_constant():
-        return {
-            "type": "constant",
-            "pieces": [
-                {
-                    "lo": str(p.interval.lo),
-                    "hi": str(p.interval.hi),
-                    "value": str(p.intercept),
-                }
-                for p in valuation.pieces
-            ],
-        }
+        kind, extra = "uniform", lambda p: {}
+    elif valuation.is_piecewise_constant():
+        kind, extra = "constant", lambda p: {"value": p.intercept}
+    else:
+        kind, extra = "linear", lambda p: {"slope": p.slope, "intercept": p.intercept}
+    pieces = [
+        {"lo": p.interval.lo, "hi": p.interval.hi, **extra(p)} for p in valuation.pieces
+    ]
     return {
-        "type": "linear",
-        "pieces": [
-            {
-                "lo": str(p.interval.lo),
-                "hi": str(p.interval.hi),
-                "slope": str(p.slope),
-                "intercept": str(p.intercept),
-            }
-            for p in valuation.pieces
-        ],
+        "type": kind,
+        "pieces": [{key: str(value) for key, value in piece.items()} for piece in pieces],
     }
 
 

@@ -1,16 +1,22 @@
 """Scenario files and the command-line front end: exact parsing, canonical
 serialization, the seeded generator, and all six subcommands end to end."""
 
+import contextlib
+import copy
 import io
 import json
 import subprocess
 import sys
+import unittest.mock
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import fairslice.optimal
-from fairslice.cli import main
+from fairslice.cli import MECHANISMS, main
 from fairslice.generator import GRID, random_uniform_agents
 from fairslice.scenario import (
     ParseError,
@@ -358,6 +364,39 @@ def test_run_out_of_range_exponent_exits_2(tmp_path, capsys, token):
     assert "cannot read a number" in err
 
 
+TINY_STEP = text_of(
+    [
+        {
+            "id": "step",
+            "valuation": {
+                "type": "constant",
+                "pieces": [{"lo": 0, "hi": "1e-4300", "value": 1}],
+            },
+        },
+        agent("flat", (0, 1)),
+    ]
+)
+
+
+@pytest.mark.parametrize(
+    "text,argv",
+    [
+        (text_of([agent("a", (0, 1))], allocation=[[["1e-4300", "1e-4299"]]]), ["audit"]),
+        (TINY_STEP, ["run", "--mechanism", "even-paz"]),
+        (TINY_STEP, ["optimal"]),
+        (TINY_STEP, ["pof", "--criterion", "proportional"]),
+    ],
+    ids=["audit", "run", "optimal", "pof"],
+)
+def test_result_past_the_digit_limit_exits_2(tmp_path, capsys, text, argv):
+    # Every input number is within range, but the report needs a
+    # denominator of 4,301 digits, which Python will not turn into text.
+    path = write(tmp_path, text)
+    code, out, err = run_cli(capsys, argv[0], path, *argv[1:])
+    assert (code, out) == (2, "")
+    assert err == "error: cannot write a number of more than 4300 digits\n"
+
+
 def test_run_deep_nesting_exits_2(tmp_path, capsys):
     path = write(tmp_path, "[" * 100000)
     code, out, err = run_cli(capsys, "run", path, "--mechanism", "even-paz")
@@ -579,6 +618,15 @@ def test_pof_json_format(tmp_path, capsys):
     assert row["ratio"] == "4/3" and row["n"] == 4
 
 
+@pytest.mark.parametrize("path", ["-", None])
+def test_pof_names_standard_input_stdin(capsys, monkeypatch, path):
+    monkeypatch.setattr(sys, "stdin", io.StringIO(POP4))
+    argv = ["pof"] + ([path] if path else []) + ["--criterion", "proportional"]
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert out == "instance,n,ue_optimal,ue_constrained,ratio\nstdin,4,2,3/2,4/3\n"
+
+
 @pytest.mark.parametrize("criterion", ["proportional", "envy-free", "equitable"])
 def test_pof_ratio_at_least_one(tmp_path, capsys, criterion):
     path = write(tmp_path, OVERLAP)
@@ -674,6 +722,168 @@ def test_bench_table_format_exits_2(capsys):
     assert caught.value.code == 2
     captured = capsys.readouterr()
     assert captured.out == "" and "--format" in captured.err
+
+
+# ----------------------------------------------------------------------
+# byte goldens: stdout, stderr and exit code of every subcommand in every
+# format, each run on one scenario written to ./scenario.json
+
+GOLDENS = Path(__file__).parent / "goldens"
+
+AUDITED = text_of(json.loads(HALVES)["agents"], allocation=[[], [["1/2", "1"]]])
+CONTESTED = text_of(json.loads(OVERLAP)["agents"], profile=[[["0", "1/3"]], [["1/3", "1"]]])
+UNCLAIMED = text_of(json.loads(OVERLAP)["agents"], profile=[[["0", "1/3"]], [["2/3", "1"]]])
+
+CLI_GOLDENS = {
+    "run-query.json": (WALKTHROUGH, ["run", "--mechanism", "last-diminisher"], 0, ""),
+    "run-query.csv": (
+        WALKTHROUGH, ["run", "--mechanism", "last-diminisher", "--format", "csv"], 0, "",
+    ),
+    "run-query.table": (
+        WALKTHROUGH, ["run", "--mechanism", "last-diminisher", "--format", "table"], 0, "",
+    ),
+    "run-revelation.json": (OVERLAP, ["run", "--mechanism", "procaccia"], 0, ""),
+    "run-revelation.csv": (
+        OVERLAP, ["run", "--mechanism", "procaccia", "--format", "csv"], 0, "",
+    ),
+    "run-revelation.table": (
+        POP4, ["run", "--mechanism", "length-game", "--format", "table"], 0, "",
+    ),
+    "audit.json": (AUDITED, ["audit"], 0, ""),
+    "audit.csv": (AUDITED, ["audit", "--format", "csv", "--expect-envy-free"], 0, ""),
+    "audit.table": (
+        AUDITED,
+        ["audit", "--format", "table", "--expect-proportional", "--expect-non-wasteful"],
+        1,
+        "expectation failed: proportional\n",
+    ),
+    "equilibrium-holds.json": (DISJOINT, ["equilibrium", "--expect-equilibrium"], 0, ""),
+    "equilibrium-holds.table": (DISJOINT, ["equilibrium", "--format", "table"], 0, ""),
+    "equilibrium-violated.json": (CONTESTED, ["equilibrium"], 0, ""),
+    "equilibrium-violated.csv": (
+        CONTESTED,
+        ["equilibrium", "--format", "csv", "--expect-equilibrium"],
+        1,
+        "expectation failed: equilibrium\n",
+    ),
+    "equilibrium-violated.table": (
+        CONTESTED,
+        ["equilibrium", "--format", "table", "--expect-equilibrium"],
+        1,
+        "expectation failed: equilibrium\n",
+    ),
+    "equilibrium-unclaimed.table": (UNCLAIMED, ["equilibrium", "--format", "table"], 0, ""),
+    "optimal.json": (OVERLAP, ["optimal"], 0, ""),
+    "optimal.csv": (RAMP, ["optimal", "--format", "csv"], 0, ""),
+    "optimal-criterion.json": (
+        HALVES, ["optimal", "--criterion", "equitable", "--expect-equitable"], 0, "",
+    ),
+    "optimal-criterion.table": (
+        POP4, ["optimal", "--criterion", "envy-free", "--format", "table"], 0, "",
+    ),
+    "pof.json": (POP4, ["pof", "--criterion", "proportional", "--format", "json"], 0, ""),
+    "pof.csv": (POP4, ["pof", "--criterion", "proportional"], 0, ""),
+    "pof.table": (POP4, ["pof", "--criterion", "envy-free", "--format", "table"], 0, ""),
+    "bench.json": (
+        None, ["bench", "--mechanism", "even-paz", "--n-range", "1..4", "--format", "json"], 0, "",
+    ),
+    "bench.csv": (
+        None, ["bench", "--mechanism", "last-diminisher", "--n-range", "2..5", "--seed", "3"], 0, "",
+    ),
+    "error.json": (
+        DISJOINT,
+        ["run", "--mechanism", "cut-and-choose"],
+        2,
+        "error: cut-and-choose needs exactly 2 agents, scenario has 3\n",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CLI_GOLDENS))
+def test_cli_golden(name, tmp_path, capsys, monkeypatch):
+    text, argv, code, err = CLI_GOLDENS[name]
+    monkeypatch.chdir(tmp_path)
+    if text is not None:
+        write(tmp_path, text)
+        argv = [argv[0], "scenario.json"] + argv[1:]
+    expected = (GOLDENS / name).read_bytes().decode("utf-8")
+    assert run_cli(capsys, *argv) == (code, expected, err)
+
+
+def test_serialize_mixed_golden():
+    golden = (GOLDENS / "mixed-scenario.json").read_bytes().decode("utf-8")
+    assert serialize_scenario(parse_scenario(MIXED)) == golden
+
+
+# ----------------------------------------------------------------------
+# fuzzing: mutated scenarios never end in an exception
+
+
+def json_leaves(value, path=()):
+    """The path to every number, string, bool or null inside a JSON value."""
+    if isinstance(value, (dict, list)):
+        for key, child in value.items() if isinstance(value, dict) else enumerate(value):
+            yield from json_leaves(child, path + (key,))
+    else:
+        yield path
+
+
+FUZZ_BASES = [HALVES, POP4, RAMP, MIXED, AUDITED, CONTESTED, UNCLAIMED]
+# Mostly number tokens, in range or just out of it, so that many mutants
+# still parse; then values of the wrong type.  Containers are copied, so
+# that no mutant holds one list twice and no mutation makes a cycle.
+FUZZ_NUMBERS = st.sampled_from(
+    [0, 1, "1/2", "2/3", "1/3", "0.25", "3/4", "1e-4300", "1/0", "-1/3", "3/2", 2]
+)
+FUZZ_LEAVES = st.one_of(
+    FUZZ_NUMBERS,
+    FUZZ_NUMBERS,
+    st.sampled_from(["x", "", "uniform", "linear", 0.5, True, None, [], {}, [["0", "1"]]]),
+).map(copy.deepcopy)
+FUZZ_COMMANDS = [
+    ["run", "--mechanism", mechanism] for mechanism in MECHANISMS
+] + [
+    ["audit", "--format", "table", "--expect-envy-free"],
+    ["equilibrium", "--format", "csv", "--expect-equilibrium"],
+    ["optimal"],
+    ["optimal", "--criterion", "envy-free"],
+    ["pof", "--criterion", "equitable", "--format", "table"],
+]
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    base=st.sampled_from(FUZZ_BASES),
+    argv=st.sampled_from(FUZZ_COMMANDS),
+    data=st.data(),
+)
+def test_mutated_scenarios_exit_0_1_or_2(base, argv, data):
+    scenario = json.loads(base)
+    for _ in range(data.draw(st.integers(1, 3))):
+        leaves = list(json_leaves(scenario))
+        if not leaves:
+            break
+        path = data.draw(st.sampled_from(leaves))
+        # Most mutations replace a leaf; some replace or delete a container
+        # above it.
+        action = data.draw(st.sampled_from(["leaf"] * 6 + ["container", "delete"]))
+        if action != "leaf":
+            path = path[: data.draw(st.integers(1, len(path)))]
+        parent = scenario
+        for key in path[:-1]:
+            parent = parent[key]
+        if action == "delete":
+            del parent[path[-1]]
+        else:
+            parent[path[-1]] = data.draw(FUZZ_LEAVES)
+    out, err = io.StringIO(), io.StringIO()
+    stdin = io.StringIO(json.dumps(scenario))
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        with unittest.mock.patch.object(sys, "stdin", stdin):
+            code = main(argv)
+    assert code in (0, 1, 2)
+    if code == 2:
+        assert err.getvalue().startswith("error: ")
 
 
 # ----------------------------------------------------------------------
