@@ -42,7 +42,6 @@ from fairslice.scenario import ParseError, parse_scenario, region_pairs
 from fairslice.uniform import (
     AgentOrder,
     Profile,
-    UniformPreference,
     length_game,
     lex_order,
     min_average_mechanism,
@@ -78,7 +77,7 @@ def _preferences(scenario):
         raise UnsupportedValuationClass(
             "revelation mechanisms need piecewise-uniform agents"
         )
-    return [UniformPreference(v.support()) for v in scenario.valuations]
+    return scenario.valuations
 
 
 def _profile(scenario, preferences):
@@ -188,6 +187,8 @@ def _max_ue(args, scenario):
     try:
         return max_ue(scenario.valuations, args.criterion, trace)
     except ValueError as error:
+        if "rates undefined" not in str(error):
+            raise
         raise UnsupportedValuationClass(str(error))
 
 

@@ -87,14 +87,10 @@ def is_equilibrium(preferences, reduced):
     if not profile.is_well_behaved(preferences):
         raise NotWellBehaved("some claim strays outside its owner's wanted region")
 
-    wanted = union_all(p.support() for p in preferences)
-    missing = wanted.difference(union_all(profile.strategies))
+    supports = [p.support() for p in preferences]
+    missing = union_all(supports).difference(union_all(profile.strategies))
     if not missing.is_empty():
-        deviator = next(
-            i
-            for i, p in enumerate(preferences)
-            if p.support().overlaps(missing)
-        )
+        deviator = next(i for i, s in enumerate(supports) if s.overlaps(missing))
         return EquilibriumReport(False, UnallocatedValuedCake(missing), deviator)
 
     n = len(profile)
@@ -102,7 +98,7 @@ def is_equilibrium(preferences, reduced):
         for j in range(n):
             if i == j:
                 continue
-            witness = profile[i].intersect(preferences[j].support())
+            witness = profile[i].intersect(supports[j])
             if not witness.is_empty() and profile[i].length > profile[j].length:
                 return EquilibriumReport(
                     False, LengthOrderViolation(i, j, witness), j
@@ -123,6 +119,15 @@ def _prefix_of(region, length):
         spans.append((iv.lo, iv.lo + take))
         left -= take
     return IntervalSet(spans)
+
+
+def _ahead(profile, i, length):
+    # The rival claims the length game serves before agent i when i claims
+    # this length: ranked by (length, index).  Agent i wins its claim minus
+    # their union.
+    return union_all(
+        s for j, s in enumerate(profile) if j != i and (s.length, j) < (length, i)
+    )
 
 
 def _candidates(preferences, profile, i):
@@ -150,13 +155,7 @@ def _candidates(preferences, profile, i):
 
     out = set()
     for target in lengths:
-        ahead = [
-            j
-            for j in others
-            if profile[j].length < target
-            or (profile[j].length == target and j < i)
-        ]
-        free = pref.difference(union_all(profile[j] for j in ahead))
+        free = pref.difference(_ahead(profile, i, target))
         out.add(_prefix_of(free, min(target, free.length)))
 
     unclaimed = pref.difference(union_all(profile.strategies))
@@ -182,15 +181,18 @@ def best_response(preferences, profile, i):
 
     Every candidate stays inside the agent's wanted region.  Returns the
     pair (strategy, gain); a gain of 0 means no candidate beats the current
-    claim, which is then returned unchanged.  Candidates are scored by
-    replaying the shortest-claim-first rule, so the gains are exact; ties
-    go to the lexicographically smallest strategy.
+    claim, which is then returned unchanged.  A candidate is worth what it
+    wins: the claim minus the rival claims ranked ahead of it, so the gains
+    are exact; ties go to the lexicographically smallest strategy.
     """
-    current = preferences[i].measure(length_game(profile)[i])
+    current = preferences[i].measure(
+        profile[i].difference(_ahead(profile, i, profile[i].length))
+    )
     best_strategy = None
     best_utility = None
     for candidate in _candidates(preferences, profile, i):
-        utility = preferences[i].measure(length_game(profile.replace(i, candidate))[i])
+        won = candidate.difference(_ahead(profile, i, candidate.length))
+        utility = preferences[i].measure(won)
         if (
             best_utility is None
             or utility > best_utility
@@ -227,9 +229,9 @@ def best_response_dynamics(preferences, start, max_rounds=None):
         moved = False
         for k in range(n):
             current = preferences[k].measure(profile[k])
-            conceded = profile.replace(k, fair[k])
-            if preferences[k].measure(length_game(conceded)[k]) > current:
-                profile = reduce_profile(conceded).profile
+            won = fair[k].difference(_ahead(profile, k, fair[k].length))
+            if preferences[k].measure(won) > current:
+                profile = reduce_profile(profile.replace(k, fair[k])).profile
                 moved = True
                 continue
             strategy, gain = best_response(preferences, profile, k)

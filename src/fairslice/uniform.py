@@ -1,12 +1,12 @@
 """Claim-based mechanisms for agents with uniform tastes over a region.
 
-Agents here care only about a fixed region of the cake and value any piece
-by the share of that region it covers.  A strategy is itself a region (a
-claim), and a profile is one claim per agent.  Three allocation rules are
-provided: priority allocation under an explicit agent order, the same with
-priority given to shorter claims, and a direct-revelation rule that
-repeatedly serves the group of agents whose jointly wanted cake is smallest
-per head.
+Agents here are piecewise-uniform `Valuation`s: each cares only about a
+fixed region of the cake (its support) and values any piece by the share of
+that region it covers.  A strategy is itself a region (a claim), and a
+profile is one claim per agent.  Three allocation rules are provided:
+priority allocation under an explicit agent order, the same with priority
+given to shorter claims, and a direct-revelation rule that repeatedly
+serves the group of agents whose jointly wanted cake is smallest per head.
 
 All lengths and utilities are exact rationals.
 """
@@ -38,31 +38,9 @@ def _as_region(x):
     return x if isinstance(x, IntervalSet) else IntervalSet(x)
 
 
-@dataclass(frozen=True, slots=True)
-class UniformPreference:
-    """An agent who wants a fixed region and is indifferent within it.
-
-    A piece is worth the length it shares with the wanted region, rescaled
-    so the whole wanted region is worth exactly 1.
-    """
-
-    valued: IntervalSet
-
-    def __init__(self, valued):
-        region = _as_region(valued)
-        if region.is_empty():
-            raise ValueError("the wanted region must have positive length")
-        object.__setattr__(self, "valued", region)
-
-    def support(self):
-        return self.valued
-
-    def measure(self, region):
-        return self.valued.intersect(region).length / self.valued.length
-
-    def as_valuation(self):
-        """The same tastes expressed as a density-based valuation."""
-        return Valuation.uniform_on(self.valued)
+# The agent who wants a given region, under its older name; an empty region
+# raises ValueError.
+UniformPreference = Valuation.uniform_on
 
 
 @dataclass(frozen=True, slots=True)
@@ -355,8 +333,8 @@ def min_average_rounds(preferences):
     rounds = []
     while remaining:
         group = min_average_subset(preferences, remaining, cake)
-        avg = average_share(preferences, group, cake)
         region = valued_region(preferences, group, cake)
+        avg = Fraction(region.length, len(group))
         shares = exact_allocation(preferences, group, cake)
         rounds.append(
             ServiceRound(group, avg, region, tuple(sorted(shares.items())))

@@ -9,6 +9,7 @@ from fractions import Fraction
 
 from hypothesis import strategies as st
 
+from fairslice.equilibrium import _candidates
 from fairslice.intervals import IntervalSet
 from fairslice.simplex import (
     EQUAL,
@@ -19,7 +20,7 @@ from fairslice.simplex import (
     UNBOUNDED,
     LpSolution,
 )
-from fairslice.uniform import UniformPreference
+from fairslice.uniform import Profile, UniformPreference, length_game
 from fairslice.valuation import Valuation
 
 
@@ -83,6 +84,33 @@ def uniform_preferences(n, max_intervals=3, max_denominator=12):
     """Lists of n region-valuing agents with grid endpoints."""
     one = nonempty_interval_sets(max_intervals, max_denominator).map(UniformPreference)
     return st.lists(one, min_size=n, max_size=n)
+
+
+def claim_profiles(n, max_intervals=3, max_denominator=12):
+    """Profiles of n claims, with repeated claims and equal-length ties.
+
+    Each claim is a fresh random region, a copy of an earlier claim, or an
+    interval as long as an earlier claim placed elsewhere.  Claims ignore
+    what their owners want, so they may stray outside it.
+    """
+
+    @st.composite
+    def build(draw):
+        claims = []
+        for _ in range(n):
+            kind = draw(st.sampled_from(["fresh", "copy", "tie"])) if claims else "fresh"
+            if kind == "fresh":
+                claims.append(draw(interval_sets(max_intervals, max_denominator)))
+                continue
+            earlier = draw(st.sampled_from(claims))
+            if kind == "copy":
+                claims.append(earlier)
+            else:
+                start = (1 - earlier.length) * draw(grid_fractions(max_denominator))
+                claims.append(IntervalSet([(start, start + earlier.length)]))
+        return Profile(claims)
+
+    return build()
 
 
 def random_uniform_instance(rng, n, denominator=12, max_intervals=3):
@@ -234,6 +262,29 @@ def near_partitions(max_portions=5, max_cuts=8, max_extras=2, max_denominator=24
         return [IntervalSet(s) for s in spans]
 
     return build()
+
+
+def reference_best_response(preferences, profile, i):
+    """Best counter-claim for agent i, scoring each candidate by a full replay.
+
+    The library scores a candidate as the claim minus the rival claims
+    ranked ahead of it; this replays the whole shortest-claim-first game for
+    every candidate instead, and must return the same (strategy, gain).
+    """
+    current = preferences[i].measure(length_game(profile)[i])
+    best_strategy = None
+    best_utility = None
+    for candidate in _candidates(preferences, profile, i):
+        utility = preferences[i].measure(length_game(profile.replace(i, candidate))[i])
+        if (
+            best_utility is None
+            or utility > best_utility
+            or (utility == best_utility and candidate.pairs() < best_strategy.pairs())
+        ):
+            best_strategy, best_utility = candidate, utility
+    if best_utility is None or best_utility <= current:
+        return profile[i], Fraction(0)
+    return best_strategy, best_utility - current
 
 
 # ----------------------------------------------------------------------

@@ -397,6 +397,18 @@ def test_result_past_the_digit_limit_exits_2(tmp_path, capsys, text, argv):
     assert err == "error: cannot write a number of more than 4300 digits\n"
 
 
+def test_traced_lp_past_the_digit_limit_exits_2(tmp_path, capsys):
+    # The pivot trace itself needs the 4,301-digit density; the error ends
+    # the trace instead of passing for an unsupported valuation class.
+    path = write(tmp_path, TINY_STEP)
+    code, out, err = run_cli(
+        capsys, "optimal", path, "--criterion", "equitable", "--verbose-lp"
+    )
+    assert (code, out) == (2, "")
+    assert err.startswith("pivot ")
+    assert err.endswith("\nerror: cannot write a number of more than 4300 digits\n")
+
+
 def test_run_deep_nesting_exits_2(tmp_path, capsys):
     path = write(tmp_path, "[" * 100000)
     code, out, err = run_cli(capsys, "run", path, "--mechanism", "even-paz")

@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fairslice.audit import equity_table, is_envy_free, utilitarian_equivalent
 from fairslice.equilibrium import (
@@ -15,6 +16,7 @@ from fairslice.equilibrium import (
     NotWellBehaved,
     ReducedProfile,
     UnallocatedValuedCake,
+    _ahead,
     best_response,
     best_response_dynamics,
     is_equilibrium,
@@ -29,7 +31,13 @@ from fairslice.uniform import (
     min_average_mechanism,
 )
 
-from helpers import random_subregion, random_uniform_instance, uniform_preferences
+from helpers import (
+    claim_profiles,
+    random_subregion,
+    random_uniform_instance,
+    reference_best_response,
+    uniform_preferences,
+)
 
 F = Fraction
 
@@ -214,6 +222,31 @@ class TestBestResponse:
         report = is_equilibrium(prefs, ReducedProfile(profile, True))
         gains = [best_response(prefs, profile, i)[1] for i in range(3)]
         assert report.is_equilibrium == all(g == 0 for g in gains)
+
+    @given(
+        st.integers(min_value=1, max_value=4).flatmap(
+            lambda n: st.tuples(
+                uniform_preferences(n, max_denominator=8),
+                claim_profiles(n, max_denominator=8),
+            )
+        )
+    )
+    @settings(deadline=None, max_examples=80)
+    def test_matches_the_replaying_reference(self, instance):
+        prefs, profile = instance
+        for i in range(len(prefs)):
+            assert best_response(prefs, profile, i) == reference_best_response(
+                prefs, profile, i
+            )
+
+    @given(claim_profiles(5, max_denominator=8), st.integers(min_value=0, max_value=3))
+    @settings(deadline=None)
+    def test_a_claim_wins_itself_minus_the_rivals_ahead(self, drawn, i):
+        # The fifth claim is agent i's new claim: fresh, a copy of a rival's
+        # or tied with one in length.
+        profile, claim = Profile(drawn.strategies[:4]), drawn[4]
+        won = claim.difference(_ahead(profile, i, claim.length))
+        assert won == length_game(profile.replace(i, claim))[i]
 
     def test_fine_grained_deviations_never_beat_the_family(self):
         rng = random.Random(777)

@@ -306,8 +306,7 @@ def test_revelation_outputs_are_pareto():
     for _ in range(25):
         preferences = random_uniform_instance(rng, rng.randint(2, 5))
         allocation = min_average_mechanism(preferences)
-        valuations = [p.as_valuation() for p in preferences]
-        assert pareto_oracle(valuations, allocation)
+        assert pareto_oracle(preferences, allocation)
 
 
 def test_price_of_goldens():

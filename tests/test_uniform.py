@@ -24,6 +24,7 @@ from fairslice.uniform import (
     min_average_subset,
     valued_region,
 )
+from fairslice.valuation import Valuation
 
 from helpers import (
     interval_sets,
@@ -59,8 +60,10 @@ class TestUniformPreference:
             UniformPreference(IntervalSet.empty())
 
     def test_agrees_with_density_valuation(self):
-        p = UniformPreference(region(("0", "1/10"), ("2/5", "1")))
-        v = p.as_valuation()
+        wanted = region(("0", "1/10"), ("2/5", "1"))
+        p = UniformPreference(wanted)
+        v = Valuation.uniform_on(wanted)
+        assert p == v
         for probe in [region(("0", "1/2")), region(("1/20", "9/10")), IntervalSet.unit()]:
             assert p.measure(probe) == v.measure(probe)
 
