@@ -44,6 +44,7 @@ from fairslice.uniform import (
     Infeasible,
     Profile,
     ServiceRound,
+    TooManyAgents,
     UniformPreference,
     average_share,
     exact_allocation,

@@ -77,9 +77,6 @@ class EquityTable:
     def diagonal(self):
         return tuple(self.entries[i][i] for i in range(self.n))
 
-    def row(self, i):
-        return self.entries[i]
-
     def __getitem__(self, i):
         return self.entries[i]
 

@@ -42,14 +42,12 @@ from fairslice.scenario import ParseError, parse_scenario, region_pairs
 from fairslice.uniform import (
     AgentOrder,
     Profile,
+    TooManyAgents,
     length_game,
     lex_order,
     min_average_mechanism,
 )
-
-
-class UnsupportedValuationClass(ValueError):
-    """The command needs a valuation family the scenario does not provide."""
+from fairslice.valuation import UnsupportedValuationClass
 
 
 QUERY_MECHANISMS = {
@@ -182,16 +180,6 @@ def _answer(args, scenario, allocation, transcript=None, equilibrium=None):
     return 1 if failed else 0
 
 
-def _max_ue(args, scenario):
-    trace = sys.stderr if args.verbose_lp else None
-    try:
-        return max_ue(scenario.valuations, args.criterion, trace)
-    except ValueError as error:
-        if "rates undefined" not in str(error):
-            raise
-        raise UnsupportedValuationClass(str(error))
-
-
 # ----------------------------------------------------------------------
 # subcommands
 
@@ -256,13 +244,15 @@ def cmd_optimal(args):
     if args.criterion is None:
         allocation = utilitarian_optimal(scenario.valuations)
     else:
-        _, allocation = _max_ue(args, scenario)
+        _, allocation = max_ue(
+            scenario.valuations, args.criterion, sys.stderr if args.verbose_lp else None
+        )
     return _answer(args, scenario, allocation)
 
 
 def cmd_pof(args):
     scenario = _read_scenario(args)
-    held, _ = _max_ue(args, scenario)
+    held, _ = max_ue(scenario.valuations, args.criterion, sys.stderr if args.verbose_lp else None)
     top = utilitarian_efficiency(
         equity_table(scenario.valuations, utilitarian_optimal(scenario.valuations))
     )
@@ -391,7 +381,8 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ParseError, ArityMismatch, UnsupportedValuationClass, NotWellBehaved, OSError) as error:
+    except (ParseError, ArityMismatch, UnsupportedValuationClass, NotWellBehaved,
+            TooManyAgents, OSError) as error:
         print("error: %s" % error, file=sys.stderr)
         return 2
     except ValueError as error:

@@ -17,23 +17,20 @@ GRID = 64
 MAX_INTERVALS = 4
 
 
-def random_region(rng, denominator=GRID, max_intervals=MAX_INTERVALS):
-    """A non-empty union of up to max_intervals grid-aligned intervals."""
+def random_region(rng):
+    """A non-empty union of up to MAX_INTERVALS grid-aligned intervals."""
     while True:
         spans = []
-        for _ in range(rng.randint(1, max_intervals)):
-            a = Fraction(rng.randint(0, denominator), denominator)
-            b = Fraction(rng.randint(0, denominator), denominator)
+        for _ in range(rng.randint(1, MAX_INTERVALS)):
+            a = Fraction(rng.randint(0, GRID), GRID)
+            b = Fraction(rng.randint(0, GRID), GRID)
             spans.append((min(a, b), max(a, b)))
         region = IntervalSet(spans)
         if not region.is_empty():
             return region
 
 
-def random_uniform_agents(seed, n, denominator=GRID, max_intervals=MAX_INTERVALS):
+def random_uniform_agents(seed, n):
     """n agents, each uniform over a random grid region; fixed seed, fixed output."""
     rng = random.Random(seed)
-    return [
-        Valuation.uniform_on(random_region(rng, denominator, max_intervals))
-        for _ in range(n)
-    ]
+    return [Valuation.uniform_on(random_region(rng)) for _ in range(n)]

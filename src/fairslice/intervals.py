@@ -4,13 +4,15 @@ The cake is [0,1].  A slice is a closed interval with exact rational endpoints;
 a region is a finite union of slices kept in canonical form: sorted, pairwise
 disjoint, touching slices merged, zero-length slices dropped.  Because single
 points carry no measure, two regions count as disjoint when their intersection
-has length zero, which the canonical form renders as emptiness.
+has length zero, which the canonical form renders as emptiness.  Intersection,
+difference and complement are one merge of two regions' endpoints; its result
+is canonical as built and stored as it is.  Length is computed once, on making.
 
 All endpoints are `fractions.Fraction`.  Floats are refused at the boundary:
 Fraction(0.4) is not 2/5, and we never want to find that out the hard way.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 
@@ -72,6 +74,38 @@ def _canonical(intervals):
     return tuple(Interval(lo, hi) for lo, hi in merged if hi > lo)
 
 
+def _merge(x, y, keep):
+    # Walk both regions' endpoints in order.  Past a point, a region's count
+    # of endpoints so far is odd exactly when the walk is inside it.  An edge
+    # falls wherever keep, False outside both, changes value; a shared point
+    # is passed in both at once, so no touching or zero-length span appears.
+    a = [p for iv in x.intervals for p in (iv.lo, iv.hi)]
+    b = [p for iv in y.intervals for p in (iv.lo, iv.hi)]
+    i = j = 0
+    kept = False
+    edges = []
+    while i < len(a) or j < len(b):
+        if j == len(b) or (i < len(a) and a[i] <= b[j]):
+            point = a[i]
+            i += 1
+            if j < len(b) and b[j] == point:
+                j += 1
+        else:
+            point = b[j]
+            j += 1
+        if keep(i % 2 == 1, j % 2 == 1) != kept:
+            kept = not kept
+            edges.append(point)
+    spans = tuple(Interval(lo, hi) for lo, hi in zip(edges[::2], edges[1::2]))
+    return _store(object.__new__(IntervalSet), spans)
+
+
+def _store(region, spans):
+    object.__setattr__(region, "intervals", spans)
+    object.__setattr__(region, "length", sum((iv.hi - iv.lo for iv in spans), Fraction(0)))
+    return region
+
+
 @dataclass(frozen=True, slots=True)
 class IntervalSet:
     """Canonical finite union of closed intervals within [0,1].
@@ -82,6 +116,7 @@ class IntervalSet:
     """
 
     intervals: tuple
+    length: Fraction = field(compare=False, repr=False)
 
     def __init__(self, intervals=()):
         ivs = []
@@ -91,7 +126,7 @@ class IntervalSet:
             else:
                 lo, hi = item
                 ivs.append(Interval(lo, hi))
-        object.__setattr__(self, "intervals", _canonical(ivs))
+        _store(self, _canonical(ivs))
 
     @classmethod
     def unit(cls):
@@ -100,13 +135,6 @@ class IntervalSet:
     @classmethod
     def empty(cls):
         return cls(())
-
-    @property
-    def length(self):
-        total = Fraction(0)
-        for iv in self.intervals:
-            total += iv.length
-        return total
 
     def is_empty(self):
         return not self.intervals
@@ -118,34 +146,14 @@ class IntervalSet:
         return IntervalSet(self.intervals + other.intervals)
 
     def intersect(self, other):
-        out = []
-        a, b = self.intervals, other.intervals
-        i = j = 0
-        while i < len(a) and j < len(b):
-            lo = max(a[i].lo, b[j].lo)
-            hi = min(a[i].hi, b[j].hi)
-            if hi > lo:
-                out.append((lo, hi))
-            if a[i].hi < b[j].hi:
-                i += 1
-            else:
-                j += 1
-        return IntervalSet(out)
+        return _merge(self, other, lambda a, b: a and b)
 
     def difference(self, other):
-        return self.intersect(other.complement())
+        return _merge(self, other, lambda a, b: a and not b)
 
     def complement(self):
         """The rest of the cake, [0,1] minus this region."""
-        out = []
-        cursor = Fraction(0)
-        for iv in self.intervals:
-            if iv.lo > cursor:
-                out.append((cursor, iv.lo))
-            cursor = iv.hi
-        if cursor < 1:
-            out.append((cursor, Fraction(1)))
-        return IntervalSet(out)
+        return _UNIT.difference(self)
 
     def overlaps(self, other):
         """True when the shared region has positive length."""
@@ -154,9 +162,6 @@ class IntervalSet:
     def pairs(self):
         """Endpoint pairs, handy for serialization."""
         return [(iv.lo, iv.hi) for iv in self.intervals]
-
-    def __bool__(self):
-        return bool(self.intervals)
 
     def __len__(self):
         return len(self.intervals)
@@ -170,9 +175,9 @@ class IntervalSet:
         return "IntervalSet(%s)" % " u ".join(repr(iv) for iv in self.intervals)
 
 
+_UNIT = IntervalSet.unit()
+
+
 def union_all(regions):
     """Union of an iterable of IntervalSets."""
-    spans = []
-    for region in regions:
-        spans.extend(region.intervals)
-    return IntervalSet(spans)
+    return IntervalSet(iv for region in regions for iv in region.intervals)

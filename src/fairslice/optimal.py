@@ -28,6 +28,7 @@ from fairslice.simplex import (
     LpProblem,
     lp_solve,
 )
+from fairslice.valuation import UnsupportedValuationClass
 
 CRITERIA = ("proportional", "envy-free", "equitable")
 
@@ -104,9 +105,10 @@ class SegmentRateMatrix:
 def segment_rates(valuations):
     """Build the rate matrix over the joint segmentation.
 
-    Raises ValueError when some density actually varies inside a segment
-    (an affine piece with nonzero slope), because then utilities are not
-    linear in segment lengths and the LP encodings are unsound.
+    Raises UnsupportedValuationClass when some density actually varies
+    inside a segment (an affine piece with nonzero slope), because then
+    utilities are not linear in segment lengths and the LP encodings are
+    unsound.
     """
     seg = segment(valuations)
     rates = []
@@ -121,7 +123,9 @@ def segment_rates(valuations):
             if piece is None:
                 row.append(Fraction(0))
             elif piece.slope != 0:
-                raise ValueError("density varies inside a segment; rates undefined")
+                raise UnsupportedValuationClass(
+                    "density varies inside a segment; rates undefined"
+                )
             else:
                 row.append(piece.density_at(mid))
         rates.append(tuple(row))
@@ -233,7 +237,7 @@ def max_ue(valuations, constraint=None, trace=None):
     return solution.value, _materialize(srm, solution.x)
 
 
-def max_ee(valuations, trace=None):
+def max_ee(valuations):
     """Exact maximal worst-off utility, with a realizing allocation."""
     srm = segment_rates(valuations)
     n = len(srm.rates)
@@ -246,13 +250,13 @@ def max_ee(valuations, trace=None):
             row[i * m + s] = srm.rates[i][s]
         row[n * m] = Fraction(-1)
         problem.add(row, GREATER, 0)
-    solution = lp_solve(problem, trace)
+    solution = lp_solve(problem)
     if solution.status != OPTIMAL:
         raise RuntimeError("welfare LP came back %s" % solution.status)
     return solution.value, _materialize(srm, solution.x[: n * m])
 
 
-def pareto_oracle(valuations, allocation, trace=None):
+def pareto_oracle(valuations, allocation):
     """True iff no allocation beats this one for someone and hurts nobody.
 
     Maximizes total utility subject to every agent keeping at least its
@@ -262,7 +266,7 @@ def pareto_oracle(valuations, allocation, trace=None):
     srm = segment_rates(valuations)
     floors = [v.measure(portion) for v, portion in zip(valuations, allocation)]
     objective = [r for row in srm.rates for r in row]
-    solution = lp_solve(_allocation_lp(srm, objective, floors=floors), trace)
+    solution = lp_solve(_allocation_lp(srm, objective, floors=floors))
     if solution.status != OPTIMAL:
         raise RuntimeError("dominance LP came back %s" % solution.status)
     return solution.value == sum(floors, Fraction(0))

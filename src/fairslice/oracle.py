@@ -52,12 +52,8 @@ class QueryTranscript:
     def total(self):
         return len(self.records)
 
-    def count(self, kind=None, agent=None):
-        return sum(
-            1
-            for r in self.records
-            if (kind is None or r.kind == kind) and (agent is None or r.agent == agent)
-        )
+    def count(self, kind=None):
+        return sum(1 for r in self.records if kind is None or r.kind == kind)
 
     @property
     def eval_count(self):
@@ -66,14 +62,6 @@ class QueryTranscript:
     @property
     def cut_count(self):
         return self.count("cut")
-
-    def lines(self):
-        """Line-delimited export: agent,kind,args,response."""
-        out = []
-        for r in self.records:
-            args = ";".join(str(a) for a in r.args)
-            out.append("%d,%s,%s,%s" % (r.agent, r.kind, args, r.response))
-        return out
 
     def replay(self, oracles):
         """Re-issue every recorded query; True when all responses match."""
@@ -90,9 +78,6 @@ class Recorder:
     def __init__(self, oracles):
         self.oracles = list(oracles)
         self.transcript = QueryTranscript()
-
-    def __len__(self):
-        return len(self.oracles)
 
     def eval(self, i, a, b):
         response = self.oracles[i].eval(a, b)

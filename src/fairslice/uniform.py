@@ -22,8 +22,16 @@ from fairslice.intervals import IntervalSet, union_all
 from fairslice.valuation import Valuation
 
 
+# min_average_subset keeps two lists of 2^k entries: 209 MB at k = 22, 4x per two more.
+MAX_SEARCH_AGENTS = 22
+
+
 class EmptySubset(ValueError):
     """An operation that needs at least one agent received none."""
+
+
+class TooManyAgents(ValueError):
+    """The exhaustive group search was asked for more agents than it can hold."""
 
 
 class Infeasible(ValueError):
@@ -148,10 +156,16 @@ def min_average_subset(preferences, agents, cake):
     jointly wanted length is then an integer sum over a bitmask of atoms,
     and averages are compared by cross-multiplying integers.  The cost is
     2^k small-integer steps for k agents, plus one pass over the atoms.
+    Raises TooManyAgents for more than MAX_SEARCH_AGENTS agents.
     """
     agents = tuple(sorted(agents))
     if not agents:
         raise EmptySubset("need at least one agent")
+    if len(agents) > MAX_SEARCH_AGENTS:
+        raise TooManyAgents(
+            "the exhaustive group search takes at most %d agents, got %d"
+            % (MAX_SEARCH_AGENTS, len(agents))
+        )
     _, weights, bits = _atom_table(
         [preferences[i].support().intersect(cake) for i in agents]
     )

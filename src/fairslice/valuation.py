@@ -31,6 +31,10 @@ class ZeroMassError(ValueError):
     """Raised when a density with zero total mass is asked to normalise."""
 
 
+class UnsupportedValuationClass(ValueError):
+    """The command needs a valuation family the scenario does not provide."""
+
+
 class TargetUnreachable(ValueError):
     """Raised by cut when the requested mass exceeds what lies to the right."""
 

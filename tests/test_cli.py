@@ -438,6 +438,13 @@ def test_run_revelation_needs_uniform_agents(tmp_path, capsys):
     assert code == 2 and "piecewise-uniform" in err
 
 
+def test_run_procaccia_past_the_agent_bound_exits_2(tmp_path, capsys):
+    path = write(tmp_path, text_of([agent("a%d" % k, (0, 1)) for k in range(23)]))
+    code, out, err = run_cli(capsys, "run", path, "--mechanism", "procaccia")
+    assert code == 2 and out == ""
+    assert err == "error: the exhaustive group search takes at most 22 agents, got 23\n"
+
+
 def test_run_csv_and_table_formats(tmp_path, capsys):
     path = write(tmp_path, HALVES)
     _, out, _ = run_cli(

@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import given
+from hypothesis import strategies as st
 
 from fairslice.intervals import Interval, IntervalSet, frac, union_all
 from helpers import interval_sets
@@ -108,3 +109,50 @@ def test_union_commutes_and_contains_parts(x, y):
 def test_union_all():
     parts = [iset((0, "1/4")), iset(("1/4", "1/2")), IntervalSet.empty()]
     assert union_all(parts) == iset((0, "1/2"))
+
+
+def regions():
+    return st.one_of(
+        interval_sets(), st.just(IntervalSet.empty()), st.just(IntervalSet.unit())
+    )
+
+
+def endpoints(*sets):
+    return sorted({p for r in sets for iv in r for p in iv} | {Fraction(0), Fraction(1)})
+
+
+@st.composite
+def region_pairs(draw):
+    """Two regions; half the time the second is cut at the first's endpoints."""
+    x = draw(regions())
+    if draw(st.booleans()):
+        return x, draw(regions())
+    ends = st.sampled_from(endpoints(x))
+    spans = draw(st.lists(st.tuples(ends, ends), max_size=4))
+    return x, IntervalSet(sorted(span) for span in spans)
+
+
+OPERATIONS = {
+    "intersect": (IntervalSet.intersect, lambda a, b: a and b),
+    "difference": (IntervalSet.difference, lambda a, b: a and not b),
+    "complement": (lambda x, y: x.complement(), lambda a, b: not a),
+    "union": (IntervalSet.union, lambda a, b: a or b),
+}
+
+
+@pytest.mark.parametrize("name", OPERATIONS)
+@given(pair=region_pairs())
+def test_operations_follow_their_boolean_rule(name, pair):
+    operation, rule = OPERATIONS[name]
+    x, y = pair
+    result = operation(x, y)
+    # Between consecutive endpoints membership is the rule itself; an
+    # endpoint belongs to the closed result when a gap beside it does.
+    points = endpoints(x, y)
+    mids = [(a + b) / 2 for a, b in zip(points, points[1:])]
+    inside = [rule(x.contains(m), y.contains(m)) for m in mids]
+    assert [result.contains(m) for m in mids] == inside
+    beside = [any(inside[max(k - 1, 0) : k + 1]) for k in range(len(points))]
+    assert [result.contains(p) for p in points] == beside
+    assert result == IntervalSet(result.pairs())
+    assert result.length == sum((iv.length for iv in result), Fraction(0))

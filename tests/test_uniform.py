@@ -12,8 +12,10 @@ from fairslice.audit import equity_table, is_envy_free
 from fairslice.intervals import IntervalSet, union_all
 from fairslice.uniform import (
     AgentOrder,
+    MAX_SEARCH_AGENTS,
     EmptySubset,
     Profile,
+    TooManyAgents,
     UniformPreference,
     average_share,
     exact_allocation,
@@ -243,6 +245,11 @@ class TestMinAverageSubset:
         for size in range(1, 5):
             for group in combinations(range(4), size):
                 assert average_share(prefs, group, cake) >= best
+
+    def test_refuses_more_agents_than_the_search_can_hold(self):
+        prefs = [UniformPreference(IntervalSet.unit())] * (MAX_SEARCH_AGENTS + 1)
+        with pytest.raises(TooManyAgents, match="at most 22 agents, got 23"):
+            min_average_subset(prefs, range(len(prefs)), IntervalSet.unit())
 
 
 class TestExactAllocation:
