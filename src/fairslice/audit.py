@@ -4,8 +4,11 @@ An allocation hands each agent a region of the cake; regions may share only
 boundary points.  All criteria are decided from the n x n equity table whose
 entry (i, j) is agent i's value for agent j's portion: proportionality,
 envy-freeness and equitability are statements about diagonals and rows, so
-one exact table computation feeds every predicate.  Waste and efficiency
-checks take the valuations themselves where the table is not enough.
+one exact table computation feeds every predicate.  The table sorts the
+allocation's endpoints once and sweeps them once per agent, reading every
+portion's value off that agent's cumulative mass at those points.  Waste
+and efficiency checks take the valuations themselves where the table is not
+enough.
 
 Everything here compares exact rationals for equality.  There are no
 tolerances in this module.
@@ -14,7 +17,7 @@ tolerances in this module.
 from dataclasses import dataclass
 from fractions import Fraction
 
-from fairslice.intervals import IntervalSet, union_all
+from fairslice.intervals import IntervalSet, frac, union_all
 
 
 @dataclass(frozen=True, slots=True)
@@ -65,7 +68,7 @@ class EquityTable:
     entries: tuple
 
     def __init__(self, entries):
-        rows = tuple(tuple(Fraction(x) for x in row) for row in entries)
+        rows = tuple(tuple(frac(x) for x in row) for row in entries)
         if any(len(row) != len(rows) for row in rows):
             raise ValueError("equity table must be square")
         object.__setattr__(self, "entries", rows)
@@ -87,9 +90,17 @@ def equity_table(valuations, allocation):
         raise ValueError(
             "%d valuations but %d portions" % (len(valuations), len(allocation))
         )
-    return EquityTable(
-        [[v.measure(portion) for portion in allocation] for v in valuations]
-    )
+    # Rank the endpoints by sorting them, not by hashing: every Fraction
+    # whose denominator is a multiple of the hash modulus hashes alike.
+    ends = [x for portion in allocation for iv in portion for x in iv]
+    points, rank = [], [0] * len(ends)
+    for k in sorted(range(len(ends)), key=ends.__getitem__):
+        if not points or points[-1] != ends[k]:
+            points.append(ends[k])
+        rank[k] = len(points) - 1
+    spans = iter(zip(rank[::2], rank[1::2]))
+    portions = [[next(spans) for _ in portion] for portion in allocation]
+    return EquityTable([v.portion_masses(points, portions) for v in valuations])
 
 
 def is_proportional(table):

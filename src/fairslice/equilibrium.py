@@ -107,18 +107,15 @@ def is_equilibrium(preferences, reduced):
 
 
 def _prefix_of(region, length):
-    # The leftmost sub-region of the given total length.
+    # The leftmost sub-region of the given total length: the region up to
+    # the point where that much of it lies to the left.
     if length <= 0:
         return IntervalSet.empty()
-    spans = []
-    left = length
     for iv in region:
-        if left <= 0:
-            break
-        take = min(left, iv.length)
-        spans.append((iv.lo, iv.lo + take))
-        left -= take
-    return IntervalSet(spans)
+        if length <= iv.length:
+            return region.intersect(IntervalSet([(0, iv.lo + length)]))
+        length -= iv.length
+    return region
 
 
 def _ahead(profile, i, length):

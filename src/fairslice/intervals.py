@@ -4,9 +4,10 @@ The cake is [0,1].  A slice is a closed interval with exact rational endpoints;
 a region is a finite union of slices kept in canonical form: sorted, pairwise
 disjoint, touching slices merged, zero-length slices dropped.  Because single
 points carry no measure, two regions count as disjoint when their intersection
-has length zero, which the canonical form renders as emptiness.  Intersection,
-difference and complement are one merge of two regions' endpoints; its result
-is canonical as built and stored as it is.  Length is computed once, on making.
+has length zero, which the canonical form renders as emptiness.  Union,
+intersection, difference and complement are one merge of two regions'
+endpoints; its result is canonical as built and stored as it is.  Length is
+computed once, on making.
 
 All endpoints are `fractions.Fraction`.  Floats are refused at the boundary:
 Fraction(0.4) is not 2/5, and we never want to find that out the hard way.
@@ -143,7 +144,7 @@ class IntervalSet:
         return any(iv.contains(x) for iv in self.intervals)
 
     def union(self, other):
-        return IntervalSet(self.intervals + other.intervals)
+        return _merge(self, other, lambda a, b: a or b)
 
     def intersect(self, other):
         return _merge(self, other, lambda a, b: a and b)

@@ -12,6 +12,15 @@ Three preference families cover everything downstream:
   constant     step densities (rational steps)
   linear       affine densities per piece (rational slope and intercept)
 
+A valuation holds its cumulative mass function F(x), the mass of [0, x],
+once: the piece starts, the mass left of each piece, and F on each piece as
+integer coefficients over one denominator.  eval(a, b) is F(b) - F(a), with
+F found by bisecting the piece starts; measure sums F(hi) - F(lo) over a
+region's spans; cut bisects the cumulative masses for the piece its answer
+lies on; portion_masses reads F at many sorted points in one merge, which
+is how an equity table is built.  Sums of F values are kept as unreduced
+integer pairs and reduced once, into one Fraction.
+
 Integration and cutting stay in exact rationals whenever the answer is
 rational; the only escape hatch is a cut through a linear piece whose
 quadratic has an irrational root, which is bisected to a tolerance and
@@ -19,7 +28,8 @@ flagged as inexact.
 """
 
 import math
-from dataclasses import dataclass
+from bisect import bisect_left, bisect_right
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from fairslice.intervals import Interval, IntervalSet, frac
@@ -50,13 +60,12 @@ class Piece:
     def density_at(self, x):
         return self.slope * x + self.intercept
 
-    def mass(self, lo=None, hi=None):
-        """Exact integral of the density over [lo,hi] clipped to the piece."""
-        a = self.interval.lo if lo is None else max(lo, self.interval.lo)
-        b = self.interval.hi if hi is None else min(hi, self.interval.hi)
-        if b <= a:
-            return Fraction(0)
-        return self.slope * (b * b - a * a) / 2 + self.intercept * (b - a)
+    def mass(self, a, b):
+        """Exact integral of the density over [a,b], a part of the piece."""
+        mass = self.intercept * (b - a)
+        if self.slope:
+            mass += self.slope * (b * b - a * a) / 2
+        return mass
 
     def is_zero(self):
         return self.slope == 0 and self.intercept == 0
@@ -89,16 +98,28 @@ class Valuation:
     """
 
     pieces: tuple
+    # Piece k starts at _starts[k]; _below[k] is the mass left of it and
+    # _below[-1] the total; _poly[k] holds integers (alpha, beta, delta, q)
+    # with F(p/r) = (alpha p^2 + beta p r + delta r^2) / (q r^2) on piece k,
+    # where F(x) is the mass of [0, x].
+    _starts: tuple = field(compare=False, repr=False)
+    _below: tuple = field(compare=False, repr=False)
+    _poly: tuple = field(compare=False, repr=False)
 
     def __init__(self, pieces):
         cleaned = tuple(p for p in sorted(pieces, key=lambda p: p.interval.lo) if not p.is_zero())
         for prev, nxt in zip(cleaned, cleaned[1:]):
             if nxt.interval.lo < prev.interval.hi:
                 raise ValueError("pieces overlap: %r and %r" % (prev.interval, nxt.interval))
-        total = sum((p.mass() for p in cleaned), Fraction(0))
-        if total != 1:
-            raise ValueError("total mass is %s, not 1; use Valuation.normalize" % total)
+        below = [Fraction(0)]
+        for p in cleaned:
+            below.append(below[-1] + p.mass(*p.interval))
+        if below[-1] != 1:
+            raise ValueError("total mass is %s, not 1; use Valuation.normalize" % below[-1])
         object.__setattr__(self, "pieces", cleaned)
+        object.__setattr__(self, "_starts", tuple(p.interval.lo for p in cleaned))
+        object.__setattr__(self, "_below", tuple(below))
+        object.__setattr__(self, "_poly", tuple(map(_poly, cleaned, below)))
 
     # ------------------------------------------------------------------
     # construction
@@ -116,7 +137,7 @@ class Valuation:
             if not isinstance(interval, Interval):
                 interval = Interval(*interval)
             pieces.append(_make_piece(interval, slope, intercept))
-        total = sum((p.mass() for p in pieces), Fraction(0))
+        total = sum((p.mass(*p.interval) for p in pieces), Fraction(0))
         if total == 0:
             raise ZeroMassError("density has zero total mass")
         scaled = [Piece(p.interval, p.slope / total, p.intercept / total) for p in pieces]
@@ -163,8 +184,18 @@ class Valuation:
     # ------------------------------------------------------------------
     # measure
 
+    def _mass_below(self, x):
+        # F(x), the mass of [0, x], as an unreduced integer pair.
+        k = bisect_right(self._starts, x) - 1
+        if k < 0:
+            return 0, 1
+        if x > self.pieces[k].interval.hi:
+            below = self._below[k + 1]
+            return below.numerator, below.denominator
+        return _at(self._poly[k], x)
+
     def eval(self, a, b):
-        """Exact mass of [a,b].
+        """Exact mass of [a,b], as F(b) - F(a).
 
         >>> v = Valuation.uniform_on([(0, "0.6")])
         >>> v.eval(Fraction(1, 2), 1)
@@ -174,14 +205,29 @@ class Valuation:
         b = frac(b)
         if b < a:
             raise ValueError("need a <= b")
-        return sum((p.mass(a, b) for p in self.pieces), Fraction(0))
+        return _mass_of([(self._mass_below(a), self._mass_below(b))])
 
     def measure(self, region):
         """Exact mass of an IntervalSet."""
-        total = Fraction(0)
-        for iv in region:
-            total += self.eval(iv.lo, iv.hi)
-        return total
+        return _mass_of((self._mass_below(iv.lo), self._mass_below(iv.hi)) for iv in region)
+
+    def portion_masses(self, points, portions):
+        """Exact mass of each portion, all read off one sweep of the points.
+
+        points is an ascending sequence of Fractions, and a portion is a
+        list of (i, j) index pairs, each the span [points[i], points[j]].
+        One merge of the points with the pieces gives F at every point.
+        """
+        below = []
+        done = 0
+        for piece, mass, poly in zip(self.pieces, self._below, self._poly):
+            start = bisect_left(points, piece.interval.lo, done)
+            end = bisect_right(points, piece.interval.hi, start)
+            below += [(mass.numerator, mass.denominator)] * (start - done)
+            below += [_at(poly, x) for x in points[start:end]]
+            done = end
+        below += [(1, 1)] * (len(points) - done)
+        return [_mass_of([(below[i], below[j]) for i, j in spans]) for spans in portions]
 
     # ------------------------------------------------------------------
     # cutting
@@ -207,20 +253,44 @@ class Valuation:
             raise ValueError("cut target must be non-negative")
         if target == 0:
             return CutResult(a, True)
-        remaining = target
-        for piece in self.pieces:
-            lo = max(a, piece.interval.lo)
-            hi = piece.interval.hi
-            if hi <= lo:
-                continue
-            mass = piece.mass(lo, hi)
-            if mass < remaining:
-                remaining -= mass
-                continue
-            return _solve_piece(piece, lo, hi, remaining)
-        raise TargetUnreachable(
-            "requested mass %s exceeds mass %s right of %s" % (target, self.eval(a, 1), a)
-        )
+        # The cut lies on the first piece whose right end reaches the goal.
+        goal = Fraction(*self._mass_below(a)) + target
+        k = bisect_left(self._below, goal, 1) - 1
+        if k == len(self.pieces):
+            raise TargetUnreachable(
+                "requested mass %s exceeds mass %s right of %s" % (target, self.eval(a, 1), a)
+            )
+        piece = self.pieces[k]
+        if a >= piece.interval.lo:
+            return _solve_piece(piece, a, piece.interval.hi, target)
+        return _solve_piece(piece, piece.interval.lo, piece.interval.hi, goal - self._below[k])
+
+
+def _poly(piece, below):
+    # F on the piece is (slope/2) x^2 + intercept x + const; put the three
+    # coefficients over one denominator q.
+    half = piece.slope / 2
+    lo = piece.interval.lo
+    coefficients = (half, piece.intercept, below - (half * lo + piece.intercept) * lo)
+    q = math.lcm(*(c.denominator for c in coefficients))
+    return tuple(c.numerator * (q // c.denominator) for c in coefficients) + (q,)
+
+
+def _at(poly, x):
+    # F(p/r) = (alpha p^2 + beta p r + delta r^2) / (q r^2), unreduced.
+    alpha, beta, delta, q = poly
+    p, r = x.numerator, x.denominator
+    return (alpha * p + beta * r) * p + delta * r * r, q * r * r
+
+
+def _mass_of(spans):
+    # Sum F(hi) - F(lo) over spans of integer pairs by cross-multiplying;
+    # the Fraction reduces the total once.
+    num, den = 0, 1
+    for (nl, dl), (nh, dh) in spans:
+        d = dl * dh
+        num, den = num * d + (nh * dl - nl * dh) * den, den * d
+    return Fraction(num, den)
 
 
 def _solve_piece(piece, lo, hi, remaining):

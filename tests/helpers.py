@@ -21,7 +21,7 @@ from fairslice.simplex import (
     LpSolution,
 )
 from fairslice.uniform import Profile, UniformPreference, length_game
-from fairslice.valuation import Valuation
+from fairslice.valuation import CutResult, TargetUnreachable, Valuation, _solve_piece
 
 
 def grid_fractions(max_denominator=64):
@@ -78,6 +78,58 @@ def constant_valuations(max_pieces=4, max_denominator=16, max_value=5):
         st.lists(grid_fractions(max_denominator), min_size=0, max_size=max_pieces),
         st.lists(st.integers(min_value=0, max_value=max_value), min_size=max_pieces + 1, max_size=max_pieces + 1),
     )
+
+
+def linear_valuations(max_pieces=3, max_denominator=16):
+    """Piecewise-linear valuations over a random grid, some with zero-length pieces.
+
+    Each grid cell carries a density with a random slope and a random
+    non-negative value at its low end, or nothing; a cell may be preceded by
+    a zero-length piece at its left end.
+    """
+
+    @st.composite
+    def build(draw):
+        breaks = draw(st.lists(grid_fractions(max_denominator), max_size=max_pieces))
+        points = sorted(set(breaks) | {Fraction(0), Fraction(1)})
+        specs = []
+        for lo, hi in zip(points, points[1:]):
+            slope = draw(st.integers(min_value=-3, max_value=3))
+            intercept = draw(st.integers(min_value=0, max_value=3)) - min(slope * lo, slope * hi)
+            if draw(st.booleans()):
+                specs.append(((lo, lo), slope, intercept))
+            if draw(st.booleans()):
+                specs.append(((lo, hi), slope, intercept))
+        if not any(hi > lo and (slope or intercept) for (lo, hi), slope, intercept in specs):
+            specs = [((Fraction(0), Fraction(1)), 1, 0)]
+        return Valuation.piecewise_linear(specs)
+
+    return build()
+
+
+def any_valuations():
+    """Uniform, piecewise-constant or piecewise-linear valuations."""
+    return st.one_of(uniform_valuations(), constant_valuations(), linear_valuations())
+
+
+# A large prime that is also CPython's hash modulus: every Fraction over it
+# hashes alike, so code that keys dicts by such points degrades.
+LARGE_PRIME = 2**61 - 1
+
+
+def query_points():
+    """Points of [0,1] on the grid, off it, and over a large prime denominator."""
+    return st.one_of(
+        grid_fractions(64),
+        st.fractions(min_value=0, max_value=1, max_denominator=10**6),
+        st.integers(min_value=0, max_value=LARGE_PRIME).map(lambda k: Fraction(k, LARGE_PRIME)),
+    )
+
+
+def query_regions(max_intervals=4):
+    """IntervalSets whose endpoints are query points."""
+    pair = st.tuples(query_points(), query_points()).map(sorted)
+    return st.lists(pair, max_size=max_intervals).map(IntervalSet)
 
 
 def uniform_preferences(n, max_intervals=3, max_denominator=12):
@@ -207,6 +259,60 @@ def midpoint_mass(valuation, a, b):
             mid = (lo + hi) / 2
             total += piece.density_at(mid) * (hi - lo)
     return total
+
+
+def reference_mass(piece, a, b):
+    """Integral of one piece's density over [a,b] clipped to the piece."""
+    lo = max(a, piece.interval.lo)
+    hi = min(b, piece.interval.hi)
+    if hi <= lo:
+        return Fraction(0)
+    return piece.slope * (hi * hi - lo * lo) / 2 + piece.intercept * (hi - lo)
+
+
+def reference_eval(valuation, a, b):
+    """Mass of [a,b] summed over every piece.
+
+    The library reads it off the cumulative mass as F(b) - F(a) instead.
+    """
+    return sum((reference_mass(p, a, b) for p in valuation.pieces), Fraction(0))
+
+
+def reference_measure(valuation, region):
+    """Mass of a region, one reference_eval per span."""
+    return sum((reference_eval(valuation, iv.lo, iv.hi) for iv in region), Fraction(0))
+
+
+def reference_cut(valuation, a, target):
+    """Cut by walking the pieces left to right, subtracting each one's mass.
+
+    The library bisects the cumulative masses instead; both must hand the
+    same (lo, hi, remaining) to the piece solver.
+    """
+    if target == 0:
+        return CutResult(a, True)
+    remaining = target
+    for piece in valuation.pieces:
+        lo = max(a, piece.interval.lo)
+        hi = piece.interval.hi
+        if hi <= lo:
+            continue
+        mass = reference_mass(piece, lo, hi)
+        if mass < remaining:
+            remaining -= mass
+            continue
+        return _solve_piece(piece, lo, hi, remaining)
+    raise TargetUnreachable(
+        "requested mass %s exceeds mass %s right of %s"
+        % (target, reference_eval(valuation, a, 1), a)
+    )
+
+
+def reference_equity_table(valuations, allocation):
+    """The n x n table as one reference_measure per cell."""
+    return tuple(
+        tuple(reference_measure(v, portion) for portion in allocation) for v in valuations
+    )
 
 
 def scan_cut(valuation, a, target, steps=4096):

@@ -21,7 +21,14 @@ from fairslice.audit import (
 )
 from fairslice.intervals import IntervalSet
 from fairslice.valuation import Valuation
-from helpers import near_partitions, pairwise_overlap, uniform_valuations
+from helpers import (
+    any_valuations,
+    near_partitions,
+    pairwise_overlap,
+    query_points,
+    reference_equity_table,
+    uniform_valuations,
+)
 
 
 def uniform(*pairs):
@@ -116,6 +123,15 @@ def test_dimension_mismatch():
 def test_table_must_be_square():
     with pytest.raises(ValueError):
         EquityTable([[1, 0]])
+
+
+def test_table_entries_must_be_exact():
+    assert EquityTable([[1, "1/2"], [0, Fraction(1, 3)]]).entries == (
+        (Fraction(1), Fraction(1, 2)),
+        (Fraction(0), Fraction(1, 3)),
+    )
+    with pytest.raises(TypeError):
+        EquityTable([[0.1]])
 
 
 def test_efficiency_metrics_golden():
@@ -226,3 +242,32 @@ def test_overlap_sweep_matches_pairwise_oracle(portions):
     i, j = int(match[1]), int(match[2])
     assert i < j and portions[i].overlaps(portions[j])
     assert match[3] == repr(portions[i].intersect(portions[j]))
+
+
+@st.composite
+def audited_allocations(draw):
+    """Valuations and a disjoint allocation cut at piece boundaries and off-grid points.
+
+    Cells between consecutive cut points go to a random agent or to nobody,
+    so portions may be empty, span several cells or touch piece boundaries.
+    """
+    n = draw(st.integers(min_value=1, max_value=4))
+    valuations = draw(st.lists(any_valuations(), min_size=n, max_size=n))
+    boundaries = sorted({x for v in valuations for piece in v.pieces for x in piece.interval})
+    cuts = draw(st.lists(st.one_of(st.sampled_from(boundaries), query_points()), max_size=8))
+    points = sorted(set(cuts) | {Fraction(0), Fraction(1)})
+    spans = [[] for _ in range(n)]
+    for lo, hi in zip(points, points[1:]):
+        owner = draw(st.integers(min_value=-1, max_value=n - 1))
+        if owner >= 0:
+            spans[owner].append((lo, hi))
+    return valuations, Allocation([IntervalSet(s) for s in spans])
+
+
+@settings(max_examples=300)
+@given(audited_allocations())
+def test_equity_table_matches_cell_by_cell_reference(case):
+    valuations, allocation = case
+    assert equity_table(valuations, allocation).entries == reference_equity_table(
+        valuations, allocation
+    )

@@ -1,15 +1,23 @@
+import re
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fairslice.intervals import IntervalSet
 from fairslice.valuation import TargetUnreachable, Valuation, ZeroMassError
 from helpers import (
+    any_valuations,
     constant_valuations,
     grid_fractions,
     interval_sets,
     midpoint_mass,
+    query_points,
+    query_regions,
+    reference_cut,
+    reference_eval,
+    reference_measure,
     uniform_valuations,
 )
 
@@ -144,3 +152,36 @@ def test_cut_eval_round_trip(v, a, share):
     got = v.cut(a, target)
     assert got.exact
     assert v.eval(a, got.point) == target
+
+
+# Points off the cake lie outside every piece too; eval clips them.
+OFF_CAKE = st.sampled_from([Fraction(-1, 3), Fraction(4, 3)])
+
+
+@settings(max_examples=300)
+@given(any_valuations(), st.one_of(query_points(), OFF_CAKE), st.one_of(query_points(), OFF_CAKE))
+def test_eval_matches_piecewise_reference(v, a, b):
+    a, b = min(a, b), max(a, b)
+    assert v.eval(a, b) == reference_eval(v, a, b)
+    assert v.eval(a, a) == 0
+
+
+@settings(max_examples=300)
+@given(any_valuations(), query_regions())
+def test_measure_matches_piecewise_reference(v, region):
+    assert v.measure(region) == reference_measure(v, region)
+
+
+@settings(max_examples=300)
+@given(any_valuations(), query_points(), st.data())
+def test_cut_matches_piecewise_reference(v, a, data):
+    # Targets up to and beyond the mass right of a, and arbitrary ones.
+    share = data.draw(st.one_of(query_points(), st.just(Fraction(1)), st.fractions(1, 2)))
+    target = data.draw(st.sampled_from([share * reference_eval(v, a, 1), share]))
+    try:
+        expected = reference_cut(v, a, target)
+    except TargetUnreachable as unreachable:
+        with pytest.raises(TargetUnreachable, match=re.escape(str(unreachable))):
+            v.cut(a, target)
+    else:
+        assert v.cut(a, target) == expected
