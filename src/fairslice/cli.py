@@ -9,6 +9,7 @@ when an --expect-* assertion fails, 2 on bad input.
 """
 
 import argparse
+import functools
 import json
 import sys
 
@@ -377,8 +378,14 @@ def build_parser():
     return parser
 
 
+@functools.cache
+def _parser():
+    # parse_args keeps no state in the parser, so one serves every call.
+    return build_parser()
+
+
 def main(argv=None):
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except (ParseError, ArityMismatch, UnsupportedValuationClass, NotWellBehaved,

@@ -8,11 +8,18 @@ an agent with a strictly shorter claim.  A finite best-response search and
 a round-robin dynamics harness sit on top.
 """
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 
 from fairslice.intervals import IntervalSet, union_all
-from fairslice.uniform import Profile, length_game, min_average_mechanism
+from fairslice.uniform import (
+    Profile,
+    _atom_table,
+    _weight,
+    length_game,
+    min_average_mechanism,
+)
 
 
 class NotWellBehaved(ValueError):
@@ -106,18 +113,6 @@ def is_equilibrium(preferences, reduced):
     return EquilibriumReport(True)
 
 
-def _prefix_of(region, length):
-    # The leftmost sub-region of the given total length: the region up to
-    # the point where that much of it lies to the left.
-    if length <= 0:
-        return IntervalSet.empty()
-    for iv in region:
-        if length <= iv.length:
-            return region.intersect(IntervalSet([(0, iv.lo + length)]))
-        length -= iv.length
-    return region
-
-
 def _ahead(profile, i, length):
     # The rival claims the length game serves before agent i when i claims
     # this length: ranked by (length, index).  Agent i wins its claim minus
@@ -127,50 +122,125 @@ def _ahead(profile, i, length):
     )
 
 
+def _prefix(mask, length, weights):
+    # The leftmost part of the atoms in mask of the given integer length, as
+    # (whole atoms, partial atom, amount of it): a walk over the atoms'
+    # weights that stops in the atom where the length runs out.  The partial
+    # atom is its left part; amount 0 means there is none.
+    taken = 0
+    while mask and length > 0:
+        low = mask & -mask
+        k = low.bit_length() - 1
+        if length < weights[k]:
+            return taken, k, length
+        taken |= low
+        length -= weights[k]
+        mask ^= low
+    return taken, 0, 0
+
+
+@dataclass(frozen=True, slots=True)
+class _Board:
+    """Agent i's wanted region as atoms cut at every claim's endpoints.
+
+    Lengths are integers over one unit, doubled so that every midpoint the
+    candidate family takes is an integer too.  Each claim is the bitmask of
+    the atoms it covers with the integer length of the whole claim.  Rivals
+    are ranked once by (length, index); ahead[p] is the union of the first
+    p of them, so the rivals served before a claim are one bisect.
+    """
+
+    i: int
+    atoms: tuple
+    weights: tuple
+    unit: int
+    claims: tuple
+    lengths: tuple
+    ranks: tuple
+    ahead: tuple
+
+    def blocking(self, length):
+        """Atoms taken by the rivals served before agent i's claim of this length."""
+        return self.ahead[bisect_left(self.ranks, (length, self.i))]
+
+    def region(self, key):
+        """The candidate (whole atoms, partial atom, amount) as a region."""
+        mask, k, amount = key
+        spans = [span for j, span in enumerate(self.atoms) if mask >> j & 1]
+        if amount:
+            lo = self.atoms[k][0]
+            spans.append((lo, lo + Fraction(amount, self.unit)))
+        return IntervalSet(spans)
+
+
+def _board(preferences, profile, i):
+    claims = profile.strategies
+    atoms, weights, bits, scale = _atom_table(
+        [preferences[i].support()], claims, [s.length for s in claims]
+    )
+    unit = 2 * scale
+    lengths = tuple(s.length.numerator * (unit // s.length.denominator) for s in claims)
+    rivals = sorted((j for j in range(len(claims)) if j != i), key=lambda j: (lengths[j], j))
+    ahead = [0]
+    for j in rivals:
+        ahead.append(ahead[-1] | bits[1 + j])
+    return _Board(
+        i, tuple(atoms), tuple(2 * w for w in weights), unit, tuple(bits[1:]), lengths,
+        tuple((lengths[j], j) for j in rivals), tuple(ahead),
+    )
+
+
+@dataclass(frozen=True, slots=True)
+class _Family:
+    """Distinct candidates, each a key (whole atoms, partial atom, amount) on one board."""
+
+    board: _Board
+    keys: frozenset
+
+    def __len__(self):
+        return len(self.keys)
+
+
 def _candidates(preferences, profile, i):
     # Finite family of counter-claims for agent i.  Built from two sources:
     # length targets (each opponent length, each free-region length, and
     # midpoints between consecutive targets, claimed greedily from the cake
     # not blocked at that length), and direct repairs (claim wanted cake
     # nobody claims; slip under a longer rival's claim).
-    pref = preferences[i].support()
-    own = profile[i].intersect(pref)
+    board = _board(preferences, profile, i)
+    weights = board.weights
+    wanted = (1 << len(weights)) - 1
+    whole = sum(weights)
+    own = board.claims[i]
+    own_length = _weight(own, weights)
     others = [j for j in range(len(profile)) if j != i]
 
-    lengths = {Fraction(0), pref.length, own.length}
-    for j in others:
-        lengths.add(min(profile[j].length, pref.length))
-    by_rank = sorted(others, key=lambda j: (profile[j].length, j))
-    blocked = IntervalSet.empty()
-    for p in range(len(by_rank) + 1):
-        lengths.add(min(pref.difference(blocked).length, pref.length))
-        if p < len(by_rank):
-            blocked = blocked.union(profile[by_rank[p]])
+    lengths = {0, whole, own_length}
+    lengths.update(min(board.lengths[j], whole) for j in others)
+    lengths.update(whole - _weight(blocked, weights) for blocked in board.ahead)
     targets = sorted(lengths)
-    for a, b in zip(targets, targets[1:]):
-        lengths.add((a + b) / 2)
+    lengths.update((a + b) // 2 for a, b in zip(targets, targets[1:]))
 
-    out = set()
-    for target in lengths:
-        free = pref.difference(_ahead(profile, i, target))
-        out.add(_prefix_of(free, min(target, free.length)))
+    keys = {_prefix(wanted & ~board.blocking(t), t, weights) for t in lengths}
 
-    unclaimed = pref.difference(union_all(profile.strategies))
-    if not unclaimed.is_empty():
-        out.add(own.union(unclaimed))
+    unclaimed = wanted & ~(board.ahead[-1] | own)
+    if unclaimed:
+        keys.add((own | unclaimed, 0, 0))
 
     for j in others:
-        overlap = profile[j].intersect(pref).difference(own)
-        cap = profile[j].length - own.length
-        if overlap.is_empty() or cap <= 0:
+        overlap = board.claims[j] & ~own
+        cap = board.lengths[j] - own_length
+        if not overlap or cap <= 0:
             continue
+        size = _weight(overlap, weights)
         if i < j:
-            take = min(overlap.length, cap)
+            take = min(size, cap)
         else:
-            take = overlap.length if overlap.length < cap else cap / 2
-        out.add(own.union(_prefix_of(overlap, take)))
+            take = size if size < cap else cap // 2
+        mask, k, amount = _prefix(overlap, take, weights)
+        keys.add((own | mask, k, amount))
 
-    return out
+    return _Family(board, frozenset(keys))
 
 
 def best_response(preferences, profile, i):
@@ -181,24 +251,30 @@ def best_response(preferences, profile, i):
     claim, which is then returned unchanged.  A candidate is worth what it
     wins: the claim minus the rival claims ranked ahead of it, so the gains
     are exact; ties go to the lexicographically smallest strategy.
+
+    Agents are piecewise uniform, so a utility is a won length over the
+    wanted length.  The work runs on one atom table per call: the agent's
+    wanted region cut at every claim's endpoints, lengths as integers.  A
+    candidate is a bitmask of whole atoms plus at most one partial atom, and
+    what it wins is an integer sum.  Only the best candidates become
+    regions, for the tie-break.
     """
-    current = preferences[i].measure(
-        profile[i].difference(_ahead(profile, i, profile[i].length))
-    )
-    best_strategy = None
-    best_utility = None
-    for candidate in _candidates(preferences, profile, i):
-        won = candidate.difference(_ahead(profile, i, candidate.length))
-        utility = preferences[i].measure(won)
-        if (
-            best_utility is None
-            or utility > best_utility
-            or (utility == best_utility and candidate.pairs() < best_strategy.pairs())
-        ):
-            best_strategy, best_utility = candidate, utility
-    if best_utility is None or best_utility <= current:
+    family = _candidates(preferences, profile, i)
+    board = family.board
+    weights = board.weights
+    current = _weight(board.claims[i] & ~board.blocking(board.lengths[i]), weights)
+    won = {}
+    for key in family.keys:
+        mask, k, amount = key
+        blocked = board.blocking(_weight(mask, weights) + amount)
+        won[key] = _weight(mask & ~blocked, weights) + (0 if blocked >> k & 1 else amount)
+    best = max(won.values())
+    if best <= current:
         return profile[i], Fraction(0)
-    return best_strategy, best_utility - current
+    strategy = min(
+        (board.region(key) for key, x in won.items() if x == best), key=IntervalSet.pairs
+    )
+    return strategy, Fraction(best - current, sum(weights))
 
 
 def best_response_dynamics(preferences, start, max_rounds=None):

@@ -166,7 +166,7 @@ def min_average_subset(preferences, agents, cake):
             "the exhaustive group search takes at most %d agents, got %d"
             % (MAX_SEARCH_AGENTS, len(agents))
         )
-    _, weights, bits = _atom_table(
+    _, weights, bits, _ = _atom_table(
         [preferences[i].support().intersect(cake) for i in agents]
     )
     # cover[m] holds the atoms wanted by the group with member bitmask m,
@@ -179,14 +179,8 @@ def min_average_subset(preferences, agents, cake):
         low = m & -m
         rest = m ^ low
         own = bits[low.bit_length() - 1]
-        new = own & ~cover[rest]
+        length[m] = length[rest] + _weight(own & ~cover[rest], weights)
         cover[m] = cover[rest] | own
-        added = 0
-        while new:
-            atom = new & -new
-            added += weights[atom.bit_length() - 1]
-            new ^= atom
-        length[m] = length[rest] + added
     members = [1 << j for j in range(len(agents))]
     best = best_length = best_size = None
     for size in range(1, len(agents) + 1):
@@ -197,29 +191,41 @@ def min_average_subset(preferences, agents, cake):
     return tuple(a for j, a in enumerate(agents) if best >> j & 1)
 
 
-def _atom_table(wanted):
-    # Split the union of the wanted regions at every endpoint of every one,
-    # so each atom lies wholly inside or wholly outside each region.  Returns
-    # the atoms as (lo, hi) pairs in order, their lengths as integers over
-    # the least common denominator, and per region a bitmask of its atoms.
-    marks = sorted({x for region in wanted for iv in region for x in iv})
+def _weight(mask, weights):
+    # Total integer length of the atoms in a bitmask.
+    total = 0
+    while mask:
+        low = mask & -mask
+        total += weights[low.bit_length() - 1]
+        mask ^= low
+    return total
+
+
+def _atom_table(wanted, marked=(), lengths=()):
+    # Split the union of the wanted regions at every endpoint of every
+    # wanted or marked region, so each atom lies wholly inside or wholly
+    # outside each of them.  Returns the atoms as (lo, hi) pairs in order,
+    # their lengths as integers over the least common denominator of those
+    # lengths and of the given extra lengths, that denominator, and per
+    # wanted then marked region a bitmask of the atoms it covers.
+    marks = sorted({x for region in (*wanted, *marked) for iv in region for x in iv})
     spans = []
     for iv in union_all(wanted):
         cuts = marks[bisect_left(marks, iv.lo) : bisect_right(marks, iv.hi)]
         spans.extend(zip(cuts, cuts[1:]))
     starts = [lo for lo, _ in spans]
     bits = []
-    for region in wanted:
+    for region in (*wanted, *marked):
         mask = 0
         for iv in region:
             first = bisect_left(starts, iv.lo)
             stop = bisect_left(starts, iv.hi)
             mask |= (1 << stop) - (1 << first)
         bits.append(mask)
-    lengths = [hi - lo for lo, hi in spans]
-    scale = lcm(*(x.denominator for x in lengths))
-    weights = [x.numerator * (scale // x.denominator) for x in lengths]
-    return spans, weights, bits
+    sizes = [hi - lo for lo, hi in spans]
+    scale = lcm(*(x.denominator for x in (*sizes, *lengths)))
+    weights = [x.numerator * (scale // x.denominator) for x in sizes]
+    return spans, weights, bits, scale
 
 
 def exact_allocation(preferences, agents, cake):
@@ -228,8 +234,12 @@ def exact_allocation(preferences, agents, cake):
     Every agent in the group receives exactly the group's average share,
     made up only of cake they want.  Portions are filled greedily left to
     right, preferring the agent with the least wanted cake still open; a
-    transfer pass repairs the rare greedy dead end.  Raises Infeasible when
-    no such portions exist, meaning the group did not minimise the average.
+    transfer pass repairs the rare greedy dead end.  The fill runs on the
+    group's atom table: amounts are integers in units of one over the
+    table's denominator times the group size, so each atom's length and the
+    average share are whole numbers, and portions become exact endpoints
+    once, at the end.  Raises Infeasible when no such portions exist,
+    meaning the group did not minimise the average.
     """
     agents = tuple(sorted(agents))
     if not agents:
@@ -238,8 +248,11 @@ def exact_allocation(preferences, agents, cake):
     region = union_all(wanted.values())
     quota = Fraction(region.length, len(agents))
 
-    atoms, _, bits = _atom_table(list(wanted.values()))
-    lengths = [hi - lo for lo, hi in atoms]
+    # Amounts are integers over `unit`: atom k is weights[k] times the group
+    # size long, and the average share is the total weight.
+    atoms, weights, bits, scale = _atom_table(list(wanted.values()))
+    unit = scale * len(agents)
+    lengths = [w * len(agents) for w in weights]
     owners = [
         [i for i, mask in zip(agents, bits) if mask >> k & 1] for k in range(len(atoms))
     ]
@@ -247,10 +260,9 @@ def exact_allocation(preferences, agents, cake):
     # held[k][i] is how much of atom k agent i holds; spare[k] is unassigned.
     held = [dict() for _ in atoms]
     spare = list(lengths)
-    need = {i: quota for i in agents}
+    need = dict.fromkeys(agents, sum(weights))
     open_length = {
-        i: sum((x for k, x in enumerate(lengths) if i in owners[k]), Fraction(0))
-        for i in agents
+        i: sum(x for k, x in enumerate(lengths) if i in owners[k]) for i in agents
     }
 
     for k in range(len(atoms)):
@@ -260,7 +272,7 @@ def exact_allocation(preferences, agents, cake):
                 break
             i = min(ready, key=lambda i: (open_length[i], i))
             take = min(need[i], spare[k])
-            held[k][i] = held[k].get(i, Fraction(0)) + take
+            held[k][i] = held[k].get(i, 0) + take
             spare[k] -= take
             need[i] -= take
         for i in owners[k]:
@@ -277,8 +289,9 @@ def exact_allocation(preferences, agents, cake):
         for i in sorted(held[k]):
             amount = held[k][i]
             if amount > 0:
-                portions[i].append((pos, pos + amount))
-                pos += amount
+                end = pos + Fraction(amount, unit)
+                portions[i].append((pos, end))
+                pos = end
     result = {i: IntervalSet(spans) for i, spans in portions.items()}
 
     if any(result[i].length != quota for i in agents):
@@ -293,7 +306,8 @@ def exact_allocation(preferences, agents, cake):
 def _augment(start, need, held, spare, owners):
     # Breadth-first search for a chain of transfers ending in spare capacity:
     # start -> atom -> holder -> atom -> ... -> atom with room.  Shifts the
-    # largest amount the chain supports toward the starting agent.
+    # largest amount the chain supports toward the starting agent.  Amounts
+    # may be ints or Fractions.
     parent = {start: None}
     queue = [start]
     while queue:
@@ -312,14 +326,12 @@ def _augment(start, need, held, spare, owners):
                 if amount <= 0:
                     continue
                 spare[k] -= amount
-                held[k][agent] = held[k].get(agent, Fraction(0)) + amount
+                held[k][agent] = held[k].get(agent, 0) + amount
                 node = agent
                 while parent[node] is not None:
                     prev_atom, prev_agent = parent[node]
                     held[prev_atom][node] -= amount
-                    held[prev_atom][prev_agent] = (
-                        held[prev_atom].get(prev_agent, Fraction(0)) + amount
-                    )
+                    held[prev_atom][prev_agent] = held[prev_atom].get(prev_agent, 0) + amount
                     node = prev_agent
                 need[start] -= amount
                 return True

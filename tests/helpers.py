@@ -9,8 +9,7 @@ from fractions import Fraction
 
 from hypothesis import strategies as st
 
-from fairslice.equilibrium import _candidates
-from fairslice.intervals import IntervalSet
+from fairslice.intervals import IntervalSet, union_all
 from fairslice.simplex import (
     EQUAL,
     GREATER,
@@ -20,7 +19,15 @@ from fairslice.simplex import (
     UNBOUNDED,
     LpSolution,
 )
-from fairslice.uniform import Profile, UniformPreference, length_game
+from fairslice.uniform import (
+    EmptySubset,
+    Infeasible,
+    Profile,
+    UniformPreference,
+    _atom_table,
+    _augment,
+    length_game,
+)
 from fairslice.valuation import CutResult, TargetUnreachable, Valuation, _solve_piece
 
 
@@ -159,6 +166,45 @@ def claim_profiles(n, max_intervals=3, max_denominator=12):
                 claims.append(earlier)
             else:
                 start = (1 - earlier.length) * draw(grid_fractions(max_denominator))
+                claims.append(IntervalSet([(start, start + earlier.length)]))
+        return Profile(claims)
+
+    return build()
+
+
+def fine_claim_profiles(preferences, denominator=720):
+    """Profiles of claims on a fine grid, unrelated to the wanted regions' endpoints.
+
+    Each claim is a random region with endpoints k/denominator, a random
+    sub-region of its owner's wanted region cut on that grid, a copy of an
+    earlier claim, or an interval as long as an earlier claim placed
+    elsewhere.  Lengths off the wanted regions' grid put the prefix cuts of
+    the candidate family inside atoms.
+    """
+    point = st.integers(min_value=0, max_value=denominator).map(
+        lambda k: Fraction(k, denominator)
+    )
+    span = st.tuples(point, point).map(sorted)
+
+    @st.composite
+    def build(draw):
+        claims = []
+        for pref in preferences:
+            kinds = ["grid", "inside"] + (["copy", "tie"] if claims else [])
+            kind = draw(st.sampled_from(kinds))
+            if kind == "grid":
+                claims.append(IntervalSet(draw(st.lists(span, max_size=3))))
+            elif kind == "inside":
+                cuts = []
+                for iv in pref.support():
+                    a, b = draw(span)
+                    cuts.append((iv.lo + iv.length * a, iv.lo + iv.length * b))
+                claims.append(IntervalSet(cuts))
+            elif kind == "copy":
+                claims.append(draw(st.sampled_from(claims)))
+            else:
+                earlier = draw(st.sampled_from(claims))
+                start = (1 - earlier.length) * draw(point)
                 claims.append(IntervalSet([(start, start + earlier.length)]))
         return Profile(claims)
 
@@ -370,17 +416,87 @@ def near_partitions(max_portions=5, max_cuts=8, max_extras=2, max_denominator=24
     return build()
 
 
+def _reference_prefix_of(region, length):
+    # The leftmost sub-region of the given total length: the region up to
+    # the point where that much of it lies to the left.
+    if length <= 0:
+        return IntervalSet.empty()
+    for iv in region:
+        if length <= iv.length:
+            return region.intersect(IntervalSet([(0, iv.lo + length)]))
+        length -= iv.length
+    return region
+
+
+def _reference_ahead(profile, i, length):
+    # The rival claims the length game serves before agent i when i claims
+    # this length: ranked by (length, index).
+    return union_all(
+        s for j, s in enumerate(profile) if j != i and (s.length, j) < (length, i)
+    )
+
+
+def reference_candidates(preferences, profile, i):
+    """The candidate family of `equilibrium._candidates`, as a set of regions.
+
+    Built on region algebra instead of the library's integer atoms: length
+    targets (each opponent length, each free-region length, and midpoints
+    between consecutive targets, claimed greedily from the cake not blocked
+    at that length), and direct repairs (claim wanted cake nobody claims;
+    slip under a longer rival's claim).
+    """
+    pref = preferences[i].support()
+    own = profile[i].intersect(pref)
+    others = [j for j in range(len(profile)) if j != i]
+
+    lengths = {Fraction(0), pref.length, own.length}
+    for j in others:
+        lengths.add(min(profile[j].length, pref.length))
+    by_rank = sorted(others, key=lambda j: (profile[j].length, j))
+    blocked = IntervalSet.empty()
+    for p in range(len(by_rank) + 1):
+        lengths.add(min(pref.difference(blocked).length, pref.length))
+        if p < len(by_rank):
+            blocked = blocked.union(profile[by_rank[p]])
+    targets = sorted(lengths)
+    for a, b in zip(targets, targets[1:]):
+        lengths.add((a + b) / 2)
+
+    out = set()
+    for target in lengths:
+        free = pref.difference(_reference_ahead(profile, i, target))
+        out.add(_reference_prefix_of(free, min(target, free.length)))
+
+    unclaimed = pref.difference(union_all(profile.strategies))
+    if not unclaimed.is_empty():
+        out.add(own.union(unclaimed))
+
+    for j in others:
+        overlap = profile[j].intersect(pref).difference(own)
+        cap = profile[j].length - own.length
+        if overlap.is_empty() or cap <= 0:
+            continue
+        if i < j:
+            take = min(overlap.length, cap)
+        else:
+            take = overlap.length if overlap.length < cap else cap / 2
+        out.add(own.union(_reference_prefix_of(overlap, take)))
+
+    return out
+
+
 def reference_best_response(preferences, profile, i):
     """Best counter-claim for agent i, scoring each candidate by a full replay.
 
-    The library scores a candidate as the claim minus the rival claims
-    ranked ahead of it; this replays the whole shortest-claim-first game for
-    every candidate instead, and must return the same (strategy, gain).
+    The library scores a candidate on integer atoms as the claim minus the
+    rival claims ranked ahead of it; this builds the family with
+    `reference_candidates` and replays the whole shortest-claim-first game
+    for every candidate instead, and must return the same (strategy, gain).
     """
     current = preferences[i].measure(length_game(profile)[i])
     best_strategy = None
     best_utility = None
-    for candidate in _candidates(preferences, profile, i):
+    for candidate in reference_candidates(preferences, profile, i):
         utility = preferences[i].measure(length_game(profile.replace(i, candidate))[i])
         if (
             best_utility is None
@@ -391,6 +507,72 @@ def reference_best_response(preferences, profile, i):
     if best_utility is None or best_utility <= current:
         return profile[i], Fraction(0)
     return best_strategy, best_utility - current
+
+
+def reference_exact_allocation(preferences, agents, cake):
+    """The min-average fill of `uniform.exact_allocation` in `Fraction` amounts.
+
+    The library fills the same atoms greedily with integer amounts and
+    turns them into endpoints once, at the end; this fills them with exact
+    rationals throughout and must return the same portions.
+    """
+    agents = tuple(sorted(agents))
+    if not agents:
+        raise EmptySubset("need at least one agent")
+    wanted = {i: preferences[i].support().intersect(cake) for i in agents}
+    region = union_all(wanted.values())
+    quota = Fraction(region.length, len(agents))
+
+    atoms, _, bits, _ = _atom_table(list(wanted.values()))
+    lengths = [hi - lo for lo, hi in atoms]
+    owners = [
+        [i for i, mask in zip(agents, bits) if mask >> k & 1] for k in range(len(atoms))
+    ]
+
+    # held[k][i] is how much of atom k agent i holds; spare[k] is unassigned.
+    held = [dict() for _ in atoms]
+    spare = list(lengths)
+    need = {i: quota for i in agents}
+    open_length = {
+        i: sum((x for k, x in enumerate(lengths) if i in owners[k]), Fraction(0))
+        for i in agents
+    }
+
+    for k in range(len(atoms)):
+        while spare[k] > 0:
+            ready = [i for i in owners[k] if need[i] > 0]
+            if not ready:
+                break
+            i = min(ready, key=lambda i: (open_length[i], i))
+            take = min(need[i], spare[k])
+            held[k][i] = held[k].get(i, Fraction(0)) + take
+            spare[k] -= take
+            need[i] -= take
+        for i in owners[k]:
+            open_length[i] -= lengths[k] - spare[k]
+
+    for i in agents:
+        while need[i] > 0 and _augment(i, need, held, spare, owners):
+            pass
+        if need[i] > 0:
+            raise Infeasible("cannot give agent %d a portion of length %s" % (i, quota))
+
+    portions = {i: [] for i in agents}
+    for k, (pos, _) in enumerate(atoms):
+        for i in sorted(held[k]):
+            amount = held[k][i]
+            if amount > 0:
+                portions[i].append((pos, pos + amount))
+                pos += amount
+    result = {i: IntervalSet(spans) for i, spans in portions.items()}
+
+    if any(result[i].length != quota for i in agents):
+        raise Infeasible("portions do not meet the average share")
+    if any(not result[i].difference(wanted[i]).is_empty() for i in agents):
+        raise Infeasible("a portion strays outside its owner's wanted cake")
+    if union_all(result.values()) != region:
+        raise Infeasible("portions do not cover the jointly wanted cake")
+    return result
 
 
 # ----------------------------------------------------------------------

@@ -829,6 +829,52 @@ def test_cli_golden(name, tmp_path, capsys, monkeypatch):
     assert run_cli(capsys, *argv) == (code, expected, err)
 
 
+def test_one_parser_serves_a_sequence_of_calls(tmp_path, capsys, monkeypatch):
+    # main() builds its parser once per process.  No call may leave a flag,
+    # a format default or an argparse error behind for the next one: every
+    # golden, run in one varied sequence, still comes out byte for byte.
+    monkeypatch.chdir(tmp_path)
+
+    def call(name, *extra):
+        text, argv, code, err = CLI_GOLDENS[name]
+        if text is not None:
+            write(tmp_path, text)
+            argv = [argv[0], "scenario.json"] + argv[1:]
+        expected = (GOLDENS / name).read_bytes().decode("utf-8")
+        return run_cli(capsys, *argv, *extra), (code, expected, err)
+
+    def golden(name):
+        got, expected = call(name)
+        assert got == expected, name
+
+    golden("pof.csv")
+    golden("optimal-criterion.json")
+    (code, out, err), (_, expected, _) = call("optimal-criterion.json", "--verbose-lp")
+    assert (code, out) == (0, expected)
+    assert err.startswith("pivot ")
+    golden("optimal-criterion.json")
+    golden("pof.json")
+    golden("audit.table")
+    golden("audit.json")
+    golden("audit.csv")
+    golden("equilibrium-violated.table")
+    golden("equilibrium-violated.json")
+    with pytest.raises(SystemExit) as caught:
+        main(["bench", "--mechanism", "even-paz", "--n-range", "abc"])
+    assert caught.value.code == 2
+    assert "--n-range" in capsys.readouterr().err
+    golden("bench.csv")
+    golden("bench.json")
+    with pytest.raises(SystemExit) as caught:
+        main(["pof", "scenario.json", "--format", "xml"])
+    assert caught.value.code == 2
+    capsys.readouterr()
+    golden("pof.csv")
+    golden("error.json")
+    for name in sorted(CLI_GOLDENS, reverse=True):
+        golden(name)
+
+
 def test_serialize_mixed_golden():
     golden = (GOLDENS / "mixed-scenario.json").read_bytes().decode("utf-8")
     assert serialize_scenario(parse_scenario(MIXED)) == golden

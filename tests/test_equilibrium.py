@@ -17,6 +17,7 @@ from fairslice.equilibrium import (
     ReducedProfile,
     UnallocatedValuedCake,
     _ahead,
+    _candidates,
     best_response,
     best_response_dynamics,
     is_equilibrium,
@@ -33,9 +34,11 @@ from fairslice.uniform import (
 
 from helpers import (
     claim_profiles,
+    fine_claim_profiles,
     random_subregion,
     random_uniform_instance,
     reference_best_response,
+    reference_candidates,
     uniform_preferences,
 )
 
@@ -235,6 +238,28 @@ class TestBestResponse:
     def test_matches_the_replaying_reference(self, instance):
         prefs, profile = instance
         for i in range(len(prefs)):
+            assert best_response(prefs, profile, i) == reference_best_response(
+                prefs, profile, i
+            )
+
+    @given(
+        st.integers(min_value=1, max_value=6)
+        .flatmap(lambda n: uniform_preferences(n, max_denominator=12))
+        .flatmap(lambda prefs: st.tuples(st.just(prefs), fine_claim_profiles(prefs))),
+        st.booleans(),
+    )
+    @settings(deadline=None, max_examples=120)
+    def test_atom_kernel_matches_the_region_reference(self, instance, reduced):
+        # The kernel's candidate family, as regions, is the reference's, and
+        # so is every best response, on raw and on reduced profiles.
+        prefs, profile = instance
+        if reduced:
+            profile = reduce_profile(profile).profile
+        for i in range(len(prefs)):
+            family = _candidates(prefs, profile, i)
+            regions = {family.board.region(key) for key in family.keys}
+            assert regions == reference_candidates(prefs, profile, i)
+            assert len(regions) == len(family)
             assert best_response(prefs, profile, i) == reference_best_response(
                 prefs, profile, i
             )

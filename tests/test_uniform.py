@@ -7,8 +7,10 @@ from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fairslice.audit import equity_table, is_envy_free
+import fairslice.uniform
 from fairslice.intervals import IntervalSet, union_all
 from fairslice.uniform import (
     AgentOrder,
@@ -32,6 +34,7 @@ from helpers import (
     interval_sets,
     random_subregion,
     random_uniform_instance,
+    reference_exact_allocation,
     uniform_preferences,
 )
 
@@ -306,6 +309,51 @@ class TestExactAllocation:
             assert shares[i].length == quota
             assert shares[i].difference(prefs[i].support()).is_empty()
         assert union_all(shares.values()) == valued_region(prefs, group, cake)
+
+
+    def test_transfer_pass_runs_inside_a_fill(self, monkeypatch):
+        # The greedy fill hands agent 1 the left quarter, which agent 2 also
+        # wants, and leaves agent 2 short; one chain of transfers repairs it.
+        prefs = [
+            UniformPreference(region(("1/4", "3/4"))),
+            UniformPreference(region((0, "1/4"), ("1/2", 1))),
+            UniformPreference(region((0, "3/4"))),
+        ]
+        transfers = []
+        augment = fairslice.uniform._augment
+
+        def counted(*args):
+            transfers.append(augment(*args))
+            return transfers[-1]
+
+        monkeypatch.setattr(fairslice.uniform, "_augment", counted)
+        shares = exact_allocation(prefs, (0, 1, 2), IntervalSet.unit())
+        assert True in transfers
+        assert shares == {
+            0: region(("1/4", "7/12")),
+            1: region((0, "1/12"), ("3/4", 1)),
+            2: region(("1/12", "1/4"), ("7/12", "3/4")),
+        }
+        assert shares == reference_exact_allocation(prefs, (0, 1, 2), IntervalSet.unit())
+
+    @given(
+        st.integers(min_value=1, max_value=6).flatmap(
+            lambda n: st.tuples(
+                uniform_preferences(n, max_denominator=12),
+                st.sets(st.integers(min_value=0, max_value=n - 1), min_size=1),
+                interval_sets(max_intervals=3, max_denominator=24),
+            )
+        )
+    )
+    @settings(deadline=None, max_examples=150)
+    def test_integer_fill_matches_the_fraction_reference(self, instance):
+        # Minimising groups of random agents on random sub-cakes, the way
+        # later rounds of the mechanism meet them.
+        prefs, agents, cake = instance
+        group = min_average_subset(prefs, agents, cake)
+        assert exact_allocation(prefs, group, cake) == reference_exact_allocation(
+            prefs, group, cake
+        )
 
 
 class TestMinAverageMechanism:
