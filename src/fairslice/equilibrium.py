@@ -141,19 +141,21 @@ def _prefix(mask, length, weights):
 
 @dataclass(frozen=True, slots=True)
 class _Board:
-    """Agent i's wanted region as atoms cut at every claim's endpoints.
+    """Atoms cut at every endpoint of agent i's wanted region and of every claim.
 
     Lengths are integers over one unit, doubled so that every midpoint the
-    candidate family takes is an integer too.  Each claim is the bitmask of
-    the atoms it covers with the integer length of the whole claim.  Rivals
-    are ranked once by (length, index); ahead[p] is the union of the first
-    p of them, so the rivals served before a claim are one bisect.
+    candidate family takes is an integer too.  `wanted` is the bitmask of
+    agent i's wanted atoms; each claim is the bitmask of the wanted atoms it
+    covers, with the integer length of the whole claim.  Rivals are ranked
+    once by (length, index); ahead[p] is the union of the first p of them,
+    so the rivals served before a claim are one bisect.
     """
 
     i: int
     atoms: tuple
     weights: tuple
     unit: int
+    wanted: int
     claims: tuple
     lengths: tuple
     ranks: tuple
@@ -174,18 +176,17 @@ class _Board:
 
 
 def _board(preferences, profile, i):
-    claims = profile.strategies
-    atoms, weights, bits, scale = _atom_table(
-        [preferences[i].support()], claims, [s.length for s in claims]
-    )
-    unit = 2 * scale
-    lengths = tuple(s.length.numerator * (unit // s.length.denominator) for s in claims)
+    atoms, weights, bits, scale = _atom_table([preferences[i].support(), *profile.strategies])
+    weights = tuple(2 * w for w in weights)
+    wanted = bits[0]
+    claims = tuple(mask & wanted for mask in bits[1:])
+    lengths = tuple(_weight(mask, weights) for mask in bits[1:])
     rivals = sorted((j for j in range(len(claims)) if j != i), key=lambda j: (lengths[j], j))
     ahead = [0]
     for j in rivals:
-        ahead.append(ahead[-1] | bits[1 + j])
+        ahead.append(ahead[-1] | claims[j])
     return _Board(
-        i, tuple(atoms), tuple(2 * w for w in weights), unit, tuple(bits[1:]), lengths,
+        i, tuple(atoms), weights, 2 * scale, wanted, claims, lengths,
         tuple((lengths[j], j) for j in rivals), tuple(ahead),
     )
 
@@ -209,8 +210,8 @@ def _candidates(preferences, profile, i):
     # nobody claims; slip under a longer rival's claim).
     board = _board(preferences, profile, i)
     weights = board.weights
-    wanted = (1 << len(weights)) - 1
-    whole = sum(weights)
+    wanted = board.wanted
+    whole = _weight(wanted, weights)
     own = board.claims[i]
     own_length = _weight(own, weights)
     others = [j for j in range(len(profile)) if j != i]
@@ -253,11 +254,11 @@ def best_response(preferences, profile, i):
     are exact; ties go to the lexicographically smallest strategy.
 
     Agents are piecewise uniform, so a utility is a won length over the
-    wanted length.  The work runs on one atom table per call: the agent's
-    wanted region cut at every claim's endpoints, lengths as integers.  A
-    candidate is a bitmask of whole atoms plus at most one partial atom, and
-    what it wins is an integer sum.  Only the best candidates become
-    regions, for the tie-break.
+    wanted length.  The work runs on one atom table per call: the cake cut
+    at every endpoint of the agent's wanted region and of every claim,
+    lengths as integers.  A candidate is a bitmask of wanted atoms plus at
+    most one partial atom, and what it wins is an integer sum.  Only the
+    best candidates become regions, for the tie-break.
     """
     family = _candidates(preferences, profile, i)
     board = family.board
@@ -274,7 +275,7 @@ def best_response(preferences, profile, i):
     strategy = min(
         (board.region(key) for key, x in won.items() if x == best), key=IntervalSet.pairs
     )
-    return strategy, Fraction(best - current, sum(weights))
+    return strategy, Fraction(best - current, _weight(board.wanted, weights))
 
 
 def best_response_dynamics(preferences, start, max_rounds=None):

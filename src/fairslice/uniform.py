@@ -11,7 +11,7 @@ serves the group of agents whose jointly wanted cake is smallest per head.
 All lengths and utilities are exact rationals.
 """
 
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
@@ -152,10 +152,11 @@ def min_average_subset(preferences, agents, cake):
 
     Exhaustive over all nonempty groups, scanned by size and then in
     lexicographic order, so the first strictly smaller average wins.  The
-    agents' wanted cake is split into atoms once per call; every group's
-    jointly wanted length is then an integer sum over a bitmask of atoms,
-    and averages are compared by cross-multiplying integers.  The cost is
-    2^k small-integer steps for k agents, plus one pass over the atoms.
+    cake and the agents' wanted regions are cut into atoms once per call;
+    every group's jointly wanted length is then an integer sum over a
+    bitmask of atoms, and averages are compared by cross-multiplying
+    integers.  The cost is 2^k small-integer steps for k agents, plus one
+    pass over the atoms.
     Raises TooManyAgents for more than MAX_SEARCH_AGENTS agents.
     """
     agents = tuple(sorted(agents))
@@ -166,9 +167,8 @@ def min_average_subset(preferences, agents, cake):
             "the exhaustive group search takes at most %d agents, got %d"
             % (MAX_SEARCH_AGENTS, len(agents))
         )
-    _, weights, bits, _ = _atom_table(
-        [preferences[i].support().intersect(cake) for i in agents]
-    )
+    _, weights, bits, _ = _atom_table([cake, *(preferences[i].support() for i in agents)])
+    wanted = [mask & bits[0] for mask in bits[1:]]
     # cover[m] holds the atoms wanted by the group with member bitmask m,
     # length[m] their total weight; each mask extends the one without its
     # lowest member.
@@ -178,7 +178,7 @@ def min_average_subset(preferences, agents, cake):
     for m in range(1, full):
         low = m & -m
         rest = m ^ low
-        own = bits[low.bit_length() - 1]
+        own = wanted[low.bit_length() - 1]
         length[m] = length[rest] + _weight(own & ~cover[rest], weights)
         cover[m] = cover[rest] | own
     members = [1 << j for j in range(len(agents))]
@@ -201,29 +201,21 @@ def _weight(mask, weights):
     return total
 
 
-def _atom_table(wanted, marked=(), lengths=()):
-    # Split the union of the wanted regions at every endpoint of every
-    # wanted or marked region, so each atom lies wholly inside or wholly
-    # outside each of them.  Returns the atoms as (lo, hi) pairs in order,
-    # their lengths as integers over the least common denominator of those
-    # lengths and of the given extra lengths, that denominator, and per
-    # wanted then marked region a bitmask of the atoms it covers.
-    marks = sorted({x for region in (*wanted, *marked) for iv in region for x in iv})
-    spans = []
-    for iv in union_all(wanted):
-        cuts = marks[bisect_left(marks, iv.lo) : bisect_right(marks, iv.hi)]
-        spans.extend(zip(cuts, cuts[1:]))
-    starts = [lo for lo, _ in spans]
+def _atom_table(regions):
+    # Cut the cake at every endpoint of every region; each atom lies wholly
+    # inside or outside each region.  Returns the atoms as (lo, hi) pairs in
+    # order, their lengths as integers over their least common denominator,
+    # that denominator, and per region the bitmask of its atoms.
+    marks = sorted({x for region in regions for iv in region for x in iv})
     bits = []
-    for region in (*wanted, *marked):
+    for region in regions:
         mask = 0
         for iv in region:
-            first = bisect_left(starts, iv.lo)
-            stop = bisect_left(starts, iv.hi)
-            mask |= (1 << stop) - (1 << first)
+            mask |= (1 << bisect_left(marks, iv.hi)) - (1 << bisect_left(marks, iv.lo))
         bits.append(mask)
+    spans = list(zip(marks, marks[1:]))
     sizes = [hi - lo for lo, hi in spans]
-    scale = lcm(*(x.denominator for x in (*sizes, *lengths)))
+    scale = lcm(*(x.denominator for x in sizes))
     weights = [x.numerator * (scale // x.denominator) for x in sizes]
     return spans, weights, bits, scale
 
@@ -235,11 +227,12 @@ def exact_allocation(preferences, agents, cake):
     made up only of cake they want.  Portions are filled greedily left to
     right, preferring the agent with the least wanted cake still open; a
     transfer pass repairs the rare greedy dead end.  The fill runs on the
-    group's atom table: amounts are integers in units of one over the
-    table's denominator times the group size, so each atom's length and the
-    average share are whole numbers, and portions become exact endpoints
-    once, at the end.  Raises Infeasible when no such portions exist,
-    meaning the group did not minimise the average.
+    atoms between the members' wanted endpoints; gap atoms have no owner.
+    Amounts are integers in units of one over the table's denominator times
+    the group size, so each atom's length and the average share are whole
+    numbers, and portions become exact endpoints once, at the end.  Raises
+    Infeasible when no such portions exist, meaning the group did not
+    minimise the average.
     """
     agents = tuple(sorted(agents))
     if not agents:
@@ -249,7 +242,7 @@ def exact_allocation(preferences, agents, cake):
     quota = Fraction(region.length, len(agents))
 
     # Amounts are integers over `unit`: atom k is weights[k] times the group
-    # size long, and the average share is the total weight.
+    # size long, and the average share is the weight of the owned atoms.
     atoms, weights, bits, scale = _atom_table(list(wanted.values()))
     unit = scale * len(agents)
     lengths = [w * len(agents) for w in weights]
@@ -260,7 +253,7 @@ def exact_allocation(preferences, agents, cake):
     # held[k][i] is how much of atom k agent i holds; spare[k] is unassigned.
     held = [dict() for _ in atoms]
     spare = list(lengths)
-    need = dict.fromkeys(agents, sum(weights))
+    need = dict.fromkeys(agents, sum(w for w, o in zip(weights, owners) if o))
     open_length = {
         i: sum(x for k, x in enumerate(lengths) if i in owners[k]) for i in agents
     }
@@ -366,7 +359,7 @@ def min_average_rounds(preferences):
             ServiceRound(group, avg, region, tuple(sorted(shares.items())))
         )
         cake = cake.difference(region)
-        remaining = tuple(i for i in remaining if i not in set(group))
+        remaining = tuple(sorted(set(remaining).difference(group)))
     return rounds
 
 

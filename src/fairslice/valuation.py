@@ -101,10 +101,12 @@ class Valuation:
     # Piece k starts at _starts[k]; _below[k] is the mass left of it and
     # _below[-1] the total; _poly[k] holds integers (alpha, beta, delta, q)
     # with F(p/r) = (alpha p^2 + beta p r + delta r^2) / (q r^2) on piece k,
-    # where F(x) is the mass of [0, x].
+    # where F(x) is the mass of [0, x].  _support is the region of the pieces,
+    # built on the first call to support(): most valuations are never asked.
     _starts: tuple = field(compare=False, repr=False)
     _below: tuple = field(compare=False, repr=False)
     _poly: tuple = field(compare=False, repr=False)
+    _support: IntervalSet = field(compare=False, repr=False)
 
     def __init__(self, pieces):
         cleaned = tuple(p for p in sorted(pieces, key=lambda p: p.interval.lo) if not p.is_zero())
@@ -120,6 +122,7 @@ class Valuation:
         object.__setattr__(self, "_starts", tuple(p.interval.lo for p in cleaned))
         object.__setattr__(self, "_below", tuple(below))
         object.__setattr__(self, "_poly", tuple(map(_poly, cleaned, below)))
+        object.__setattr__(self, "_support", None)
 
     # ------------------------------------------------------------------
     # construction
@@ -170,7 +173,9 @@ class Valuation:
 
     def support(self):
         """Region of positive density (up to measure zero)."""
-        return IntervalSet(p.interval for p in self.pieces)
+        if self._support is None:
+            object.__setattr__(self, "_support", IntervalSet(p.interval for p in self.pieces))
+        return self._support
 
     def is_piecewise_constant(self):
         return all(p.slope == 0 for p in self.pieces)

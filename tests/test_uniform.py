@@ -6,7 +6,7 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fairslice.audit import equity_table, is_envy_free
@@ -19,6 +19,8 @@ from fairslice.uniform import (
     Profile,
     TooManyAgents,
     UniformPreference,
+    _atom_table,
+    _weight,
     average_share,
     exact_allocation,
     length_game,
@@ -231,6 +233,9 @@ class TestMinAverageSubset:
             ([[(0, "1/3")], [("1/3", "2/3")], [("2/3", 1)], [("1/3", "2/3")]], None, (1, 3)),
             # Agents with nothing left in the cake average 0; the first wins.
             ([[(0, "1/4")], [("1/2", "3/4")], [("1/2", "3/4")]], (0, "1/2"), (1,)),
+            # Bitmask order would pick (1, 2), mask 0b0110, before (0, 3),
+            # mask 0b1001; lexicographic order picks (0, 3).
+            ([[(0, "1/4")], [("1/2", "3/4")], [("1/2", "3/4")], [(0, "1/4")]], None, (0, 3)),
         ],
     )
     def test_ties_resolve_to_the_smallest_then_earliest_group(self, spans, cake, expected):
@@ -253,6 +258,30 @@ class TestMinAverageSubset:
         prefs = [UniformPreference(IntervalSet.unit())] * (MAX_SEARCH_AGENTS + 1)
         with pytest.raises(TooManyAgents, match="at most 22 agents, got 23"):
             min_average_subset(prefs, range(len(prefs)), IntervalSet.unit())
+
+
+def _atoms_of(mask, atoms):
+    return IntervalSet(span for k, span in enumerate(atoms) if mask >> k & 1)
+
+
+class TestAtomTable:
+    @given(st.lists(interval_sets(max_intervals=3, max_denominator=6), max_size=5))
+    # A region outside the first region's span, and an empty one.
+    @example([region((0, "1/8")), IntervalSet.empty(), region(("7/8", 1), ("1/4", "1/3"))])
+    def test_masks_rebuild_lengths_and_region_algebra(self, regions):
+        atoms, weights, bits, scale = _atom_table(regions)
+        assert len(weights) == len(atoms) and len(bits) == len(regions)
+        # Atoms are consecutive, of positive length, and span every region.
+        assert all(lo < hi for lo, hi in atoms)
+        assert all(a[1] == b[0] for a, b in zip(atoms, atoms[1:]))
+        assert all(F(w, scale) == hi - lo for w, (lo, hi) in zip(weights, atoms))
+        for r, mask in zip(regions, bits):
+            assert F(_weight(mask, weights), scale) == r.length
+            assert _atoms_of(mask, atoms) == r
+        for (x, a), (y, b) in combinations(zip(regions, bits), 2):
+            assert _atoms_of(a & b, atoms) == x.intersect(y)
+            assert _atoms_of(a & ~b, atoms) == x.difference(y)
+            assert _atoms_of(b & ~a, atoms) == y.difference(x)
 
 
 class TestExactAllocation:
