@@ -20,7 +20,6 @@ from fairslice.audit import (
     uncovered_valued_cake,
     utilitarian_efficiency,
     egalitarian_efficiency,
-    pareto_dominates,
     utilitarian_equivalent,
 )
 from fairslice.oracle import (
@@ -46,14 +45,12 @@ from fairslice.uniform import (
     ServiceRound,
     TooManyAgents,
     UniformPreference,
-    average_share,
     exact_allocation,
     length_game,
     lex_order,
     min_average_mechanism,
     min_average_rounds,
     min_average_subset,
-    valued_region,
 )
 from fairslice.equilibrium import (
     EquilibriumReport,
@@ -66,7 +63,6 @@ from fairslice.equilibrium import (
     best_response_dynamics,
     is_equilibrium,
     reduce_profile,
-    uncontested_region,
 )
 from fairslice.simplex import LpProblem, LpSolution, lp_solve
 from fairslice.optimal import (

@@ -154,15 +154,6 @@ def uncovered_valued_cake(valuations, allocation):
     return wanted.difference(allocation.allocated_region())
 
 
-def pareto_dominates(valuations, a, b):
-    """True when a gives every agent at least as much as b, someone strictly more."""
-    diag_a = equity_table(valuations, a).diagonal()
-    diag_b = equity_table(valuations, b).diagonal()
-    if any(x < y for x, y in zip(diag_a, diag_b)):
-        return False
-    return any(x > y for x, y in zip(diag_a, diag_b))
-
-
 def utilitarian_equivalent(valuations, a, b):
     """True when every agent is exactly indifferent between a and b."""
     diag_a = equity_table(valuations, a).diagonal()

@@ -48,14 +48,6 @@ def reduce_profile(profile):
     return ReducedProfile(Profile(allocation.portions), True)
 
 
-def uncontested_region(preferences, i):
-    """The part of agent i's wanted region that no other agent wants."""
-    others = union_all(
-        p.support() for j, p in enumerate(preferences) if j != i
-    )
-    return preferences[i].support().difference(others)
-
-
 @dataclass(frozen=True)
 class UnallocatedValuedCake:
     """Wanted cake that nobody claims."""

@@ -8,7 +8,7 @@ Protocols in this family interact with agents only through two questions:
 AgentOracle answers sincerely from a Valuation.  Anything with the same two
 methods can stand in for it, which is how the tests model agents that lie.
 A Recorder sits between a running mechanism and its oracles, logging every
-query and reply so runs are replayable and query complexity is measurable.
+query and reply so runs can be audited and query complexity is measurable.
 """
 
 from dataclasses import dataclass, field
@@ -52,24 +52,13 @@ class QueryTranscript:
     def total(self):
         return len(self.records)
 
-    def count(self, kind=None):
-        return sum(1 for r in self.records if kind is None or r.kind == kind)
-
     @property
     def eval_count(self):
-        return self.count("eval")
+        return sum(1 for r in self.records if r.kind == "eval")
 
     @property
     def cut_count(self):
-        return self.count("cut")
-
-    def replay(self, oracles):
-        """Re-issue every recorded query; True when all responses match."""
-        for r in self.records:
-            answer = getattr(oracles[r.agent], r.kind)(*r.args)
-            if answer != r.response:
-                return False
-        return True
+        return sum(1 for r in self.records if r.kind == "cut")
 
 
 class Recorder:

@@ -131,22 +131,6 @@ def length_game(profile):
     return lex_order(profile, AgentOrder(order))
 
 
-def valued_region(preferences, agents, cake):
-    """The part of the cake wanted by at least one of the given agents."""
-    agents = tuple(agents)
-    if not agents:
-        raise EmptySubset("need at least one agent")
-    return union_all(preferences[i].support().intersect(cake) for i in agents)
-
-
-def average_share(preferences, agents, cake):
-    """Length of the group's jointly wanted cake per member of the group."""
-    agents = tuple(agents)
-    if not agents:
-        raise EmptySubset("need at least one agent")
-    return Fraction(valued_region(preferences, agents, cake).length, len(agents))
-
-
 def min_average_subset(preferences, agents, cake):
     """The group minimising the average share; smallest then earliest group on ties.
 
@@ -352,9 +336,10 @@ def min_average_rounds(preferences):
     rounds = []
     while remaining:
         group = min_average_subset(preferences, remaining, cake)
-        region = valued_region(preferences, group, cake)
-        avg = Fraction(region.length, len(group))
         shares = exact_allocation(preferences, group, cake)
+        # exact_allocation checks that the shares cover the group's wanted cake.
+        region = union_all(shares.values())
+        avg = Fraction(region.length, len(group))
         rounds.append(
             ServiceRound(group, avg, region, tuple(sorted(shares.items())))
         )

@@ -71,16 +71,6 @@ class Piece:
         return self.slope == 0 and self.intercept == 0
 
 
-def _make_piece(interval, slope, intercept):
-    slope = frac(slope)
-    intercept = frac(intercept)
-    piece = Piece(interval, slope, intercept)
-    # An affine density is non-negative on an interval iff it is at both ends.
-    if piece.density_at(interval.lo) < 0 or piece.density_at(interval.hi) < 0:
-        raise ValueError("density negative on %r" % (interval,))
-    return piece
-
-
 @dataclass(frozen=True)
 class CutResult:
     """A cut point plus whether it is exact or a bisection approximation."""
@@ -93,8 +83,10 @@ class CutResult:
 class Valuation:
     """A normalised piecewise affine measure on the cake.
 
-    Use the classmethods to build one; the constructor insists on total mass
-    exactly 1 and rejects overlapping or negative pieces.
+    Built from raw (interval-like, slope, intercept) triples, usually through
+    the classmethods: pieces with a negative density or overlapping another
+    are rejected, and the rest are scaled so the total mass is exactly 1.
+    Raises ZeroMassError when there is nothing to scale.
     """
 
     pieces: tuple
@@ -108,20 +100,36 @@ class Valuation:
     _poly: tuple = field(compare=False, repr=False)
     _support: IntervalSet = field(compare=False, repr=False)
 
-    def __init__(self, pieces):
-        cleaned = tuple(p for p in sorted(pieces, key=lambda p: p.interval.lo) if not p.is_zero())
-        for prev, nxt in zip(cleaned, cleaned[1:]):
+    def __init__(self, raw_pieces):
+        pieces = []
+        for interval, slope, intercept in raw_pieces:
+            if not isinstance(interval, Interval):
+                interval = Interval(*interval)
+            piece = Piece(interval, frac(slope), frac(intercept))
+            # An affine density is non-negative on an interval iff it is at both ends.
+            if piece.density_at(interval.lo) < 0 or piece.density_at(interval.hi) < 0:
+                raise ValueError("density negative on %r" % (interval,))
+            if not piece.is_zero():
+                pieces.append(piece)
+        pieces.sort(key=lambda p: p.interval.lo)
+        for prev, nxt in zip(pieces, pieces[1:]):
             if nxt.interval.lo < prev.interval.hi:
                 raise ValueError("pieces overlap: %r and %r" % (prev.interval, nxt.interval))
+        # A zero-length piece carries no mass.  It is dropped only after the
+        # overlap check, so a point inside another piece is still rejected.
+        pieces = [p for p in pieces if p.interval.lo < p.interval.hi]
         below = [Fraction(0)]
-        for p in cleaned:
+        for p in pieces:
             below.append(below[-1] + p.mass(*p.interval))
-        if below[-1] != 1:
-            raise ValueError("total mass is %s, not 1; use Valuation.normalize" % below[-1])
-        object.__setattr__(self, "pieces", cleaned)
-        object.__setattr__(self, "_starts", tuple(p.interval.lo for p in cleaned))
-        object.__setattr__(self, "_below", tuple(below))
-        object.__setattr__(self, "_poly", tuple(map(_poly, cleaned, below)))
+        total = below[-1]
+        if total == 0:
+            raise ZeroMassError("density has zero total mass")
+        scaled = tuple(Piece(p.interval, p.slope / total, p.intercept / total) for p in pieces)
+        below = tuple(b / total for b in below)
+        object.__setattr__(self, "pieces", scaled)
+        object.__setattr__(self, "_starts", tuple(p.interval.lo for p in scaled))
+        object.__setattr__(self, "_below", below)
+        object.__setattr__(self, "_poly", tuple(map(_poly, scaled, below)))
         object.__setattr__(self, "_support", None)
 
     # ------------------------------------------------------------------
@@ -129,39 +137,25 @@ class Valuation:
 
     @classmethod
     def normalize(cls, raw_pieces):
-        """Scale a raw piece list so total mass is exactly 1.
-
-        raw_pieces: iterable of (interval-like, slope, intercept).
-        Raises ZeroMassError when there is nothing to scale.
-        """
-        pieces = []
-        for spec in raw_pieces:
-            interval, slope, intercept = spec
-            if not isinstance(interval, Interval):
-                interval = Interval(*interval)
-            pieces.append(_make_piece(interval, slope, intercept))
-        total = sum((p.mass(*p.interval) for p in pieces), Fraction(0))
-        if total == 0:
-            raise ZeroMassError("density has zero total mass")
-        scaled = [Piece(p.interval, p.slope / total, p.intercept / total) for p in pieces]
-        return cls(scaled)
+        """Scale raw (interval-like, slope, intercept) triples to total mass 1."""
+        return cls(raw_pieces)
 
     @classmethod
     def uniform_on(cls, region):
         """Uniform over a region: indicator scaled by 1/length."""
         if not isinstance(region, IntervalSet):
             region = IntervalSet(region)
-        return cls.normalize([(iv, 0, 1) for iv in region])
+        return cls([(iv, 0, 1) for iv in region])
 
     @classmethod
     def piecewise_constant(cls, steps):
         """From (interval-like, value) steps; values are scaled to mass 1."""
-        return cls.normalize([(iv, 0, value) for iv, value in steps])
+        return cls([(iv, 0, value) for iv, value in steps])
 
     @classmethod
     def piecewise_linear(cls, specs):
         """From (interval-like, slope, intercept) triples, scaled to mass 1."""
-        return cls.normalize(list(specs))
+        return cls(specs)
 
     @classmethod
     def uniform(cls):

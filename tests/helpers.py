@@ -9,7 +9,7 @@ from fractions import Fraction
 
 from hypothesis import strategies as st
 
-from fairslice.intervals import IntervalSet, union_all
+from fairslice.intervals import Interval, IntervalSet, frac, union_all
 from fairslice.simplex import (
     EQUAL,
     GREATER,
@@ -17,7 +17,9 @@ from fairslice.simplex import (
     LESS,
     OPTIMAL,
     UNBOUNDED,
+    LpProblem,
     LpSolution,
+    lp_solve,
 )
 from fairslice.uniform import (
     EmptySubset,
@@ -28,7 +30,14 @@ from fairslice.uniform import (
     _augment,
     length_game,
 )
-from fairslice.valuation import CutResult, TargetUnreachable, Valuation, _solve_piece
+from fairslice.valuation import (
+    CutResult,
+    Piece,
+    TargetUnreachable,
+    Valuation,
+    ZeroMassError,
+    _solve_piece,
+)
 
 
 def grid_fractions(max_denominator=64):
@@ -117,6 +126,75 @@ def linear_valuations(max_pieces=3, max_denominator=16):
 def any_valuations():
     """Uniform, piecewise-constant or piecewise-linear valuations."""
     return st.one_of(uniform_valuations(), constant_valuations(), linear_valuations())
+
+
+def raw_valuation_specs(max_pieces=4, max_denominator=16):
+    """Raw (interval, slope, intercept) lists, most of them valid.
+
+    Pieces lie on a random grid as in linear_valuations, zero-length and
+    zero-density pieces among them.  Now and then a density dips below zero
+    at one end, or a stray constant piece goes in anywhere in the list,
+    where it may overlap the others or have its ends swapped.  A list may
+    also carry no mass at all.
+    """
+    point = grid_fractions(max_denominator)
+
+    @st.composite
+    def build(draw):
+        breaks = draw(st.lists(point, max_size=max_pieces))
+        points = sorted(set(breaks) | {Fraction(0), Fraction(1)})
+        specs = []
+        for lo, hi in zip(points, points[1:]):
+            slope = draw(st.sampled_from([0, 0, -3, -1, 1, 2]))
+            floor = draw(st.sampled_from([0, 0, 1, 2, 3, 0, 1, -1]))
+            intercept = floor - min(slope * lo, slope * hi)
+            if draw(st.booleans()):
+                specs.append(((lo, lo), slope, intercept))
+            if draw(st.booleans()):
+                specs.append(((lo, hi), slope, intercept))
+        if draw(st.booleans()):
+            ends = (draw(point), draw(point))
+            if draw(st.integers(min_value=0, max_value=5)):
+                ends = tuple(sorted(ends))
+            stray = (ends, 0, draw(st.integers(min_value=0, max_value=2)))
+            specs.insert(draw(st.integers(min_value=0, max_value=len(specs))), stray)
+        return specs
+
+    return build()
+
+
+def reference_valuation(raw_pieces):
+    """A valuation's pieces and cumulative masses, built in two passes.
+
+    The first pass checks each raw piece and scales them all to mass 1; the
+    second sorts the scaled pieces, drops those with zero density, checks
+    overlaps and sums each scaled piece's mass into the table of masses
+    left of each piece.  The library does this in one pass and also drops
+    zero-length pieces; otherwise both must keep the same pieces and masses
+    and raise the same exceptions.  Returns (pieces, below).
+    """
+    pieces = []
+    for interval, slope, intercept in raw_pieces:
+        if not isinstance(interval, Interval):
+            interval = Interval(*interval)
+        piece = Piece(interval, frac(slope), frac(intercept))
+        if piece.density_at(interval.lo) < 0 or piece.density_at(interval.hi) < 0:
+            raise ValueError("density negative on %r" % (interval,))
+        pieces.append(piece)
+    total = sum((p.mass(*p.interval) for p in pieces), Fraction(0))
+    if total == 0:
+        raise ZeroMassError("density has zero total mass")
+    scaled = [Piece(p.interval, p.slope / total, p.intercept / total) for p in pieces]
+    cleaned = tuple(p for p in sorted(scaled, key=lambda p: p.interval.lo) if not p.is_zero())
+    for prev, nxt in zip(cleaned, cleaned[1:]):
+        if nxt.interval.lo < prev.interval.hi:
+            raise ValueError("pieces overlap: %r and %r" % (prev.interval, nxt.interval))
+    below = [Fraction(0)]
+    for p in cleaned:
+        below.append(below[-1] + p.mass(*p.interval))
+    if below[-1] != 1:
+        raise ValueError("total mass is %s, not 1" % below[-1])
+    return cleaned, tuple(below)
 
 
 # A large prime that is also CPython's hash modulus: every Fraction over it
@@ -573,6 +651,75 @@ def reference_exact_allocation(preferences, agents, cake):
     if union_all(result.values()) != region:
         raise Infeasible("portions do not cover the jointly wanted cake")
     return result
+
+
+def reference_valued_region(preferences, agents, cake):
+    """The part of the cake wanted by at least one of the given agents.
+
+    `uniform.min_average_rounds` reads a round's region off the union of
+    the group's shares instead.
+    """
+    agents = tuple(agents)
+    if not agents:
+        raise EmptySubset("need at least one agent")
+    return union_all(preferences[i].support().intersect(cake) for i in agents)
+
+
+def reference_average_share(preferences, agents, cake):
+    """Length of the group's jointly wanted cake per member of the group."""
+    agents = tuple(agents)
+    if not agents:
+        raise EmptySubset("need at least one agent")
+    return Fraction(reference_valued_region(preferences, agents, cake).length, len(agents))
+
+
+def reference_uncontested_region(preferences, i):
+    """The part of agent i's wanted region that no other agent wants."""
+    others = union_all(p.support() for j, p in enumerate(preferences) if j != i)
+    return preferences[i].support().difference(others)
+
+
+def reference_leximin_lengths(preferences):
+    """The leximin portion lengths, by a sequence of exact LPs.
+
+    The wanted cake is cut into atoms at every endpoint, and each variable
+    is the amount of one atom given to one agent who wants it.  Each stage
+    maximises the least length t among the agents not yet fixed, and fixes
+    at t every agent whose row `t <= length` has a positive multiplier: by
+    complementary slackness that agent is at t in every optimum, and the
+    multipliers sum to at least 1, so each stage fixes one agent or more.
+    The lengths of the lexicographically optimal base of the coverage
+    polymatroid (Fujishige, 1980) are these, and the min-average mechanism
+    must give the same; nothing here comes from `uniform.py`.
+    """
+    n = len(preferences)
+    supports = [p.support() for p in preferences]
+    marks = sorted({x for s in supports for iv in s for x in iv})
+    atoms = []
+    pairs = []
+    for lo, hi in zip(marks, marks[1:]):
+        wanters = [i for i, s in enumerate(supports) if any(iv.lo < hi and lo < iv.hi for iv in s)]
+        if wanters:
+            pairs += [(i, len(atoms)) for i in wanters]
+            atoms.append(hi - lo)
+    fixed = {}
+    while len(fixed) < n:
+        # Columns: one per (agent, atom) pair, then t.
+        lp = LpProblem([0] * len(pairs) + [1])
+        for k, length in enumerate(atoms):
+            lp.add([int(a == k) for _, a in pairs] + [0], LESS, length)
+        for i in range(n):
+            row = [int(j == i) for j, _ in pairs]
+            if i in fixed:
+                lp.add(row + [0], EQUAL, fixed[i])
+            else:
+                lp.add([-x for x in row] + [1], LESS, 0)
+        solution = lp_solve(lp)
+        assert solution.status == OPTIMAL
+        for i, y in enumerate(solution.duals[len(atoms):]):
+            if i not in fixed and y > 0:
+                fixed[i] = solution.value
+    return [fixed[i] for i in range(n)]
 
 
 # ----------------------------------------------------------------------

@@ -45,7 +45,12 @@ from fairslice.uniform import (
 )
 from fairslice.valuation import Valuation
 
-from helpers import assignment_optimum, random_constant_instance, random_subregion
+from helpers import (
+    assignment_optimum,
+    random_constant_instance,
+    random_subregion,
+    reference_leximin_lengths,
+)
 
 F = Fraction
 
@@ -411,4 +416,22 @@ def test_criterion_11_min_average_subset_oracle():
         disagreements == 0,
         started,
         "%d cases up to 12 agents, disagreements=%d" % (cases, disagreements),
+    )
+
+
+def test_criterion_12_mechanism_lengths_are_the_leximin_lengths():
+    started = time.perf_counter()
+    rng = random.Random(20260812)
+    disagreements = 0
+    for _ in range(200):
+        n = rng.randint(2, 6)
+        prefs = random_uniform_agents(rng.randrange(2**32), n)
+        lengths = [portion.length for portion in min_average_mechanism(prefs)]
+        disagreements += lengths != reference_leximin_lengths(prefs)
+    verdict(
+        12,
+        "min-average portion lengths equal the leximin LP sequence's",
+        disagreements == 0,
+        started,
+        "200 instances, disagreements=%d" % disagreements,
     )

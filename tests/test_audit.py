@@ -14,7 +14,6 @@ from fairslice.audit import (
     is_equitable,
     is_non_wasteful,
     is_proportional,
-    pareto_dominates,
     uncovered_valued_cake,
     utilitarian_efficiency,
     utilitarian_equivalent,
@@ -157,14 +156,6 @@ def test_uncovered_valued_cake():
     assert uncovered_valued_cake(agents, a) == IntervalSet([("0.25", "0.5")])
     full = alloc([(0, "0.5")], [("0.5", "0.75")])
     assert uncovered_valued_cake(agents, full).is_empty()
-
-
-def test_pareto_dominates():
-    a_full = alloc([(0, "0.5")], [("0.5", 1)])
-    a_poor = alloc([], [("0.5", 1)])
-    assert not pareto_dominates(HALVES, a_full, a_full)
-    assert pareto_dominates(HALVES, a_full, a_poor)
-    assert not pareto_dominates(HALVES, a_poor, a_full)
 
 
 def test_utilitarian_equivalent():

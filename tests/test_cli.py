@@ -438,6 +438,25 @@ def test_run_revelation_needs_uniform_agents(tmp_path, capsys):
     assert code == 2 and "piecewise-uniform" in err
 
 
+def test_run_procaccia_ignores_a_point_step(tmp_path, capsys):
+    # A zero-length step of another value carries no mass, so agent a stays
+    # piecewise uniform and the report is the one without the step.
+    def scenario(*steps):
+        pieces = [{"lo": lo, "hi": hi, "value": value} for lo, hi, value in steps]
+        return text_of(
+            [
+                {"id": "a", "valuation": {"type": "constant", "pieces": pieces}},
+                agent("b", ("1/4", 1)),
+            ]
+        )
+
+    pointed = write(tmp_path, scenario((0, "1/2", 1), ("1/2", "1/2", 5)), "pointed.json")
+    plain = write(tmp_path, scenario((0, "1/2", 1)), "plain.json")
+    code, out, err = run_cli(capsys, "run", pointed, "--mechanism", "procaccia")
+    assert (code, err) == (0, "")
+    assert out == run_cli(capsys, "run", plain, "--mechanism", "procaccia")[1]
+
+
 def test_run_procaccia_past_the_agent_bound_exits_2(tmp_path, capsys):
     path = write(tmp_path, text_of([agent("a%d" % k, (0, 1)) for k in range(23)]))
     code, out, err = run_cli(capsys, "run", path, "--mechanism", "procaccia")

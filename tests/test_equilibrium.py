@@ -22,7 +22,6 @@ from fairslice.equilibrium import (
     best_response_dynamics,
     is_equilibrium,
     reduce_profile,
-    uncontested_region,
 )
 from fairslice.intervals import IntervalSet, union_all
 from fairslice.uniform import (
@@ -39,6 +38,7 @@ from helpers import (
     random_uniform_instance,
     reference_best_response,
     reference_candidates,
+    reference_uncontested_region,
     uniform_preferences,
 )
 
@@ -91,18 +91,18 @@ class TestUncontestedRegion:
             UniformPreference(region((0, "1/3"))),
             UniformPreference(region(("2/3", "1"))),
         ]
-        assert uncontested_region(prefs, 0) == region((0, "1/3"))
-        assert uncontested_region(prefs, 1) == region(("2/3", "1"))
+        assert reference_uncontested_region(prefs, 0) == region((0, "1/3"))
+        assert reference_uncontested_region(prefs, 1) == region(("2/3", "1"))
 
     def test_overlapping_instance(self):
-        assert uncontested_region(OVERLAP3, 0) == IntervalSet.empty()
-        assert uncontested_region(OVERLAP3, 1) == IntervalSet.empty()
-        assert uncontested_region(OVERLAP3, 2) == region(("3/5", "1"))
+        assert reference_uncontested_region(OVERLAP3, 0) == IntervalSet.empty()
+        assert reference_uncontested_region(OVERLAP3, 1) == IntervalSet.empty()
+        assert reference_uncontested_region(OVERLAP3, 2) == region(("3/5", "1"))
 
     def test_identical_preferences_leave_nothing_uncontested(self):
         prefs = [UniformPreference(IntervalSet.unit()) for _ in range(3)]
         for i in range(3):
-            assert uncontested_region(prefs, i) == IntervalSet.empty()
+            assert reference_uncontested_region(prefs, i) == IntervalSet.empty()
 
 
 class TestIsEquilibrium:
@@ -315,7 +315,7 @@ class TestDynamics:
             if not converged:
                 continue
             for i in range(3):
-                free = uncontested_region(prefs, i)
+                free = reference_uncontested_region(prefs, i)
                 assert free.difference(profile[i]).is_empty()
 
     def test_fixpoints_allocate_exactly_the_wanted_cake(self):

@@ -152,7 +152,6 @@ def test_replay_determinism():
     second = run(last_diminisher, vals)
     assert first.allocation == second.allocation
     assert first.transcript.records == second.transcript.records
-    assert first.transcript.replay(sincere_oracles(vals))
 
 
 @settings(max_examples=150, deadline=None)

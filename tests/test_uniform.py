@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from fairslice.audit import equity_table, is_envy_free
 import fairslice.uniform
+from fairslice.generator import random_uniform_agents
 from fairslice.intervals import IntervalSet, union_all
 from fairslice.uniform import (
     AgentOrder,
@@ -21,14 +22,12 @@ from fairslice.uniform import (
     UniformPreference,
     _atom_table,
     _weight,
-    average_share,
     exact_allocation,
     length_game,
     lex_order,
     min_average_mechanism,
     min_average_rounds,
     min_average_subset,
-    valued_region,
 )
 from fairslice.valuation import Valuation
 
@@ -36,7 +35,9 @@ from helpers import (
     interval_sets,
     random_subregion,
     random_uniform_instance,
+    reference_average_share,
     reference_exact_allocation,
+    reference_valued_region,
     uniform_preferences,
 )
 
@@ -155,22 +156,22 @@ class TestLengthGame:
 class TestAverageShare:
     def test_two_agents_wanting_everything(self):
         prefs = [UniformPreference(IntervalSet.unit()) for _ in range(2)]
-        assert valued_region(prefs, (0, 1), IntervalSet.unit()) == IntervalSet.unit()
-        assert average_share(prefs, (0, 1), IntervalSet.unit()) == F(1, 2)
+        assert reference_valued_region(prefs, (0, 1), IntervalSet.unit()) == IntervalSet.unit()
+        assert reference_average_share(prefs, (0, 1), IntervalSet.unit()) == F(1, 2)
 
     def test_singleton_share_is_the_region_length(self):
-        assert average_share(OVERLAP3, (0,), IntervalSet.unit()) == F(1, 2)
-        assert average_share(OVERLAP3, (1,), IntervalSet.unit()) == F(3, 5)
+        assert reference_average_share(OVERLAP3, (0,), IntervalSet.unit()) == F(1, 2)
+        assert reference_average_share(OVERLAP3, (1,), IntervalSet.unit()) == F(3, 5)
 
     def test_empty_subset_rejected(self):
         with pytest.raises(EmptySubset):
-            average_share(OVERLAP3, (), IntervalSet.unit())
+            reference_average_share(OVERLAP3, (), IntervalSet.unit())
         with pytest.raises(EmptySubset):
-            valued_region(OVERLAP3, (), IntervalSet.unit())
+            reference_valued_region(OVERLAP3, (), IntervalSet.unit())
 
     def test_respects_the_remaining_cake(self):
         cake = region(("1/2", "1"))
-        assert average_share(OVERLAP3, (1,), cake) == F(1, 10)
+        assert reference_average_share(OVERLAP3, (1,), cake) == F(1, 10)
 
 
 def oracle_min_average(prefs, agents, cake):
@@ -201,7 +202,7 @@ class TestMinAverageSubset:
             UniformPreference(IntervalSet.unit()),
         ]
         assert min_average_subset(prefs, range(2), IntervalSet.unit()) == (0,)
-        assert average_share(prefs, (0,), IntervalSet.unit()) == F(1, 10)
+        assert reference_average_share(prefs, (0,), IntervalSet.unit()) == F(1, 10)
 
     @given(uniform_preferences(5, max_denominator=8))
     def test_matches_bitmask_oracle(self, prefs):
@@ -249,10 +250,10 @@ class TestMinAverageSubset:
     def test_chosen_average_is_minimal(self, prefs):
         cake = IntervalSet.unit()
         chosen = min_average_subset(prefs, range(4), cake)
-        best = average_share(prefs, chosen, cake)
+        best = reference_average_share(prefs, chosen, cake)
         for size in range(1, 5):
             for group in combinations(range(4), size):
-                assert average_share(prefs, group, cake) >= best
+                assert reference_average_share(prefs, group, cake) >= best
 
     def test_refuses_more_agents_than_the_search_can_hold(self):
         prefs = [UniformPreference(IntervalSet.unit())] * (MAX_SEARCH_AGENTS + 1)
@@ -331,13 +332,13 @@ class TestExactAllocation:
     def test_feasible_for_minimising_groups(self, prefs):
         cake = IntervalSet.unit()
         group = min_average_subset(prefs, range(4), cake)
-        quota = average_share(prefs, group, cake)
+        quota = reference_average_share(prefs, group, cake)
         shares = exact_allocation(prefs, group, cake)
         assert set(shares) == set(group)
         for i in group:
             assert shares[i].length == quota
             assert shares[i].difference(prefs[i].support()).is_empty()
-        assert union_all(shares.values()) == valued_region(prefs, group, cake)
+        assert union_all(shares.values()) == reference_valued_region(prefs, group, cake)
 
 
     def test_transfer_pass_runs_inside_a_fill(self, monkeypatch):
@@ -385,6 +386,16 @@ class TestExactAllocation:
         )
 
 
+def check_round_trace(prefs):
+    # Each round's region and average are the group's wanted cake within
+    # what the earlier rounds left, and its share per member.
+    cake = IntervalSet.unit()
+    for rnd in min_average_rounds(prefs):
+        assert rnd.region == reference_valued_region(prefs, rnd.agents, cake)
+        assert rnd.average == reference_average_share(prefs, rnd.agents, cake)
+        cake = cake.difference(rnd.region)
+
+
 class TestMinAverageMechanism:
     def test_disjoint_agents_get_everything_they_want(self):
         prefs = [
@@ -413,6 +424,16 @@ class TestMinAverageMechanism:
         rounds = min_average_rounds(prefs)
         assert [r.agents for r in rounds] == [(0,), (1,)]
         assert [r.average for r in rounds] == [F(1, 10), F(9, 10)]
+
+    @given(uniform_preferences(4))
+    @settings(deadline=None)
+    def test_round_trace_matches_the_oracles(self, prefs):
+        check_round_trace(prefs)
+
+    def test_round_trace_matches_the_oracles_on_generator_instances(self):
+        rng = random.Random(20260813)
+        for _ in range(60):
+            check_round_trace(random_uniform_agents(rng.randrange(2**32), rng.randint(2, 8)))
 
     @given(uniform_preferences(4))
     @settings(deadline=None)

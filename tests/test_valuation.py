@@ -2,7 +2,7 @@ import re
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fairslice.intervals import IntervalSet
@@ -15,9 +15,11 @@ from helpers import (
     midpoint_mass,
     query_points,
     query_regions,
+    raw_valuation_specs,
     reference_cut,
     reference_eval,
     reference_measure,
+    reference_valuation,
     uniform_valuations,
 )
 
@@ -70,6 +72,40 @@ def test_negative_density_rejected():
 def test_overlapping_pieces_rejected():
     with pytest.raises(ValueError):
         Valuation.piecewise_constant([((0, "1/2"), 1), (("1/4", 1), 1)])
+
+
+def test_point_piece_leaves_the_valuation_unchanged():
+    # A zero-length step carries no mass, whatever its value.
+    plain = Valuation.piecewise_constant([((0, "1/2"), 1)])
+    pointed = Valuation.piecewise_constant([((0, "1/2"), 1), (("1/2", "1/2"), 5)])
+    assert pointed == plain
+    assert pointed.is_piecewise_uniform()
+    with pytest.raises(ValueError, match="overlap"):
+        Valuation.piecewise_constant([((0, "1/2"), 1), (("1/4", "1/4"), 5)])
+
+
+@settings(max_examples=300)
+@given(raw_valuation_specs())
+@example([((0, 1), 0, -1)])
+@example([((0, "1/2"), 0, 1), (("1/4", 1), 0, 1)])
+@example([((0, 1), 0, 0), (("1/2", "1/2"), 0, 3)])
+@example([(("1/2", "1/4"), 0, 1)])
+def test_one_pass_construction_matches_the_two_pass_reference(specs):
+    try:
+        pieces, below = reference_valuation(specs)
+    except ValueError as error:
+        with pytest.raises(ValueError) as raised:
+            Valuation(specs)
+        assert type(raised.value) is type(error)
+        return
+    v = Valuation(specs)
+    kept = [k for k, p in enumerate(pieces) if p.interval.lo < p.interval.hi]
+    assert v.pieces == tuple(pieces[k] for k in kept)
+    assert v._starts == tuple(pieces[k].interval.lo for k in kept)
+    assert v._below == (0,) + tuple(below[k + 1] for k in kept)
+    for k, p in enumerate(pieces):
+        assert v.eval(0, p.interval.lo) == below[k]
+        assert v.eval(0, p.interval.hi) == below[k + 1]
 
 
 def test_cut_uniform_halves():
