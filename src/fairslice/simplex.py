@@ -1,17 +1,18 @@
 """Exact linear programming over rationals.
 
-A two-phase primal simplex on a dense integer-preserving tableau (Edmonds
+A two-phase primal simplex on an integer-preserving tableau (Edmonds
 1967; Bareiss, "Sylvester's identity and multistep integer-preserving
 Gaussian elimination", Math. Comp. 1968).  Each row is scaled to integers
-once, and every entry is then an int over one common denominator, so a
-pivot is integer products and exact divisions with no gcd.  Bland's rule
-picks both the entering and the leaving variable, trading pivot count for a
-termination guarantee on degenerate instances; the scaling keeps every sign
-and every ratio order of the Fraction tableau, so the pivots are the ones
-that tableau would take.  Fractions appear only at the boundary (the
-problem in, the vertex and duals out) and in the certificate: every optimal
-solve is checked before it is returned, the vertex against each constraint
-and the row multipliers read off the final tableau against strong duality.
+once and keeps its own denominator, so a pivot is integer products and
+exact divisions with no gcd, and leaves alone every row with a zero in the
+pivot column.  A `>=` row with rhs 0 enters negated as a `<=` row, on its
+slack, with no artificial.  Bland's rule picks both the entering and the
+leaving variable, trading pivot count for a termination guarantee on
+degenerate instances; the scaling keeps every sign and every ratio order of
+the Fraction tableau, so the pivots are the ones that tableau would take.
+Every optimal solve is certified in integers before it is returned: the
+vertex against each row, the multipliers' signs, dual feasibility
+(A^T y >= c) and strong duality.  Fractions appear only at the boundary.
 """
 
 import math
@@ -82,14 +83,18 @@ def lp_solve(problem, trace=None):
 class _Tableau:
     # Column layout: structural variables, then one slack or surplus per
     # inequality row, then artificials for rows that need one.  Rows are
-    # normalized to non-negative rhs up front; flips are remembered so the
-    # duals reported at the end refer to the rows as the caller wrote them.
+    # normalized to non-negative rhs up front, and a >= row with rhs 0 to
+    # the <= row it negates to; flips are remembered so the duals reported
+    # at the end refer to the rows as the caller wrote them.
     #
     # Row r is multiplied by s_r, the lcm of its denominators, and its slack
     # and artificial stand for s_r times the ones of the row as written, so
     # the starting basis is still the identity.  scale[j] is s_r for those
-    # two columns and 1 for a structural one.  Entry (i, j) of the Fraction
-    # tableau is body[i][j] * scale[j] / (den * scale[basis[i]]).
+    # two columns and 1 for a structural one.  Row i holds ints over its own
+    # denominator dens[i]: entry (i, j) of the Fraction tableau is
+    # body[i][j] * scale[j] / (dens[i] * scale[basis[i]]).  den is the last
+    # pivot, the costs are over den, and a row over den holds what the
+    # one-denominator (Bareiss) tableau would.
 
     def __init__(self, problem, trace):
         self.problem = problem
@@ -98,12 +103,13 @@ class _Tableau:
         n = problem.n_vars
         rows = []
         for coefficients, sense, rhs in problem.rows:
-            flipped = rhs < 0
+            s = _lcm_of_denominators(coefficients + [rhs])
+            ints = _scaled(coefficients + [rhs], s)
+            flipped = rhs < 0 or (rhs == 0 and sense == GREATER)
             if flipped:
-                coefficients = [-c for c in coefficients]
-                rhs = -rhs
+                ints = [-v for v in ints]
                 sense = {LESS: GREATER, GREATER: LESS, EQUAL: EQUAL}[sense]
-            rows.append((coefficients, sense, rhs, flipped))
+            rows.append((ints, sense, s, flipped))
 
         cols = n
         slack_col = {}
@@ -127,9 +133,8 @@ class _Tableau:
         self.basis = []
         self.id_col = []
         self.flipped = []
-        for r, (coefficients, sense, rhs, flipped) in enumerate(rows):
-            s = _lcm_of_denominators(coefficients + [rhs])
-            row = _scaled(coefficients, s) + [0] * (cols - n)
+        for r, (ints, sense, s, flipped) in enumerate(rows):
+            row = ints[:n] + [0] * (cols - n)
             if sense == LESS:
                 row[slack_col[r]] = 1
                 self.scale[slack_col[r]] = s
@@ -147,8 +152,9 @@ class _Tableau:
                 self.basis.append(art_col[r])
                 self.id_col.append(art_col[r])
             self.body.append(row)
-            self.rhs.append(rhs.numerator * (s // rhs.denominator))
+            self.rhs.append(ints[n])
             self.flipped.append(flipped)
+        self.dens = [1] * len(rows)
         # Dropped redundant rows keep a dual of zero.
         self.row_of = list(range(len(rows)))
 
@@ -187,13 +193,23 @@ class _Tableau:
         return self._reduce(costs)
 
     def _reduce(self, costs):
-        # Reduced costs over the common denominator, basic columns at zero.
+        # Reduced costs over den, basic columns at zero.
+        self._align(range(len(self.body)))
         reduced = [self.den * c for c in costs]
         for r, row in enumerate(self.body):
             factor = costs[self.basis[r]]
             if factor != 0:
                 reduced = [v - factor * w for v, w in zip(reduced, row)]
         return reduced
+
+    def _align(self, rows):
+        # Bring rows over den: exact, as the one-denominator tableau holds the result.
+        for r in rows:
+            d = self.dens[r]
+            if d != self.den:
+                self.body[r] = [v * self.den // d for v in self.body[r]]
+                self.rhs[r] = self.rhs[r] * self.den // d
+                self.dens[r] = self.den
 
     def _optimize(self, costs):
         artificials = self.artificials
@@ -234,13 +250,14 @@ class _Tableau:
             self.trace.write(
                 "pivot %d: column %d enters, row %d leaves\n" % (self.pivots, c, r)
             )
-        # Row r stays; every other row, its rhs and the costs become
-        # (p * v - f * w) // den, where f is the row's entry in column c (so
-        # a row with f == 0 is only rescaled by p / den).  The division is
-        # exact: by Sylvester's identity every entry is a minor of the
-        # scaled input.  A negative pivot (possible only when expelling
-        # artificials) first negates row r, which negates the whole tableau
-        # and keeps den positive.
+        # Row r, brought over den, stays and is now over p.  Every other
+        # row with g != 0 in column c, its rhs and the costs become
+        # (p * v - g * w) // d, d their denominator, now p; a row with
+        # g == 0 is left alone.  Each division is exact: it yields the
+        # one-denominator tableau's entry, by Sylvester's identity a minor
+        # of the scaled input.  A negative pivot (only when expelling
+        # artificials) first negates row r, which pivots to the same rows.
+        self._align((r,))
         den = self.den
         row = self.body[r]
         rhs = self.rhs[r]
@@ -250,19 +267,17 @@ class _Tableau:
             self.body[r] = row = [-w for w in row]
             self.rhs[r] = rhs = -rhs
         for other, body_row in enumerate(self.body):
-            if other == r:
+            g = body_row[c]
+            if g == 0 or other == r:
                 continue
-            f = body_row[c]
-            if f != 0:
-                self.body[other] = [(p * v - f * w) // den for v, w in zip(body_row, row)]
-                self.rhs[other] = (p * self.rhs[other] - f * rhs) // den
-            elif p != den:
-                self.body[other] = [p * v // den for v in body_row]
-                self.rhs[other] = p * self.rhs[other] // den
+            d = self.dens[other]
+            self.body[other] = [(p * v - g * w) // d for v, w in zip(body_row, row)]
+            self.rhs[other] = (p * self.rhs[other] - g * rhs) // d
+            self.dens[other] = p
         if costs is not None:
-            f = costs[c]
-            costs[:] = [(p * v - f * w) // den for v, w in zip(costs, row)]
-        self.den = p
+            g = costs[c]
+            costs[:] = [(p * v - g * w) // den for v, w in zip(costs, row)]
+        self.den = self.dens[r] = p
         self.basis[r] = c
         if self.trace is not None:
             self._dump()
@@ -289,6 +304,7 @@ class _Tableau:
             keep.append(r)
         self.body = [self.body[r] for r in keep]
         self.rhs = [self.rhs[r] for r in keep]
+        self.dens = [self.dens[r] for r in keep]
         self.basis = [self.basis[r] for r in keep]
         self.row_of = [self.row_of[r] for r in keep]
 
@@ -296,46 +312,54 @@ class _Tableau:
     # certification
 
     def _certify(self):
+        # In ints: row r as written times s_r, with the rhs last; the vertex
+        # times den; and, read off the costs of the slacks and artificials,
+        # the multiplier of each such row times den * cost_scale.
+        self._align(range(len(self.body)))
         n = self.problem.n_vars
-        x = [Fraction(0)] * n
+        den = self.den
+        written = [
+            _scaled(c + [rhs], self.scale[col])
+            for (c, _, rhs), col in zip(self.problem.rows, self.id_col)
+        ]
+        x = [0] * n
         for r, b in enumerate(self.basis):
             if b < n:
-                x[b] = Fraction(self.rhs[r], self.den)
-        point = tuple(x)
-        value = sum(
-            (c * v for c, v in zip(self.problem.objective, point)), Fraction(0)
-        )
-
-        # The reduced cost of a row's slack or artificial, in the written
-        # variables and the written objective, is minus its multiplier.
-        duals = [Fraction(0)] * len(self.problem.rows)
+                x[b] = self.rhs[r]
+        duals = [0] * len(written)
         for original in self.row_of:
-            col = self.id_col[original]
-            y = Fraction(
-                -self.costs[col] * self.scale[col], self.den * self.cost_scale
-            )
+            y = -self.costs[self.id_col[original]]
             duals[original] = -y if self.flipped[original] else y
+        objective = _scaled(self.problem.objective, self.cost_scale)
+        value = sum(c * v for c, v in zip(objective, x))
 
-        checks = all(v >= 0 for v in point) and sum(
-            (y * rhs for y, (_, _, rhs) in zip(duals, self.problem.rows)),
-            Fraction(0),
-        ) == value
-        for (coefficients, sense, rhs), y in zip(self.problem.rows, duals):
-            lhs = sum((c * v for c, v in zip(coefficients, point)), Fraction(0))
+        checks = all(v >= 0 for v in x) and value == sum(
+            y * row[n] for y, row in zip(duals, written)
+        )
+        for (_, sense, _), row, y in zip(self.problem.rows, written, duals):
+            lhs = sum(a * v for a, v in zip(row, x))
             if sense == LESS:
-                checks = checks and lhs <= rhs and y >= 0
+                checks = checks and lhs <= den * row[n] and y >= 0
             elif sense == GREATER:
-                checks = checks and lhs >= rhs and y <= 0
+                checks = checks and lhs >= den * row[n] and y <= 0
             else:
-                checks = checks and lhs == rhs
+                checks = checks and lhs == den * row[n]
+        # Dual feasibility, A^T y >= c, column by column.
+        checks = checks and all(
+            sum(y * row[j] for y, row in zip(duals, written)) >= den * objective[j]
+            for j in range(n)
+        )
         if not checks:
             raise RuntimeError("simplex returned an uncertified solution")
-        return LpSolution(OPTIMAL, value, point, tuple(duals), self.pivots)
+        scale = den * self.cost_scale
+        duals = tuple(Fraction(y * self.scale[c], scale) for y, c in zip(duals, self.id_col))
+        point = tuple(Fraction(v, den) for v in x)
+        return LpSolution(OPTIMAL, Fraction(value, scale), point, duals, self.pivots)
 
     def _dump(self):
         # Each entry as the Fraction tableau holds it.
         for r, row in enumerate(self.body):
-            basic = self.den * self.scale[self.basis[r]]
+            basic = self.dens[r] * self.scale[self.basis[r]]
             self.trace.write(
                 "  [%s | %s] basic %d\n"
                 % (

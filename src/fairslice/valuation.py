@@ -111,12 +111,14 @@ class Valuation:
                 raise ValueError("density negative on %r" % (interval,))
             if not piece.is_zero():
                 pieces.append(piece)
-        pieces.sort(key=lambda p: p.interval.lo)
+        pieces.sort(key=lambda p: (p.interval.lo, p.interval.hi))
         for prev, nxt in zip(pieces, pieces[1:]):
             if nxt.interval.lo < prev.interval.hi:
                 raise ValueError("pieces overlap: %r and %r" % (prev.interval, nxt.interval))
         # A zero-length piece carries no mass.  It is dropped only after the
-        # overlap check, so a point inside another piece is still rejected.
+        # overlap check, so a point inside another piece is still rejected;
+        # one at another piece's left end sorts first, so it is not, in any
+        # input order.
         pieces = [p for p in pieces if p.interval.lo < p.interval.hi]
         below = [Fraction(0)]
         for p in pieces:

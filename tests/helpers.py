@@ -185,7 +185,8 @@ def reference_valuation(raw_pieces):
     if total == 0:
         raise ZeroMassError("density has zero total mass")
     scaled = [Piece(p.interval, p.slope / total, p.intercept / total) for p in pieces]
-    cleaned = tuple(p for p in sorted(scaled, key=lambda p: p.interval.lo) if not p.is_zero())
+    ordered = sorted(scaled, key=lambda p: (p.interval.lo, p.interval.hi))
+    cleaned = tuple(p for p in ordered if not p.is_zero())
     for prev, nxt in zip(cleaned, cleaned[1:]):
         if nxt.interval.lo < prev.interval.hi:
             raise ValueError("pieces overlap: %r and %r" % (prev.interval, nxt.interval))
@@ -739,8 +740,9 @@ def reference_lp_solve(problem, trace=None):
 class _ReferenceTableau:
     # Column layout: structural variables, then one slack or surplus per
     # inequality row, then artificials for rows that need one.  Rows are
-    # normalized to non-negative rhs up front; flips are remembered so the
-    # duals reported at the end refer to the rows as the caller wrote them.
+    # normalized to non-negative rhs up front, and a >= row with rhs 0 to
+    # the <= row it negates to; flips are remembered so the duals reported
+    # at the end refer to the rows as the caller wrote them.
 
     def __init__(self, problem, trace):
         self.problem = problem
@@ -750,7 +752,7 @@ class _ReferenceTableau:
         rows = []
         for coefficients, sense, rhs in problem.rows:
             coefficients = list(coefficients)
-            flipped = rhs < 0
+            flipped = rhs < 0 or (rhs == 0 and sense == GREATER)
             if flipped:
                 coefficients = [-c for c in coefficients]
                 rhs = -rhs
@@ -949,6 +951,15 @@ class _ReferenceTableau:
                 checks = checks and lhs >= rhs and y <= 0
             else:
                 checks = checks and lhs == rhs
+        # Dual feasibility, A^T y >= c, column by column.
+        checks = checks and all(
+            sum(
+                (y * coefficients[j] for y, (coefficients, _, _) in zip(duals, self.problem.rows)),
+                Fraction(0),
+            )
+            >= c
+            for j, c in enumerate(self.problem.objective)
+        )
         if not checks:
             raise RuntimeError("simplex returned an uncertified solution")
         return LpSolution(OPTIMAL, value, point, tuple(duals), self.pivots)

@@ -1,15 +1,21 @@
 """The exact simplex against its Fraction-tableau oracle.
 
-The library pivots on an integer-preserving tableau; `reference_lp_solve`
-in helpers.py pivots on Fractions.  Both run Bland's rule, so they must
-agree on everything a caller or a reader of --verbose-lp can see: status,
-value, vertex, duals, pivot count and the trace text.
+The library pivots on an integer-preserving tableau whose rows each keep a
+denominator of their own; `reference_lp_solve` in helpers.py pivots on
+Fractions.  Both run Bland's rule and take a `>=` row with rhs 0 as the
+`<=` row it negates to, so they must agree on everything a caller or a
+reader of --verbose-lp can see: status, value, vertex, duals, pivot count
+and the trace text.  Further cases pin the pivot mechanics (a row with a
+zero in the pivot column is left as it was, envy-free programs need no
+artificial) and the integer certificate, which must refuse a vertex that
+is feasible but not optimal.
 """
 
 import io
 import json
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -155,9 +161,7 @@ def test_infeasible_and_unbounded():
     assert solve_both(open_ended).status == UNBOUNDED
 
 
-def test_envy_free_welfare_program(monkeypatch):
-    # The largest LP the welfare workload solves: n(n-1) envy rows at
-    # n = 5, every one of them with an artificial.
+def envy_free_program(monkeypatch, n):
     programs = []
 
     def record(problem, trace=None):
@@ -165,11 +169,74 @@ def test_envy_free_welfare_program(monkeypatch):
         return lp_solve(problem, trace)
 
     monkeypatch.setattr(fairslice.optimal, "lp_solve", record)
-    value, _ = max_ue(random_uniform_agents(0, 5), "envy-free")
+    value, _ = max_ue(random_uniform_agents(0, n), "envy-free")
     (problem,) = programs
+    return problem, value
+
+
+def test_envy_free_welfare_program(monkeypatch):
+    # The largest LP the welfare workload solves: n(n-1) envy rows at
+    # n = 5, every one of them started on its slack.
+    problem, value = envy_free_program(monkeypatch, 5)
     solution = solve_both(problem)
     assert solution.value == value
-    assert solution.pivots > 100
+    assert solution.pivots == 71
+
+
+def test_envy_free_tableau_has_no_artificials(monkeypatch):
+    # Capacity rows are <= and envy rows >= 0: every row starts on its
+    # slack, so phase one never runs.
+    problem, _ = envy_free_program(monkeypatch, 4)
+    assert sum(sense == GREATER for _, sense, _ in problem.rows) == 12
+    tableau = simplex._Tableau(problem, None)
+    assert not tableau.artificials
+    assert tableau.cols == problem.n_vars + len(problem.rows)
+
+
+@settings(max_examples=200, deadline=None)
+@given(lp_problems())
+def test_zero_rhs_greater_rows_solve_as_negated_less_rows(problem):
+    negated = LpProblem(problem.objective)
+    zero_greater = []
+    for coefficients, sense, rhs in problem.rows:
+        if sense == GREATER and rhs == 0:
+            zero_greater.append(len(negated.rows))
+            negated.add([-c for c in coefficients], LESS, 0)
+        else:
+            negated.add(coefficients, sense, rhs)
+    written = lp_solve(problem)
+    flipped = lp_solve(negated)
+    assert (written.status, written.value, written.x, written.pivots) == (
+        flipped.status,
+        flipped.value,
+        flipped.x,
+        flipped.pivots,
+    )
+    if written.status == OPTIMAL:
+        for r, (y, z) in enumerate(zip(written.duals, flipped.duals)):
+            assert y == (-z if r in zero_greater else z)
+
+
+def test_pivot_leaves_a_row_with_zero_in_the_pivot_column_alone():
+    problem = LpProblem([1, 1])
+    problem.add([2, 0], LESS, 1)
+    problem.add([0, 1], LESS, 1)
+    tableau = simplex._Tableau(problem, None)
+    untouched = tableau.body[1]
+    tableau._pivot(0, 0)
+    assert tableau.den == 2
+    assert tableau.body[1] is untouched
+    assert tableau.dens == [2, 1]
+    assert solve_both(problem).value == Fraction(3, 2)
+
+
+def test_certificate_refuses_a_feasible_vertex_that_is_not_optimal():
+    # max x subject to x <= 1, stopped at its starting basis: x = 0 is
+    # feasible and its multiplier 0 meets y . b == c . x, but not A^T y >= c.
+    tableau = simplex._Tableau(LpProblem([1]).add([1], LESS, 1), None)
+    tableau.costs = tableau._phase2_costs()
+    with pytest.raises(RuntimeError):
+        tableau._certify()
 
 
 def test_verbose_lp_text_matches_fraction_tableau(tmp_path, capsys, monkeypatch):

@@ -84,12 +84,24 @@ def test_point_piece_leaves_the_valuation_unchanged():
         Valuation.piecewise_constant([((0, "1/2"), 1), (("1/4", "1/4"), 5)])
 
 
+def test_point_piece_at_a_left_end_is_accepted_in_either_order():
+    plain = Valuation.piecewise_constant([((0, "1/2"), 1)])
+    steps = [((0, "1/2"), 1), ((0, 0), 5)]
+    assert Valuation.piecewise_constant(steps) == plain
+    assert Valuation.piecewise_constant(steps[::-1]) == plain
+    inside = [((0, "1/2"), 1), (("1/4", "1/4"), 5)]
+    for order in (inside, inside[::-1]):
+        with pytest.raises(ValueError, match="overlap"):
+            Valuation.piecewise_constant(order)
+
+
 @settings(max_examples=300)
 @given(raw_valuation_specs())
 @example([((0, 1), 0, -1)])
 @example([((0, "1/2"), 0, 1), (("1/4", 1), 0, 1)])
 @example([((0, 1), 0, 0), (("1/2", "1/2"), 0, 3)])
 @example([(("1/2", "1/4"), 0, 1)])
+@example([((0, "1/2"), 0, 1), ((0, 0), 0, 5)])
 def test_one_pass_construction_matches_the_two_pass_reference(specs):
     try:
         pieces, below = reference_valuation(specs)
