@@ -43,7 +43,6 @@ from fairslice.uniform import (
     Infeasible,
     Profile,
     ServiceRound,
-    TooManyAgents,
     UniformPreference,
     exact_allocation,
     length_game,

@@ -43,7 +43,6 @@ from fairslice.scenario import ParseError, parse_scenario, region_pairs
 from fairslice.uniform import (
     AgentOrder,
     Profile,
-    TooManyAgents,
     length_game,
     lex_order,
     min_average_mechanism,
@@ -388,8 +387,7 @@ def main(argv=None):
     args = _parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ParseError, ArityMismatch, UnsupportedValuationClass, NotWellBehaved,
-            TooManyAgents, OSError) as error:
+    except (ParseError, ArityMismatch, UnsupportedValuationClass, NotWellBehaved, OSError) as error:
         print("error: %s" % error, file=sys.stderr)
         return 2
     except ValueError as error:

@@ -71,12 +71,11 @@ def segment(valuations):
         for b in range(a + 1, len(valuations)):
             for p in valuations[a].pieces:
                 for q in valuations[b].pieces:
-                    lo = max(p.interval.lo, q.interval.lo)
-                    hi = min(p.interval.hi, q.interval.hi)
-                    if lo >= hi or p.slope == q.slope:
+                    if p.slope == q.slope:
                         continue
+                    # Pieces that do not overlap leave no x strictly between the bounds.
                     x = (q.intercept - p.intercept) / (p.slope - q.slope)
-                    if lo < x < hi:
+                    if max(p.interval.lo, q.interval.lo) < x < min(p.interval.hi, q.interval.hi):
                         marks.add(x)
     return Segmentation(tuple(sorted(marks)))
 

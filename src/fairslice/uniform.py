@@ -14,7 +14,6 @@ All lengths and utilities are exact rationals.
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 from math import lcm
 
 from fairslice.audit import Allocation
@@ -22,16 +21,8 @@ from fairslice.intervals import IntervalSet, union_all
 from fairslice.valuation import Valuation
 
 
-# min_average_subset keeps two lists of 2^k entries: 209 MB at k = 22, 4x per two more.
-MAX_SEARCH_AGENTS = 22
-
-
 class EmptySubset(ValueError):
     """An operation that needs at least one agent received none."""
-
-
-class TooManyAgents(ValueError):
-    """The exhaustive group search was asked for more agents than it can hold."""
 
 
 class Infeasible(ValueError):
@@ -134,45 +125,41 @@ def length_game(profile):
 def min_average_subset(preferences, agents, cake):
     """The group minimising the average share; smallest then earliest group on ties.
 
-    Exhaustive over all nonempty groups, scanned by size and then in
-    lexicographic order, so the first strictly smaller average wins.  The
-    cake and the agents' wanted regions are cut into atoms once per call;
-    every group's jointly wanted length is then an integer sum over a
-    bitmask of atoms, and averages are compared by cross-multiplying
-    integers.  The cost is 2^k small-integer steps for k agents, plus one
-    pass over the atoms.
-    Raises TooManyAgents for more than MAX_SEARCH_AGENTS agents.
+    A Dinkelbach loop over the fill of `exact_allocation`, on atoms cut once
+    per call.  Every agent asks for a candidate average λ of wanted cake,
+    first the least of the singletons' and the whole group's.  When the fill
+    cannot serve an agent, the agents its transfer search reaches want less
+    than λ per head, and their average is the next λ.  Once everyone is
+    served, no group averages less (Hall), and the groups averaging λ are
+    those whose wanted cake is all held by their own members (Fujishige,
+    1980).  They are closed under union and intersection, so the smallest
+    one containing an agent is the agent's closure along wanted atoms and
+    their holders, and the minimal ones are disjoint: the smallest closure
+    wins, and on equal sizes the one with the lowest member.
     """
     agents = tuple(sorted(agents))
     if not agents:
         raise EmptySubset("need at least one agent")
-    if len(agents) > MAX_SEARCH_AGENTS:
-        raise TooManyAgents(
-            "the exhaustive group search takes at most %d agents, got %d"
-            % (MAX_SEARCH_AGENTS, len(agents))
-        )
     _, weights, bits, _ = _atom_table([cake, *(preferences[i].support() for i in agents)])
-    wanted = [mask & bits[0] for mask in bits[1:]]
-    # cover[m] holds the atoms wanted by the group with member bitmask m,
-    # length[m] their total weight; each mask extends the one without its
-    # lowest member.
-    full = 1 << len(agents)
-    cover = [0] * full
-    length = [0] * full
-    for m in range(1, full):
-        low = m & -m
-        rest = m ^ low
-        own = wanted[low.bit_length() - 1]
-        length[m] = length[rest] + _weight(own & ~cover[rest], weights)
-        cover[m] = cover[rest] | own
-    members = [1 << j for j in range(len(agents))]
-    best = best_length = best_size = None
-    for size in range(1, len(agents) + 1):
-        for group in combinations(members, size):
-            mask = sum(group)
-            if best is None or length[mask] * best_size < best_length * size:
-                best, best_length, best_size = mask, length[mask], size
-    return tuple(a for j, a in enumerate(agents) if best >> j & 1)
+    wanted = {i: mask & bits[0] for i, mask in zip(agents, bits[1:])}
+    owned = {i: [k for k in range(len(weights)) if mask >> k & 1] for i, mask in wanted.items()}
+
+    def average(group):
+        cover = 0
+        for i in group:
+            cover |= wanted[i]
+        return Fraction(_weight(cover, weights), len(group))
+
+    # Atom weights are scaled by λ's denominator, so λ is its numerator.
+    lam = min(average(group) for group in (agents, *((i,) for i in agents)))
+    while True:
+        lengths = [w * lam.denominator for w in weights]
+        held, spare, short = _fill(owned, lengths, dict.fromkeys(agents, lam.numerator))
+        if short is None:
+            break
+        lam = average(_reach(short, held, spare, owned)[0])
+    closures = (_reach(i, held, spare, owned) for i in agents)
+    return tuple(sorted(min((group for group, room in closures if room is None), key=len)))
 
 
 def _weight(mask, weights):
@@ -229,37 +216,11 @@ def exact_allocation(preferences, agents, cake):
     # size long, and the average share is the weight of the owned atoms.
     atoms, weights, bits, scale = _atom_table(list(wanted.values()))
     unit = scale * len(agents)
-    lengths = [w * len(agents) for w in weights]
-    owners = [
-        [i for i, mask in zip(agents, bits) if mask >> k & 1] for k in range(len(atoms))
-    ]
-
-    # held[k][i] is how much of atom k agent i holds; spare[k] is unassigned.
-    held = [dict() for _ in atoms]
-    spare = list(lengths)
-    need = dict.fromkeys(agents, sum(w for w, o in zip(weights, owners) if o))
-    open_length = {
-        i: sum(x for k, x in enumerate(lengths) if i in owners[k]) for i in agents
-    }
-
-    for k in range(len(atoms)):
-        while spare[k] > 0:
-            ready = [i for i in owners[k] if need[i] > 0]
-            if not ready:
-                break
-            i = min(ready, key=lambda i: (open_length[i], i))
-            take = min(need[i], spare[k])
-            held[k][i] = held[k].get(i, 0) + take
-            spare[k] -= take
-            need[i] -= take
-        for i in owners[k]:
-            open_length[i] -= lengths[k] - spare[k]
-
-    for i in agents:
-        while need[i] > 0 and _augment(i, need, held, spare, owners):
-            pass
-        if need[i] > 0:
-            raise Infeasible("cannot give agent %d a portion of length %s" % (i, quota))
+    owned = {i: [k for k in range(len(atoms)) if mask >> k & 1] for i, mask in zip(agents, bits)}
+    share = sum(weights[k] for k in set().union(*owned.values()))
+    held, _, short = _fill(owned, [w * len(agents) for w in weights], dict.fromkeys(agents, share))
+    if short is not None:
+        raise Infeasible("cannot give agent %d a portion of length %s" % (short, quota))
 
     portions = {i: [] for i in agents}
     for k, (pos, _) in enumerate(atoms):
@@ -280,43 +241,85 @@ def exact_allocation(preferences, agents, cake):
     return result
 
 
-def _augment(start, need, held, spare, owners):
-    # Breadth-first search for a chain of transfers ending in spare capacity:
-    # start -> atom -> holder -> atom -> ... -> atom with room.  Shifts the
-    # largest amount the chain supports toward the starting agent.  Amounts
-    # may be ints or Fractions.
+def _fill(owned, lengths, need):
+    # Serve each agent in `need`, mapped in order to the amount it asks for,
+    # from its atoms in `owned`.  Atoms are filled greedily left to right,
+    # preferring the agent with the least wanted cake still open, then the
+    # lower index; transfer chains then serve the agents left short, in
+    # order.  Returns how much of each atom each agent holds, what is left
+    # of each atom, and the first agent that cannot be served, or None.
+    held = [dict() for _ in lengths]
+    spare = list(lengths)
+    owners = [[] for _ in lengths]
+    open_length = {}
+    for i, atoms in owned.items():
+        for k in atoms:
+            owners[k].append(i)
+        open_length[i] = sum(lengths[k] for k in atoms)
+    for k in range(len(lengths)):
+        while spare[k] > 0:
+            ready = [(open_length[i], i) for i in owners[k] if need[i] > 0]
+            if not ready:
+                break
+            _, i = min(ready)
+            take = min(need[i], spare[k])
+            held[k][i] = held[k].get(i, 0) + take
+            spare[k] -= take
+            need[i] -= take
+        for i in owners[k]:
+            open_length[i] -= lengths[k] - spare[k]
+
+    for i in need:
+        while need[i] > 0 and _augment(i, need, held, spare, owned):
+            pass
+        if need[i] > 0:
+            return held, spare, i
+    return held, spare, None
+
+
+def _reach(start, held, spare, owned):
+    # Breadth-first search from `start` along agent -> wanted atom -> agent
+    # holding some of it.  Returns the agents reached, each mapped to the
+    # (atom, agent) it was reached through, and the first (agent, atom) with
+    # room; when no atom with room is reachable, that is None and the agents
+    # reached hold all the cake any of them wants.
     parent = {start: None}
     queue = [start]
-    while queue:
-        agent = queue.pop(0)
-        for k in range(len(held)):
-            if agent not in owners[k]:
-                continue
+    for agent in queue:
+        for k in owned[agent]:
             if spare[k] > 0:
-                # Walk back, moving cake toward `start`.
-                amount = min(need[start], spare[k])
-                node = agent
-                while parent[node] is not None:
-                    prev_atom, prev_agent = parent[node]
-                    amount = min(amount, held[prev_atom][node])
-                    node = prev_agent
-                if amount <= 0:
-                    continue
-                spare[k] -= amount
-                held[k][agent] = held[k].get(agent, 0) + amount
-                node = agent
-                while parent[node] is not None:
-                    prev_atom, prev_agent = parent[node]
-                    held[prev_atom][node] -= amount
-                    held[prev_atom][prev_agent] = held[prev_atom].get(prev_agent, 0) + amount
-                    node = prev_agent
-                need[start] -= amount
-                return True
+                return parent, (agent, k)
             for other, amount in held[k].items():
-                if other not in parent and amount > 0:
+                if amount > 0 and other not in parent:
                     parent[other] = (k, agent)
                     queue.append(other)
-    return False
+    return parent, None
+
+
+def _augment(start, need, held, spare, owned):
+    # Shift the largest amount a chain of transfers supports toward `start`:
+    # start -> atom -> holder -> atom -> ... -> atom with room.  Returns
+    # whether such a chain exists.  Amounts may be ints or Fractions.
+    parent, room = _reach(start, held, spare, owned)
+    if room is None:
+        return False
+    agent, k = room
+    # Walking back to `start`, each agent gives up, to the one it was
+    # reached from, the amount of the atom it was reached through.
+    steps = []
+    node = agent
+    while parent[node] is not None:
+        atom, prev = parent[node]
+        steps.append((atom, node, prev))
+        node = prev
+    amount = min([need[start], spare[k], *(held[atom][node] for atom, node, _ in steps)])
+    spare[k] -= amount
+    held[k][agent] = held[k].get(agent, 0) + amount
+    for atom, node, prev in steps:
+        held[atom][node] -= amount
+        held[atom][prev] = held[atom].get(prev, 0) + amount
+    need[start] -= amount
+    return True
 
 
 @dataclass(frozen=True)

@@ -6,6 +6,7 @@ something independent to disagree with.
 """
 
 from fractions import Fraction
+from itertools import combinations
 
 from hypothesis import strategies as st
 
@@ -28,6 +29,7 @@ from fairslice.uniform import (
     UniformPreference,
     _atom_table,
     _augment,
+    _weight,
     length_game,
 )
 from fairslice.valuation import (
@@ -286,6 +288,34 @@ def fine_claim_profiles(preferences, denominator=720):
                 start = (1 - earlier.length) * draw(point)
                 claims.append(IntervalSet([(start, start + earlier.length)]))
         return Profile(claims)
+
+    return build()
+
+
+def full_profiles(preferences, cuts=(Fraction(1, 4), Fraction(1, 2), Fraction(3, 4))):
+    """Reduced, well behaved profiles that claim all of the wanted cake.
+
+    The wanted cake is cut at every endpoint of every wanted region.  Each
+    piece goes whole to one agent who wants it, or is cut at one of `cuts`
+    of its length and split between two such agents.
+    """
+    supports = [p.support() for p in preferences]
+    marks = sorted({x for s in supports for iv in s for x in iv})
+    pieces = [
+        (lo, hi, [i for i, s in enumerate(supports) if s.overlaps(IntervalSet([(lo, hi)]))])
+        for lo, hi in zip(marks, marks[1:])
+    ]
+
+    @st.composite
+    def build(draw):
+        claims = [[] for _ in preferences]
+        for lo, hi, owners in pieces:
+            if owners:
+                left, right = draw(st.sampled_from(owners)), draw(st.sampled_from(owners))
+                cut = lo + (hi - lo) * draw(st.sampled_from(cuts))
+                claims[left].append((lo, cut))
+                claims[right].append((cut, hi))
+        return Profile([IntervalSet(c) for c in claims])
 
     return build()
 
@@ -630,8 +660,9 @@ def reference_exact_allocation(preferences, agents, cake):
         for i in owners[k]:
             open_length[i] -= lengths[k] - spare[k]
 
+    owned = {i: [k for k, o in enumerate(owners) if i in o] for i in agents}
     for i in agents:
-        while need[i] > 0 and _augment(i, need, held, spare, owners):
+        while need[i] > 0 and _augment(i, need, held, spare, owned):
             pass
         if need[i] > 0:
             raise Infeasible("cannot give agent %d a portion of length %s" % (i, quota))
@@ -652,6 +683,42 @@ def reference_exact_allocation(preferences, agents, cake):
     if union_all(result.values()) != region:
         raise Infeasible("portions do not cover the jointly wanted cake")
     return result
+
+
+def reference_min_average_subset(preferences, agents, cake):
+    """The min-average group by exhaustive search over every group.
+
+    Every group's wanted length is an integer sum over a bitmask of atoms,
+    and groups are scanned by size, then in lexicographic order, so the
+    first strictly smaller average wins.  `uniform.min_average_subset`
+    finds the same group with a transfer search instead.  This keeps two
+    lists of 2^k entries for k agents, so it suits k up to about 16.
+    """
+    agents = tuple(sorted(agents))
+    if not agents:
+        raise EmptySubset("need at least one agent")
+    _, weights, bits, _ = _atom_table([cake, *(preferences[i].support() for i in agents)])
+    wanted = [mask & bits[0] for mask in bits[1:]]
+    # cover[m] holds the atoms wanted by the group with member bitmask m,
+    # length[m] their total weight; each mask extends the one without its
+    # lowest member.
+    full = 1 << len(agents)
+    cover = [0] * full
+    length = [0] * full
+    for m in range(1, full):
+        low = m & -m
+        rest = m ^ low
+        own = wanted[low.bit_length() - 1]
+        length[m] = length[rest] + _weight(own & ~cover[rest], weights)
+        cover[m] = cover[rest] | own
+    members = [1 << j for j in range(len(agents))]
+    best = best_length = best_size = None
+    for size in range(1, len(agents) + 1):
+        for group in combinations(members, size):
+            mask = sum(group)
+            if best is None or length[mask] * best_size < best_length * size:
+                best, best_length, best_size = mask, length[mask], size
+    return tuple(a for j, a in enumerate(agents) if best >> j & 1)
 
 
 def reference_valued_region(preferences, agents, cake):

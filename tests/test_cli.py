@@ -457,11 +457,13 @@ def test_run_procaccia_ignores_a_point_step(tmp_path, capsys):
     assert out == run_cli(capsys, "run", plain, "--mechanism", "procaccia")[1]
 
 
-def test_run_procaccia_past_the_agent_bound_exits_2(tmp_path, capsys):
+def test_run_procaccia_on_23_agents_exits_0(tmp_path, capsys):
+    # One more agent than the exhaustive group search used to take.
     path = write(tmp_path, text_of([agent("a%d" % k, (0, 1)) for k in range(23)]))
-    code, out, err = run_cli(capsys, "run", path, "--mechanism", "procaccia")
-    assert code == 2 and out == ""
-    assert err == "error: the exhaustive group search takes at most 22 agents, got 23\n"
+    code, out, err = run_cli(capsys, "run", path, "--mechanism", "procaccia", "--expect-envy-free")
+    assert (code, err) == (0, "")
+    allocation = json.loads(out)["allocation"]
+    assert allocation == [[[str(F(k, 23)), str(F(k + 1, 23))]] for k in range(23)]
 
 
 def test_run_csv_and_table_formats(tmp_path, capsys):

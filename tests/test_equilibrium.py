@@ -34,6 +34,7 @@ from fairslice.uniform import (
 from helpers import (
     claim_profiles,
     fine_claim_profiles,
+    full_profiles,
     random_subregion,
     random_uniform_instance,
     reference_best_response,
@@ -169,6 +170,21 @@ class TestIsEquilibrium:
         allocation = min_average_mechanism(prefs)
         reduced = ReducedProfile(Profile(allocation.portions), True)
         assert is_equilibrium(prefs, reduced).is_equilibrium
+
+    @given(
+        st.integers(min_value=2, max_value=4)
+        .flatmap(lambda n: uniform_preferences(n, max_denominator=8))
+        .flatmap(lambda prefs: st.tuples(st.just(prefs), full_profiles(prefs)))
+    )
+    @settings(deadline=None)
+    def test_full_profiles_are_equilibria_exactly_at_the_mechanism_lengths(self, instance):
+        # The equilibrium lengths are the lexicographically optimal base of
+        # the coverage polymatroid, which the min-average rule computes
+        # (Fujishige, 1980); about one profile in nine drawn here is one.
+        prefs, profile = instance
+        report = is_equilibrium(prefs, ReducedProfile(profile, True))
+        lengths = [portion.length for portion in min_average_mechanism(prefs)]
+        assert report.is_equilibrium == ([claim.length for claim in profile] == lengths)
 
 
 class TestBestResponse:

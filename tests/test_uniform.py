@@ -11,14 +11,12 @@ from hypothesis import strategies as st
 
 from fairslice.audit import equity_table, is_envy_free
 import fairslice.uniform
-from fairslice.generator import random_uniform_agents
+from fairslice.generator import random_region, random_uniform_agents
 from fairslice.intervals import IntervalSet, union_all
 from fairslice.uniform import (
     AgentOrder,
-    MAX_SEARCH_AGENTS,
     EmptySubset,
     Profile,
-    TooManyAgents,
     UniformPreference,
     _atom_table,
     _weight,
@@ -37,6 +35,8 @@ from helpers import (
     random_uniform_instance,
     reference_average_share,
     reference_exact_allocation,
+    reference_leximin_lengths,
+    reference_min_average_subset,
     reference_valued_region,
     uniform_preferences,
 )
@@ -245,6 +245,7 @@ class TestMinAverageSubset:
         agents = range(len(prefs))
         assert min_average_subset(prefs, agents, cake) == expected
         assert oracle_min_average(prefs, agents, cake) == expected
+        assert reference_min_average_subset(prefs, agents, cake) == expected
 
     @given(uniform_preferences(4, max_denominator=8))
     def test_chosen_average_is_minimal(self, prefs):
@@ -255,10 +256,35 @@ class TestMinAverageSubset:
             for group in combinations(range(4), size):
                 assert reference_average_share(prefs, group, cake) >= best
 
-    def test_refuses_more_agents_than_the_search_can_hold(self):
-        prefs = [UniformPreference(IntervalSet.unit())] * (MAX_SEARCH_AGENTS + 1)
-        with pytest.raises(TooManyAgents, match="at most 22 agents, got 23"):
-            min_average_subset(prefs, range(len(prefs)), IntervalSet.unit())
+    def test_matches_the_exhaustive_kernel_on_every_round(self):
+        # Every round of the mechanism on generator instances, then the same
+        # agents on the cake a random region leaves.
+        rng = random.Random(20261018)
+        for n in range(2, 17):
+            for _ in range(5):
+                prefs = random_uniform_agents(rng.randrange(2**32), n)
+                remaining, cake = tuple(range(n)), IntervalSet.unit()
+                for rnd in min_average_rounds(prefs):
+                    assert rnd.agents == reference_min_average_subset(prefs, remaining, cake)
+                    cake = cake.difference(rnd.region)
+                    remaining = tuple(i for i in remaining if i not in rnd.agents)
+                cake = IntervalSet.unit().difference(random_region(rng))
+                assert min_average_subset(prefs, range(n), cake) == (
+                    reference_min_average_subset(prefs, range(n), cake)
+                )
+
+    def test_serves_more_agents_than_an_exhaustive_search_can(self):
+        # Any k of them average 1/k, so the group is all 23, past the old bound of 22.
+        prefs = [UniformPreference(IntervalSet.unit())] * 23
+        assert min_average_subset(prefs, range(23), IntervalSet.unit()) == tuple(range(23))
+        allocation = min_average_mechanism(prefs)
+        assert [portion.length for portion in allocation] == [F(1, 23)] * 23
+
+    def test_matches_the_leximin_lengths_at_24_agents(self):
+        # Seed 2 serves three singletons before the other 21 agents.
+        prefs = random_uniform_agents(2, 24)
+        lengths = [portion.length for portion in min_average_mechanism(prefs)]
+        assert lengths == reference_leximin_lengths(prefs)
 
 
 def _atoms_of(mask, atoms):
@@ -320,8 +346,8 @@ class TestExactAllocation:
         held = [{0: F(1, 4)}, {}]
         spare = [F(0), F(1, 4)]
         need = {0: F(0), 1: F(1, 4)}
-        owners = [[0, 1], [0]]
-        assert _augment(1, need, held, spare, owners)
+        owned = {0: [0, 1], 1: [0]}
+        assert _augment(1, need, held, spare, owned)
         assert need[1] == 0
         assert held[0] == {0: F(0), 1: F(1, 4)}
         assert held[1] == {0: F(1, 4)}
