@@ -100,7 +100,13 @@ def equity_table(valuations, allocation):
         rank[k] = len(points) - 1
     spans = iter(zip(rank[::2], rank[1::2]))
     portions = [[next(spans) for _ in portion] for portion in allocation]
-    return EquityTable([v.portion_masses(points, portions) for v in valuations])
+    # The rows are Fractions already and square by construction, so they
+    # are stored as they are instead of through EquityTable's coercion.
+    table = object.__new__(EquityTable)
+    object.__setattr__(
+        table, "entries", tuple(tuple(v.portion_masses(points, portions)) for v in valuations)
+    )
+    return table
 
 
 def is_proportional(table):

@@ -47,7 +47,7 @@ from fairslice.uniform import (
     lex_order,
     min_average_mechanism,
 )
-from fairslice.valuation import UnsupportedValuationClass
+from fairslice.valuation import BISECT_TOLERANCE, UnsupportedValuationClass
 
 
 QUERY_MECHANISMS = {
@@ -175,6 +175,14 @@ def _answer(args, scenario, allocation, transcript=None, equilibrium=None):
     ]
     if getattr(args, "expect_equilibrium", False) and not equilibrium["is_equilibrium"]:
         failed.append("equilibrium")
+    if failed and transcript is not None and transcript.inexact_cuts:
+        # A bisected cut is off by up to BISECT_TOLERANCE, enough to tip an
+        # exact comparison; the report itself stays as computed.
+        print(
+            "note: %d of %d cuts were bisected to within %s, not solved exactly"
+            % (transcript.inexact_cuts, transcript.cut_count, BISECT_TOLERANCE),
+            file=sys.stderr,
+        )
     for name in failed:
         print("expectation failed: %s" % name, file=sys.stderr)
     return 1 if failed else 0

@@ -22,12 +22,14 @@ def frac(x):
 
     Floats are rejected: their binary expansions silently break exactness.
     """
+    # isinstance against Fraction, whose metaclass is ABCMeta, is slow for
+    # anything but a Fraction, so subclasses are tested for last.
+    if type(x) is Fraction:
+        return x
+    if isinstance(x, (int, str)):
+        return Fraction(x)
     if isinstance(x, Fraction):
         return x
-    if isinstance(x, int):
-        return Fraction(x)
-    if isinstance(x, str):
-        return Fraction(x)
     raise TypeError("expected an exact rational (int, Fraction, or string), got %r" % (x,))
 
 

@@ -9,9 +9,17 @@ AgentOracle answers sincerely from a Valuation.  Anything with the same two
 methods can stand in for it, which is how the tests model agents that lie.
 A Recorder sits between a running mechanism and its oracles, logging every
 query and reply so runs can be audited and query complexity is measurable.
+
+A cut through a linear density may have an irrational answer, which the
+valuation bisects to a tolerance.  AgentOracle.cut hands back the whole
+CutResult so the Recorder can count such inexact cuts; the mechanism sees
+only the point.  A stand-in oracle may answer with a bare point, which is
+taken as exact.
 """
 
 from dataclasses import dataclass, field
+
+from fairslice.valuation import CutResult
 
 
 class AgentOracle:
@@ -24,14 +32,14 @@ class AgentOracle:
         return self.valuation.eval(a, b)
 
     def cut(self, a, target):
-        return self.valuation.cut(a, target).point
+        return self.valuation.cut(a, target)
 
 
 def sincere_oracles(valuations):
     return [AgentOracle(v) for v in valuations]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class QueryRecord:
     agent: int
     kind: str  # "eval" or "cut"
@@ -44,9 +52,12 @@ class QueryTranscript:
     """Ordered log of every oracle interaction in one mechanism run."""
 
     records: list = field(default_factory=list)
+    inexact_cuts: int = 0
 
-    def add(self, agent, kind, args, response):
+    def add(self, agent, kind, args, response, exact=True):
         self.records.append(QueryRecord(agent, kind, tuple(args), response))
+        if not exact:
+            self.inexact_cuts += 1
 
     @property
     def total(self):
@@ -75,7 +86,10 @@ class Recorder:
 
     def cut(self, i, a, target):
         response = self.oracles[i].cut(a, target)
-        self.transcript.add(i, "cut", (a, target), response)
+        exact = True
+        if isinstance(response, CutResult):
+            response, exact = response.point, response.exact
+        self.transcript.add(i, "cut", (a, target), response, exact)
         return response
 
 

@@ -13,13 +13,16 @@ Three preference families cover everything downstream:
   linear       affine densities per piece (rational slope and intercept)
 
 A valuation holds its cumulative mass function F(x), the mass of [0, x],
-once: the piece starts, the mass left of each piece, and F on each piece as
-integer coefficients over one denominator.  eval(a, b) is F(b) - F(a), with
-F found by bisecting the piece starts; measure sums F(hi) - F(lo) over a
-region's spans; cut bisects the cumulative masses for the piece its answer
-lies on; portion_masses reads F at many sorted points in one merge, which
-is how an equity table is built.  Sums of F values are kept as unreduced
-integer pairs and reduced once, into one Fraction.
+once and in integers: the piece ends over one scale D, the mass left of
+each piece over one scale M, and F on each piece as integer coefficients
+over M.  A query point p/r falls on the piece whose start is the last one
+at or below floor(p*D/r), and F(p/r) comes out as an unreduced integer
+pair.  eval(a, b) is F(b) - F(a), reduced into one Fraction; measure and
+portion_masses sum such pairs the same way, and portion_masses reads F at
+many sorted points in one merge, which is how an equity table is built.
+cut adds its target to F(a), finds the piece where F reaches that goal by
+bisecting the integer masses for ceil(goal*M), and on a constant piece
+solves F(b) = goal for b in integers.
 
 Integration and cutting stay in exact rationals whenever the answer is
 rational; the only escape hatch is a cut through a linear piece whose
@@ -35,6 +38,8 @@ from fractions import Fraction
 from fairslice.intervals import Interval, IntervalSet, frac
 
 BISECT_TOLERANCE = Fraction(1, 10**12)
+
+_ZERO = Fraction(0)
 
 
 class ZeroMassError(ValueError):
@@ -71,7 +76,7 @@ class Piece:
         return self.slope == 0 and self.intercept == 0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CutResult:
     """A cut point plus whether it is exact or a bisection approximation."""
 
@@ -90,48 +95,89 @@ class Valuation:
     """
 
     pieces: tuple
-    # Piece k starts at _starts[k]; _below[k] is the mass left of it and
-    # _below[-1] the total; _poly[k] holds integers (alpha, beta, delta, q)
-    # with F(p/r) = (alpha p^2 + beta p r + delta r^2) / (q r^2) on piece k,
+    # Piece k is [_los[k], _his[k]] / _scale.  _masses[k] / _masses[-1] is
+    # the mass left of piece k, so _masses[-1] is the scale M of every mass.
+    # _poly[k] holds integers (alpha, beta, delta, M) with
+    # F(p/r) = (alpha p^2 + beta p r + delta r^2) / (M r^2) on piece k,
     # where F(x) is the mass of [0, x].  _support is the region of the pieces,
     # built on the first call to support(): most valuations are never asked.
-    _starts: tuple = field(compare=False, repr=False)
-    _below: tuple = field(compare=False, repr=False)
+    _los: tuple = field(compare=False, repr=False)
+    _his: tuple = field(compare=False, repr=False)
+    _scale: int = field(compare=False, repr=False)
+    _masses: tuple = field(compare=False, repr=False)
     _poly: tuple = field(compare=False, repr=False)
     _support: IntervalSet = field(compare=False, repr=False)
 
     def __init__(self, raw_pieces):
-        pieces = []
+        kept = []
         for interval, slope, intercept in raw_pieces:
             if not isinstance(interval, Interval):
                 interval = Interval(*interval)
-            piece = Piece(interval, frac(slope), frac(intercept))
-            # An affine density is non-negative on an interval iff it is at both ends.
-            if piece.density_at(interval.lo) < 0 or piece.density_at(interval.hi) < 0:
-                raise ValueError("density negative on %r" % (interval,))
-            if not piece.is_zero():
-                pieces.append(piece)
-        pieces.sort(key=lambda p: (p.interval.lo, p.interval.hi))
-        for prev, nxt in zip(pieces, pieces[1:]):
-            if nxt.interval.lo < prev.interval.hi:
-                raise ValueError("pieces overlap: %r and %r" % (prev.interval, nxt.interval))
+            slope = frac(slope)
+            intercept = frac(intercept)
+            # An affine density is non-negative on an interval iff it is at
+            # both ends; its sign at x is that of the numerator below.
+            sn, sd = slope.numerator, slope.denominator
+            cn, cd = intercept.numerator, intercept.denominator
+            for x in (interval.lo, interval.hi):
+                if sn * x.numerator * cd + cn * sd * x.denominator < 0:
+                    raise ValueError("density negative on %r" % (interval,))
+            if sn or cn:
+                kept.append((interval, slope, intercept))
+        # Ends over one scale sort and compare as integers; the index keeps
+        # pieces with equal ends in input order.
+        scale = math.lcm(*(x.denominator for iv, _, _ in kept for x in (iv.lo, iv.hi)))
+        ends = sorted(
+            (
+                iv.lo.numerator * (scale // iv.lo.denominator),
+                iv.hi.numerator * (scale // iv.hi.denominator),
+                k,
+            )
+            for k, (iv, _, _) in enumerate(kept)
+        )
+        for (_, prev_hi, i), (lo, _, j) in zip(ends, ends[1:]):
+            if lo < prev_hi:
+                raise ValueError("pieces overlap: %r and %r" % (kept[i][0], kept[j][0]))
         # A zero-length piece carries no mass.  It is dropped only after the
         # overlap check, so a point inside another piece is still rejected;
         # one at another piece's left end sorts first, so it is not, in any
         # input order.
-        pieces = [p for p in pieces if p.interval.lo < p.interval.hi]
-        below = [Fraction(0)]
-        for p in pieces:
-            below.append(below[-1] + p.mass(*p.interval))
-        total = below[-1]
+        ends = [end for end in ends if end[0] < end[1]]
+        # With slope s/unit and intercept c/unit, a piece [lo, hi] / scale
+        # has mass (hi - lo) (2 scale c + s (hi + lo)) / (2 scale^2 unit).
+        # The masses keep only the numerators, so their sum M is the scale
+        # that normalises them.
+        unit = math.lcm(*(x.denominator for _, _, k in ends for x in kept[k][1:]))
+        coefficients = []
+        masses = [0]
+        for lo, hi, k in ends:
+            _, slope, intercept = kept[k]
+            s = slope.numerator * (unit // slope.denominator)
+            c = intercept.numerator * (unit // intercept.denominator)
+            coefficients.append((s, c))
+            masses.append(masses[-1] + (hi - lo) * (2 * scale * c + s * (hi + lo)))
+        total = masses[-1]
         if total == 0:
             raise ZeroMassError("density has zero total mass")
-        scaled = tuple(Piece(p.interval, p.slope / total, p.intercept / total) for p in pieces)
-        below = tuple(b / total for b in below)
-        object.__setattr__(self, "pieces", scaled)
-        object.__setattr__(self, "_starts", tuple(p.interval.lo for p in scaled))
-        object.__setattr__(self, "_below", below)
-        object.__setattr__(self, "_poly", tuple(map(_poly, scaled, below)))
+        # Scaled to mass 1 the density is (2 scale^2 / M) (s x + c); F on a
+        # piece is its left mass plus the integral of that from lo / scale.
+        square = scale * scale
+        pieces, poly = [], []
+        for (lo, _, k), (s, c), below in zip(ends, coefficients, masses):
+            pieces.append(
+                Piece(
+                    kept[k][0],
+                    Fraction(2 * square * s, total) if s else _ZERO,
+                    Fraction(2 * square * c, total) if c else _ZERO,
+                )
+            )
+            poly.append((square * s, 2 * square * c, below - lo * (s * lo + 2 * scale * c), total))
+        object.__setattr__(self, "pieces", tuple(pieces))
+        object.__setattr__(self, "_los", tuple(end[0] for end in ends))
+        object.__setattr__(self, "_his", tuple(end[1] for end in ends))
+        object.__setattr__(self, "_scale", scale)
+        object.__setattr__(self, "_masses", tuple(masses))
+        object.__setattr__(self, "_poly", tuple(poly))
         object.__setattr__(self, "_support", None)
 
     # ------------------------------------------------------------------
@@ -185,15 +231,15 @@ class Valuation:
     # ------------------------------------------------------------------
     # measure
 
-    def _mass_below(self, x):
-        # F(x), the mass of [0, x], as an unreduced integer pair.
-        k = bisect_right(self._starts, x) - 1
+    def _mass_below(self, p, r):
+        # F(p/r), the mass of [0, p/r], as an unreduced integer pair.
+        scaled = p * self._scale
+        k = bisect_right(self._los, scaled // r) - 1
         if k < 0:
             return 0, 1
-        if x > self.pieces[k].interval.hi:
-            below = self._below[k + 1]
-            return below.numerator, below.denominator
-        return _at(self._poly[k], x)
+        if scaled > self._his[k] * r:
+            return self._masses[k + 1], self._masses[-1]
+        return _at(self._poly[k], p, r)
 
     def eval(self, a, b):
         """Exact mass of [a,b], as F(b) - F(a).
@@ -204,31 +250,54 @@ class Valuation:
         """
         a = frac(a)
         b = frac(b)
-        if b < a:
+        pa, ra, pb, rb = a.numerator, a.denominator, b.numerator, b.denominator
+        if pb * ra < pa * rb:
             raise ValueError("need a <= b")
-        return _mass_of([(self._mass_below(a), self._mass_below(b))])
+        nl, dl = self._mass_below(pa, ra)
+        nh, dh = self._mass_below(pb, rb)
+        return Fraction(nh * dl - nl * dh, dl * dh)
 
     def measure(self, region):
         """Exact mass of an IntervalSet."""
-        return _mass_of((self._mass_below(iv.lo), self._mass_below(iv.hi)) for iv in region)
+        return _mass_of(
+            (
+                self._mass_below(iv.lo.numerator, iv.lo.denominator),
+                self._mass_below(iv.hi.numerator, iv.hi.denominator),
+            )
+            for iv in region
+        )
 
     def portion_masses(self, points, portions):
         """Exact mass of each portion, all read off one sweep of the points.
 
         points is an ascending sequence of Fractions, and a portion is a
         list of (i, j) index pairs, each the span [points[i], points[j]].
-        One merge of the points with the pieces gives F at every point.
+        One merge of the points with the pieces gives F at every point;
+        points in one gap share one pair, so a span inside a gap weighs 0.
         """
         below = []
         done = 0
-        for piece, mass, poly in zip(self.pieces, self._below, self._poly):
+        total = self._masses[-1]
+        for piece, mass, poly in zip(self.pieces, self._masses, self._poly):
             start = bisect_left(points, piece.interval.lo, done)
             end = bisect_right(points, piece.interval.hi, start)
-            below += [(mass.numerator, mass.denominator)] * (start - done)
-            below += [_at(poly, x) for x in points[start:end]]
+            below += [(mass, total)] * (start - done)
+            below += [_at(poly, x.numerator, x.denominator) for x in points[start:end]]
             done = end
-        below += [(1, 1)] * (len(points) - done)
-        return [_mass_of([(below[i], below[j]) for i, j in spans]) for spans in portions]
+        below += [(total, total)] * (len(points) - done)
+        masses = []
+        for spans in portions:
+            if len(spans) == 1:
+                (i, j), = spans
+                low, high = below[i], below[j]
+                if low is high:
+                    masses.append(_ZERO)
+                else:
+                    (nl, dl), (nh, dh) = low, high
+                    masses.append(Fraction(nh * dl - nl * dh, dl * dh))
+            else:
+                masses.append(_mass_of([(below[i], below[j]) for i, j in spans]))
+        return masses
 
     # ------------------------------------------------------------------
     # cutting
@@ -248,40 +317,43 @@ class Valuation:
         """
         a = frac(a)
         target = frac(target)
-        if not 0 <= a <= 1:
+        p, r = a.numerator, a.denominator
+        tn, td = target.numerator, target.denominator
+        if not 0 <= p <= r:
             raise ValueError("cut start must lie in [0,1]")
-        if target < 0:
+        if tn < 0:
             raise ValueError("cut target must be non-negative")
-        if target == 0:
+        if tn == 0:
             return CutResult(a, True)
-        # The cut lies on the first piece whose right end reaches the goal.
-        goal = Fraction(*self._mass_below(a)) + target
-        k = bisect_left(self._below, goal, 1) - 1
+        # The goal F(a) + target is gn / gd.  The cut lies on the first piece
+        # whose right end reaches it: masses[k + 1] >= goal * M, an integer
+        # inequality that holds iff masses[k + 1] >= ceil(goal * M).
+        nl, dl = self._mass_below(p, r)
+        gn, gd = nl * td + tn * dl, dl * td
+        total = self._masses[-1]
+        k = bisect_left(self._masses, -(-gn * total // gd), 1) - 1
         if k == len(self.pieces):
             raise TargetUnreachable(
                 "requested mass %s exceeds mass %s right of %s" % (target, self.eval(a, 1), a)
             )
+        alpha, beta, delta, _ = self._poly[k]
+        if not alpha:
+            # F(b) = (beta b + delta) / M on a constant piece.
+            return CutResult(Fraction(gn * total - delta * gd, beta * gd), True)
         piece = self.pieces[k]
-        if a >= piece.interval.lo:
+        if p * self._scale >= self._los[k] * r:
             return _solve_piece(piece, a, piece.interval.hi, target)
-        return _solve_piece(piece, piece.interval.lo, piece.interval.hi, goal - self._below[k])
+        remaining = Fraction(gn * total - self._masses[k] * gd, gd * total)
+        return _solve_piece(piece, piece.interval.lo, piece.interval.hi, remaining)
 
 
-def _poly(piece, below):
-    # F on the piece is (slope/2) x^2 + intercept x + const; put the three
-    # coefficients over one denominator q.
-    half = piece.slope / 2
-    lo = piece.interval.lo
-    coefficients = (half, piece.intercept, below - (half * lo + piece.intercept) * lo)
-    q = math.lcm(*(c.denominator for c in coefficients))
-    return tuple(c.numerator * (q // c.denominator) for c in coefficients) + (q,)
-
-
-def _at(poly, x):
-    # F(p/r) = (alpha p^2 + beta p r + delta r^2) / (q r^2), unreduced.
-    alpha, beta, delta, q = poly
-    p, r = x.numerator, x.denominator
-    return (alpha * p + beta * r) * p + delta * r * r, q * r * r
+def _at(poly, p, r):
+    # F(p/r) = (alpha p^2 + beta p r + delta r^2) / (M r^2), unreduced; on a
+    # constant piece alpha is 0 and r cancels once.
+    alpha, beta, delta, total = poly
+    if alpha:
+        return (alpha * p + beta * r) * p + delta * r * r, total * r * r
+    return beta * p + delta * r, total * r
 
 
 def _mass_of(spans):
@@ -295,10 +367,9 @@ def _mass_of(spans):
 
 
 def _solve_piece(piece, lo, hi, remaining):
-    # Find the smallest b in [lo,hi] with integral lo..b of the density equal
-    # to remaining.  The integral is monotone here, so the root is unique.
-    if piece.slope == 0:
-        return CutResult(lo + remaining / piece.intercept, True)
+    # Find the smallest b in [lo,hi] with integral lo..b of the linear
+    # density equal to remaining.  The integral is monotone here, so the
+    # root is unique.
     # (slope/2) b^2 + intercept b - C = 0 with C fixed by the left endpoint.
     half = piece.slope / 2
     c = half * lo * lo + piece.intercept * lo + remaining

@@ -441,8 +441,10 @@ def reference_measure(valuation, region):
 def reference_cut(valuation, a, target):
     """Cut by walking the pieces left to right, subtracting each one's mass.
 
-    The library bisects the cumulative masses instead; both must hand the
-    same (lo, hi, remaining) to the piece solver.
+    The library bisects its integer cumulative masses instead and solves a
+    constant piece in integers.  Here a constant piece is solved in
+    Fractions as lo + remaining / intercept, and only a linear piece goes to
+    the library's piece solver, which must get the same (lo, hi, remaining).
     """
     if target == 0:
         return CutResult(a, True)
@@ -456,6 +458,8 @@ def reference_cut(valuation, a, target):
         if mass < remaining:
             remaining -= mass
             continue
+        if piece.slope == 0:
+            return CutResult(lo + remaining / piece.intercept, True)
         return _solve_piece(piece, lo, hi, remaining)
     raise TargetUnreachable(
         "requested mass %s exceeds mass %s right of %s"

@@ -259,6 +259,9 @@ def audited_allocations(draw):
 @given(audited_allocations())
 def test_equity_table_matches_cell_by_cell_reference(case):
     valuations, allocation = case
-    assert equity_table(valuations, allocation).entries == reference_equity_table(
-        valuations, allocation
-    )
+    table = equity_table(valuations, allocation)
+    assert table.entries == reference_equity_table(valuations, allocation)
+    # Entries over gaps and one-span portions take their own paths; each
+    # must be a Fraction, not merely a number that compares equal to one.
+    assert all(type(entry) is Fraction for row in table.entries for entry in row)
+

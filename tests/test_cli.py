@@ -291,6 +291,28 @@ def test_run_expectation_failure_exits_1(tmp_path, capsys):
     assert json.loads(out)["criteria"]["equitable"] is False
 
 
+def test_failed_expectation_after_bisected_cuts_says_so(tmp_path, capsys):
+    # The ramp's half-value cut has an irrational root, so it is bisected;
+    # the chooser then takes the slightly larger left slice and the ramp
+    # envies it.  The note goes to stderr only: stdout and the exit code
+    # are those of the same run without it.
+    path = write(tmp_path, RAMP)
+    argv = ("run", path, "--mechanism", "cut-and-choose")
+    code, out, err = run_cli(capsys, *argv, "--expect-envy-free")
+    assert code == 1
+    assert err.splitlines() == [
+        "note: 1 of 1 cuts were bisected to within 1/1000000000000, not solved exactly",
+        "expectation failed: envy-free",
+    ]
+    assert run_cli(capsys, *argv) == (0, out, "")
+    # Exact cuts leave no note.
+    code, _, err = run_cli(
+        capsys, "run", write(tmp_path, HALVES, "halves.json"), "--mechanism", "cut-and-choose",
+        "--expect-equitable",
+    )
+    assert code == 1 and err == "expectation failed: equitable\n"
+
+
 def test_run_expectations_pass_exit_0(tmp_path, capsys):
     path = write(tmp_path, HALVES)
     code, _, err = run_cli(

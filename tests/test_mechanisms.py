@@ -219,3 +219,20 @@ def test_sincere_cutter_never_envies(v1, v2):
     oracles = [AgentOracle(v1), _GreedyLiar(v2)]
     allocation = cut_and_choose(oracles).allocation
     assert v1.measure(allocation[0]) >= v1.measure(allocation[1])
+
+
+def test_transcript_counts_inexact_cuts():
+    # Halving a ramp density needs sqrt(1/2): the cut is bisected.  A
+    # stand-in oracle answering with a bare point is taken as exact.
+    ramp = Valuation.piecewise_linear([((0, 1), 2, 0)])
+    result = run(cut_and_choose, [ramp, Valuation.uniform()])
+    assert (result.transcript.cut_count, result.transcript.inexact_cuts) == (1, 1)
+    assert run(cut_and_choose, [Valuation.uniform()] * 2).transcript.inexact_cuts == 0
+
+    class _PointCutter(AgentOracle):
+        def cut(self, a, target):
+            return super().cut(a, target).point
+
+    result = cut_and_choose([_PointCutter(ramp), AgentOracle(Valuation.uniform())])
+    assert (result.transcript.cut_count, result.transcript.inexact_cuts) == (1, 0)
+    assert isinstance(result.transcript.records[0].response, Fraction)

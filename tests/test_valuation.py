@@ -6,7 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fairslice.intervals import IntervalSet
-from fairslice.valuation import TargetUnreachable, Valuation, ZeroMassError
+from fairslice.valuation import CutResult, TargetUnreachable, Valuation, ZeroMassError
 from helpers import (
     any_valuations,
     constant_valuations,
@@ -113,8 +113,15 @@ def test_one_pass_construction_matches_the_two_pass_reference(specs):
     v = Valuation(specs)
     kept = [k for k, p in enumerate(pieces) if p.interval.lo < p.interval.hi]
     assert v.pieces == tuple(pieces[k] for k in kept)
-    assert v._starts == tuple(pieces[k].interval.lo for k in kept)
-    assert v._below == (0,) + tuple(below[k + 1] for k in kept)
+    assert tuple(Fraction(lo, v._scale) for lo in v._los) == tuple(
+        pieces[k].interval.lo for k in kept
+    )
+    assert tuple(Fraction(hi, v._scale) for hi in v._his) == tuple(
+        pieces[k].interval.hi for k in kept
+    )
+    assert tuple(Fraction(m, v._masses[-1]) for m in v._masses) == (0,) + tuple(
+        below[k + 1] for k in kept
+    )
     for k, p in enumerate(pieces):
         assert v.eval(0, p.interval.lo) == below[k]
         assert v.eval(0, p.interval.hi) == below[k + 1]
@@ -206,10 +213,17 @@ def test_cut_eval_round_trip(v, a, share):
 OFF_CAKE = st.sampled_from([Fraction(-1, 3), Fraction(4, 3)])
 
 
+def piece_ends(v):
+    return sorted({x for piece in v.pieces for x in piece.interval})
+
+
 @settings(max_examples=300)
-@given(any_valuations(), st.one_of(query_points(), OFF_CAKE), st.one_of(query_points(), OFF_CAKE))
-def test_eval_matches_piecewise_reference(v, a, b):
-    a, b = min(a, b), max(a, b)
+@given(any_valuations(), st.data())
+def test_eval_matches_piecewise_reference(v, data):
+    # Query points (some over LARGE_PRIME), points off the cake, and the
+    # piece ends, where a point leaves one piece's integer key for the next.
+    point = st.one_of(query_points(), OFF_CAKE, st.sampled_from(piece_ends(v)))
+    a, b = sorted((data.draw(point), data.draw(point)))
     assert v.eval(a, b) == reference_eval(v, a, b)
     assert v.eval(a, a) == 0
 
@@ -233,3 +247,56 @@ def test_cut_matches_piecewise_reference(v, a, data):
             v.cut(a, target)
     else:
         assert v.cut(a, target) == expected
+
+
+# ----------------------------------------------------------------------
+# Edge cases of the integer keys: goals on cumulative masses, and spans that
+# start or stop exactly where a piece does.
+
+
+@st.composite
+def valuations_with_piece_end(draw):
+    v = draw(any_valuations())
+    return v, draw(st.sampled_from(piece_ends(v)))
+
+
+@settings(max_examples=300)
+@given(valuations_with_piece_end(), st.data())
+def test_cut_to_a_cumulative_mass_stops_at_the_piece_end(case, data):
+    # The goal F(a) + target is exactly the mass left of `end`.  No piece
+    # has `end` inside, so F is flat from the last piece end at or before
+    # `end` up to it: across a gap every b there reaches the goal, and the
+    # smallest is that piece end.
+    v, end = case
+    a = data.draw(
+        st.one_of(
+            st.sampled_from([x for x in piece_ends(v) if x <= end]),
+            query_points().map(lambda share: share * end),
+        )
+    )
+    target = reference_eval(v, a, end)
+    got = v.cut(a, target)
+    assert got == reference_cut(v, a, target)
+    if target:
+        last = max(piece.interval.hi for piece in v.pieces if piece.interval.hi <= end)
+        assert got == CutResult(last, True)
+
+
+@settings(max_examples=300)
+@given(any_valuations(), st.lists(query_points(), max_size=6), st.data())
+def test_portion_masses_match_reference_with_points_on_piece_ends(v, extra, data):
+    points = sorted(set(piece_ends(v)) | set(extra) | {Fraction(0), Fraction(1)})
+    portions = []
+    for _ in range(data.draw(st.integers(min_value=1, max_value=4))):
+        # Disjoint spans: consecutive pairs of distinct ascending indices,
+        # some of them one point wide.
+        ends = sorted(data.draw(st.sets(st.integers(0, len(points) - 1), max_size=6)))
+        spans = list(zip(ends[::2], ends[1::2]))
+        if data.draw(st.booleans()):
+            spans.append((ends[-1], ends[-1]) if ends else (0, 0))
+        portions.append(spans)
+    masses = v.portion_masses(points, portions)
+    for spans, mass in zip(portions, masses):
+        region = IntervalSet((points[i], points[j]) for i, j in spans)
+        assert type(mass) is Fraction
+        assert mass == reference_measure(v, region)
