@@ -16,8 +16,8 @@ even_paz         n agents; divide-and-conquer halving.  Proportional in
 Determinism pins every tie: the chooser in cut_and_choose takes the right
 slice when indifferent, preference ties resolve to the leftmost slice, and
 equal marks in even_paz order by agent index.  Oracles answering inexactly
-(a bisected cut through a linear density) are taken at their word; audits
-against the true valuations are the place where that shows up.
+(a bisected cut through a linear density) are taken at their word, held
+only to the slice being cut; audits against the true valuations show that.
 """
 
 from fractions import Fraction
@@ -120,7 +120,8 @@ def selfridge(oracles):
     y = thirds[y_index]
 
     # Trim X to tie with Y in agent 2's eyes; the trimming T may be empty.
-    c = frac(rec.cut(1, x1, worth[y_index]))
+    # A bisected cut may land past X, so the trim is held to the slice.
+    c = min(x2, max(x1, frac(rec.cut(1, x1, worth[y_index]))))
     x_prime = (x1, c)
     trim = (c, x2)
 
@@ -150,8 +151,8 @@ def _divide_trimming(rec, divider, trim, portions):
     c, x2 = trim
     first_picker = 2 if divider == 1 else 1
     u = rec.eval(divider, c, x2)
-    d = frac(rec.cut(divider, c, u / 3))
-    e = frac(rec.cut(divider, d, u / 3))
+    d = min(x2, frac(rec.cut(divider, c, u / 3)))
+    e = min(x2, frac(rec.cut(divider, d, u / 3)))
     slices = [(c, d), (d, e), (e, x2)]
     values = [rec.eval(first_picker, lo, hi) for lo, hi in slices]
     best = max(range(3), key=lambda k: (values[k], -k))

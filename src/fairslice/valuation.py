@@ -20,14 +20,14 @@ at or below floor(p*D/r), and F(p/r) comes out as an unreduced integer
 pair.  eval(a, b) is F(b) - F(a), reduced into one Fraction; measure and
 portion_masses sum such pairs the same way, and portion_masses reads F at
 many sorted points in one merge, which is how an equity table is built.
-cut adds its target to F(a), finds the piece where F reaches that goal by
-bisecting the integer masses for ceil(goal*M), and on a constant piece
-solves F(b) = goal for b in integers.
 
-Integration and cutting stay in exact rationals whenever the answer is
-rational; the only escape hatch is a cut through a linear piece whose
-quadratic has an irrational root, which is bisected to a tolerance and
-flagged as inexact.
+cut adds its target to F(a), finds the piece where F reaches that goal by
+bisecting the integer masses for ceil(goal*M), and solves F(x) = goal there
+as one integer equation A x^2 + B x + C = 0.  A constant piece (A = 0) and
+a linear piece whose discriminant is a square give the exact rational
+root; only an irrational root is bisected, in integers, to
+BISECT_TOLERANCE and flagged as inexact.  Every other answer is an exact
+Fraction.
 """
 
 import math
@@ -64,16 +64,6 @@ class Piece:
 
     def density_at(self, x):
         return self.slope * x + self.intercept
-
-    def mass(self, a, b):
-        """Exact integral of the density over [a,b], a part of the piece."""
-        mass = self.intercept * (b - a)
-        if self.slope:
-            mass += self.slope * (b * b - a * a) / 2
-        return mass
-
-    def is_zero(self):
-        return self.slope == 0 and self.intercept == 0
 
 
 @dataclass(frozen=True, slots=True)
@@ -307,13 +297,18 @@ class Valuation:
 
         The smallest-b rule pins the answer down when the density vanishes on
         part of the cake: a cut never stretches across a zero-density gap it
-        does not need.  Constant pieces cut exactly; a linear piece cuts
-        exactly when its quadratic root is rational and otherwise bisects to
-        BISECT_TOLERANCE with exact=False on the result.
+        does not need.  A constant piece, or a linear piece whose quadratic
+        has a rational root, cuts exactly.  An irrational root is bisected
+        to within BISECT_TOLERANCE above it, with exact=False on the result.
 
         >>> v = Valuation.uniform_on([(0, "0.1"), ("0.4", 1)])
         >>> v.cut(0, Fraction(1, 7)).point
         Fraction(1, 10)
+        >>> ramp = Valuation.piecewise_linear([((0, 1), 2, 0)])  # F(x) = x^2
+        >>> ramp.cut(0, Fraction(1, 4))
+        CutResult(point=Fraction(1, 2), exact=True)
+        >>> ramp.cut(0, Fraction(1, 2))
+        CutResult(point=Fraction(388736063997, 549755813888), exact=False)
         """
         a = frac(a)
         target = frac(target)
@@ -336,15 +331,33 @@ class Valuation:
             raise TargetUnreachable(
                 "requested mass %s exceeds mass %s right of %s" % (target, self.eval(a, 1), a)
             )
+        # On piece k, F(x) = goal is A x^2 + B x + C = 0 in integers.  F
+        # rises there, so its root in the piece is the one where the
+        # derivative 2 A x + B is non-negative.
         alpha, beta, delta, _ = self._poly[k]
-        if not alpha:
-            # F(b) = (beta b + delta) / M on a constant piece.
-            return CutResult(Fraction(gn * total - delta * gd, beta * gd), True)
-        piece = self.pieces[k]
+        A, B, C = alpha * gd, beta * gd, delta * gd - gn * total
+        if not A:
+            return CutResult(Fraction(-C, B), True)
+        disc = B * B - 4 * A * C
+        root = math.isqrt(disc)
+        if root * root == disc:
+            return CutResult(Fraction(root - B, 2 * A), True)
+        # Bisect [lo, hi] / d, from the later of a and the piece start to the
+        # piece end, with dyadic midpoints: keep the right half while F is
+        # below the goal at the midpoint.
         if p * self._scale >= self._los[k] * r:
-            return _solve_piece(piece, a, piece.interval.hi, target)
-        remaining = Fraction(gn * total - self._masses[k] * gd, gd * total)
-        return _solve_piece(piece, piece.interval.lo, piece.interval.hi, remaining)
+            lo, hi, d = p * self._scale, self._his[k] * r, r * self._scale
+        else:
+            lo, hi, d = self._los[k], self._his[k], self._scale
+        eps_n, eps_d = BISECT_TOLERANCE.numerator, BISECT_TOLERANCE.denominator
+        while (hi - lo) * eps_d > eps_n * d:
+            mid = lo + hi
+            lo, hi, d = 2 * lo, 2 * hi, 2 * d
+            if (A * mid + B * d) * mid + C * d * d < 0:
+                lo = mid
+            else:
+                hi = mid
+        return CutResult(Fraction(hi, d), False)
 
 
 def _at(poly, p, r):
@@ -364,43 +377,3 @@ def _mass_of(spans):
         d = dl * dh
         num, den = num * d + (nh * dl - nl * dh) * den, den * d
     return Fraction(num, den)
-
-
-def _solve_piece(piece, lo, hi, remaining):
-    # Find the smallest b in [lo,hi] with integral lo..b of the linear
-    # density equal to remaining.  The integral is monotone here, so the
-    # root is unique.
-    # (slope/2) b^2 + intercept b - C = 0 with C fixed by the left endpoint.
-    half = piece.slope / 2
-    c = half * lo * lo + piece.intercept * lo + remaining
-    disc = piece.intercept * piece.intercept + 4 * half * c
-    root = _rational_sqrt(disc)
-    if root is not None:
-        for candidate in ((-piece.intercept + root) / piece.slope, (-piece.intercept - root) / piece.slope):
-            if lo <= candidate <= hi and half * candidate * candidate + piece.intercept * candidate - c == 0:
-                return CutResult(candidate, True)
-    return _bisect_piece(piece, lo, hi, remaining)
-
-
-def _rational_sqrt(x):
-    """Exact square root of a non-negative Fraction, or None if irrational."""
-    if x < 0:
-        return None
-    num = math.isqrt(x.numerator)
-    den = math.isqrt(x.denominator)
-    if num * num == x.numerator and den * den == x.denominator:
-        return Fraction(num, den)
-    return None
-
-
-def _bisect_piece(piece, lo, hi, remaining):
-    # Exact-arithmetic bisection on the mass function; midpoints are dyadic
-    # so this is deterministic across platforms.
-    left, right = lo, hi
-    while right - left > BISECT_TOLERANCE:
-        mid = (left + right) / 2
-        if piece.mass(lo, mid) < remaining:
-            left = mid
-        else:
-            right = mid
-    return CutResult(right, False)

@@ -5,6 +5,7 @@ enumeration, midpoint sums.  They exist so the fast implementations have
 something independent to disagree with.
 """
 
+import math
 from fractions import Fraction
 from itertools import combinations
 
@@ -33,12 +34,12 @@ from fairslice.uniform import (
     length_game,
 )
 from fairslice.valuation import (
+    BISECT_TOLERANCE,
     CutResult,
     Piece,
     TargetUnreachable,
     Valuation,
     ZeroMassError,
-    _solve_piece,
 )
 
 
@@ -183,18 +184,18 @@ def reference_valuation(raw_pieces):
         if piece.density_at(interval.lo) < 0 or piece.density_at(interval.hi) < 0:
             raise ValueError("density negative on %r" % (interval,))
         pieces.append(piece)
-    total = sum((p.mass(*p.interval) for p in pieces), Fraction(0))
+    total = sum((reference_mass(p, *p.interval) for p in pieces), Fraction(0))
     if total == 0:
         raise ZeroMassError("density has zero total mass")
     scaled = [Piece(p.interval, p.slope / total, p.intercept / total) for p in pieces]
     ordered = sorted(scaled, key=lambda p: (p.interval.lo, p.interval.hi))
-    cleaned = tuple(p for p in ordered if not p.is_zero())
+    cleaned = tuple(p for p in ordered if p.slope or p.intercept)
     for prev, nxt in zip(cleaned, cleaned[1:]):
         if nxt.interval.lo < prev.interval.hi:
             raise ValueError("pieces overlap: %r and %r" % (prev.interval, nxt.interval))
     below = [Fraction(0)]
     for p in cleaned:
-        below.append(below[-1] + p.mass(*p.interval))
+        below.append(below[-1] + reference_mass(p, *p.interval))
     if below[-1] != 1:
         raise ValueError("total mass is %s, not 1" % below[-1])
     return cleaned, tuple(below)
@@ -441,10 +442,10 @@ def reference_measure(valuation, region):
 def reference_cut(valuation, a, target):
     """Cut by walking the pieces left to right, subtracting each one's mass.
 
-    The library bisects its integer cumulative masses instead and solves a
-    constant piece in integers.  Here a constant piece is solved in
-    Fractions as lo + remaining / intercept, and only a linear piece goes to
-    the library's piece solver, which must get the same (lo, hi, remaining).
+    The library bisects its integer cumulative masses instead and solves
+    every piece as one integer quadratic.  Here a constant piece is solved
+    in Fractions as lo + remaining / intercept, and a linear piece goes to
+    reference_solve_piece.
     """
     if target == 0:
         return CutResult(a, True)
@@ -460,11 +461,51 @@ def reference_cut(valuation, a, target):
             continue
         if piece.slope == 0:
             return CutResult(lo + remaining / piece.intercept, True)
-        return _solve_piece(piece, lo, hi, remaining)
+        return reference_solve_piece(piece, lo, hi, remaining)
     raise TargetUnreachable(
         "requested mass %s exceeds mass %s right of %s"
         % (target, reference_eval(valuation, a, 1), a)
     )
+
+
+def reference_solve_piece(piece, lo, hi, remaining):
+    # Find the smallest b in [lo,hi] with integral lo..b of the linear
+    # density equal to remaining.  The integral is monotone here, so the
+    # root is unique.
+    # (slope/2) b^2 + intercept b - C = 0 with C fixed by the left endpoint.
+    half = piece.slope / 2
+    c = half * lo * lo + piece.intercept * lo + remaining
+    disc = piece.intercept * piece.intercept + 4 * half * c
+    root = reference_rational_sqrt(disc)
+    if root is not None:
+        for candidate in ((-piece.intercept + root) / piece.slope, (-piece.intercept - root) / piece.slope):
+            if lo <= candidate <= hi and half * candidate * candidate + piece.intercept * candidate - c == 0:
+                return CutResult(candidate, True)
+    return reference_bisect_piece(piece, lo, hi, remaining)
+
+
+def reference_rational_sqrt(x):
+    """Exact square root of a non-negative Fraction, or None if irrational."""
+    if x < 0:
+        return None
+    num = math.isqrt(x.numerator)
+    den = math.isqrt(x.denominator)
+    if num * num == x.numerator and den * den == x.denominator:
+        return Fraction(num, den)
+    return None
+
+
+def reference_bisect_piece(piece, lo, hi, remaining):
+    # Exact-arithmetic bisection on the mass function; midpoints are dyadic
+    # so this is deterministic across platforms.
+    left, right = lo, hi
+    while right - left > BISECT_TOLERANCE:
+        mid = (left + right) / 2
+        if reference_mass(piece, lo, mid) < remaining:
+            left = mid
+        else:
+            right = mid
+    return CutResult(right, False)
 
 
 def reference_equity_table(valuations, allocation):

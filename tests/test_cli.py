@@ -313,6 +313,41 @@ def test_failed_expectation_after_bisected_cuts_says_so(tmp_path, capsys):
     assert code == 1 and err == "expectation failed: equitable\n"
 
 
+def ramp_then_flat(agent_id, flat):
+    pieces = [
+        {"lo": 0, "hi": "1/2", "slope": 1, "intercept": 1},
+        {"lo": "1/2", "hi": 1, "slope": 0, "intercept": flat},
+    ]
+    return {"id": agent_id, "valuation": {"type": "linear", "pieces": pieces}}
+
+
+@pytest.mark.parametrize(
+    "flats, bisected, cuts",
+    [
+        ((None, "1374999999999991/1500000000000000", None), 1, 3),
+        ((None, "1374999999991/1500000000000", "1374999999991/1500000000000"), 3, 5),
+    ],
+)
+def test_selfridge_with_bisected_cuts_reports_instead_of_crashing(tmp_path, capsys, flats, bisected, cuts):
+    # Bisected cuts used to land past the slice they trim, and the run
+    # ended in a traceback on overlapping or reversed portions.
+    agents = [
+        agent(name, (0, 1)) if flat is None else ramp_then_flat(name, flat)
+        for name, flat in zip("abc", flats)
+    ]
+    argv = ("run", write(tmp_path, text_of(agents)), "--mechanism", "selfridge")
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 0 and err == ""
+    assert json.loads(out)["queries"]["cut"] == cuts
+    code, again, err = run_cli(capsys, *argv, "--expect-envy-free")
+    assert code == 1 and again == out
+    assert err.splitlines() == [
+        "note: %d of %d cuts were bisected to within 1/1000000000000, not solved exactly"
+        % (bisected, cuts),
+        "expectation failed: envy-free",
+    ]
+
+
 def test_run_expectations_pass_exit_0(tmp_path, capsys):
     path = write(tmp_path, HALVES)
     code, _, err = run_cli(

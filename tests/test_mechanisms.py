@@ -124,6 +124,29 @@ def test_selfridge_arity():
         run(selfridge, [Valuation.uniform()] * 2)
 
 
+def ramp_then_flat(flat):
+    # Density x + 1 on [0,1/2], then the constant `flat`: cuts on the ramp
+    # are bisected and may land up to 10^-12 past the true point.
+    return Valuation.piecewise_linear([((0, "1/2"), 1, 1), (("1/2", 1), 0, flat)])
+
+
+@pytest.mark.parametrize(
+    "agents",
+    [
+        # Agent 2's trim lands past X, in the next third.
+        ["uniform", "1374999999999991/1500000000000000", "uniform"],
+        # The trimming is so thin that its bisected thirds overshoot it.
+        ["uniform", "1374999999991/1500000000000", "1374999999991/1500000000000"],
+    ],
+)
+def test_selfridge_holds_bisected_cuts_to_the_slice(agents):
+    vals = [Valuation.uniform() if a == "uniform" else ramp_then_flat(a) for a in agents]
+    result = run(selfridge, vals)
+    assert result.transcript.inexact_cuts > 0
+    # The portions are disjoint (Allocation checks that) and cover the cake.
+    assert sum(Valuation.uniform().measure(portion) for portion in result.allocation) == 1
+
+
 def test_even_paz_single_agent():
     result = run(even_paz, [uniform(("1/4", "3/4"))])
     assert portions_pairs(result) == [[(Fraction(0), Fraction(1))]]

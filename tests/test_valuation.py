@@ -12,6 +12,7 @@ from helpers import (
     constant_valuations,
     grid_fractions,
     interval_sets,
+    linear_valuations,
     midpoint_mass,
     query_points,
     query_regions,
@@ -234,19 +235,48 @@ def test_measure_matches_piecewise_reference(v, region):
     assert v.measure(region) == reference_measure(v, region)
 
 
-@settings(max_examples=300)
-@given(any_valuations(), query_points(), st.data())
-def test_cut_matches_piecewise_reference(v, a, data):
+@st.composite
+def cut_queries(draw):
     # Targets up to and beyond the mass right of a, and arbitrary ones.
-    share = data.draw(st.one_of(query_points(), st.just(Fraction(1)), st.fractions(1, 2)))
-    target = data.draw(st.sampled_from([share * reference_eval(v, a, 1), share]))
+    # Linear valuations, whose cuts solve a quadratic, come up more often.
+    v = draw(st.one_of(any_valuations(), linear_valuations()))
+    a = draw(query_points())
+    share = draw(st.one_of(query_points(), st.just(Fraction(1)), st.fractions(1, 2)))
+    target = draw(st.sampled_from([share * reference_eval(v, a, 1), share]))
+    return v, a, target
+
+
+def linear_cut(specs, a, target):
+    return Valuation.piecewise_linear(specs), Fraction(a), Fraction(target)
+
+
+RAMP_DOWN = [((0, 1), -2, 2)]  # density 2 - 2x, F(x) = 2x - x^2
+RAMP_THEN_FLAT = [((0, "1/2"), 1, 1), (("1/2", 1), 0, 1)]  # F(1/2) = 5/9
+
+
+@settings(max_examples=300)
+@given(cut_queries())
+# A negative slope with an irrational root, 1 - 1/sqrt(2).
+@example(linear_cut(RAMP_DOWN, 0, "1/2"))
+# The density vanishes at the piece end, where the discriminant is 0.
+@example(linear_cut(RAMP_DOWN, 0, 1))
+# Bisected from a start inside a linear piece (b^2 = 1/9 + 1/4) and from
+# a start in the gap before one (b^2 = 5/8).
+@example(linear_cut([((0, 1), 2, 0)], "1/3", "1/4"))
+@example(linear_cut([(("1/2", 1), 2, 0)], "1/4", "1/2"))
+# Goals exactly at a linear piece's end, from 0 and from F(1/4) = 1/4.
+@example(linear_cut(RAMP_THEN_FLAT, 0, "5/9"))
+@example(linear_cut(RAMP_THEN_FLAT, "1/4", "11/36"))
+def test_cut_matches_piecewise_reference(query):
+    v, a, target = query
     try:
         expected = reference_cut(v, a, target)
     except TargetUnreachable as unreachable:
         with pytest.raises(TargetUnreachable, match=re.escape(str(unreachable))):
             v.cut(a, target)
     else:
-        assert v.cut(a, target) == expected
+        got = v.cut(a, target)
+        assert got == expected and type(got.point) is Fraction
 
 
 # ----------------------------------------------------------------------
