@@ -17,7 +17,7 @@ from fractions import Fraction
 from math import lcm
 
 from fairslice.audit import Allocation
-from fairslice.intervals import IntervalSet, union_all
+from fairslice.intervals import IntervalSet
 from fairslice.valuation import Valuation
 
 
@@ -125,35 +125,47 @@ def length_game(profile):
 def min_average_subset(preferences, agents, cake):
     """The group minimising the average share; smallest then earliest group on ties.
 
-    A Dinkelbach loop over the fill of `exact_allocation`, on atoms cut once
-    per call.  Every agent asks for a candidate average λ of wanted cake,
-    first the least of the singletons' and the whole group's.  When the fill
-    cannot serve an agent, the agents its transfer search reaches want less
-    than λ per head, and their average is the next λ.  Once everyone is
-    served, no group averages less (Hall), and the groups averaging λ are
-    those whose wanted cake is all held by their own members (Fujishige,
-    1980).  They are closed under union and intersection, so the smallest
-    one containing an agent is the agent's closure along wanted atoms and
-    their holders, and the minimal ones are disjoint: the smallest closure
-    wins, and on equal sizes the one with the lowest member.
+    `agents` is read as a set: a repeated index counts once.  A Dinkelbach
+    loop over the fill of `exact_allocation`, on one atom table over the
+    cake and the agents' supports.  Every agent asks for a candidate
+    average λ of wanted cake, first the least of the singletons' and the
+    whole group's.  When the fill cannot serve an agent, the agents its
+    transfer search reaches want less than λ per head, and their average is
+    the next λ.  Once everyone is served, no group averages less (Hall), and
+    the groups averaging λ are those whose wanted cake is all held by their
+    own members (Fujishige, 1980).  They are closed under union and
+    intersection, so the smallest one containing an agent is the agent's
+    closure along wanted atoms and their holders, and the minimal ones are
+    disjoint: the smallest closure wins, and on equal sizes the one with
+    the lowest member.
     """
-    agents = tuple(sorted(agents))
+    wanted, _, weights, _ = _wanted_atoms(preferences, agents, cake)
+    return _min_average_group(wanted, weights)
+
+
+def _wanted_atoms(preferences, agents, cake):
+    # One atom table over the cake and the agents' supports, the agents read
+    # as a set: each agent's wanted cake as a bitmask, in order, then the table.
+    agents = sorted(set(agents))
     if not agents:
         raise EmptySubset("need at least one agent")
-    _, weights, bits, _ = _atom_table([cake, *(preferences[i].support() for i in agents)])
-    wanted = {i: mask & bits[0] for i, mask in zip(agents, bits[1:])}
-    owned = {i: [k for k in range(len(weights)) if mask >> k & 1] for i, mask in wanted.items()}
+    atoms, weights, bits, scale = _atom_table([cake, *(preferences[i].support() for i in agents)])
+    return {i: mask & bits[0] for i, mask in zip(agents, bits[1:])}, atoms, weights, scale
+
+
+def _min_average_group(wanted, weights):
+    # The search of `min_average_subset` over the agents of `wanted`.
+    agents = tuple(wanted)
+    _, sizes, owned = _runs(wanted, weights)
 
     def average(group):
-        cover = 0
-        for i in group:
-            cover |= wanted[i]
-        return Fraction(_weight(cover, weights), len(group))
+        cover = set().union(*(owned[i] for i in group))
+        return Fraction(sum(sizes[k] for k in cover), len(group))
 
-    # Atom weights are scaled by λ's denominator, so λ is its numerator.
+    # Run weights are scaled by λ's denominator, so λ is its numerator.
     lam = min(average(group) for group in (agents, *((i,) for i in agents)))
     while True:
-        lengths = [w * lam.denominator for w in weights]
+        lengths = [w * lam.denominator for w in sizes]
         held, spare, short = _fill(owned, lengths, dict.fromkeys(agents, lam.numerator))
         if short is None:
             break
@@ -191,54 +203,80 @@ def _atom_table(regions):
     return spans, weights, bits, scale
 
 
+def _runs(wanted, weights):
+    # Merge adjacent atoms that the same agents want into runs, leaving out
+    # atoms nobody wants: the atoms of a table cut at the wanted endpoints
+    # alone, as each endpoint of a canonical region changes its owner's
+    # membership.  Returns each run's first atom and weight, and each agent's runs.
+    firsts, sizes, owned = [], [], {i: [] for i in wanted}
+    last = ()
+    for k, weight in enumerate(weights):
+        owners = tuple(i for i, mask in wanted.items() if mask >> k & 1)
+        if owners and owners == last:
+            sizes[-1] += weight
+        elif owners:
+            for i in owners:
+                owned[i].append(len(firsts))
+            firsts.append(k)
+            sizes.append(weight)
+        last = owners
+    return firsts, sizes, owned
+
+
 def exact_allocation(preferences, agents, cake):
     """Disjoint portions of equal length for a group, each within its owner's wanted cake.
 
-    Every agent in the group receives exactly the group's average share,
-    made up only of cake they want.  Portions are filled greedily left to
-    right, preferring the agent with the least wanted cake still open; a
-    transfer pass repairs the rare greedy dead end.  The fill runs on the
-    atoms between the members' wanted endpoints; gap atoms have no owner.
-    Amounts are integers in units of one over the table's denominator times
-    the group size, so each atom's length and the average share are whole
-    numbers, and portions become exact endpoints once, at the end.  Raises
-    Infeasible when no such portions exist, meaning the group did not
-    minimise the average.
+    `agents` is read as a set: a repeated index counts once.  Every agent in
+    the group receives exactly the group's average share, made up only of
+    cake they want.  Portions are filled greedily left to right, preferring
+    the agent with the least wanted cake still open; a transfer pass repairs
+    the rare greedy dead end.  The fill runs on one atom table over the cake
+    and the members' supports, on runs of adjacent atoms that the same
+    members want.  Amounts are integers in units of one over the table's
+    denominator times the group size, so each run's length and the average
+    share are whole numbers, and portions become exact endpoints once, at
+    the end.  Raises Infeasible when no such portions exist, meaning the
+    group did not minimise the average.
     """
-    agents = tuple(sorted(agents))
-    if not agents:
-        raise EmptySubset("need at least one agent")
-    wanted = {i: preferences[i].support().intersect(cake) for i in agents}
-    region = union_all(wanted.values())
-    quota = Fraction(region.length, len(agents))
+    return _equal_shares(*_wanted_atoms(preferences, agents, cake))
 
-    # Amounts are integers over `unit`: atom k is weights[k] times the group
-    # size long, and the average share is the weight of the owned atoms.
-    atoms, weights, bits, scale = _atom_table(list(wanted.values()))
-    unit = scale * len(agents)
-    owned = {i: [k for k in range(len(atoms)) if mask >> k & 1] for i, mask in zip(agents, bits)}
-    share = sum(weights[k] for k in set().union(*owned.values()))
-    held, _, short = _fill(owned, [w * len(agents) for w in weights], dict.fromkeys(agents, share))
+
+def _equal_shares(wanted, atoms, weights, scale):
+    # The fill of `exact_allocation` for the group of `wanted`.  Amounts are
+    # integers over `unit`: a run is its weight times the group size long,
+    # and the average share is the weight of all the runs.
+    unit = scale * len(wanted)
+    firsts, sizes, owned = _runs(wanted, weights)
+    share = sum(sizes)
+    lengths = [w * len(wanted) for w in sizes]
+    held, spare, short = _fill(owned, lengths, dict.fromkeys(wanted, share))
     if short is not None:
+        quota = Fraction(share, unit)
         raise Infeasible("cannot give agent %d a portion of length %s" % (short, quota))
+    _check_fill(held, spare, owned, share)
 
-    portions = {i: [] for i in agents}
-    for k, (pos, _) in enumerate(atoms):
-        for i in sorted(held[k]):
-            amount = held[k][i]
+    portions = {i: [] for i in wanted}
+    for k, amounts in zip(firsts, held):
+        pos = atoms[k][0]
+        for i in sorted(amounts):
+            amount = amounts[i]
             if amount > 0:
                 end = pos + Fraction(amount, unit)
                 portions[i].append((pos, end))
                 pos = end
-    result = {i: IntervalSet(spans) for i, spans in portions.items()}
+    return {i: IntervalSet(spans) for i, spans in portions.items()}
 
-    if any(result[i].length != quota for i in agents):
+
+def _check_fill(held, spare, owned, share):
+    # The closing checks of `exact_allocation` on a fill of runs that members
+    # want: each member holds the share, only on runs it wants, and no run has room.
+    if any(sum(amounts.get(i, 0) for amounts in held) != share for i in owned):
         raise Infeasible("portions do not meet the average share")
-    if any(not result[i].difference(wanted[i]).is_empty() for i in agents):
-        raise Infeasible("a portion strays outside its owner's wanted cake")
-    if union_all(result.values()) != region:
+    for k, amounts in enumerate(held):
+        if any(x > 0 and k not in owned[i] for i, x in amounts.items()):
+            raise Infeasible("a portion strays outside its owner's wanted cake")
+    if any(spare):
         raise Infeasible("portions do not cover the jointly wanted cake")
-    return result
 
 
 def _fill(owned, lengths, need):
@@ -333,20 +371,28 @@ class ServiceRound:
 
 
 def min_average_rounds(preferences):
-    """Trace of the smallest-average-group rule, one record per round."""
+    """Trace of the smallest-average-group rule, one record per round.
+
+    A round serves exactly its group's wanted cake, so the cake left is
+    always a union of atoms cut at the supports' endpoints: the supports
+    are cut once per run, and the cake is a bitmask of their atoms.
+    """
+    atoms, weights, bits, scale = _atom_table([p.support() for p in preferences])
     remaining = tuple(range(len(preferences)))
-    cake = IntervalSet.unit()
+    cake = (1 << len(atoms)) - 1
     rounds = []
     while remaining:
-        group = min_average_subset(preferences, remaining, cake)
-        shares = exact_allocation(preferences, group, cake)
-        # exact_allocation checks that the shares cover the group's wanted cake.
-        region = union_all(shares.values())
+        wanted = {i: bits[i] & cake for i in remaining}
+        group = _min_average_group(wanted, weights)
+        shares = _equal_shares({i: wanted[i] for i in group}, atoms, weights, scale)
+        # _equal_shares checks that the shares cover the group's wanted cake.
+        region = IntervalSet(iv for share in shares.values() for iv in share)
         avg = Fraction(region.length, len(group))
         rounds.append(
             ServiceRound(group, avg, region, tuple(sorted(shares.items())))
         )
-        cake = cake.difference(region)
+        for i in group:
+            cake &= ~wanted[i]
         remaining = tuple(sorted(set(remaining).difference(group)))
     return rounds
 

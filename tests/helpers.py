@@ -27,11 +27,13 @@ from fairslice.uniform import (
     EmptySubset,
     Infeasible,
     Profile,
+    ServiceRound,
     UniformPreference,
     _atom_table,
     _augment,
     _weight,
     length_game,
+    min_average_subset,
 )
 from fairslice.valuation import (
     BISECT_TOLERANCE,
@@ -764,6 +766,31 @@ def reference_min_average_subset(preferences, agents, cake):
             if best is None or length[mask] * best_size < best_length * size:
                 best, best_length, best_size = mask, length[mask], size
     return tuple(a for j, a in enumerate(agents) if best >> j & 1)
+
+
+def reference_min_average_rounds(preferences):
+    """The min-average rounds of `uniform.min_average_rounds`, one cake region per round.
+
+    Each round searches the cake the earlier rounds left, fills the group's
+    shares in `Fraction` amounts on a table of the group's wanted cake, and
+    takes their union off the cake; the library cuts the supports once per
+    run and keeps the cake as a bitmask.  A round with more than 16 agents
+    left, beyond the exhaustive search, takes its group from
+    `uniform.min_average_subset` on that round's cake.
+    """
+    remaining = tuple(range(len(preferences)))
+    cake = IntervalSet.unit()
+    rounds = []
+    while remaining:
+        search = reference_min_average_subset if len(remaining) <= 16 else min_average_subset
+        group = search(preferences, remaining, cake)
+        shares = reference_exact_allocation(preferences, group, cake)
+        region = union_all(shares.values())
+        avg = Fraction(region.length, len(group))
+        rounds.append(ServiceRound(group, avg, region, tuple(sorted(shares.items()))))
+        cake = cake.difference(region)
+        remaining = tuple(sorted(set(remaining).difference(group)))
+    return rounds
 
 
 def reference_valued_region(preferences, agents, cake):

@@ -16,9 +16,11 @@ from fairslice.intervals import IntervalSet, union_all
 from fairslice.uniform import (
     AgentOrder,
     EmptySubset,
+    Infeasible,
     Profile,
     UniformPreference,
     _atom_table,
+    _check_fill,
     _weight,
     exact_allocation,
     length_game,
@@ -36,6 +38,7 @@ from helpers import (
     reference_average_share,
     reference_exact_allocation,
     reference_leximin_lengths,
+    reference_min_average_rounds,
     reference_min_average_subset,
     reference_valued_region,
     uniform_preferences,
@@ -247,6 +250,15 @@ class TestMinAverageSubset:
         assert oracle_min_average(prefs, agents, cake) == expected
         assert reference_min_average_subset(prefs, agents, cake) == expected
 
+    def test_repeated_agents_count_once(self):
+        cake = IntervalSet.unit()
+        assert min_average_subset(OVERLAP3, (0, 0), cake) == (0,)
+        assert min_average_subset(OVERLAP3, (1, 1, 1, 1, 0), cake) == (
+            min_average_subset(OVERLAP3, (0, 1), cake)
+        )
+        with pytest.raises(EmptySubset):
+            min_average_subset(OVERLAP3, (), cake)
+
     @given(uniform_preferences(4, max_denominator=8))
     def test_chosen_average_is_minimal(self, prefs):
         cake = IntervalSet.unit()
@@ -353,6 +365,42 @@ class TestExactAllocation:
         assert held[1] == {0: F(1, 4)}
         assert spare == [F(0), F(0)]
 
+    def test_repeated_agents_count_once(self):
+        cake = IntervalSet.unit()
+        assert exact_allocation(OVERLAP3, (0, 0), cake) == exact_allocation(OVERLAP3, (0,), cake)
+        assert exact_allocation(OVERLAP3, (1, 0, 1), cake) == (
+            exact_allocation(OVERLAP3, (0, 1), cake)
+        )
+        with pytest.raises(EmptySubset):
+            exact_allocation(OVERLAP3, (), cake)
+
+    def test_group_that_does_not_minimise_the_average_is_infeasible(self):
+        # Together the two average 1/2, but agent 0 wants only 1/10.
+        prefs = [
+            UniformPreference(region((0, "1/10"))),
+            UniformPreference(IntervalSet.unit()),
+        ]
+        with pytest.raises(Infeasible, match="cannot give agent 0 a portion of length 1/2"):
+            exact_allocation(prefs, (0, 1), IntervalSet.unit())
+
+    @pytest.mark.parametrize(
+        "held,spare,message",
+        [
+            # Agent 1 holds one unit short of the share.
+            ([{0: 2}, {1: 1}], [0, 1], "portions do not meet the average share"),
+            # Agent 0 holds part of run 1, which only agent 1 wants.
+            ([{0: 1, 1: 1}, {0: 1, 1: 1}], [0, 0], "a portion strays outside"),
+            # Both hold the share on their own runs, but run 1 has room left.
+            ([{0: 2}, {1: 2}], [0, 1], "portions do not cover the jointly wanted cake"),
+        ],
+    )
+    def test_closing_checks_refuse_a_bad_fill(self, held, spare, message):
+        # Agent 0 wants run 0 and agent 1 both runs; the share is 2.
+        owned = {0: [0], 1: [0, 1]}
+        _check_fill([{0: 2}, {1: 2}], [0, 0], owned, 2)
+        with pytest.raises(Infeasible, match=message):
+            _check_fill(held, spare, owned, 2)
+
     @given(uniform_preferences(4, max_denominator=10))
     @settings(deadline=None)
     def test_feasible_for_minimising_groups(self, prefs):
@@ -414,12 +462,15 @@ class TestExactAllocation:
 
 def check_round_trace(prefs):
     # Each round's region and average are the group's wanted cake within
-    # what the earlier rounds left, and its share per member.
+    # what the earlier rounds left, and its share per member; every round
+    # equals the one the per-round loop records.
     cake = IntervalSet.unit()
-    for rnd in min_average_rounds(prefs):
+    rounds = min_average_rounds(prefs)
+    for rnd in rounds:
         assert rnd.region == reference_valued_region(prefs, rnd.agents, cake)
         assert rnd.average == reference_average_share(prefs, rnd.agents, cake)
         cake = cake.difference(rnd.region)
+    assert rounds == reference_min_average_rounds(prefs)
 
 
 class TestMinAverageMechanism:
@@ -460,6 +511,25 @@ class TestMinAverageMechanism:
         rng = random.Random(20260813)
         for _ in range(60):
             check_round_trace(random_uniform_agents(rng.randrange(2**32), rng.randint(2, 8)))
+
+    @pytest.mark.parametrize("n", [16, 22, 32])
+    def test_round_trace_matches_the_oracles_on_large_generator_instances(self, n):
+        rng = random.Random(20261019 + n)
+        for _ in range(4):
+            check_round_trace(random_uniform_agents(rng.randrange(2**32), n))
+
+    def test_cuts_the_cake_into_atoms_once_per_run(self, monkeypatch):
+        tables = []
+        atom_table = fairslice.uniform._atom_table
+
+        def counted(regions):
+            tables.append(regions)
+            return atom_table(regions)
+
+        monkeypatch.setattr(fairslice.uniform, "_atom_table", counted)
+        # Seed 2 serves three singletons before the other 21 agents.
+        assert len(min_average_rounds(random_uniform_agents(2, 24))) == 4
+        assert len(tables) == 1
 
     @given(uniform_preferences(4))
     @settings(deadline=None)
