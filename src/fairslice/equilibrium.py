@@ -105,15 +105,6 @@ def is_equilibrium(preferences, reduced):
     return EquilibriumReport(True)
 
 
-def _ahead(profile, i, length):
-    # The rival claims the length game serves before agent i when i claims
-    # this length: ranked by (length, index).  Agent i wins its claim minus
-    # their union.
-    return union_all(
-        s for j, s in enumerate(profile) if j != i and (s.length, j) < (length, i)
-    )
-
-
 def _prefix(mask, length, weights):
     # The leftmost part of the atoms in mask of the given integer length, as
     # (whole atoms, partial atom, amount of it): a walk over the atoms'
@@ -133,14 +124,15 @@ def _prefix(mask, length, weights):
 
 @dataclass(frozen=True, slots=True)
 class _Board:
-    """Atoms cut at every endpoint of agent i's wanted region and of every claim.
+    """Atoms cut at every endpoint of agent i's wanted region, of every claim
+    and of one more claim `first`.
 
     Lengths are integers over one unit, doubled so that every midpoint the
     candidate family takes is an integer too.  `wanted` is the bitmask of
-    agent i's wanted atoms; each claim is the bitmask of the wanted atoms it
-    covers, with the integer length of the whole claim.  Rivals are ranked
-    once by (length, index); ahead[p] is the union of the first p of them,
-    so the rivals served before a claim are one bisect.
+    agent i's wanted atoms; each claim, and `first`, is the bitmask of the
+    wanted atoms it covers, with the integer length of the whole claim.
+    Rivals are ranked once by (length, index); ahead[p] is the union of the
+    first p of them, so the rivals served before a claim are one bisect.
     """
 
     i: int
@@ -150,12 +142,20 @@ class _Board:
     wanted: int
     claims: tuple
     lengths: tuple
+    first: int
+    first_length: int
     ranks: tuple
     ahead: tuple
 
     def blocking(self, length):
         """Atoms taken by the rivals served before agent i's claim of this length."""
         return self.ahead[bisect_left(self.ranks, (length, self.i))]
+
+    def won(self, length, mask, k=0, amount=0):
+        """What agent i's claim of this length wins: its wanted atoms (and
+        `amount` of the left part of atom k) minus the rivals served before it."""
+        blocked = self.blocking(length)
+        return _weight(mask & ~blocked, self.weights) + (0 if blocked >> k & 1 else amount)
 
     def region(self, key):
         """The candidate (whole atoms, partial atom, amount) as a region."""
@@ -167,46 +167,39 @@ class _Board:
         return IntervalSet(spans)
 
 
-def _board(preferences, profile, i):
-    atoms, weights, bits, scale = _atom_table([preferences[i].support(), *profile.strategies])
+def _board(preferences, profile, i, first):
+    atoms, weights, bits, scale = _atom_table(
+        [preferences[i].support(), first, *profile.strategies]
+    )
     weights = tuple(2 * w for w in weights)
     wanted = bits[0]
-    claims = tuple(mask & wanted for mask in bits[1:])
-    lengths = tuple(_weight(mask, weights) for mask in bits[1:])
+    claims = tuple(mask & wanted for mask in bits[2:])
+    lengths = tuple(_weight(mask, weights) for mask in bits[2:])
     rivals = sorted((j for j in range(len(claims)) if j != i), key=lambda j: (lengths[j], j))
     ahead = [0]
     for j in rivals:
         ahead.append(ahead[-1] | claims[j])
     return _Board(
         i, tuple(atoms), weights, 2 * scale, wanted, claims, lengths,
+        bits[1] & wanted, _weight(bits[1], weights),
         tuple((lengths[j], j) for j in rivals), tuple(ahead),
     )
 
 
-@dataclass(frozen=True, slots=True)
-class _Family:
-    """Distinct candidates, each a key (whole atoms, partial atom, amount) on one board."""
-
-    board: _Board
-    keys: frozenset
-
-    def __len__(self):
-        return len(self.keys)
-
-
-def _candidates(preferences, profile, i):
-    # Finite family of counter-claims for agent i.  Built from two sources:
+def _candidates(board):
+    # Finite family of counter-claims for agent i, as distinct keys (whole
+    # atoms, partial atom, amount) on the board.  Built from two sources:
     # length targets (each opponent length, each free-region length, and
     # midpoints between consecutive targets, claimed greedily from the cake
     # not blocked at that length), and direct repairs (claim wanted cake
     # nobody claims; slip under a longer rival's claim).
-    board = _board(preferences, profile, i)
+    i = board.i
     weights = board.weights
     wanted = board.wanted
     whole = _weight(wanted, weights)
     own = board.claims[i]
     own_length = _weight(own, weights)
-    others = [j for j in range(len(profile)) if j != i]
+    others = [j for j in range(len(board.claims)) if j != i]
 
     lengths = {0, whole, own_length}
     lengths.update(min(board.lengths[j], whole) for j in others)
@@ -233,7 +226,30 @@ def _candidates(preferences, profile, i):
         mask, k, amount = _prefix(overlap, take, weights)
         keys.add((own | mask, k, amount))
 
-    return _Family(board, frozenset(keys))
+    return frozenset(keys)
+
+
+def _respond(preferences, profile, i, first):
+    # Agent i's move on one board: `first` whenever it strictly gains,
+    # otherwise the best candidate, otherwise the current claim with gain 0.
+    # The current claim keeps its whole length, wanted or not.
+    board = _board(preferences, profile, i, first)
+    whole = _weight(board.wanted, board.weights)
+    current = board.won(board.lengths[i], board.claims[i])
+    claimed = board.won(board.first_length, board.first)
+    if claimed > current:
+        return first, Fraction(claimed - current, whole)
+    won = {
+        key: board.won(_weight(key[0], board.weights) + key[2], *key)
+        for key in _candidates(board)
+    }
+    best = max(won.values())
+    if best <= current:
+        return profile[i], Fraction(0)
+    strategy = min(
+        (board.region(key) for key, x in won.items() if x == best), key=IntervalSet.pairs
+    )
+    return strategy, Fraction(best - current, whole)
 
 
 def best_response(preferences, profile, i):
@@ -252,22 +268,7 @@ def best_response(preferences, profile, i):
     most one partial atom, and what it wins is an integer sum.  Only the
     best candidates become regions, for the tie-break.
     """
-    family = _candidates(preferences, profile, i)
-    board = family.board
-    weights = board.weights
-    current = _weight(board.claims[i] & ~board.blocking(board.lengths[i]), weights)
-    won = {}
-    for key in family.keys:
-        mask, k, amount = key
-        blocked = board.blocking(_weight(mask, weights) + amount)
-        won[key] = _weight(mask & ~blocked, weights) + (0 if blocked >> k & 1 else amount)
-    best = max(won.values())
-    if best <= current:
-        return profile[i], Fraction(0)
-    strategy = min(
-        (board.region(key) for key, x in won.items() if x == best), key=IntervalSet.pairs
-    )
-    return strategy, Fraction(best - current, _weight(board.wanted, weights))
+    return _respond(preferences, profile, i, IntervalSet.empty())
 
 
 def best_response_dynamics(preferences, start, max_rounds=None):
@@ -278,7 +279,8 @@ def best_response_dynamics(preferences, start, max_rounds=None):
     supremum forever (rivals leapfrog by ever-thinner margins), so each
     agent first tries the claim the direct-revelation mechanism would hand
     it and keeps that whenever it strictly improves; only otherwise does it
-    fall back to the best counter-claim search.  Returns (profile,
+    fall back to the best counter-claim search, scored on the same atom
+    table.  Returns (profile,
     converged): converged means a full round passed with no improving move
     and the fixpoint is a certified equilibrium; hitting the round budget
     reports False.
@@ -294,13 +296,7 @@ def best_response_dynamics(preferences, start, max_rounds=None):
     for _ in range(max_rounds):
         moved = False
         for k in range(n):
-            current = preferences[k].measure(profile[k])
-            won = fair[k].difference(_ahead(profile, k, fair[k].length))
-            if preferences[k].measure(won) > current:
-                profile = reduce_profile(profile.replace(k, fair[k])).profile
-                moved = True
-                continue
-            strategy, gain = best_response(preferences, profile, k)
+            strategy, gain = _respond(preferences, profile, k, fair[k])
             if gain > 0:
                 profile = reduce_profile(profile.replace(k, strategy)).profile
                 moved = True

@@ -152,54 +152,50 @@ def utilitarian_optimal(valuations):
     return Allocation(portions)
 
 
+def _row(srm, width, *terms):
+    # One LP row of the given width: for each (sign, i, j) term, sign times
+    # agent i's rates over agent j's lengths x[j][s].  Each term names a
+    # different agent j, so its rates are written, not added.
+    m = len(srm.segmentation)
+    row = [Fraction(0)] * width
+    for sign, i, j in terms:
+        row[j * m : (j + 1) * m] = srm.rates[i] if sign > 0 else [-r for r in srm.rates[i]]
+    return row
+
+
 def _allocation_lp(srm, objective, constraint=None, floors=None):
-    # Variables: x[i][s] = length of segment s handed to agent i, plus any
-    # extras the caller appended to the objective; one capacity row per
-    # segment, criterion rows bolt on below.
+    # Variables: x[i][s] = length of segment s handed to agent i, at column
+    # i * m + s, plus any extras the caller appended to the objective; one
+    # capacity row per segment, criterion rows bolt on below.
     n = len(srm.rates)
     m = len(srm.segmentation)
     width = len(objective)
     lengths = [hi - lo for lo, hi in srm.segmentation.segments()]
 
-    def var(i, s):
-        return i * m + s
-
     problem = LpProblem(objective)
     for s in range(m):
         row = [Fraction(0)] * width
         for i in range(n):
-            row[var(i, s)] = Fraction(1)
+            row[i * m + s] = Fraction(1)
         problem.add(row, LESS, lengths[s])
-
-    def utility_row(i, sign, row=None):
-        row = [Fraction(0)] * width if row is None else row
-        for s in range(m):
-            row[var(i, s)] += sign * srm.rates[i][s]
-        return row
 
     if constraint == "proportional":
         for i in range(n):
-            problem.add(utility_row(i, Fraction(1)), GREATER, Fraction(1, n))
+            problem.add(_row(srm, width, (1, i, i)), GREATER, Fraction(1, n))
     elif constraint == "envy-free":
         for i in range(n):
             for j in range(n):
-                if i == j:
-                    continue
-                row = [Fraction(0)] * width
-                for s in range(m):
-                    row[var(i, s)] = srm.rates[i][s]
-                    row[var(j, s)] = -srm.rates[i][s]
-                problem.add(row, GREATER, 0)
+                if i != j:
+                    problem.add(_row(srm, width, (1, i, i), (-1, i, j)), GREATER, 0)
     elif constraint == "equitable":
         for i in range(1, n):
-            row = utility_row(0, Fraction(1))
-            problem.add(utility_row(i, Fraction(-1), row), EQUAL, 0)
+            problem.add(_row(srm, width, (1, 0, 0), (-1, i, i)), EQUAL, 0)
     elif constraint is not None:
         raise ValueError("unknown criterion %r" % (constraint,))
 
     if floors is not None:
         for i in range(n):
-            problem.add(utility_row(i, Fraction(1)), GREATER, floors[i])
+            problem.add(_row(srm, width, (1, i, i)), GREATER, floors[i])
     return problem
 
 
@@ -244,9 +240,7 @@ def max_ee(valuations):
     # One extra epigraph variable after the length table.
     problem = _allocation_lp(srm, [Fraction(0)] * (n * m) + [Fraction(1)])
     for i in range(n):
-        row = [Fraction(0)] * (n * m + 1)
-        for s in range(m):
-            row[i * m + s] = srm.rates[i][s]
+        row = _row(srm, n * m + 1, (1, i, i))
         row[n * m] = Fraction(-1)
         problem.add(row, GREATER, 0)
     solution = lp_solve(problem)

@@ -202,14 +202,17 @@ def region_pairs(region):
 
 def _valuation_spec(valuation):
     if valuation.is_piecewise_uniform():
-        kind, extra = "uniform", lambda p: {}
-    elif valuation.is_piecewise_constant():
-        kind, extra = "constant", lambda p: {"value": p.intercept}
+        # Read back as one region, which merges touching pieces: write it so.
+        kind = "uniform"
+        pieces = [{"lo": iv.lo, "hi": iv.hi} for iv in valuation.support()]
     else:
-        kind, extra = "linear", lambda p: {"slope": p.slope, "intercept": p.intercept}
-    pieces = [
-        {"lo": p.interval.lo, "hi": p.interval.hi, **extra(p)} for p in valuation.pieces
-    ]
+        if valuation.is_piecewise_constant():
+            kind, extra = "constant", lambda p: {"value": p.intercept}
+        else:
+            kind, extra = "linear", lambda p: {"slope": p.slope, "intercept": p.intercept}
+        pieces = [
+            {"lo": p.interval.lo, "hi": p.interval.hi, **extra(p)} for p in valuation.pieces
+        ]
     return {
         "type": kind,
         "pieces": [{key: str(value) for key, value in piece.items()} for piece in pieces],

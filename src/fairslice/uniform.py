@@ -337,7 +337,7 @@ def _reach(start, held, spare, owned):
 def _augment(start, need, held, spare, owned):
     # Shift the largest amount a chain of transfers supports toward `start`:
     # start -> atom -> holder -> atom -> ... -> atom with room.  Returns
-    # whether such a chain exists.  Amounts may be ints or Fractions.
+    # whether such a chain exists.
     parent, room = _reach(start, held, spare, owned)
     if room is None:
         return False

@@ -174,16 +174,14 @@ class Valuation:
     # construction
 
     @classmethod
-    def normalize(cls, raw_pieces):
-        """Scale raw (interval-like, slope, intercept) triples to total mass 1."""
-        return cls(raw_pieces)
-
-    @classmethod
     def uniform_on(cls, region):
         """Uniform over a region: indicator scaled by 1/length."""
         if not isinstance(region, IntervalSet):
             region = IntervalSet(region)
-        return cls([(iv, 0, 1) for iv in region])
+        valuation = cls([(iv, 0, 1) for iv in region])
+        # A canonical region's slices are the pieces, so it is the support.
+        object.__setattr__(valuation, "_support", region)
+        return valuation
 
     @classmethod
     def piecewise_constant(cls, steps):

@@ -11,6 +11,12 @@ from itertools import combinations
 
 from hypothesis import strategies as st
 
+from fairslice.equilibrium import (
+    ReducedProfile,
+    best_response,
+    is_equilibrium,
+    reduce_profile,
+)
 from fairslice.intervals import Interval, IntervalSet, frac, union_all
 from fairslice.simplex import (
     EQUAL,
@@ -33,6 +39,7 @@ from fairslice.uniform import (
     _augment,
     _weight,
     length_game,
+    min_average_mechanism,
     min_average_subset,
 )
 from fairslice.valuation import (
@@ -663,6 +670,41 @@ def reference_best_response(preferences, profile, i):
     if best_utility is None or best_utility <= current:
         return profile[i], Fraction(0)
     return best_strategy, best_utility - current
+
+
+def reference_best_response_dynamics(preferences, start, max_rounds=None):
+    """`equilibrium.best_response_dynamics` with the fair claim scored on regions.
+
+    Each agent's mechanism claim is worth its wanted length minus the rival
+    claims `_reference_ahead` of it, measured by the agent's valuation; the
+    library scores it on the best-response atom table instead, and must
+    return the same (profile, converged).
+    """
+    n = len(start)
+    if max_rounds is None:
+        max_rounds = 100 * n
+    fair = min_average_mechanism(preferences).portions
+    trimmed = Profile(
+        [start[k].intersect(preferences[k].support()) for k in range(n)]
+    )
+    profile = reduce_profile(trimmed).profile
+    for _ in range(max_rounds):
+        moved = False
+        for k in range(n):
+            current = preferences[k].measure(profile[k])
+            won = fair[k].difference(_reference_ahead(profile, k, fair[k].length))
+            if preferences[k].measure(won) > current:
+                profile = reduce_profile(profile.replace(k, fair[k])).profile
+                moved = True
+                continue
+            strategy, gain = best_response(preferences, profile, k)
+            if gain > 0:
+                profile = reduce_profile(profile.replace(k, strategy)).profile
+                moved = True
+        if not moved:
+            report = is_equilibrium(preferences, ReducedProfile(profile, True))
+            return profile, report.is_equilibrium
+    return profile, False
 
 
 def reference_exact_allocation(preferences, agents, cake):

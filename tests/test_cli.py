@@ -3,6 +3,7 @@ serialization, the seeded generator, and all six subcommands end to end."""
 
 import contextlib
 import copy
+import csv
 import io
 import json
 import subprocess
@@ -12,7 +13,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import fairslice.optimal
@@ -187,7 +188,19 @@ MIXED = text_of(
 )
 
 
-@pytest.mark.parametrize("text", [HALVES, OVERLAP, WALKTHROUGH, MIXED])
+# Equal touching steps: the valuation is uniform, and is written as one piece.
+FLAT_STEPS = text_of([
+    {
+        "id": "c",
+        "valuation": {
+            "type": "constant",
+            "pieces": [{"lo": 0, "hi": "1/8", "value": 1}, {"lo": "1/8", "hi": "1/4", "value": 1}],
+        },
+    },
+])
+
+
+@pytest.mark.parametrize("text", [HALVES, OVERLAP, WALKTHROUGH, MIXED, FLAT_STEPS])
 def test_serialize_parse_fixpoint(text):
     once = serialize_scenario(parse_scenario(text))
     again = serialize_scenario(parse_scenario(once))
@@ -321,21 +334,28 @@ def ramp_then_flat(agent_id, flat):
     return {"id": agent_id, "valuation": {"type": "linear", "pieces": pieces}}
 
 
+def bisecting_selfridge(flats):
+    # Three agents whose selfridge run bisects some cuts: uniform where
+    # flat is None, else a ramp on [0, 1/2] and that flat density after it.
+    return text_of([
+        agent(name, (0, 1)) if flat is None else ramp_then_flat(name, flat)
+        for name, flat in zip("abc", flats)
+    ])
+
+
+BISECTED_FLATS = [
+    (None, "1374999999999991/1500000000000000", None),
+    (None, "1374999999991/1500000000000", "1374999999991/1500000000000"),
+]
+
+
 @pytest.mark.parametrize(
-    "flats, bisected, cuts",
-    [
-        ((None, "1374999999999991/1500000000000000", None), 1, 3),
-        ((None, "1374999999991/1500000000000", "1374999999991/1500000000000"), 3, 5),
-    ],
+    "flats, bisected, cuts", [(BISECTED_FLATS[0], 1, 3), (BISECTED_FLATS[1], 3, 5)]
 )
 def test_selfridge_with_bisected_cuts_reports_instead_of_crashing(tmp_path, capsys, flats, bisected, cuts):
     # Bisected cuts used to land past the slice they trim, and the run
     # ended in a traceback on overlapping or reversed portions.
-    agents = [
-        agent(name, (0, 1)) if flat is None else ramp_then_flat(name, flat)
-        for name, flat in zip("abc", flats)
-    ]
-    argv = ("run", write(tmp_path, text_of(agents)), "--mechanism", "selfridge")
+    argv = ("run", write(tmp_path, bisecting_selfridge(flats)), "--mechanism", "selfridge")
     code, out, err = run_cli(capsys, *argv)
     assert code == 0 and err == ""
     assert json.loads(out)["queries"]["cut"] == cuts
@@ -1027,6 +1047,160 @@ def test_mutated_scenarios_exit_0_1_or_2(base, argv, data):
     assert code in (0, 1, 2)
     if code == 2:
         assert err.getvalue().startswith("error: ")
+
+
+# ----------------------------------------------------------------------
+# contract: every subcommand on drawn scenarios exits 0, 1 or 2, the same
+# way twice, with output in its format or one error line
+
+CONTRACT_GRID = 8
+EXPECT_FLAGS = ["--expect-" + c for c in ("proportional", "envy-free", "equitable", "non-wasteful")]
+
+
+def grid_region(cells):
+    return [[str(F(c, CONTRACT_GRID)), str(F(c + 1, CONTRACT_GRID))] for c in cells]
+
+
+@st.composite
+def grid_pieces(draw):
+    # Disjoint spans between consecutive drawn grid points, some left out.
+    points = sorted(draw(st.sets(st.integers(0, CONTRACT_GRID), min_size=2, max_size=6)))
+    spans = [(F(a, CONTRACT_GRID), F(b, CONTRACT_GRID)) for a, b in zip(points, points[1:])]
+    return [span for span in spans if draw(st.booleans())] or spans[:1]
+
+
+KINDS = st.sampled_from(["uniform", "constant", "linear"])
+
+
+@st.composite
+def contract_valuations(draw, kind):
+    pieces = []
+    for lo, hi in draw(grid_pieces()):
+        piece = {"lo": str(lo), "hi": str(hi)}
+        if kind == "constant":
+            piece["value"] = draw(st.sampled_from(["1", "2", "3", "1/2"]))
+        elif kind == "linear":
+            slope = draw(st.integers(-2, 2))
+            piece["slope"] = str(slope)
+            piece["intercept"] = str(draw(st.integers(1, 3)) - min(slope * lo, slope * hi))
+        pieces.append(piece)
+    return {"type": kind, "pieces": pieces}
+
+
+def break_scenario(data, defect):
+    first = data["agents"][0]["valuation"]["pieces"][0]
+    if defect == "reversed":
+        first["lo"], first["hi"] = first["hi"], first["lo"]
+    elif defect == "outside the cake":
+        first["hi"] = "3/2"
+    elif defect == "unknown type":
+        data["agents"][0]["valuation"]["type"] = "step"
+    elif defect == "duplicate ids":
+        data["agents"].append(data["agents"][0])
+    elif defect == "short profile":
+        data["profile"] = []
+
+
+@st.composite
+def contract_scenarios(draw):
+    """(text, valid): mostly valid scenarios of n <= 5 agents, some broken."""
+    n = draw(st.integers(1, 5))
+    # Half the scenarios give every agent one kind, so that the revelation
+    # mechanisms and the LPs see more than their error paths.
+    kinds = [draw(KINDS)] * n if draw(st.booleans()) else [draw(KINDS) for _ in range(n)]
+    agents = [
+        {"id": "a%d" % k, "valuation": draw(contract_valuations(kind))}
+        for k, kind in enumerate(kinds)
+    ]
+    data = {"agents": agents}
+    if draw(st.booleans()):
+        data["profile"] = [
+            [[str(lo), str(hi)] for lo, hi in draw(st.just([]) | grid_pieces())]
+            for _ in range(n)
+        ]
+    if draw(st.booleans()):
+        owners = draw(st.lists(st.integers(-1, n - 1), min_size=CONTRACT_GRID, max_size=CONTRACT_GRID))
+        data["allocation"] = [
+            grid_region(c for c, owner in enumerate(owners) if owner == k) for k in range(n)
+        ]
+    defect = draw(st.sampled_from([None] * 6 + [
+        "reversed", "outside the cake", "unknown type", "duplicate ids", "short profile",
+        "truncated",
+    ]))
+    break_scenario(data, defect)
+    text = json.dumps(data)
+    if defect == "truncated":
+        text = text[: draw(st.integers(0, len(text) - 1))]
+    return text, defect is None
+
+
+@st.composite
+def contract_argv(draw):
+    command = draw(st.sampled_from(["run", "audit", "equilibrium", "optimal", "pof", "bench"]))
+    argv = [command]
+    if command in ("run", "bench"):
+        argv += ["--mechanism", draw(st.sampled_from(MECHANISMS))]
+    if command == "bench":
+        lo = draw(st.integers(1, 4))
+        argv += ["--n-range", "%d..%d" % (lo, draw(st.integers(lo, 5)))]
+        argv += ["--seed", str(draw(st.integers(0, 3)))]
+    # pof without a criterion is an argparse error, kept on purpose.
+    if command in ("optimal", "pof") and draw(st.booleans()):
+        argv += ["--criterion", draw(st.sampled_from(fairslice.optimal.CRITERIA))]
+    if command not in ("pof", "bench"):
+        argv += draw(st.lists(st.sampled_from(EXPECT_FLAGS), unique=True, max_size=2))
+    if command == "equilibrium" and draw(st.booleans()):
+        argv.append("--expect-equilibrium")
+    # bench has no table format: another argparse error.
+    if draw(st.booleans()):
+        argv += ["--format", draw(st.sampled_from(["json", "csv", "table"]))]
+    return argv
+
+
+def contract_call(argv, text):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        with unittest.mock.patch.object(sys, "stdin", io.StringIO(text)):
+            try:
+                code = main(argv)
+            except SystemExit as stop:
+                code = ("argparse", stop.code)
+    return code, out.getvalue(), err.getvalue()
+
+
+@settings(max_examples=150, deadline=None)
+@given(scenario=contract_scenarios(), argv=contract_argv())
+@example(
+    scenario=(bisecting_selfridge(BISECTED_FLATS[0]), True),
+    argv=["run", "--mechanism", "selfridge", "--expect-envy-free"],
+)
+@example(
+    scenario=(bisecting_selfridge(BISECTED_FLATS[1]), True),
+    argv=["run", "--mechanism", "selfridge", "--format", "table"],
+)
+def test_cli_contract(scenario, argv):
+    text, valid = scenario
+    if valid:
+        once = serialize_scenario(parse_scenario(text))
+        assert serialize_scenario(parse_scenario(once)) == once
+    code, out, err = contract_call(argv, text)
+    assert contract_call(argv, text) == (code, out, err)
+    if code == ("argparse", 2):
+        assert sum("error: " in line for line in err.splitlines()) == 1
+    elif code == 2:
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    elif code == 0:
+        default = "csv" if argv[0] in ("pof", "bench") else "json"
+        fmt = argv[argv.index("--format") + 1] if "--format" in argv else default
+        if fmt == "json":
+            json.loads(out)
+        elif fmt == "csv":
+            rows = list(csv.reader(io.StringIO(out)))
+            assert rows and all(len(row) == len(rows[0]) for row in rows)
+        else:
+            assert out.strip() and all(": " in line for line in out.splitlines())
+    else:
+        assert code == 1
 
 
 # ----------------------------------------------------------------------

@@ -16,13 +16,14 @@ from fairslice.equilibrium import (
     NotWellBehaved,
     ReducedProfile,
     UnallocatedValuedCake,
-    _ahead,
+    _board,
     _candidates,
     best_response,
     best_response_dynamics,
     is_equilibrium,
     reduce_profile,
 )
+from fairslice.generator import random_uniform_agents
 from fairslice.intervals import IntervalSet, union_all
 from fairslice.uniform import (
     Profile,
@@ -38,6 +39,7 @@ from helpers import (
     random_subregion,
     random_uniform_instance,
     reference_best_response,
+    reference_best_response_dynamics,
     reference_candidates,
     reference_uncontested_region,
     uniform_preferences,
@@ -272,22 +274,27 @@ class TestBestResponse:
         if reduced:
             profile = reduce_profile(profile).profile
         for i in range(len(prefs)):
-            family = _candidates(prefs, profile, i)
-            regions = {family.board.region(key) for key in family.keys}
+            board = _board(prefs, profile, i, IntervalSet.empty())
+            keys = _candidates(board)
+            regions = {board.region(key) for key in keys}
             assert regions == reference_candidates(prefs, profile, i)
-            assert len(regions) == len(family)
+            assert len(regions) == len(keys)
             assert best_response(prefs, profile, i) == reference_best_response(
                 prefs, profile, i
             )
 
-    @given(claim_profiles(5, max_denominator=8), st.integers(min_value=0, max_value=3))
+    @given(claim_profiles(6, max_denominator=8), st.integers(min_value=0, max_value=3))
     @settings(deadline=None)
     def test_a_claim_wins_itself_minus_the_rivals_ahead(self, drawn, i):
         # The fifth claim is agent i's new claim: fresh, a copy of a rival's
-        # or tied with one in length.
+        # or tied with one in length.  Agent i wants it and the sixth region,
+        # or the whole cake when both are empty; rivals' claims may stray.
         profile, claim = Profile(drawn.strategies[:4]), drawn[4]
-        won = claim.difference(_ahead(profile, i, claim.length))
-        assert won == length_game(profile.replace(i, claim))[i]
+        wanted = claim.union(drawn[5])
+        prefs = [UniformPreference(wanted if wanted.length else region((0, 1)))] * 4
+        board = _board(prefs, profile, i, claim)
+        won = board.won(board.first_length, board.first)
+        assert F(won, board.unit) == length_game(profile.replace(i, claim))[i].length
 
     def test_fine_grained_deviations_never_beat_the_family(self):
         rng = random.Random(777)
@@ -311,6 +318,18 @@ class TestBestResponse:
 
 
 class TestDynamics:
+    @pytest.mark.parametrize("max_rounds", [1, 2, None])
+    def test_matches_the_region_reference(self, max_rounds):
+        # Small budgets cover runs that end on the budget, not a fixpoint.
+        rng = random.Random(4242)
+        for _ in range(40):
+            n = rng.randint(2, 6)
+            prefs = random_uniform_agents(rng.randrange(2**32), n)
+            start = Profile([random_subregion(rng, p.support()) for p in prefs])
+            assert best_response_dynamics(
+                prefs, start, max_rounds
+            ) == reference_best_response_dynamics(prefs, start, max_rounds)
+
     def test_disjoint_sincere_start_converges_immediately(self):
         prefs = [
             UniformPreference(region((0, "1/3"))),

@@ -59,7 +59,7 @@ def test_zero_mass_rejected():
     with pytest.raises(ZeroMassError):
         Valuation.piecewise_constant([((0, 1), 0)])
     with pytest.raises(ZeroMassError):
-        Valuation.normalize([])
+        Valuation([])
 
 
 def test_negative_density_rejected():
