@@ -22,9 +22,8 @@ def random_region(rng):
     while True:
         spans = []
         for _ in range(rng.randint(1, MAX_INTERVALS)):
-            a = Fraction(rng.randint(0, GRID), GRID)
-            b = Fraction(rng.randint(0, GRID), GRID)
-            spans.append((min(a, b), max(a, b)))
+            a, b = sorted((rng.randint(0, GRID), rng.randint(0, GRID)))
+            spans.append((Fraction(a, GRID), Fraction(b, GRID)))
         region = IntervalSet(spans)
         if not region.is_empty():
             return region

@@ -7,7 +7,7 @@ points carry no measure, two regions count as disjoint when their intersection
 has length zero, which the canonical form renders as emptiness.  Union,
 intersection, difference and complement are one merge of two regions'
 endpoints; its result is canonical as built and stored as it is.  Length is
-computed once, on making.
+computed on first read and kept.
 
 All endpoints are `fractions.Fraction`.  Floats are refused at the boundary:
 Fraction(0.4) is not 2/5, and we never want to find that out the hard way.
@@ -15,6 +15,7 @@ Fraction(0.4) is not 2/5, and we never want to find that out the hard way.
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import attrgetter
 
 
 def frac(x):
@@ -43,7 +44,9 @@ class Interval:
     def __init__(self, lo, hi):
         lo = frac(lo)
         hi = frac(hi)
-        if not (0 <= lo <= hi <= 1):
+        # On integers, as Fraction's comparisons go through numbers.Rational.
+        ln, ld, hn, hd = lo.numerator, lo.denominator, hi.numerator, hi.denominator
+        if not (0 <= ln and ln * hd <= hn * ld and hn <= hd):
             raise ValueError("need 0 <= lo <= hi <= 1, got [%s, %s]" % (lo, hi))
         object.__setattr__(self, "lo", lo)
         object.__setattr__(self, "hi", hi)
@@ -64,17 +67,16 @@ class Interval:
 
 
 def _canonical(intervals):
-    # Sort by left endpoint, merge anything overlapping or merely touching,
-    # and drop what is left with zero length.
-    spans = sorted((iv.lo, iv.hi) for iv in intervals)
-    merged = []
-    for lo, hi in spans:
-        if merged and lo <= merged[-1][1]:
-            if hi > merged[-1][1]:
-                merged[-1][1] = hi
+    # Sort by left end, merge anything overlapping or merely touching, drop
+    # what has zero length; a slice that merges with nothing is kept as is.
+    spans = []
+    for iv in sorted(intervals, key=attrgetter("lo")):
+        if spans and iv.lo <= spans[-1].hi:
+            if iv.hi > spans[-1].hi:
+                spans[-1] = Interval(spans[-1].lo, iv.hi)
         else:
-            merged.append([lo, hi])
-    return tuple(Interval(lo, hi) for lo, hi in merged if hi > lo)
+            spans.append(iv)
+    return tuple(iv for iv in spans if iv.hi > iv.lo)
 
 
 def _merge(x, y, keep):
@@ -105,7 +107,7 @@ def _merge(x, y, keep):
 
 def _store(region, spans):
     object.__setattr__(region, "intervals", spans)
-    object.__setattr__(region, "length", sum((iv.hi - iv.lo for iv in spans), Fraction(0)))
+    object.__setattr__(region, "_length", None)
     return region
 
 
@@ -119,7 +121,7 @@ class IntervalSet:
     """
 
     intervals: tuple
-    length: Fraction = field(compare=False, repr=False)
+    _length: Fraction = field(compare=False, repr=False)
 
     def __init__(self, intervals=()):
         ivs = []
@@ -138,6 +140,12 @@ class IntervalSet:
     @classmethod
     def empty(cls):
         return cls(())
+
+    @property
+    def length(self):
+        if self._length is None:
+            object.__setattr__(self, "_length", sum((iv.length for iv in self), Fraction(0)))
+        return self._length
 
     def is_empty(self):
         return not self.intervals

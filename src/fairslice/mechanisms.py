@@ -193,7 +193,7 @@ def even_paz(oracles):
             v = rec.eval(i, s, t)
             # Marks are clamped into the working slice so portions nest.
             marks[i] = min(t, max(s, frac(rec.cut(i, s, v * left_share))))
-        ordered = sorted(group, key=lambda i: (marks[i], i))
+        ordered = sorted(sorted(group), key=marks.__getitem__)  # ties by index
         half = len(group) // 2
         split = marks[ordered[half - 1]]
         subroutine(ordered[:half], s, split)

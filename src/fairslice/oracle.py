@@ -5,19 +5,21 @@ Protocols in this family interact with agents only through two questions:
   eval(a, b)      how much is [a,b] worth to you?
   cut(a, target)  where does [a, b] reach the given worth, starting at a?
 
-AgentOracle answers sincerely from a Valuation.  Anything with the same two
-methods can stand in for it, which is how the tests model agents that lie.
-A Recorder sits between a running mechanism and its oracles, logging every
-query and reply so runs can be audited and query complexity is measurable.
+A Valuation answers both, so it is its own sincere oracle.  Anything with
+the same two methods can stand in for one: the tests' lying agents build on
+AgentOracle, which wraps a valuation.  A Recorder sits between a running
+mechanism and its oracles and logs every query and reply as a QueryRecord
+named tuple, so runs can be audited and query complexity is measurable.
 
 A cut through a linear density may have an irrational answer, which the
-valuation bisects to a tolerance.  AgentOracle.cut hands back the whole
+valuation bisects to a tolerance.  Valuation.cut hands back the whole
 CutResult so the Recorder can count such inexact cuts; the mechanism sees
 only the point.  A stand-in oracle may answer with a bare point, which is
 taken as exact.
 """
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from fairslice.valuation import CutResult
 
@@ -36,11 +38,10 @@ class AgentOracle:
 
 
 def sincere_oracles(valuations):
-    return [AgentOracle(v) for v in valuations]
+    return list(valuations)
 
 
-@dataclass(frozen=True, slots=True)
-class QueryRecord:
+class QueryRecord(NamedTuple):
     agent: int
     kind: str  # "eval" or "cut"
     args: tuple

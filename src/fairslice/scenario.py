@@ -79,8 +79,14 @@ def _number(value, path):
             "%s: cannot read a number: exponent beyond %d" % (path, _MAX_EXPONENT)
         )
     try:
+        if isinstance(value, str):  # "p/q" in digits skips Fraction's regex
+            num, slash, den = value.partition("/")
+            if slash and num.isdecimal() and den.isdecimal():
+                return Fraction(int(num), int(den))
         return Fraction(value)
     except (ValueError, ZeroDivisionError):
+        if len(value) > 40:  # only a string fails; a long one is shown by its ends
+            value = "%s...%s, %d characters" % (value[:20], value[-12:], len(value))
         raise ParseError("%s: cannot read %r as a rational" % (path, value))
 
 

@@ -39,7 +39,7 @@ from fairslice.intervals import Interval, IntervalSet, frac
 
 BISECT_TOLERANCE = Fraction(1, 10**12)
 
-_ZERO = Fraction(0)
+_ZERO, _ONE = Fraction(0), Fraction(1)
 
 
 class ZeroMassError(ValueError):
@@ -178,7 +178,7 @@ class Valuation:
         """Uniform over a region: indicator scaled by 1/length."""
         if not isinstance(region, IntervalSet):
             region = IntervalSet(region)
-        valuation = cls([(iv, 0, 1) for iv in region])
+        valuation = cls([(iv, _ZERO, _ONE) for iv in region])
         # A canonical region's slices are the pieces, so it is the support.
         object.__setattr__(valuation, "_support", region)
         return valuation

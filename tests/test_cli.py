@@ -21,6 +21,8 @@ from fairslice.cli import MECHANISMS, main
 from fairslice.generator import GRID, random_uniform_agents
 from fairslice.scenario import (
     ParseError,
+    _exponent_out_of_range,
+    _number,
     parse_scenario,
     region_pairs,
     serialize_scenario,
@@ -412,6 +414,38 @@ def test_run_overlong_integer_exits_2(tmp_path, capsys):
     code, out, err = run_cli(capsys, "run", path, "--mechanism", "even-paz")
     assert code == 2 and out == ""
     assert "cannot read a number" in err
+
+
+def test_run_overlong_string_token_exits_2(tmp_path, capsys):
+    # int() refuses the numerator inside the reader, and the message quotes
+    # the token by its ends and its length.
+    text = text_of([agent("a", (0, "1" + "0" * 4400 + "/3"))])
+    path = write(tmp_path, text)
+    code, out, err = run_cli(capsys, "run", path, "--mechanism", "even-paz")
+    assert code == 2 and out == ""
+    assert "cannot read '10000" in err and "4403 characters" in err
+    assert len(err) < 200
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.text(alphabet="0123456789\u0663/_-.e ", max_size=10))
+@example("0/0")
+@example("1/0")
+@example("007/010")
+@example("\u0663/4")
+def test_number_reads_string_tokens_as_fraction_does(text):
+    if _exponent_out_of_range(text):
+        # Refused before Fraction would build 10**exponent.
+        with pytest.raises(ParseError, match="exponent beyond"):
+            _number(text, "x")
+        return
+    try:
+        expected = Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        with pytest.raises(ParseError, match="cannot read"):
+            _number(text, "x")
+    else:
+        assert _number(text, "x") == expected
 
 
 @pytest.mark.parametrize(

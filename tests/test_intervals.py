@@ -155,4 +155,47 @@ def test_operations_follow_their_boolean_rule(name, pair):
     beside = [any(inside[max(k - 1, 0) : k + 1]) for k in range(len(points))]
     assert [result.contains(p) for p in points] == beside
     assert result == IntervalSet(result.pairs())
-    assert result.length == sum((iv.length for iv in result), Fraction(0))
+    for region in (x, y, result):
+        assert region.length == sum((iv.length for iv in region), Fraction(0))
+
+
+TINY = Fraction(1, 10**40)
+
+
+@pytest.mark.parametrize(
+    "lo, hi",
+    [
+        (-TINY, Fraction(1, 2)),
+        (Fraction(1, 2), 1 + TINY),
+        (-TINY, -TINY),
+        (1 + TINY, 1 + TINY),
+        (Fraction(1, 3) + TINY, Fraction(1, 3)),
+        (1, 1 - TINY),
+    ],
+)
+def test_interval_bounds_refused_by_a_hair(lo, hi):
+    message = "need 0 <= lo <= hi <= 1, got [%s, %s]" % (lo, hi)
+    with pytest.raises(ValueError) as refused:
+        Interval(lo, hi)
+    assert str(refused.value) == message
+
+
+@given(st.fractions(), st.fractions())
+def test_interval_bounds_agree_with_fraction_comparisons(lo, hi):
+    if 0 <= lo <= hi <= 1:
+        assert tuple(Interval(lo, hi)) == (lo, hi)
+    else:
+        with pytest.raises(ValueError, match="need 0 <= lo <= hi <= 1"):
+            Interval(lo, hi)
+
+
+def test_unmerged_intervals_are_kept_as_given():
+    left, right = Interval(0, "1/4"), Interval("1/2", "3/4")
+    region = IntervalSet([right, ("1/4", "1/3"), left])
+    assert region.intervals == (Interval(0, "1/3"), right)
+    assert region.intervals[1] is right
+
+
+def test_length_is_computed_once():
+    region = iset((0, "1/3"), ("1/2", "3/4"))
+    assert region.length is region.length

@@ -20,7 +20,7 @@ from fairslice.mechanisms import (
 )
 from fairslice.oracle import AgentOracle, sincere_oracles
 from fairslice.valuation import Valuation
-from helpers import constant_valuations, uniform_valuations
+from helpers import constant_valuations, linear_valuations, uniform_valuations
 
 
 def uniform(*pairs):
@@ -259,3 +259,25 @@ def test_transcript_counts_inexact_cuts():
     result = cut_and_choose([_PointCutter(ramp), AgentOracle(Valuation.uniform())])
     assert (result.transcript.cut_count, result.transcript.inexact_cuts) == (1, 0)
     assert isinstance(result.transcript.records[0].response, Fraction)
+
+
+AGENTS = {
+    "uniform": uniform_valuations(),
+    "constant": constant_valuations(),
+    "linear": linear_valuations(),
+}
+SIZES = {cut_and_choose: (2, 2), selfridge: (3, 3), last_diminisher: (2, 4), even_paz: (1, 5)}
+
+
+@pytest.mark.parametrize("agents", AGENTS.values(), ids=list(AGENTS))
+@pytest.mark.parametrize("mechanism", SIZES, ids=[m.__name__ for m in SIZES])
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_valuations_are_their_own_sincere_oracles(agents, mechanism, data):
+    low, high = SIZES[mechanism]
+    vals = data.draw(st.lists(agents, min_size=low, max_size=high))
+    direct = mechanism(sincere_oracles(vals))
+    wrapped = mechanism([AgentOracle(v) for v in vals])
+    assert direct.allocation == wrapped.allocation
+    assert direct.transcript.records == wrapped.transcript.records
+    assert direct.transcript.inexact_cuts == wrapped.transcript.inexact_cuts

@@ -1,11 +1,13 @@
 """The core value types: immutable, compared and hashed by value."""
 
 import dataclasses
+from fractions import Fraction
 
 import pytest
 
 from fairslice.audit import Allocation, EquityTable
 from fairslice.intervals import Interval, IntervalSet
+from fairslice.oracle import QueryRecord
 from fairslice.uniform import AgentOrder, Profile, UniformPreference
 from fairslice.valuation import Valuation
 
@@ -19,15 +21,23 @@ BUILDERS = {
     "AgentOrder": lambda: AgentOrder([1, 0, 2]),
     "Allocation": lambda: Allocation([[(0, "1/2")], [("1/2", 1)]]),
     "EquityTable": lambda: EquityTable([[1, "1/2"], [0, 1]]),
+    "QueryRecord": lambda: QueryRecord(0, "cut", (Fraction(0), Fraction(1, 2)), Fraction(1, 3)),
 }
+
+
+def field_names(value):
+    # A named tuple lists its own fields; every other value is a dataclass.
+    if isinstance(value, tuple):
+        return value._fields
+    return [field.name for field in dataclasses.fields(value)]
 
 
 @pytest.mark.parametrize("build", BUILDERS.values(), ids=list(BUILDERS))
 def test_refuses_attribute_assignment(build):
     value = build()
-    for field in dataclasses.fields(value):
+    for name in field_names(value):
         with pytest.raises(AttributeError):
-            setattr(value, field.name, getattr(value, field.name))
+            setattr(value, name, getattr(value, name))
     # Slotted instances have nowhere to keep a new name.  Python 3.11's
     # frozen slotted dataclasses refuse it with TypeError (a CPython defect
     # in their generated __setattr__), later versions with AttributeError.
