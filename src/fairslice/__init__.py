@@ -75,6 +75,7 @@ from fairslice.optimal import (
     segment,
     segment_rates,
     utilitarian_optimal,
+    welfare_optima,
 )
 from fairslice.scenario import (
     ParseError,

@@ -37,7 +37,7 @@ from fairslice.mechanisms import (
     last_diminisher,
     selfridge,
 )
-from fairslice.optimal import CRITERIA, max_ue, utilitarian_optimal
+from fairslice.optimal import CRITERIA, max_ue, utilitarian_optimal, welfare_optima
 from fairslice.oracle import sincere_oracles
 from fairslice.scenario import ParseError, parse_scenario, region_pairs
 from fairslice.uniform import (
@@ -260,9 +260,8 @@ def cmd_optimal(args):
 
 def cmd_pof(args):
     scenario = _read_scenario(args)
-    held, _ = max_ue(scenario.valuations, args.criterion, sys.stderr if args.verbose_lp else None)
-    top = utilitarian_efficiency(
-        equity_table(scenario.valuations, utilitarian_optimal(scenario.valuations))
+    top, held = welfare_optima(
+        scenario.valuations, args.criterion, sys.stderr if args.verbose_lp else None
     )
     row = {
         "instance": "stdin" if args.scenario in (None, "-") else args.scenario,

@@ -31,6 +31,7 @@ from fairslice.simplex import (
 from fairslice.valuation import UnsupportedValuationClass
 
 CRITERIA = ("proportional", "envy-free", "equitable")
+_ZERO = Fraction(0)
 
 
 @dataclass(frozen=True)
@@ -67,8 +68,12 @@ def segment(valuations):
         for piece in v.pieces:
             marks.add(piece.interval.lo)
             marks.add(piece.interval.hi)
+    # Two flat densities never cross.
+    sloped = [any(p.slope for p in v.pieces) for v in valuations]
     for a in range(len(valuations)):
         for b in range(a + 1, len(valuations)):
+            if not (sloped[a] or sloped[b]):
+                continue
             for p in valuations[a].pieces:
                 for q in valuations[b].pieces:
                     if p.slope == q.slope:
@@ -92,13 +97,23 @@ class SegmentRateMatrix:
     rates: tuple
 
     def __post_init__(self):
+        lengths = [hi - lo for lo, hi in self.segmentation.segments()]
         for row in self.rates:
-            total = sum(
-                (r * (hi - lo) for r, (lo, hi) in zip(row, self.segmentation.segments())),
-                Fraction(0),
-            )
+            total = sum((r * w for r, w in zip(row, lengths) if r), Fraction(0))
             if total != 1:
                 raise ValueError("segment rates do not integrate to 1")
+
+
+def _covering(valuation, segments):
+    # The piece of valuation around each segment, or None: one walk of the
+    # sorted, disjoint pieces against the sorted segments.  Every piece end
+    # is a mark, so a segment lies inside one piece or outside all of them.
+    pieces = iter(valuation.pieces)
+    piece = next(pieces, None)
+    for lo, hi in segments:
+        while piece is not None and piece.interval.hi <= lo:
+            piece = next(pieces, None)
+        yield None if piece is None or hi <= piece.interval.lo else piece
 
 
 def segment_rates(valuations):
@@ -110,23 +125,19 @@ def segment_rates(valuations):
     unsound.
     """
     seg = segment(valuations)
+    segments = seg.segments()
     rates = []
     for v in valuations:
         row = []
-        for lo, hi in seg.segments():
-            mid = (lo + hi) / 2
-            piece = next(
-                (p for p in v.pieces if p.interval.lo <= lo and hi <= p.interval.hi),
-                None,
-            )
+        for piece in _covering(v, segments):
             if piece is None:
-                row.append(Fraction(0))
-            elif piece.slope != 0:
+                row.append(_ZERO)
+            elif piece.slope:
                 raise UnsupportedValuationClass(
                     "density varies inside a segment; rates undefined"
                 )
             else:
-                row.append(piece.density_at(mid))
+                row.append(piece.intercept)
         rates.append(tuple(row))
     return SegmentRateMatrix(seg, tuple(rates))
 
@@ -139,16 +150,20 @@ def utilitarian_optimal(valuations):
     order everywhere.  The resulting total utility is maximal over all
     allocations.
     """
-    seg = segment(valuations)
-    portions = [[] for _ in valuations]
-    for lo, hi in seg.segments():
-        mid = (lo + hi) / 2
-        densities = [
-            sum((p.density_at(mid) for p in v.pieces if p.interval.lo <= mid <= p.interval.hi), Fraction(0))
-            for v in valuations
+    segments = segment(valuations).segments()
+    densities = [
+        [
+            _ZERO if piece is None
+            else piece.density_at((lo + hi) / 2) if piece.slope
+            else piece.intercept
+            for piece, (lo, hi) in zip(_covering(v, segments), segments)
         ]
-        winner = max(range(len(valuations)), key=lambda i: (densities[i], -i))
-        portions[winner].append((lo, hi))
+        for v in valuations
+    ]
+    portions = [[] for _ in valuations]
+    for s, span in enumerate(segments):
+        winner = max(range(len(valuations)), key=lambda i: (densities[i][s], -i))
+        portions[winner].append(span)
     return Allocation(portions)
 
 
@@ -265,12 +280,22 @@ def pareto_oracle(valuations, allocation):
     return solution.value == sum(floors, Fraction(0))
 
 
+def welfare_optima(valuations, criterion, trace=None):
+    """The unconstrained and the criterion-constrained welfare optimum.
+
+    Returns (unconstrained, constrained) total utilities; trace, if given,
+    receives the constrained LP's tableau text.
+    """
+    constrained, _ = max_ue(valuations, criterion, trace)
+    top = equity_table(valuations, utilitarian_optimal(valuations))
+    return utilitarian_efficiency(top), constrained
+
+
 def price_of(valuations, criterion):
     """Ratio of the unconstrained welfare optimum to the criterion optimum.
 
     Always at least 1: the criterion only removes allocations.  Division is
     safe because an equal split of every segment gives total utility 1.
     """
-    constrained, _ = max_ue(valuations, criterion)
-    top = equity_table(valuations, utilitarian_optimal(valuations))
-    return utilitarian_efficiency(top) / constrained
+    top, constrained = welfare_optima(valuations, criterion)
+    return top / constrained

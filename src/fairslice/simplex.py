@@ -5,11 +5,15 @@ A two-phase primal simplex on an integer-preserving tableau (Edmonds
 Gaussian elimination", Math. Comp. 1968).  Each row is scaled to integers
 once and keeps its own denominator, so a pivot is integer products and
 exact divisions with no gcd, and leaves alone every row with a zero in the
-pivot column.  A `>=` row with rhs 0 enters negated as a `<=` row, on its
-slack, with no artificial.  Bland's rule picks both the entering and the
-leaving variable, trading pivot count for a termination guarantee on
-degenerate instances; the scaling keeps every sign and every ratio order of
-the Fraction tableau, so the pivots are the ones that tableau would take.
+pivot column.  The tableau is condensed, as in exact simplex codes since
+Avis & Fukuda (1992): a row holds only the nonbasic columns, because a
+basic column is a unit column that a pivot need not rewrite.  A `>=` row
+with rhs 0 enters negated as a `<=` row, on its slack, with no
+artificial.  Bland's rule picks both the entering and the leaving
+variable by smallest column id, trading pivot count for a termination
+guarantee on degenerate instances; the scaling keeps every sign and every
+ratio order of the Fraction tableau, so the pivots are the ones that
+tableau would take.
 Every optimal solve is certified in integers before it is returned: the
 vertex against each row, the multipliers' signs, dual feasibility
 (A^T y >= c) and strong duality.  Fractions appear only at the boundary.
@@ -90,9 +94,16 @@ class _Tableau:
     # Row r is multiplied by s_r, the lcm of its denominators, and its slack
     # and artificial stand for s_r times the ones of the row as written, so
     # the starting basis is still the identity.  scale[j] is s_r for those
-    # two columns and 1 for a structural one.  Row i holds ints over its own
-    # denominator dens[i]: entry (i, j) of the Fraction tableau is
-    # body[i][j] * scale[j] / (dens[i] * scale[basis[i]]).  den is the last
+    # two columns and 1 for a structural one.
+    #
+    # The tableau is condensed: row i and the costs hold only the columns
+    # listed in nonbasic, column nonbasic[q] at position q.  Column
+    # basis[i] is dens[i] in row i and 0 in every other row, so it is not
+    # stored.  A pivot swaps basis[r] and nonbasic[q]; as positions get
+    # permuted, Bland's rule compares column ids, never positions.  Row i
+    # holds ints over its own denominator dens[i]: entry (i, j) of the
+    # Fraction tableau, j = nonbasic[q], is
+    # body[i][q] * scale[j] / (dens[i] * scale[basis[i]]).  den is the last
     # pivot, the costs are over den, and a row over den holds what the
     # one-denominator (Bareiss) tableau would.
 
@@ -102,9 +113,12 @@ class _Tableau:
         self.pivots = 0
         n = problem.n_vars
         rows = []
+        # Each row as written times s_r, with the rhs last, for the certificate.
+        self.written = []
         for coefficients, sense, rhs in problem.rows:
             s = _lcm_of_denominators(coefficients + [rhs])
             ints = _scaled(coefficients + [rhs], s)
+            self.written.append(ints)
             flipped = rhs < 0 or (rhs == 0 and sense == GREATER)
             if flipped:
                 ints = [-v for v in ints]
@@ -133,21 +147,24 @@ class _Tableau:
         self.basis = []
         self.id_col = []
         self.flipped = []
+        # The structural columns and the surpluses start nonbasic, the
+        # surplus of the k-th >= row at position n + k; every slack of a <=
+        # row and every artificial starts basic.
+        greater = [r for r, (_, sense, _, _) in enumerate(rows) if sense == GREATER]
+        surplus_at = {r: n + k for k, r in enumerate(greater)}
+        self.nonbasic = list(range(n)) + [slack_col[r] for r in greater]
         for r, (ints, sense, s, flipped) in enumerate(rows):
-            row = ints[:n] + [0] * (cols - n)
+            row = ints[:n] + [0] * len(greater)
             if sense == LESS:
-                row[slack_col[r]] = 1
                 self.scale[slack_col[r]] = s
                 self.basis.append(slack_col[r])
                 self.id_col.append(slack_col[r])
             elif sense == GREATER:
-                row[slack_col[r]] = -1
-                row[art_col[r]] = 1
+                row[surplus_at[r]] = -1
                 self.scale[slack_col[r]] = self.scale[art_col[r]] = s
                 self.basis.append(art_col[r])
                 self.id_col.append(art_col[r])
             else:
-                row[art_col[r]] = 1
                 self.scale[art_col[r]] = s
                 self.basis.append(art_col[r])
                 self.id_col.append(art_col[r])
@@ -193,9 +210,9 @@ class _Tableau:
         return self._reduce(costs)
 
     def _reduce(self, costs):
-        # Reduced costs over den, basic columns at zero.
+        # Reduced costs over den, of the nonbasic columns (a basic one's is 0).
         self._align(range(len(self.body)))
-        reduced = [self.den * c for c in costs]
+        reduced = [self.den * costs[c] for c in self.nonbasic]
         for r, row in enumerate(self.body):
             factor = costs[self.basis[r]]
             if factor != 0:
@@ -213,23 +230,25 @@ class _Tableau:
 
     def _optimize(self, costs):
         artificials = self.artificials
+        nonbasic = self.nonbasic
         while True:
-            entering = next(
+            entering = min(
                 (
                     c
-                    for c, v in enumerate(costs)
+                    for c, v in zip(nonbasic, costs)
                     if v > 0 and c not in artificials
                 ),
-                None,
+                default=None,
             )
             if entering is None:
                 self.costs = costs
                 return OPTIMAL
+            q = nonbasic.index(entering)
             # Smallest rhs / entry, compared by cross-multiplying; ties go
             # to the smallest basic index.
             leaving = None
             for r, row in enumerate(self.body):
-                a = row[entering]
+                a = row[q]
                 if a <= 0:
                     continue
                 if leaving is not None:
@@ -242,67 +261,79 @@ class _Tableau:
                 leaving, best_rhs, best_a = r, self.rhs[r], a
             if leaving is None:
                 return UNBOUNDED
-            self._pivot(leaving, entering, costs)
+            self._pivot(leaving, q, costs)
 
-    def _pivot(self, r, c, costs=None):
+    def _pivot(self, r, q, costs=None):
+        # Column nonbasic[q] enters, basis[r] leaves and takes position q.
         self.pivots += 1
         if self.trace is not None:
             self.trace.write(
-                "pivot %d: column %d enters, row %d leaves\n" % (self.pivots, c, r)
+                "pivot %d: column %d enters, row %d leaves\n"
+                % (self.pivots, self.nonbasic[q], r)
             )
         # Row r, brought over den, stays and is now over p.  Every other
-        # row with g != 0 in column c, its rhs and the costs become
+        # row with g != 0 at q, its rhs and the costs become
         # (p * v - g * w) // d, d their denominator, now p; a row with
         # g == 0 is left alone.  Each division is exact: it yields the
         # one-denominator tableau's entry, by Sylvester's identity a minor
         # of the scaled input.  A negative pivot (only when expelling
         # artificials) first negates row r, which pivots to the same rows.
+        # The leaving column was b = den in row r (-den once negated) and 0
+        # elsewhere, so at q row r now holds b and the others (-g * b) // d.
         self._align((r,))
         den = self.den
         row = self.body[r]
         rhs = self.rhs[r]
-        p = row[c]
+        p = row[q]
+        b = den
         if p < 0:
-            p = -p
+            p, b = -p, -den
             self.body[r] = row = [-w for w in row]
             self.rhs[r] = rhs = -rhs
         for other, body_row in enumerate(self.body):
-            g = body_row[c]
+            g = body_row[q]
             if g == 0 or other == r:
                 continue
             d = self.dens[other]
-            self.body[other] = [(p * v - g * w) // d for v, w in zip(body_row, row)]
+            new = [(p * v - g * w) // d for v, w in zip(body_row, row)]
+            new[q] = -g * b // d
+            self.body[other] = new
             self.rhs[other] = (p * self.rhs[other] - g * rhs) // d
             self.dens[other] = p
         if costs is not None:
-            g = costs[c]
+            g = costs[q]
             costs[:] = [(p * v - g * w) // den for v, w in zip(costs, row)]
+            costs[q] = -g * b // den
+        row[q] = b
         self.den = self.dens[r] = p
-        self.basis[r] = c
+        self.basis[r], self.nonbasic[q] = self.nonbasic[q], self.basis[r]
         if self.trace is not None:
             self._dump()
 
     def _expel_artificials(self):
         # Basic artificials sit at zero after a feasible phase one; pivot
         # them out where a live column allows it, drop redundant rows.
-        keep = []
+        keep, dropped = [], []
         for r in range(len(self.body)):
             if self.basis[r] not in self.artificials:
                 keep.append(r)
                 continue
-            col = next(
+            col = min(
                 (
                     c
-                    for c in range(self.cols)
-                    if c not in self.artificials and self.body[r][c] != 0
+                    for c, v in zip(self.nonbasic, self.body[r])
+                    if c not in self.artificials and v != 0
                 ),
-                None,
+                default=None,
             )
             if col is None:
+                dropped.append(self.basis[r])
                 continue
-            self._pivot(r, col)
+            self._pivot(r, self.nonbasic.index(col))
             keep.append(r)
-        self.body = [self.body[r] for r in keep]
+        # A dropped row's artificial is 0 in every row kept: it turns nonbasic.
+        self.nonbasic += dropped
+        self.body = [self.body[r] + [0] * len(dropped) for r in keep]
         self.rhs = [self.rhs[r] for r in keep]
         self.dens = [self.dens[r] for r in keep]
         self.basis = [self.basis[r] for r in keep]
@@ -318,17 +349,17 @@ class _Tableau:
         self._align(range(len(self.body)))
         n = self.problem.n_vars
         den = self.den
-        written = [
-            _scaled(c + [rhs], self.scale[col])
-            for (c, _, rhs), col in zip(self.problem.rows, self.id_col)
-        ]
+        written = self.written
         x = [0] * n
         for r, b in enumerate(self.basis):
             if b < n:
                 x[b] = self.rhs[r]
         duals = [0] * len(written)
+        # A basic slack or artificial has reduced cost 0, so its row's dual is 0.
+        position = {c: q for q, c in enumerate(self.nonbasic)}
         for original in self.row_of:
-            y = -self.costs[self.id_col[original]]
+            q = position.get(self.id_col[original])
+            y = 0 if q is None else -self.costs[q]
             duals[original] = -y if self.flipped[original] else y
         objective = _scaled(self.problem.objective, self.cost_scale)
         value = sum(c * v for c, v in zip(objective, x))
@@ -357,14 +388,18 @@ class _Tableau:
         return LpSolution(OPTIMAL, Fraction(value, scale), point, duals, self.pivots)
 
     def _dump(self):
-        # Each entry as the Fraction tableau holds it.
+        # Each entry as the Fraction tableau holds it, basic columns included.
         for r, row in enumerate(self.body):
+            full = [0] * self.cols
+            full[self.basis[r]] = self.dens[r]
+            for c, v in zip(self.nonbasic, row):
+                full[c] = v
             basic = self.dens[r] * self.scale[self.basis[r]]
             self.trace.write(
                 "  [%s | %s] basic %d\n"
                 % (
                     " ".join(
-                        str(Fraction(v * s, basic)) for v, s in zip(row, self.scale)
+                        str(Fraction(v * s, basic)) for v, s in zip(full, self.scale)
                     ),
                     Fraction(self.rhs[r], basic),
                     self.basis[r],

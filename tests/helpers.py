@@ -11,6 +11,7 @@ from itertools import combinations
 
 from hypothesis import strategies as st
 
+from fairslice.audit import Allocation
 from fairslice.equilibrium import (
     ReducedProfile,
     best_response,
@@ -18,6 +19,7 @@ from fairslice.equilibrium import (
     reduce_profile,
 )
 from fairslice.intervals import Interval, IntervalSet, frac, union_all
+from fairslice.optimal import SegmentRateMatrix, Segmentation
 from fairslice.simplex import (
     EQUAL,
     GREATER,
@@ -47,6 +49,7 @@ from fairslice.valuation import (
     CutResult,
     Piece,
     TargetUnreachable,
+    UnsupportedValuationClass,
     Valuation,
     ZeroMassError,
 )
@@ -384,6 +387,68 @@ def random_constant_instance(rng, n):
         if steps:
             agents.append(Valuation.piecewise_constant(steps))
     return agents
+
+
+def reference_segment(valuations):
+    """Every piece end and every crossing of two pieces' densities, all pairs tried."""
+    marks = {Fraction(0), Fraction(1)}
+    for v in valuations:
+        for piece in v.pieces:
+            marks.add(piece.interval.lo)
+            marks.add(piece.interval.hi)
+    for a, b in combinations(valuations, 2):
+        for p in a.pieces:
+            for q in b.pieces:
+                if p.slope == q.slope:
+                    continue
+                x = (q.intercept - p.intercept) / (p.slope - q.slope)
+                if max(p.interval.lo, q.interval.lo) < x < min(p.interval.hi, q.interval.hi):
+                    marks.add(x)
+    return Segmentation(tuple(sorted(marks)))
+
+
+def reference_segment_rates(valuations):
+    """The rate matrix by scanning every piece for each segment.
+
+    The library walks each valuation's sorted pieces against the segments
+    once; this scan finds each segment's piece afresh and takes the density
+    at the segment's midpoint.
+    """
+    seg = reference_segment(valuations)
+    rates = []
+    for v in valuations:
+        row = []
+        for lo, hi in seg.segments():
+            mid = (lo + hi) / 2
+            piece = next(
+                (p for p in v.pieces if p.interval.lo <= lo and hi <= p.interval.hi),
+                None,
+            )
+            if piece is None:
+                row.append(Fraction(0))
+            elif piece.slope != 0:
+                raise UnsupportedValuationClass(
+                    "density varies inside a segment; rates undefined"
+                )
+            else:
+                row.append(piece.density_at(mid))
+        rates.append(tuple(row))
+    return SegmentRateMatrix(seg, tuple(rates))
+
+
+def reference_utilitarian_optimal(valuations):
+    """Each segment to a densest agent at its midpoint, summing every piece there."""
+    seg = reference_segment(valuations)
+    portions = [[] for _ in valuations]
+    for lo, hi in seg.segments():
+        mid = (lo + hi) / 2
+        densities = [
+            sum((p.density_at(mid) for p in v.pieces if p.interval.lo <= mid <= p.interval.hi), Fraction(0))
+            for v in valuations
+        ]
+        winner = max(range(len(valuations)), key=lambda i: (densities[i], -i))
+        portions[winner].append((lo, hi))
+    return Allocation(portions)
 
 
 def assignment_optimum(valuations):

@@ -5,6 +5,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fairslice.audit import Allocation, equity_table, utilitarian_efficiency
 from fairslice.intervals import IntervalSet
@@ -30,11 +32,15 @@ from fairslice.simplex import (
     lp_solve,
 )
 from fairslice.uniform import min_average_mechanism
-from fairslice.valuation import Valuation
+from fairslice.valuation import UnsupportedValuationClass, Valuation
 from helpers import (
+    any_valuations,
     assignment_optimum,
     random_constant_instance,
     random_uniform_instance,
+    reference_segment,
+    reference_segment_rates,
+    reference_utilitarian_optimal,
 )
 
 
@@ -103,6 +109,23 @@ def test_rates_reject_sloped_densities():
 
 # ----------------------------------------------------------------------
 # direct construction
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(any_valuations(), min_size=1, max_size=4))
+def test_segment_walk_matches_the_piece_scan(valuations):
+    # Constant, uniform and linear agents, with gaps between their pieces:
+    # one walk per valuation finds the piece the scan finds for each segment,
+    # and pairs of flat agents are skipped without losing a crossing.
+    assert segment(valuations) == reference_segment(valuations)
+    try:
+        expected = reference_segment_rates(valuations)
+    except UnsupportedValuationClass:
+        with pytest.raises(UnsupportedValuationClass):
+            segment_rates(valuations)
+    else:
+        assert segment_rates(valuations) == expected
+    assert utilitarian_optimal(valuations) == reference_utilitarian_optimal(valuations)
 
 
 def test_utilitarian_optimal_goldens():

@@ -5,10 +5,11 @@ denominator of their own; `reference_lp_solve` in helpers.py pivots on
 Fractions.  Both run Bland's rule and take a `>=` row with rhs 0 as the
 `<=` row it negates to, so they must agree on everything a caller or a
 reader of --verbose-lp can see: status, value, vertex, duals, pivot count
-and the trace text.  Further cases pin the pivot mechanics (a row with a
-zero in the pivot column is left as it was, envy-free programs need no
-artificial) and the integer certificate, which must refuse a vertex that
-is feasible but not optimal.
+and the trace text, on random programs and on the CLI's --verbose-lp.
+Further cases pin the pivot mechanics (a row with a zero in the pivot
+column is left as it was, rows hold only the nonbasic columns, envy-free
+programs need no artificial) and the integer certificate, which must
+refuse a vertex that is feasible but not optimal.
 """
 
 import io
@@ -107,6 +108,9 @@ def test_redundant_equality_row_is_dropped():
     tableau = simplex._Tableau(problem, None)
     tableau.solve()
     assert tableau.row_of == [0, 2]
+    # The dropped row's artificial is nonbasic now, at zero in every row kept.
+    assert sorted(tableau.nonbasic + tableau.basis) == list(range(tableau.cols))
+    assert all(len(row) == len(tableau.nonbasic) for row in tableau.body)
     solution = solve_both(problem)
     assert solution.value == 2
     assert solution.duals[1] == 0
@@ -124,10 +128,10 @@ def test_negative_pivot_while_expelling_artificials(monkeypatch):
     expel_pivots = []
     pivot = simplex._Tableau._pivot
 
-    def spy(self, r, c, costs=None):
+    def spy(self, r, q, costs=None):
         if costs is None:
-            expel_pivots.append((self.pivots, self.body[r][c]))
-        return pivot(self, r, c, costs)
+            expel_pivots.append((self.pivots, self.body[r][q]))
+        return pivot(self, r, q, costs)
 
     monkeypatch.setattr(simplex._Tableau, "_pivot", spy)
     solution = solve_both(problem)
@@ -161,7 +165,7 @@ def test_infeasible_and_unbounded():
     assert solve_both(open_ended).status == UNBOUNDED
 
 
-def envy_free_program(monkeypatch, n):
+def welfare_program(monkeypatch, n, criterion="envy-free"):
     programs = []
 
     def record(problem, trace=None):
@@ -169,7 +173,7 @@ def envy_free_program(monkeypatch, n):
         return lp_solve(problem, trace)
 
     monkeypatch.setattr(fairslice.optimal, "lp_solve", record)
-    value, _ = max_ue(random_uniform_agents(0, n), "envy-free")
+    value, _ = max_ue(random_uniform_agents(0, n), criterion)
     (problem,) = programs
     return problem, value
 
@@ -177,7 +181,7 @@ def envy_free_program(monkeypatch, n):
 def test_envy_free_welfare_program(monkeypatch):
     # The largest LP the welfare workload solves: n(n-1) envy rows at
     # n = 5, every one of them started on its slack.
-    problem, value = envy_free_program(monkeypatch, 5)
+    problem, value = welfare_program(monkeypatch, 5)
     solution = solve_both(problem)
     assert solution.value == value
     assert solution.pivots == 71
@@ -186,7 +190,7 @@ def test_envy_free_welfare_program(monkeypatch):
 def test_envy_free_tableau_has_no_artificials(monkeypatch):
     # Capacity rows are <= and envy rows >= 0: every row starts on its
     # slack, so phase one never runs.
-    problem, _ = envy_free_program(monkeypatch, 4)
+    problem, _ = welfare_program(monkeypatch, 4)
     assert sum(sense == GREATER for _, sense, _ in problem.rows) == 12
     tableau = simplex._Tableau(problem, None)
     assert not tableau.artificials
@@ -239,7 +243,32 @@ def test_certificate_refuses_a_feasible_vertex_that_is_not_optimal():
         tableau._certify()
 
 
-def test_verbose_lp_text_matches_fraction_tableau(tmp_path, capsys, monkeypatch):
+@pytest.mark.parametrize("criterion", ["envy-free", "proportional", "equitable"])
+def test_rows_hold_only_the_nonbasic_columns(monkeypatch, criterion):
+    # Envy-free starts on its slacks; proportional and equitable run phase
+    # one on artificials and expel them before phase two.  After every
+    # pivot each column is basic or nonbasic, and each stored row and the
+    # costs hold one entry per nonbasic column.
+    problem, _ = welfare_program(monkeypatch, 4, criterion)
+    seen = []
+    pivot = simplex._Tableau._pivot
+
+    def checked(self, r, q, costs=None):
+        pivot(self, r, q, costs)
+        width = self.cols - len(self.basis)
+        assert sorted(self.nonbasic + self.basis) == list(range(self.cols))
+        assert all(len(row) == width for row in self.body)
+        assert costs is None or len(costs) == width
+        seen.append(self.pivots)
+
+    monkeypatch.setattr(simplex._Tableau, "_pivot", checked)
+    tableau = simplex._Tableau(problem, None)
+    assert bool(tableau.artificials) == (criterion != "envy-free")
+    tableau.solve()
+    assert seen == list(range(1, tableau.pivots + 1)) and len(seen) > 1
+
+
+def assert_verbose_lp_matches_fraction_tableau(tmp_path, capsys, monkeypatch, criterion):
     scenario = {
         "agents": [
             {"id": "a", "valuation": {"type": "uniform", "pieces": [{"lo": 0, "hi": "2/3"}]}},
@@ -249,7 +278,7 @@ def test_verbose_lp_text_matches_fraction_tableau(tmp_path, capsys, monkeypatch)
     }
     path = tmp_path / "scenario.json"
     path.write_text(json.dumps(scenario), encoding="utf-8")
-    argv = ["optimal", str(path), "--criterion", "envy-free", "--verbose-lp"]
+    argv = ["optimal", str(path), "--criterion", criterion, "--verbose-lp"]
     assert main(argv) == 0
     ours = capsys.readouterr()
     monkeypatch.setattr(fairslice.optimal, "lp_solve", reference_lp_solve)
@@ -258,3 +287,16 @@ def test_verbose_lp_text_matches_fraction_tableau(tmp_path, capsys, monkeypatch)
     assert "pivot 1:" in ours.err
     assert ours.err == theirs.err
     assert ours.out == theirs.out
+
+
+def test_verbose_lp_text_matches_fraction_tableau(tmp_path, capsys, monkeypatch):
+    assert_verbose_lp_matches_fraction_tableau(tmp_path, capsys, monkeypatch, "envy-free")
+
+
+@pytest.mark.parametrize("criterion", ["proportional", "equitable"])
+def test_verbose_lp_phase_one_text_matches_fraction_tableau(
+    tmp_path, capsys, monkeypatch, criterion
+):
+    # These programs start on artificials, so the trace runs through phase
+    # one and the expulsion of the artificials before phase two.
+    assert_verbose_lp_matches_fraction_tableau(tmp_path, capsys, monkeypatch, criterion)
