@@ -16,6 +16,7 @@ tolerances in this module.
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import itemgetter
 
 from fairslice.intervals import IntervalSet, frac, union_all
 
@@ -32,13 +33,12 @@ class Allocation:
             if not isinstance(portion, IntervalSet):
                 portion = IntervalSet(portion)
             cleaned.append(portion)
-        # Sweep every span by its left end.  Spans of one canonical portion
-        # never overlap, so a span starting before the furthest right end
-        # seen so far overlaps the portion that reached it.
+        # Sweep the spans by left end; equal left ends overlap in any order.
+        # Spans of one canonical portion never overlap, so a span starting before
+        # the furthest right end seen so far overlaps the portion that reached it.
         reach, owner = 0, None
-        for lo, hi, k in sorted(
-            (iv.lo, iv.hi, k) for k, portion in enumerate(cleaned) for iv in portion
-        ):
+        spans = [(iv.lo, iv.hi, k) for k, portion in enumerate(cleaned) for iv in portion]
+        for lo, hi, k in sorted(spans, key=itemgetter(0)):
             if lo < reach:
                 i, j = sorted((owner, k))
                 raise ValueError(

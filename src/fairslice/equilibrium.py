@@ -11,11 +11,14 @@ a round-robin dynamics harness sit on top.
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
+from operator import or_
 
-from fairslice.intervals import IntervalSet, union_all
+from fairslice.intervals import IntervalSet
 from fairslice.uniform import (
     Profile,
     _atom_table,
+    _region,
     _weight,
     length_game,
     min_average_mechanism,
@@ -76,31 +79,37 @@ def is_equilibrium(preferences, reduced):
 
     Reports the first violation found: unclaimed wanted cake, then claim
     pairs in (claimer, wanter) index order.  Witnesses always have positive
-    length.
+    length.  Each check is a bitmask test on one atom table over the claims
+    and the wanted regions; only a witness becomes a region.
     """
     if not isinstance(reduced, ReducedProfile) or not reduced.certified_reduced:
         raise NotReduced("expected a certified ReducedProfile")
-    profile = reduced.profile
-    if length_game(profile).portions != profile.strategies:
+    n = len(reduced.profile)
+    atoms, weights, bits, _ = _atom_table(
+        [*reduced.profile.strategies, *(p.support() for p in preferences)]
+    )
+    claims, supports = bits[:n], bits[n:]
+    # No claim loses part of itself when the claim masks add without a carry.
+    claimed = reduce(or_, claims, 0)
+    if sum(claims) != claimed:
         raise NotReduced("certificate is wrong: some claim loses part of itself")
-    if not profile.is_well_behaved(preferences):
+    if len(supports) != n:
+        raise ValueError("%d preferences but %d strategies" % (len(supports), n))
+    if any(claim & ~support for claim, support in zip(claims, supports)):
         raise NotWellBehaved("some claim strays outside its owner's wanted region")
 
-    supports = [p.support() for p in preferences]
-    missing = union_all(supports).difference(union_all(profile.strategies))
-    if not missing.is_empty():
-        deviator = next(i for i, s in enumerate(supports) if s.overlaps(missing))
-        return EquilibriumReport(False, UnallocatedValuedCake(missing), deviator)
+    missing = reduce(or_, supports, 0) & ~claimed
+    if missing:
+        deviator = next(i for i, support in enumerate(supports) if support & missing)
+        return EquilibriumReport(False, UnallocatedValuedCake(_region(missing, atoms)), deviator)
 
-    n = len(profile)
+    lengths = [_weight(claim, weights) for claim in claims]
     for i in range(n):
         for j in range(n):
-            if i == j:
-                continue
-            witness = profile[i].intersect(supports[j])
-            if not witness.is_empty() and profile[i].length > profile[j].length:
+            witness = claims[i] & supports[j]
+            if i != j and witness and lengths[i] > lengths[j]:
                 return EquilibriumReport(
-                    False, LengthOrderViolation(i, j, witness), j
+                    False, LengthOrderViolation(i, j, _region(witness, atoms)), j
                 )
     return EquilibriumReport(True)
 

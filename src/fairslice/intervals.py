@@ -101,8 +101,7 @@ def _merge(x, y, keep):
         if keep(i % 2 == 1, j % 2 == 1) != kept:
             kept = not kept
             edges.append(point)
-    spans = tuple(Interval(lo, hi) for lo, hi in zip(edges[::2], edges[1::2]))
-    return _store(object.__new__(IntervalSet), spans)
+    return IntervalSet.from_canonical(zip(edges[::2], edges[1::2]))
 
 
 def _store(region, spans):
@@ -132,6 +131,12 @@ class IntervalSet:
                 lo, hi = item
                 ivs.append(Interval(lo, hi))
         _store(self, _canonical(ivs))
+
+    @classmethod
+    def from_canonical(cls, pairs):
+        """The region of (lo, hi) pairs already in canonical form, stored as given:
+        sorted, of positive length, neither overlapping nor touching."""
+        return _store(object.__new__(cls), tuple(Interval(lo, hi) for lo, hi in pairs))
 
     @classmethod
     def unit(cls):

@@ -11,10 +11,11 @@ serves the group of agents whose jointly wanted cake is smallest per head.
 All lengths and utilities are exact rationals.
 """
 
-from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from math import lcm
+from operator import or_
 
 from fairslice.audit import Allocation
 from fairslice.intervals import IntervalSet
@@ -53,18 +54,6 @@ class Profile:
             self, "strategies", tuple(_as_region(s) for s in strategies)
         )
 
-    def is_well_behaved(self, preferences):
-        """True when no agent claims cake they do not want."""
-        if len(preferences) != len(self.strategies):
-            raise ValueError(
-                "%d preferences but %d strategies"
-                % (len(preferences), len(self.strategies))
-            )
-        return all(
-            s.difference(p.support()).is_empty()
-            for s, p in zip(self.strategies, preferences)
-        )
-
     def replace(self, i, strategy):
         """A copy with agent i's claim swapped out."""
         strategies = list(self.strategies)
@@ -101,25 +90,40 @@ class AgentOrder:
 
 
 def lex_order(profile, order):
-    """Allocate by priority: each agent receives their claim minus all earlier claims."""
+    """Allocate by priority: each agent receives their claim minus all earlier claims.
+
+    The claims are cut into one atom table; a portion is the bitmask
+    `claim & ~claimed`, and becomes a region once.
+    """
     if not isinstance(order, AgentOrder):
         order = AgentOrder(order)
     if len(order) != len(profile):
         raise ValueError(
             "order covers %d agents but the profile has %d" % (len(order), len(profile))
         )
-    portions = [None] * len(profile)
-    claimed = IntervalSet.empty()
-    for i in order:
-        portions[i] = profile[i].difference(claimed)
-        claimed = claimed.union(profile[i])
-    return Allocation(portions)
+    return _priority(profile, order)
 
 
 def length_game(profile):
-    """Allocate with priority to shorter claims; equal lengths go to the lower index."""
-    order = sorted(range(len(profile)), key=lambda i: (profile[i].length, i))
-    return lex_order(profile, AgentOrder(order))
+    """Allocate with priority to shorter claims; equal lengths go to the lower index.
+
+    Lengths are the claims' integer weights on the atom table of `lex_order`.
+    """
+    return _priority(profile, None)
+
+
+def _priority(profile, order):
+    # `lex_order` on one atom table of the claims; with no order, shorter
+    # claims first, ties to the lower index.
+    atoms, weights, bits, _ = _atom_table(profile.strategies)
+    if order is None:
+        order = sorted(range(len(bits)), key=lambda i: _weight(bits[i], weights))
+    portions = [None] * len(bits)
+    claimed = 0
+    for i in order:
+        portions[i] = _region(bits[i] & ~claimed, atoms)
+        claimed |= bits[i]
+    return Allocation(portions)
 
 
 def min_average_subset(preferences, agents, cake):
@@ -137,7 +141,8 @@ def min_average_subset(preferences, agents, cake):
     intersection, so the smallest one containing an agent is the agent's
     closure along wanted atoms and their holders, and the minimal ones are
     disjoint: the smallest closure wins, and on equal sizes the one with
-    the lowest member.
+    the lowest member.  All the closures come from one pass over the runs
+    and a transitive closure on bitmasks of agents.
     """
     wanted, _, weights, _ = _wanted_atoms(preferences, agents, cake)
     return _min_average_group(wanted, weights)
@@ -168,10 +173,25 @@ def _min_average_group(wanted, weights):
         lengths = [w * lam.denominator for w in sizes]
         held, spare, short = _fill(owned, lengths, dict.fromkeys(agents, lam.numerator))
         if short is None:
-            break
+            return _closures(held, spare, owned)
         lam = average(_reach(short, held, spare, owned)[0])
-    closures = (_reach(i, held, spare, owned) for i in agents)
-    return tuple(sorted(min((group for group, room in closures if room is None), key=len)))
+
+
+def _closures(held, spare, owned):
+    # The first smallest closure, on a fill that serves everyone: the agents
+    # an agent reaches along wanted run -> holder, when none of them wants a
+    # run with room.  As bitmasks over the agents in order: each agent and
+    # the holders of the runs it wants, closed by Warshall's algorithm.
+    bit = {i: 1 << p for p, i in enumerate(owned)}
+    holders = [sum(bit[i] for i, x in amounts.items() if x > 0) for amounts in held]
+    reach = [reduce(or_, (holders[k] for k in runs), bit[i]) for i, runs in owned.items()]
+    room = sum(bit[i] for i, runs in owned.items() if any(spare[k] > 0 for k in runs))
+    for q in range(len(reach)):
+        for p, mask in enumerate(reach):
+            if mask >> q & 1:
+                reach[p] = mask | reach[q]
+    best = min((mask for mask in reach if not mask & room), key=int.bit_count)
+    return tuple(sorted(i for i in owned if best & bit[i]))
 
 
 def _weight(mask, weights):
@@ -186,21 +206,32 @@ def _weight(mask, weights):
 
 def _atom_table(regions):
     # Cut the cake at every endpoint of every region; each atom lies wholly
-    # inside or outside each region.  Returns the atoms as (lo, hi) pairs in
-    # order, their lengths as integers over their least common denominator,
-    # that denominator, and per region the bitmask of its atoms.
-    marks = sorted({x for region in regions for iv in region for x in iv})
-    bits = []
-    for region in regions:
-        mask = 0
-        for iv in region:
-            mask |= (1 << bisect_left(marks, iv.hi)) - (1 << bisect_left(marks, iv.lo))
-        bits.append(mask)
-    spans = list(zip(marks, marks[1:]))
-    sizes = [hi - lo for lo, hi in spans]
-    scale = lcm(*(x.denominator for x in sizes))
-    weights = [x.numerator * (scale // x.denominator) for x in sizes]
-    return spans, weights, bits, scale
+    # inside or outside each region.  Endpoints are ranked as integers over
+    # one scale, the lcm of their denominators, so no Fraction is compared.
+    # Returns the atoms as (lo, hi) pairs of endpoints in order, their
+    # integer lengths, per region the bitmask of its atoms, and the scale.
+    scale = lcm(*{x.denominator for region in regions for iv in region for x in iv})
+    ends = [[(x.numerator * (scale // x.denominator), x) for iv in region for x in iv]
+            for region in regions]
+    points = dict(end for region in ends for end in region)
+    marks = sorted(points)
+    rank = {p: 1 << k for k, p in enumerate(marks)}
+    bits = [sum(rank[hi] - rank[lo] for (lo, _), (hi, _) in zip(r[::2], r[1::2])) for r in ends]
+    atoms = [(points[lo], points[hi]) for lo, hi in zip(marks, marks[1:])]
+    return atoms, [hi - lo for lo, hi in zip(marks, marks[1:])], bits, scale
+
+
+def _region(mask, atoms):
+    # The atoms of a bitmask as a region, one span per run of adjacent atoms:
+    # adding the lowest set bit carries through its run.
+    spans = []
+    while mask:
+        lo = (mask & -mask).bit_length() - 1
+        rest = mask + (1 << lo)
+        hi = (rest & -rest).bit_length() - 1
+        spans.append((atoms[lo][0], atoms[hi - 1][1]))
+        mask &= rest
+    return IntervalSet.from_canonical(spans)
 
 
 def _runs(wanted, weights):
@@ -232,11 +263,11 @@ def exact_allocation(preferences, agents, cake):
     the agent with the least wanted cake still open; a transfer pass repairs
     the rare greedy dead end.  The fill runs on one atom table over the cake
     and the members' supports, on runs of adjacent atoms that the same
-    members want.  Amounts are integers in units of one over the table's
-    denominator times the group size, so each run's length and the average
-    share are whole numbers, and portions become exact endpoints once, at
-    the end.  Raises Infeasible when no such portions exist, meaning the
-    group did not minimise the average.
+    members want.  Amounts and positions are integers over the table's
+    scale times the group size, so runs and the average share are whole
+    numbers; touching spans merge in integers, and each endpoint becomes
+    one `Fraction` at the end.  Raises Infeasible when no such portions
+    exist, meaning the group did not minimise the average.
     """
     return _equal_shares(*_wanted_atoms(preferences, agents, cake))
 
@@ -257,14 +288,17 @@ def _equal_shares(wanted, atoms, weights, scale):
 
     portions = {i: [] for i in wanted}
     for k, amounts in zip(firsts, held):
-        pos = atoms[k][0]
+        lo = atoms[k][0]
+        pos = lo.numerator * (unit // lo.denominator)
         for i in sorted(amounts):
-            amount = amounts[i]
-            if amount > 0:
-                end = pos + Fraction(amount, unit)
-                portions[i].append((pos, end))
-                pos = end
-    return {i: IntervalSet(spans) for i, spans in portions.items()}
+            end, spans = pos + amounts[i], portions[i]
+            if spans and spans[-1][1] == pos:
+                spans[-1] = (spans[-1][0], end)
+            elif end > pos:
+                spans.append((pos, end))
+            pos = end
+    return {i: IntervalSet.from_canonical((Fraction(lo, unit), Fraction(hi, unit))
+                                          for lo, hi in spans) for i, spans in portions.items()}
 
 
 def _check_fill(held, spare, owned, share):
@@ -375,7 +409,9 @@ def min_average_rounds(preferences):
 
     A round serves exactly its group's wanted cake, so the cake left is
     always a union of atoms cut at the supports' endpoints: the supports
-    are cut once per run, and the cake is a bitmask of their atoms.
+    are cut once per run, and the cake is a bitmask of their atoms.  A
+    round's region and average are read off the bitmask of its group's
+    wanted cake.
     """
     atoms, weights, bits, scale = _atom_table([p.support() for p in preferences])
     remaining = tuple(range(len(preferences)))
@@ -386,13 +422,12 @@ def min_average_rounds(preferences):
         group = _min_average_group(wanted, weights)
         shares = _equal_shares({i: wanted[i] for i in group}, atoms, weights, scale)
         # _equal_shares checks that the shares cover the group's wanted cake.
-        region = IntervalSet(iv for share in shares.values() for iv in share)
-        avg = Fraction(region.length, len(group))
+        served = reduce(or_, (wanted[i] for i in group))
+        avg = Fraction(_weight(served, weights), scale * len(group))
         rounds.append(
-            ServiceRound(group, avg, region, tuple(sorted(shares.items())))
+            ServiceRound(group, avg, _region(served, atoms), tuple(sorted(shares.items())))
         )
-        for i in group:
-            cake &= ~wanted[i]
+        cake &= ~served
         remaining = tuple(sorted(set(remaining).difference(group)))
     return rounds
 

@@ -13,7 +13,12 @@ from hypothesis import strategies as st
 
 from fairslice.audit import Allocation
 from fairslice.equilibrium import (
+    EquilibriumReport,
+    LengthOrderViolation,
+    NotReduced,
+    NotWellBehaved,
     ReducedProfile,
+    UnallocatedValuedCake,
     best_response,
     is_equilibrium,
     reduce_profile,
@@ -39,6 +44,7 @@ from fairslice.uniform import (
     UniformPreference,
     _atom_table,
     _augment,
+    _reach,
     _weight,
     length_game,
     min_average_mechanism,
@@ -216,6 +222,30 @@ def reference_valuation(raw_pieces):
 # A large prime that is also CPython's hash modulus: every Fraction over it
 # hashes alike, so code that keys dicts by such points degrades.
 LARGE_PRIME = 2**61 - 1
+
+
+# Denominators far from the grid: large coprime primes, the 2^-40 grid that
+# bisected cuts leave, and multiples of the hash modulus 2^61 - 1, on which
+# every Fraction hashes alike.
+LARGE_DENOMINATORS = {
+    "coprime": (1000003, 999983),
+    "dyadic": (2**40,),
+    "hash-alike": (LARGE_PRIME, 2 * LARGE_PRIME, 3 * LARGE_PRIME),
+}
+
+
+def large_scale_fractions(kind):
+    """Rationals in [0,1] over one kind of LARGE_DENOMINATORS, now and then 0, 1/2 or 1."""
+    far = st.sampled_from(LARGE_DENOMINATORS[kind]).flatmap(
+        lambda d: st.integers(min_value=0, max_value=d).map(lambda k: Fraction(k, d))
+    )
+    return st.one_of(far, far, st.sampled_from([Fraction(0), Fraction(1, 2), Fraction(1)]))
+
+
+def large_scale_regions(kind, max_intervals=3):
+    """IntervalSets with endpoints from `large_scale_fractions(kind)`."""
+    pair = st.tuples(large_scale_fractions(kind), large_scale_fractions(kind)).map(sorted)
+    return st.lists(pair, max_size=max_intervals).map(IntervalSet)
 
 
 def query_points():
@@ -898,6 +928,77 @@ def reference_min_average_rounds(preferences):
         cake = cake.difference(region)
         remaining = tuple(sorted(set(remaining).difference(group)))
     return rounds
+
+
+def reference_closures(held, spare, owned):
+    """The closing step of `uniform._min_average_group`, one `_reach` per agent.
+
+    On a fill that serves every agent of `owned`, each agent's breadth-first
+    search along wanted run -> holder either finds a run with room or
+    returns the agent's closure; the smallest closure wins, the first on
+    ties.  `uniform._closures` finds every closure at once, by one pass over
+    the runs and a transitive closure on bitmasks of agents, and must
+    return the same group.
+    """
+    closures = (_reach(i, held, spare, owned) for i in owned)
+    return tuple(sorted(min((group for group, room in closures if room is None), key=len)))
+
+
+def reference_lex_order(profile, order):
+    """Priority allocation on region algebra: one `difference` and one `union` per agent.
+
+    `uniform.lex_order` reads each portion off one atom table of the claims
+    as the bitmask `claim & ~claimed`, and must return the same portions.
+    """
+    portions = [None] * len(profile)
+    claimed = IntervalSet.empty()
+    for i in order:
+        portions[i] = profile[i].difference(claimed)
+        claimed = claimed.union(profile[i])
+    return Allocation(portions)
+
+
+def reference_length_game(profile):
+    """`reference_lex_order` with shorter claims first, equal lengths to the lower index."""
+    return reference_lex_order(
+        profile, sorted(range(len(profile)), key=lambda i: (profile[i].length, i))
+    )
+
+
+def reference_is_equilibrium(preferences, reduced):
+    """The checks of `equilibrium.is_equilibrium` on region algebra, in the same order.
+
+    The certificate is a replay of the length game, good behaviour one
+    `difference` per claim, unclaimed cake a difference of two unions and
+    the length order n^2 intersections.  The library runs the same checks
+    as bitmask tests on one atom table, and must raise the same error or
+    return the same report.
+    """
+    if not isinstance(reduced, ReducedProfile) or not reduced.certified_reduced:
+        raise NotReduced("expected a certified ReducedProfile")
+    profile = reduced.profile
+    if reference_length_game(profile).portions != profile.strategies:
+        raise NotReduced("certificate is wrong: some claim loses part of itself")
+    if len(preferences) != len(profile):
+        raise ValueError("%d preferences but %d strategies" % (len(preferences), len(profile)))
+    if not all(s.difference(p.support()).is_empty() for s, p in zip(profile, preferences)):
+        raise NotWellBehaved("some claim strays outside its owner's wanted region")
+
+    supports = [p.support() for p in preferences]
+    missing = union_all(supports).difference(union_all(profile.strategies))
+    if not missing.is_empty():
+        deviator = next(i for i, s in enumerate(supports) if s.overlaps(missing))
+        return EquilibriumReport(False, UnallocatedValuedCake(missing), deviator)
+
+    n = len(profile)
+    for i in range(n):
+        for j in range(n):
+            if i == j:
+                continue
+            witness = profile[i].intersect(supports[j])
+            if not witness.is_empty() and profile[i].length > profile[j].length:
+                return EquilibriumReport(False, LengthOrderViolation(i, j, witness), j)
+    return EquilibriumReport(True)
 
 
 def reference_valued_region(preferences, agents, cake):

@@ -41,6 +41,7 @@ from helpers import (
     reference_best_response,
     reference_best_response_dynamics,
     reference_candidates,
+    reference_is_equilibrium,
     reference_uncontested_region,
     uniform_preferences,
 )
@@ -108,6 +109,45 @@ class TestUncontestedRegion:
             assert reference_uncontested_region(prefs, i) == IntervalSet.empty()
 
 
+@st.composite
+def equilibrium_inputs(draw):
+    """Preferences and a profile on which any check of `is_equilibrium` may fail.
+
+    The profile is random (often not reduced, not well behaved, with empty
+    claims), reduced, reduced after trimming to the wanted regions, or a
+    full split of the wanted cake.  It comes certified, uncertified or bare,
+    and the preferences are now and then one agent too many or too few.
+    """
+    n = draw(st.integers(min_value=1, max_value=4))
+    prefs = draw(uniform_preferences(n))
+    kind = draw(st.sampled_from(["raw", "reduced", "trimmed", "full"]))
+    if kind == "full":
+        profile = draw(full_profiles(prefs))
+    else:
+        profile = draw(claim_profiles(n))
+        if kind == "trimmed":
+            profile = Profile([c.intersect(p.support()) for c, p in zip(profile, prefs)])
+        if kind != "raw":
+            profile = reduce_profile(profile).profile
+    extra = draw(st.sampled_from([0, 0, 0, 1, -1]))
+    if extra > 0:
+        prefs = prefs + draw(uniform_preferences(1))
+    elif extra < 0:
+        prefs = prefs[:-1]
+    wrapping = draw(st.sampled_from(["certified"] * 4 + ["uncertified", "bare"]))
+    if wrapping == "bare":
+        return prefs, profile
+    return prefs, ReducedProfile(profile, wrapping == "certified")
+
+
+def _outcome(check, prefs, reduced):
+    # The report, or the class and message of the error raised.
+    try:
+        return check(prefs, reduced)
+    except ValueError as error:
+        return type(error), str(error)
+
+
 class TestIsEquilibrium:
     def test_sincere_disjoint_profile_is_an_equilibrium(self):
         prefs = [
@@ -165,6 +205,31 @@ class TestIsEquilibrium:
         profile = Profile([region((0, "1/2")), region(("1/2", "1"))])
         with pytest.raises(NotWellBehaved):
             is_equilibrium(prefs, ReducedProfile(profile, True))
+
+    @pytest.mark.parametrize(
+        "second, error, message",
+        [
+            # Not reduced, one preference too many and not well behaved.
+            ((0, "1/2"), NotReduced, "certificate is wrong: some claim loses part of itself"),
+            # Reduced, one preference too many and not well behaved.
+            (("1/2", 1), ValueError, "3 preferences but 2 strategies"),
+        ],
+    )
+    def test_checks_run_in_order(self, second, error, message):
+        profile = ReducedProfile(Profile([region((0, "1/2")), region(second)]), True)
+        prefs = [UniformPreference(region((0, "1/4")))] * 3
+        for check in (is_equilibrium, reference_is_equilibrium):
+            with pytest.raises(error) as caught:
+                check(prefs, profile)
+            assert type(caught.value) is error and str(caught.value) == message
+
+    @given(equilibrium_inputs())
+    @settings(deadline=None, max_examples=300)
+    def test_matches_the_region_reference(self, case):
+        prefs, reduced = case
+        assert _outcome(is_equilibrium, prefs, reduced) == _outcome(
+            reference_is_equilibrium, prefs, reduced
+        )
 
     @given(uniform_preferences(4))
     @settings(deadline=None)

@@ -32,12 +32,18 @@ from fairslice.uniform import (
 from fairslice.valuation import Valuation
 
 from helpers import (
+    LARGE_DENOMINATORS,
+    claim_profiles,
     interval_sets,
+    large_scale_regions,
     random_subregion,
     random_uniform_instance,
     reference_average_share,
+    reference_closures,
     reference_exact_allocation,
+    reference_length_game,
     reference_leximin_lengths,
+    reference_lex_order,
     reference_min_average_rounds,
     reference_min_average_subset,
     reference_valued_region,
@@ -110,6 +116,16 @@ class TestLexOrder:
         for portion, claim in zip(allocation, profile):
             assert portion.difference(claim).is_empty()
 
+    @given(
+        st.integers(min_value=1, max_value=5).flatmap(
+            lambda n: st.tuples(claim_profiles(n), st.permutations(range(n)))
+        )
+    )
+    def test_matches_the_region_reference(self, case):
+        # Random claims, empty, repeated and tied among them, in random orders.
+        profile, order = case
+        assert lex_order(profile, order) == reference_lex_order(profile, order)
+
 
 class TestLengthGame:
     def test_sincere_disjoint_agents_keep_their_regions(self):
@@ -154,6 +170,10 @@ class TestLengthGame:
         allocation = length_game(profile)
         assert allocation[0] == IntervalSet.unit()
         assert allocation[1] == IntervalSet.empty()
+
+    @given(st.integers(min_value=1, max_value=5).flatmap(claim_profiles))
+    def test_matches_the_region_reference(self, profile):
+        assert length_game(profile) == reference_length_game(profile)
 
 
 class TestAverageShare:
@@ -292,6 +312,22 @@ class TestMinAverageSubset:
         allocation = min_average_mechanism(prefs)
         assert [portion.length for portion in allocation] == [F(1, 23)] * 23
 
+    @pytest.mark.parametrize("n", [8, 22, 64])
+    def test_closures_match_one_search_per_agent(self, n, monkeypatch):
+        # Every round's closing step, on the fill that serves everyone.
+        closures = fairslice.uniform._closures
+        groups = []
+
+        def checked(held, spare, owned):
+            groups.append(closures(held, spare, owned))
+            assert groups[-1] == reference_closures(held, spare, owned)
+            return groups[-1]
+
+        monkeypatch.setattr(fairslice.uniform, "_closures", checked)
+        for seed in range(3):
+            min_average_mechanism(random_uniform_agents(seed, n))
+        assert len(groups) >= 3
+
     def test_matches_the_leximin_lengths_at_24_agents(self):
         # Seed 2 serves three singletons before the other 21 agents.
         prefs = random_uniform_agents(2, 24)
@@ -303,24 +339,53 @@ def _atoms_of(mask, atoms):
     return IntervalSet(span for k, span in enumerate(atoms) if mask >> k & 1)
 
 
+def check_atom_table(regions):
+    # The table against region algebra: lengths, each region, and the
+    # intersection and differences of every pair.
+    atoms, weights, bits, scale = _atom_table(regions)
+    assert len(weights) == len(atoms) and len(bits) == len(regions)
+    # Atoms are consecutive, of positive length, and span every region.
+    assert all(lo < hi for lo, hi in atoms)
+    assert all(a[1] == b[0] for a, b in zip(atoms, atoms[1:]))
+    assert all(F(w, scale) == hi - lo for w, (lo, hi) in zip(weights, atoms))
+    for r, mask in zip(regions, bits):
+        assert F(_weight(mask, weights), scale) == r.length
+        assert _atoms_of(mask, atoms) == r
+    for (x, a), (y, b) in combinations(zip(regions, bits), 2):
+        assert _atoms_of(a & b, atoms) == x.intersect(y)
+        assert _atoms_of(a & ~b, atoms) == x.difference(y)
+        assert _atoms_of(b & ~a, atoms) == y.difference(x)
+
+
 class TestAtomTable:
     @given(st.lists(interval_sets(max_intervals=3, max_denominator=6), max_size=5))
     # A region outside the first region's span, and an empty one.
     @example([region((0, "1/8")), IntervalSet.empty(), region(("7/8", 1), ("1/4", "1/3"))])
     def test_masks_rebuild_lengths_and_region_algebra(self, regions):
-        atoms, weights, bits, scale = _atom_table(regions)
-        assert len(weights) == len(atoms) and len(bits) == len(regions)
-        # Atoms are consecutive, of positive length, and span every region.
-        assert all(lo < hi for lo, hi in atoms)
-        assert all(a[1] == b[0] for a, b in zip(atoms, atoms[1:]))
-        assert all(F(w, scale) == hi - lo for w, (lo, hi) in zip(weights, atoms))
-        for r, mask in zip(regions, bits):
-            assert F(_weight(mask, weights), scale) == r.length
-            assert _atoms_of(mask, atoms) == r
-        for (x, a), (y, b) in combinations(zip(regions, bits), 2):
-            assert _atoms_of(a & b, atoms) == x.intersect(y)
-            assert _atoms_of(a & ~b, atoms) == x.difference(y)
-            assert _atoms_of(b & ~a, atoms) == y.difference(x)
+        check_atom_table(regions)
+
+
+@pytest.mark.parametrize("kind", sorted(LARGE_DENOMINATORS))
+class TestLargeScales:
+    """Endpoints over large coprime, 2^-40 dyadic and hash-alike denominators."""
+
+    @given(data=st.data())
+    @settings(deadline=None, max_examples=50)
+    def test_atom_table(self, kind, data):
+        check_atom_table(data.draw(st.lists(large_scale_regions(kind), max_size=5)))
+
+    @given(data=st.data())
+    @settings(deadline=None, max_examples=50)
+    def test_length_game(self, kind, data):
+        profile = Profile(data.draw(st.lists(large_scale_regions(kind), min_size=1, max_size=5)))
+        assert length_game(profile) == reference_length_game(profile)
+
+    @given(data=st.data())
+    @settings(deadline=None, max_examples=30)
+    def test_min_average_rounds(self, kind, data):
+        supports = large_scale_regions(kind).filter(lambda r: not r.is_empty())
+        prefs = data.draw(st.lists(supports.map(UniformPreference), min_size=1, max_size=5))
+        check_round_trace(prefs)
 
 
 class TestExactAllocation:
