@@ -89,7 +89,7 @@ def _report(scenario, allocation, transcript=None, equilibrium=None):
     report = {
         "agents": list(scenario.ids),
         "allocation": [region_pairs(p) for p in allocation],
-        "equity_table": [[str(v) for v in row] for row in table.entries],
+        "equity_table": table.strings(),
         "criteria": {
             "proportional": is_proportional(table),
             "envy-free": is_envy_free(table),

@@ -14,15 +14,8 @@ from fractions import Fraction
 from functools import reduce
 from operator import or_
 
-from fairslice.intervals import IntervalSet
-from fairslice.uniform import (
-    Profile,
-    _atom_table,
-    _region,
-    _weight,
-    length_game,
-    min_average_mechanism,
-)
+from fairslice.intervals import IntervalSet, _atom_table, _region, _weight
+from fairslice.uniform import Profile, length_game, min_average_mechanism
 
 
 class NotWellBehaved(ValueError):

@@ -9,12 +9,20 @@ intersection, difference and complement are one merge of two regions'
 endpoints; its result is canonical as built and stored as it is.  Length is
 computed on first read and kept.
 
+Code that compares many endpoints at once ranks them first: `_ranking`
+writes every endpoint of some regions as an integer over one scale, the
+lcm of their denominators, and sorts those integers, so no Fraction is
+compared.  An atom table cuts the cake at the ranked endpoints, and a
+region is then a bitmask over its atoms.  Allocations, equity tables and
+the revelation games all work on these ranks.
+
 All endpoints are `fractions.Fraction`.  Floats are refused at the boundary:
 Fraction(0.4) is not 2/5, and we never want to find that out the hard way.
 """
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
 from operator import attrgetter
 
 
@@ -197,3 +205,61 @@ _UNIT = IntervalSet.unit()
 def union_all(regions):
     """Union of an iterable of IntervalSets."""
     return IntervalSet(iv for region in regions for iv in region.intervals)
+
+
+def _ranking(regions):
+    # Rank every endpoint of the regions as an integer over one scale, the
+    # lcm of their denominators.  The ranks come from sorting, never from
+    # hashing: integers that differ by a multiple of 2^61 - 1 hash alike.
+    # Returns the scale, the distinct endpoints in order as integers over it
+    # and as Fractions, and per region its spans as pairs of ranks.
+    points = [x for region in regions for iv in region.intervals for x in (iv.lo, iv.hi)]
+    scale = lcm(*{x.denominator for x in points})
+    ends = [x.numerator * (scale // x.denominator) for x in points]
+    marks, firsts, rank = [], [], [0] * len(ends)
+    for k in sorted(range(len(ends)), key=ends.__getitem__):
+        if not marks or marks[-1] != ends[k]:
+            marks.append(ends[k])
+            firsts.append(points[k])
+        rank[k] = len(marks) - 1
+    pairs = list(zip(rank[::2], rank[1::2]))
+    spans, start = [], 0
+    for region in regions:
+        end = start + len(region.intervals)
+        spans.append(pairs[start:end])
+        start = end
+    return scale, marks, firsts, spans
+
+
+def _atom_table(regions):
+    # Cut the cake at every endpoint of every region; each atom lies wholly
+    # inside or outside each region.  Returns the atoms as (lo, hi) pairs of
+    # endpoints in order, their lengths as integers over the scale of
+    # `_ranking`, per region the bitmask of its atoms, and the scale.
+    scale, marks, points, spans = _ranking(regions)
+    bits = [sum((1 << hi) - (1 << lo) for lo, hi in pairs) for pairs in spans]
+    weights = [hi - lo for lo, hi in zip(marks, marks[1:])]
+    return list(zip(points, points[1:])), weights, bits, scale
+
+
+def _weight(mask, weights):
+    # Total integer length of the atoms in a bitmask.
+    total = 0
+    while mask:
+        low = mask & -mask
+        total += weights[low.bit_length() - 1]
+        mask ^= low
+    return total
+
+
+def _region(mask, atoms):
+    # The atoms of a bitmask as a region, one span per run of adjacent atoms:
+    # adding the lowest set bit carries through its run.
+    spans = []
+    while mask:
+        lo = (mask & -mask).bit_length() - 1
+        rest = mask + (1 << lo)
+        hi = (rest & -rest).bit_length() - 1
+        spans.append((atoms[lo][0], atoms[hi - 1][1]))
+        mask &= rest
+    return IntervalSet.from_canonical(spans)

@@ -1,8 +1,9 @@
 """The four classical query-model protocols.
 
-Each mechanism takes a list of oracles (anything exposing eval/cut, normally
-AgentOracle), runs the protocol with every query recorded, and returns a
-MechanismResult carrying the allocation and the transcript.
+Each mechanism takes a list of oracles (anything exposing eval/cut; a
+Valuation is its own sincere oracle, and AgentOracle wraps one for
+stand-in agents), runs the protocol with every query recorded, and returns
+a MechanismResult carrying the allocation and the transcript.
 
 cut_and_choose   2 agents; one halves, the other picks.  Envy free and
                  proportional for sincere agents.

@@ -14,11 +14,10 @@ All lengths and utilities are exact rationals.
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
-from math import lcm
 from operator import or_
 
 from fairslice.audit import Allocation
-from fairslice.intervals import IntervalSet
+from fairslice.intervals import IntervalSet, _atom_table, _region, _weight
 from fairslice.valuation import Valuation
 
 
@@ -194,55 +193,24 @@ def _closures(held, spare, owned):
     return tuple(sorted(i for i in owned if best & bit[i]))
 
 
-def _weight(mask, weights):
-    # Total integer length of the atoms in a bitmask.
-    total = 0
-    while mask:
-        low = mask & -mask
-        total += weights[low.bit_length() - 1]
-        mask ^= low
-    return total
-
-
-def _atom_table(regions):
-    # Cut the cake at every endpoint of every region; each atom lies wholly
-    # inside or outside each region.  Endpoints are ranked as integers over
-    # one scale, the lcm of their denominators, so no Fraction is compared.
-    # Returns the atoms as (lo, hi) pairs of endpoints in order, their
-    # integer lengths, per region the bitmask of its atoms, and the scale.
-    scale = lcm(*{x.denominator for region in regions for iv in region for x in iv})
-    ends = [[(x.numerator * (scale // x.denominator), x) for iv in region for x in iv]
-            for region in regions]
-    points = dict(end for region in ends for end in region)
-    marks = sorted(points)
-    rank = {p: 1 << k for k, p in enumerate(marks)}
-    bits = [sum(rank[hi] - rank[lo] for (lo, _), (hi, _) in zip(r[::2], r[1::2])) for r in ends]
-    atoms = [(points[lo], points[hi]) for lo, hi in zip(marks, marks[1:])]
-    return atoms, [hi - lo for lo, hi in zip(marks, marks[1:])], bits, scale
-
-
-def _region(mask, atoms):
-    # The atoms of a bitmask as a region, one span per run of adjacent atoms:
-    # adding the lowest set bit carries through its run.
-    spans = []
-    while mask:
-        lo = (mask & -mask).bit_length() - 1
-        rest = mask + (1 << lo)
-        hi = (rest & -rest).bit_length() - 1
-        spans.append((atoms[lo][0], atoms[hi - 1][1]))
-        mask &= rest
-    return IntervalSet.from_canonical(spans)
-
-
 def _runs(wanted, weights):
     # Merge adjacent atoms that the same agents want into runs, leaving out
     # atoms nobody wants: the atoms of a table cut at the wanted endpoints
     # alone, as each endpoint of a canonical region changes its owner's
-    # membership.  Returns each run's first atom and weight, and each agent's runs.
+    # membership.  Returns each run's first atom and weight, and each agent's
+    # runs.  The agents wanting each atom come from one walk over each
+    # agent's runs of set bits, found as in `_region`.
+    wanting = [[] for _ in weights]
+    for i, mask in wanted.items():
+        while mask:
+            lo = (mask & -mask).bit_length() - 1
+            rest = mask + (1 << lo)
+            for k in range(lo, (rest & -rest).bit_length() - 1):
+                wanting[k].append(i)
+            mask &= rest
     firsts, sizes, owned = [], [], {i: [] for i in wanted}
     last = ()
-    for k, weight in enumerate(weights):
-        owners = tuple(i for i, mask in wanted.items() if mask >> k & 1)
+    for k, (weight, owners) in enumerate(zip(weights, wanting)):
         if owners and owners == last:
             sizes[-1] += weight
         elif owners:

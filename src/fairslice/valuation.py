@@ -17,9 +17,10 @@ once and in integers: the piece ends over one scale D, the mass left of
 each piece over one scale M, and F on each piece as integer coefficients
 over M.  A query point p/r falls on the piece whose start is the last one
 at or below floor(p*D/r), and F(p/r) comes out as an unreduced integer
-pair.  eval(a, b) is F(b) - F(a), reduced into one Fraction; measure and
-portion_masses sum such pairs the same way, and portion_masses reads F at
-many sorted points in one merge, which is how an equity table is built.
+pair.  eval(a, b) is F(b) - F(a), reduced into one Fraction; measure sums
+such pairs the same way.  masses_at reads F at many sorted points over one
+scale S in one merge, as integers over M S^2, which is how an equity table
+is built.
 
 cut adds its target to F(a), finds the piece where F reaches that goal by
 bisecting the integer masses for ceil(goal*M), and solves F(x) = goal there
@@ -255,37 +256,46 @@ class Valuation:
             for iv in region
         )
 
+    def masses_at(self, marks, scale):
+        """F at many points at once, in integers: (values, denominator).
+
+        marks is an ascending sequence of integers, the points marks[k] /
+        scale; F there is values[k] / denominator, where the denominator is
+        M * scale**2 for the valuation's mass scale M.  One merge of the
+        points with the pieces gives every value; points in one gap share
+        one value, so a span inside a gap weighs 0.  This is how an equity
+        table is built.
+        """
+        square = scale * scale
+        below = []
+        done = 0
+        for lo, hi, mass, (alpha, beta, delta, _) in zip(
+            self._los, self._his, self._masses, self._poly
+        ):
+            # Point p / scale lies on [lo, hi] / D iff ceil(lo scale / D) <= p
+            # <= floor(hi scale / D).
+            start = bisect_left(marks, -(-lo * scale // self._scale), done)
+            end = bisect_right(marks, hi * scale // self._scale, start)
+            below += [mass * square] * (start - done)
+            if alpha:
+                below += [(alpha * p + beta * scale) * p + delta * square for p in marks[start:end]]
+            else:
+                below += [(beta * p + delta * scale) * scale for p in marks[start:end]]
+            done = end
+        total = self._masses[-1] * square
+        below += [total] * (len(marks) - done)
+        return below, total
+
     def portion_masses(self, points, portions):
         """Exact mass of each portion, all read off one sweep of the points.
 
         points is an ascending sequence of Fractions, and a portion is a
         list of (i, j) index pairs, each the span [points[i], points[j]].
-        One merge of the points with the pieces gives F at every point;
-        points in one gap share one pair, so a span inside a gap weighs 0.
+        The points are written over one scale and read by `masses_at`.
         """
-        below = []
-        done = 0
-        total = self._masses[-1]
-        for piece, mass, poly in zip(self.pieces, self._masses, self._poly):
-            start = bisect_left(points, piece.interval.lo, done)
-            end = bisect_right(points, piece.interval.hi, start)
-            below += [(mass, total)] * (start - done)
-            below += [_at(poly, x.numerator, x.denominator) for x in points[start:end]]
-            done = end
-        below += [(total, total)] * (len(points) - done)
-        masses = []
-        for spans in portions:
-            if len(spans) == 1:
-                (i, j), = spans
-                low, high = below[i], below[j]
-                if low is high:
-                    masses.append(_ZERO)
-                else:
-                    (nl, dl), (nh, dh) = low, high
-                    masses.append(Fraction(nh * dl - nl * dh, dl * dh))
-            else:
-                masses.append(_mass_of([(below[i], below[j]) for i, j in spans]))
-        return masses
+        scale = math.lcm(*{x.denominator for x in points})
+        below, den = self.masses_at([x.numerator * (scale // x.denominator) for x in points], scale)
+        return [Fraction(sum(below[j] - below[i] for i, j in spans), den) for spans in portions]
 
     # ------------------------------------------------------------------
     # cutting

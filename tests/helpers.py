@@ -23,7 +23,7 @@ from fairslice.equilibrium import (
     is_equilibrium,
     reduce_profile,
 )
-from fairslice.intervals import Interval, IntervalSet, frac, union_all
+from fairslice.intervals import Interval, IntervalSet, _atom_table, _weight, frac, union_all
 from fairslice.optimal import SegmentRateMatrix, Segmentation
 from fairslice.simplex import (
     EQUAL,
@@ -42,10 +42,8 @@ from fairslice.uniform import (
     Profile,
     ServiceRound,
     UniformPreference,
-    _atom_table,
     _augment,
     _reach,
-    _weight,
     length_game,
     min_average_mechanism,
     min_average_subset,
@@ -246,6 +244,29 @@ def large_scale_regions(kind, max_intervals=3):
     """IntervalSets with endpoints from `large_scale_fractions(kind)`."""
     pair = st.tuples(large_scale_fractions(kind), large_scale_fractions(kind)).map(sorted)
     return st.lists(pair, max_size=max_intervals).map(IntervalSet)
+
+
+def large_scale_valuations(kind):
+    """Uniform, constant or linear valuations on a `large_scale_regions(kind)` region.
+
+    Each span of the region is a piece; a constant or linear density is at
+    least 1 on it, with a random integer slope.
+    """
+
+    @st.composite
+    def build(draw):
+        region = draw(large_scale_regions(kind).filter(lambda r: not r.is_empty()))
+        family = draw(st.sampled_from(["uniform", "constant", "linear"]))
+        if family == "uniform":
+            return Valuation.uniform_on(region)
+        specs = []
+        for iv in region:
+            slope = draw(st.integers(min_value=-3, max_value=3)) if family == "linear" else 0
+            floor = draw(st.integers(min_value=1, max_value=3))
+            specs.append((iv, slope, floor - min(slope * iv.lo, slope * iv.hi)))
+        return Valuation(specs)
+
+    return build()
 
 
 def query_points():
@@ -619,6 +640,50 @@ def reference_equity_table(valuations, allocation):
     )
 
 
+def reference_criteria(entries):
+    """Proportionality, envy-freeness, equitability, UE and EE of a square
+    table of Fractions, decided on the Fractions themselves."""
+    n = len(entries)
+    diagonal = [entries[i][i] for i in range(n)]
+    return {
+        "proportional": all(x * n >= 1 for x in diagonal),
+        "envy-free": all(entries[i][i] >= entries[i][j] for i in range(n) for j in range(n)),
+        "equitable": all(x == diagonal[0] for x in diagonal),
+        "ue": sum(diagonal, Fraction(0)),
+        "ee": min(diagonal),
+    }
+
+
+def reference_is_non_wasteful(valuations, allocation):
+    """is_non_wasteful on regions: whether some agent's portion outside its
+    support has positive mass for another agent."""
+    for i, owner in enumerate(valuations):
+        worthless = allocation[i].difference(owner.support())
+        if worthless.is_empty():
+            continue
+        for j, other in enumerate(valuations):
+            if j != i and other.measure(worthless) > 0:
+                return False
+    return True
+
+
+def reference_overlap_error(portions):
+    """The message Allocation raises for these regions, or None, from a sort
+    and sweep of the spans as Fractions.
+
+    Spans go by left end, equal left ends in input order; a span starting
+    before the last right end reached overlaps the portion that reached it.
+    """
+    spans = [(iv.lo, iv.hi, k) for k, portion in enumerate(portions) for iv in portion]
+    reach, owner = 0, None
+    for lo, hi, k in sorted(spans, key=lambda span: span[0]):
+        if lo < reach:
+            i, j = sorted((owner, k))
+            return "portions %d and %d overlap on %r" % (i, j, portions[i].intersect(portions[j]))
+        reach, owner = hi, k
+    return None
+
+
 def scan_cut(valuation, a, target, steps=4096):
     """Brute cut oracle: walk a fine grid and return the first point reaching target.
 
@@ -647,18 +712,21 @@ def pairwise_overlap(portions):
     return None
 
 
-def near_partitions(max_portions=5, max_cuts=8, max_extras=2, max_denominator=24):
+def near_partitions(max_portions=5, max_cuts=8, max_extras=2, max_denominator=24, point=None):
     """Portion lists, most of them disjoint and some overlapping.
 
-    Grid segments between random cuts go to random owners or to nobody, so
-    the portions start out disjoint; a few random extra spans handed to
-    random owners then may or may not create an overlap.
+    Segments between random cuts go to random owners or to nobody, so the
+    portions start out disjoint; a few random extra spans handed to random
+    owners then may or may not create an overlap.  Cuts and the extra
+    spans' ends are drawn from `point`, by default grid fractions.
     """
+    if point is None:
+        point = grid_fractions(max_denominator)
 
     @st.composite
     def build(draw):
         n = draw(st.integers(min_value=1, max_value=max_portions))
-        points = draw(st.lists(grid_fractions(max_denominator), max_size=max_cuts))
+        points = draw(st.lists(point, max_size=max_cuts))
         cuts = sorted(set(points) | {Fraction(0), Fraction(1)})
         spans = [[] for _ in range(n)]
         for lo, hi in zip(cuts, cuts[1:]):
@@ -666,8 +734,8 @@ def near_partitions(max_portions=5, max_cuts=8, max_extras=2, max_denominator=24
             if owner >= 0:
                 spans[owner].append((lo, hi))
         for _ in range(draw(st.integers(min_value=0, max_value=max_extras))):
-            a = draw(grid_fractions(max_denominator))
-            b = draw(grid_fractions(max_denominator))
+            a = draw(point)
+            b = draw(point)
             spans[draw(st.integers(min_value=0, max_value=n - 1))].append((min(a, b), max(a, b)))
         return [IntervalSet(s) for s in spans]
 

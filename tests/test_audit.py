@@ -21,11 +21,18 @@ from fairslice.audit import (
 from fairslice.intervals import IntervalSet
 from fairslice.valuation import Valuation
 from helpers import (
+    LARGE_DENOMINATORS,
     any_valuations,
+    large_scale_fractions,
+    large_scale_regions,
+    large_scale_valuations,
     near_partitions,
     pairwise_overlap,
     query_points,
+    reference_criteria,
     reference_equity_table,
+    reference_is_non_wasteful,
+    reference_overlap_error,
     uniform_valuations,
 )
 
@@ -221,6 +228,30 @@ def test_scaled_egalitarian_never_beats_utilitarian(valuations, data):
     assert n * egalitarian_efficiency(table) <= utilitarian_efficiency(table)
 
 
+def check_overlap_sweep(portions):
+    # Allocation accepts exactly the portion lists the all-pairs scan finds
+    # disjoint, and refuses the others with the Fraction sweep's message.
+    message = reference_overlap_error(portions)
+    assert (message is None) == (pairwise_overlap(portions) is None)
+    if message is None:
+        assert Allocation(portions).portions == tuple(portions)
+    else:
+        with pytest.raises(ValueError) as caught:
+            Allocation(portions)
+        assert str(caught.value) == message
+
+
+@pytest.mark.parametrize("kind", sorted(LARGE_DENOMINATORS))
+@settings(max_examples=150)
+@given(data=st.data())
+def test_overlap_sweep_on_large_scales_matches_the_references(kind, data):
+    portions = data.draw(st.one_of(
+        near_partitions(point=large_scale_fractions(kind)),
+        st.lists(large_scale_regions(kind), min_size=1, max_size=4),
+    ))
+    check_overlap_sweep(portions)
+
+
 @settings(max_examples=400)
 @given(near_partitions())
 def test_overlap_sweep_matches_pairwise_oracle(portions):
@@ -236,16 +267,16 @@ def test_overlap_sweep_matches_pairwise_oracle(portions):
 
 
 @st.composite
-def audited_allocations(draw):
-    """Valuations and a disjoint allocation cut at piece boundaries and off-grid points.
+def audited_allocations(draw, valuation=any_valuations(), point=query_points()):
+    """Valuations and a disjoint allocation cut at piece boundaries and other points.
 
     Cells between consecutive cut points go to a random agent or to nobody,
     so portions may be empty, span several cells or touch piece boundaries.
     """
     n = draw(st.integers(min_value=1, max_value=4))
-    valuations = draw(st.lists(any_valuations(), min_size=n, max_size=n))
+    valuations = draw(st.lists(valuation, min_size=n, max_size=n))
     boundaries = sorted({x for v in valuations for piece in v.pieces for x in piece.interval})
-    cuts = draw(st.lists(st.one_of(st.sampled_from(boundaries), query_points()), max_size=8))
+    cuts = draw(st.lists(st.one_of(st.sampled_from(boundaries), point), max_size=8))
     points = sorted(set(cuts) | {Fraction(0), Fraction(1)})
     spans = [[] for _ in range(n)]
     for lo, hi in zip(points, points[1:]):
@@ -265,3 +296,57 @@ def test_equity_table_matches_cell_by_cell_reference(case):
     # must be a Fraction, not merely a number that compares equal to one.
     assert all(type(entry) is Fraction for row in table.entries for entry in row)
 
+
+def criteria(table):
+    return {
+        "proportional": is_proportional(table),
+        "envy-free": is_envy_free(table),
+        "equitable": is_equitable(table),
+        "ue": utilitarian_efficiency(table),
+        "ee": egalitarian_efficiency(table),
+    }
+
+
+def check_report(valuations, allocation):
+    # Everything a report reads off the integer rows agrees with the cell by
+    # cell Fractions: printed entries, criteria, UE and EE, the same table
+    # built from those Fractions, and the waste check on regions.
+    table = equity_table(valuations, allocation)
+    reference = reference_equity_table(valuations, allocation)
+    assert table.strings() == [[str(x) for x in row] for row in reference]
+    expected = reference_criteria(reference)
+    rebuilt = EquityTable(reference)
+    for got in (criteria(table), criteria(rebuilt)):
+        assert got == expected
+        assert type(got["ue"]) is Fraction and type(got["ee"]) is Fraction
+    assert rebuilt.entries == table.entries == reference
+    assert rebuilt == table and hash(rebuilt) == hash(table)
+    assert rebuilt.strings() == table.strings()
+    assert is_non_wasteful(valuations, allocation) == reference_is_non_wasteful(
+        valuations, allocation
+    )
+
+
+@settings(max_examples=300)
+@given(audited_allocations())
+def test_report_matches_the_fraction_reference(case):
+    check_report(*case)
+
+
+@pytest.mark.parametrize("kind", sorted(LARGE_DENOMINATORS))
+@settings(max_examples=100)
+@given(data=st.data())
+def test_report_on_large_scales_matches_the_fraction_reference(kind, data):
+    check_report(*data.draw(audited_allocations(
+        large_scale_valuations(kind), large_scale_fractions(kind)
+    )))
+
+
+@settings(max_examples=200)
+@given(st.lists(st.lists(query_points(), min_size=3, max_size=3), min_size=3, max_size=3))
+def test_equity_table_round_trips_its_entries(rows):
+    table = EquityTable(rows)
+    assert table.entries == tuple(tuple(row) for row in rows)
+    assert EquityTable(table.entries) == table
+    assert table.strings() == [[str(x) for x in row] for row in rows]
+    assert criteria(table) == reference_criteria(rows)

@@ -12,16 +12,14 @@ from hypothesis import strategies as st
 from fairslice.audit import equity_table, is_envy_free
 import fairslice.uniform
 from fairslice.generator import random_region, random_uniform_agents
-from fairslice.intervals import IntervalSet, union_all
+from fairslice.intervals import IntervalSet, _atom_table, _weight, union_all
 from fairslice.uniform import (
     AgentOrder,
     EmptySubset,
     Infeasible,
     Profile,
     UniformPreference,
-    _atom_table,
     _check_fill,
-    _weight,
     exact_allocation,
     length_game,
     lex_order,
