@@ -162,11 +162,11 @@ class _Board:
     def region(self, key):
         """The candidate (whole atoms, partial atom, amount) as a region."""
         mask, k, amount = key
-        spans = [span for j, span in enumerate(self.atoms) if mask >> j & 1]
+        region = _region(mask, self.atoms)
         if amount:
             lo = self.atoms[k][0]
-            spans.append((lo, lo + Fraction(amount, self.unit)))
-        return IntervalSet(spans)
+            region = region.union(IntervalSet([(lo, lo + Fraction(amount, self.unit))]))
+        return region
 
 
 def _board(preferences, profile, i, first):

@@ -24,7 +24,6 @@ only to the slice being cut; audits against the true valuations show that.
 from fractions import Fraction
 
 from fairslice.audit import Allocation
-from fairslice.intervals import frac
 from fairslice.oracle import MechanismResult, Recorder
 
 
@@ -45,7 +44,7 @@ def cut_and_choose(oracles):
     if len(oracles) != 2:
         raise ArityMismatch("cut_and_choose needs exactly 2 agents, got %d" % len(oracles))
     rec = Recorder(oracles)
-    a = frac(rec.cut(0, 0, Fraction(1, 2)))
+    a = rec.cut(0, 0, Fraction(1, 2))
     if rec.eval(1, 0, a) > rec.eval(1, a, 1):
         portions = [[(a, 1)], [(0, a)]]
     else:
@@ -80,7 +79,7 @@ def last_diminisher(oracles):
                 if len(remaining) > 1:
                     # A trim can only shrink the candidate; an oracle claiming
                     # a point outside [s,l] is held to the physical slice.
-                    l = min(l, max(s, frac(rec.cut(i, s, share))))
+                    l = min(l, max(s, rec.cut(i, s, share)))
         if last is None:
             last = remaining[0]
         portions[last].append((s, l))
@@ -106,8 +105,8 @@ def selfridge(oracles):
     if len(oracles) != 3:
         raise ArityMismatch("selfridge needs exactly 3 agents, got %d" % len(oracles))
     rec = Recorder(oracles)
-    a = frac(rec.cut(0, 0, Fraction(1, 3)))
-    b = frac(rec.cut(0, a, Fraction(1, 3)))
+    a = rec.cut(0, 0, Fraction(1, 3))
+    b = rec.cut(0, a, Fraction(1, 3))
     thirds = [(Fraction(0), a), (a, b), (b, Fraction(1))]
     worth = [rec.eval(1, lo, hi) for lo, hi in thirds]
 
@@ -122,7 +121,7 @@ def selfridge(oracles):
 
     # Trim X to tie with Y in agent 2's eyes; the trimming T may be empty.
     # A bisected cut may land past X, so the trim is held to the slice.
-    c = min(x2, max(x1, frac(rec.cut(1, x1, worth[y_index]))))
+    c = min(x2, max(x1, rec.cut(1, x1, worth[y_index])))
     x_prime = (x1, c)
     trim = (c, x2)
 
@@ -152,8 +151,8 @@ def _divide_trimming(rec, divider, trim, portions):
     c, x2 = trim
     first_picker = 2 if divider == 1 else 1
     u = rec.eval(divider, c, x2)
-    d = min(x2, frac(rec.cut(divider, c, u / 3)))
-    e = min(x2, frac(rec.cut(divider, d, u / 3)))
+    d = min(x2, rec.cut(divider, c, u / 3))
+    e = min(x2, rec.cut(divider, d, u / 3))
     slices = [(c, d), (d, e), (e, x2)]
     values = [rec.eval(first_picker, lo, hi) for lo, hi in slices]
     best = max(range(3), key=lambda k: (values[k], -k))
@@ -193,7 +192,7 @@ def even_paz(oracles):
         for i in group:
             v = rec.eval(i, s, t)
             # Marks are clamped into the working slice so portions nest.
-            marks[i] = min(t, max(s, frac(rec.cut(i, s, v * left_share))))
+            marks[i] = min(t, max(s, rec.cut(i, s, v * left_share)))
         ordered = sorted(sorted(group), key=marks.__getitem__)  # ties by index
         half = len(group) // 2
         split = marks[ordered[half - 1]]

@@ -19,7 +19,7 @@ Pareto test go through the LP and stay exact end to end.
 from dataclasses import dataclass
 from fractions import Fraction
 
-from fairslice.audit import Allocation, equity_table, utilitarian_efficiency
+from fairslice.audit import Allocation
 from fairslice.simplex import (
     GREATER,
     EQUAL,
@@ -104,16 +104,25 @@ class SegmentRateMatrix:
                 raise ValueError("segment rates do not integrate to 1")
 
 
-def _covering(valuation, segments):
-    # The piece of valuation around each segment, or None: one walk of the
-    # sorted, disjoint pieces against the sorted segments.  Every piece end
-    # is a mark, so a segment lies inside one piece or outside all of them.
-    pieces = iter(valuation.pieces)
-    piece = next(pieces, None)
-    for lo, hi in segments:
-        while piece is not None and piece.interval.hi <= lo:
-            piece = next(pieces, None)
-        yield None if piece is None or hi <= piece.interval.lo else piece
+def _densities(valuations, segments):
+    # Each agent's density on each segment: one walk of its sorted, disjoint
+    # pieces against the sorted segments.  Every piece end is a mark, so a
+    # segment lies inside one piece or outside all of them; a sloped piece is
+    # read at the segment midpoint, a flat one by its intercept.
+    table = []
+    for v in valuations:
+        row = []
+        pieces = iter(v.pieces)
+        piece = next(pieces, None)
+        for lo, hi in segments:
+            while piece is not None and piece.interval.hi <= lo:
+                piece = next(pieces, None)
+            if piece is None or hi <= piece.interval.lo:
+                row.append(_ZERO)
+            else:
+                row.append(piece.density_at((lo + hi) / 2) if piece.slope else piece.intercept)
+        table.append(tuple(row))
+    return table
 
 
 def segment_rates(valuations):
@@ -122,24 +131,13 @@ def segment_rates(valuations):
     Raises UnsupportedValuationClass when some density actually varies
     inside a segment (an affine piece with nonzero slope), because then
     utilities are not linear in segment lengths and the LP encodings are
-    unsound.
+    unsound.  Every piece spans at least one segment, so that is any
+    sloped piece at all.
     """
+    if any(p.slope for v in valuations for p in v.pieces):
+        raise UnsupportedValuationClass("density varies inside a segment; rates undefined")
     seg = segment(valuations)
-    segments = seg.segments()
-    rates = []
-    for v in valuations:
-        row = []
-        for piece in _covering(v, segments):
-            if piece is None:
-                row.append(_ZERO)
-            elif piece.slope:
-                raise UnsupportedValuationClass(
-                    "density varies inside a segment; rates undefined"
-                )
-            else:
-                row.append(piece.intercept)
-        rates.append(tuple(row))
-    return SegmentRateMatrix(seg, tuple(rates))
+    return SegmentRateMatrix(seg, tuple(_densities(valuations, seg.segments())))
 
 
 def utilitarian_optimal(valuations):
@@ -151,15 +149,7 @@ def utilitarian_optimal(valuations):
     allocations.
     """
     segments = segment(valuations).segments()
-    densities = [
-        [
-            _ZERO if piece is None
-            else piece.density_at((lo + hi) / 2) if piece.slope
-            else piece.intercept
-            for piece, (lo, hi) in zip(_covering(v, segments), segments)
-        ]
-        for v in valuations
-    ]
+    densities = _densities(valuations, segments)
     portions = [[] for _ in valuations]
     for s, span in enumerate(segments):
         winner = max(range(len(valuations)), key=lambda i: (densities[i][s], -i))
@@ -230,6 +220,15 @@ def _materialize(srm, x):
     return Allocation(portions)
 
 
+def _max_ue(srm, constraint, trace):
+    # The welfare LP, under an optional criterion, on a built rate matrix.
+    objective = [r for row in srm.rates for r in row]
+    solution = lp_solve(_allocation_lp(srm, objective, constraint), trace)
+    if solution.status != OPTIMAL:
+        raise RuntimeError("welfare LP came back %s" % solution.status)
+    return solution
+
+
 def max_ue(valuations, constraint=None, trace=None):
     """Exact maximal total utility subject to an optional fairness criterion.
 
@@ -240,10 +239,7 @@ def max_ue(valuations, constraint=None, trace=None):
     only mean a bug and is raised loudly.
     """
     srm = segment_rates(valuations)
-    objective = [r for row in srm.rates for r in row]
-    solution = lp_solve(_allocation_lp(srm, objective, constraint), trace)
-    if solution.status != OPTIMAL:
-        raise RuntimeError("welfare LP came back %s" % solution.status)
+    solution = _max_ue(srm, constraint, trace)
     return solution.value, _materialize(srm, solution.x)
 
 
@@ -283,12 +279,14 @@ def pareto_oracle(valuations, allocation):
 def welfare_optima(valuations, criterion, trace=None):
     """The unconstrained and the criterion-constrained welfare optimum.
 
-    Returns (unconstrained, constrained) total utilities; trace, if given,
-    receives the constrained LP's tableau text.
+    Returns (unconstrained, constrained) total utilities over one rate
+    matrix; the unconstrained optimum takes the top rate on every segment.
+    trace, if given, receives the constrained LP's tableau text.
     """
-    constrained, _ = max_ue(valuations, criterion, trace)
-    top = equity_table(valuations, utilitarian_optimal(valuations))
-    return utilitarian_efficiency(top), constrained
+    srm = segment_rates(valuations)
+    columns = zip(zip(*srm.rates), srm.segmentation.segments())
+    top = sum((max(rates) * (hi - lo) for rates, (lo, hi) in columns), _ZERO)
+    return top, _max_ue(srm, criterion, trace).value
 
 
 def price_of(valuations, criterion):

@@ -15,12 +15,14 @@ A cut through a linear density may have an irrational answer, which the
 valuation bisects to a tolerance.  Valuation.cut hands back the whole
 CutResult so the Recorder can count such inexact cuts; the mechanism sees
 only the point.  A stand-in oracle may answer with a bare point, which is
-taken as exact.
+read as an exact rational (an int, a Fraction or a string such as "3/7",
+never a float) and taken as exact.
 """
 
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
+from fairslice.intervals import frac
 from fairslice.valuation import CutResult
 
 
@@ -90,6 +92,7 @@ class Recorder:
         exact = True
         if isinstance(response, CutResult):
             response, exact = response.point, response.exact
+        response = frac(response)
         self.transcript.add(i, "cut", (a, target), response, exact)
         return response
 

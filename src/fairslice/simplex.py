@@ -145,7 +145,6 @@ class _Tableau:
         self.body = []
         self.rhs = []
         self.basis = []
-        self.id_col = []
         self.flipped = []
         # The structural columns and the surpluses start nonbasic, the
         # surplus of the k-th >= row at position n + k; every slack of a <=
@@ -158,19 +157,17 @@ class _Tableau:
             if sense == LESS:
                 self.scale[slack_col[r]] = s
                 self.basis.append(slack_col[r])
-                self.id_col.append(slack_col[r])
             elif sense == GREATER:
                 row[surplus_at[r]] = -1
                 self.scale[slack_col[r]] = self.scale[art_col[r]] = s
                 self.basis.append(art_col[r])
-                self.id_col.append(art_col[r])
             else:
                 self.scale[art_col[r]] = s
                 self.basis.append(art_col[r])
-                self.id_col.append(art_col[r])
             self.body.append(row)
             self.rhs.append(ints[n])
             self.flipped.append(flipped)
+        self.id_col = list(self.basis)
         self.dens = [1] * len(rows)
         # Dropped redundant rows keep a dual of zero.
         self.row_of = list(range(len(rows)))

@@ -17,10 +17,10 @@ once and in integers: the piece ends over one scale D, the mass left of
 each piece over one scale M, and F on each piece as integer coefficients
 over M.  A query point p/r falls on the piece whose start is the last one
 at or below floor(p*D/r), and F(p/r) comes out as an unreduced integer
-pair.  eval(a, b) is F(b) - F(a), reduced into one Fraction; measure sums
-such pairs the same way.  masses_at reads F at many sorted points over one
-scale S in one merge, as integers over M S^2, which is how an equity table
-is built.
+pair.  eval(a, b) is F(b) - F(a), reduced into one Fraction.  masses_at
+reads F at many sorted points over one scale S in one merge, as integers
+over M S^2, which is how an equity table is built; measure reads a
+region's endpoints in one such sweep.
 
 cut adds its target to F(a), finds the piece where F reaches that goal by
 bisecting the integer masses for ceil(goal*M), and solves F(x) = goal there
@@ -247,14 +247,11 @@ class Valuation:
         return Fraction(nh * dl - nl * dh, dl * dh)
 
     def measure(self, region):
-        """Exact mass of an IntervalSet."""
-        return _mass_of(
-            (
-                self._mass_below(iv.lo.numerator, iv.lo.denominator),
-                self._mass_below(iv.hi.numerator, iv.hi.denominator),
-            )
-            for iv in region
-        )
+        """Exact mass of an IntervalSet, from one masses_at sweep of its ends."""
+        ends = [x for iv in region for x in (iv.lo, iv.hi)]
+        scale = math.lcm(*(x.denominator for x in ends))
+        below, den = self.masses_at([x.numerator * (scale // x.denominator) for x in ends], scale)
+        return Fraction(sum(below[1::2]) - sum(below[::2]), den)
 
     def masses_at(self, marks, scale):
         """F at many points at once, in integers: (values, denominator).
@@ -264,7 +261,7 @@ class Valuation:
         M * scale**2 for the valuation's mass scale M.  One merge of the
         points with the pieces gives every value; points in one gap share
         one value, so a span inside a gap weighs 0.  This is how an equity
-        table is built.
+        table is built and a region measured.
         """
         square = scale * scale
         below = []
@@ -285,17 +282,6 @@ class Valuation:
         total = self._masses[-1] * square
         below += [total] * (len(marks) - done)
         return below, total
-
-    def portion_masses(self, points, portions):
-        """Exact mass of each portion, all read off one sweep of the points.
-
-        points is an ascending sequence of Fractions, and a portion is a
-        list of (i, j) index pairs, each the span [points[i], points[j]].
-        The points are written over one scale and read by `masses_at`.
-        """
-        scale = math.lcm(*{x.denominator for x in points})
-        below, den = self.masses_at([x.numerator * (scale // x.denominator) for x in points], scale)
-        return [Fraction(sum(below[j] - below[i] for i, j in spans), den) for spans in portions]
 
     # ------------------------------------------------------------------
     # cutting
@@ -376,12 +362,3 @@ def _at(poly, p, r):
         return (alpha * p + beta * r) * p + delta * r * r, total * r * r
     return beta * p + delta * r, total * r
 
-
-def _mass_of(spans):
-    # Sum F(hi) - F(lo) over spans of integer pairs by cross-multiplying;
-    # the Fraction reduces the total once.
-    num, den = 0, 1
-    for (nl, dl), (nh, dh) in spans:
-        d = dl * dh
-        num, den = num * d + (nh * dl - nl * dh) * den, den * d
-    return Fraction(num, den)

@@ -260,6 +260,28 @@ def test_transcript_counts_inexact_cuts():
     assert (result.transcript.cut_count, result.transcript.inexact_cuts) == (1, 0)
     assert isinstance(result.transcript.records[0].response, Fraction)
 
+    # A bare int or "p/q" answer is read once, at the Recorder, as that
+    # Fraction: recorded, asked about and allocated as one, and exact.  A
+    # float is refused.
+    class _FixedCutter(AgentOracle):
+        def __init__(self, answer):
+            super().__init__(Valuation.uniform())
+            self.answer = answer
+
+        def cut(self, a, target):
+            return self.answer
+
+    for answer, pairs in [(0, [[], [(0, 1)]]), ("1/3", [[(0, "1/3")], [("1/3", 1)]])]:
+        point = Fraction(answer)
+        result = cut_and_choose([_FixedCutter(answer), AgentOracle(Valuation.uniform())])
+        assert (result.transcript.cut_count, result.transcript.inexact_cuts) == (1, 0)
+        cut, ask, _ = result.transcript.records
+        assert type(cut.response) is Fraction and cut.response == point
+        assert type(ask.args[1]) is Fraction and ask.args == (0, point)
+        assert portions_pairs(result) == [[tuple(map(Fraction, p)) for p in ps] for ps in pairs]
+    with pytest.raises(TypeError):
+        cut_and_choose([_FixedCutter(0.5), AgentOracle(Valuation.uniform())])
+
 
 AGENTS = {
     "uniform": uniform_valuations(),

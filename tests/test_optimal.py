@@ -21,6 +21,7 @@ from fairslice.optimal import (
     segment,
     segment_rates,
     utilitarian_optimal,
+    welfare_optima,
 )
 from fairslice.simplex import (
     GREATER,
@@ -342,6 +343,32 @@ def test_price_of_goldens():
     assert 1 <= ratio <= 3
 
     assert price_of(MIDDLE, "equitable") == 1
+
+
+def test_welfare_optima_match_the_construction_and_max_ue():
+    # One rate matrix gives both optima: the top rate on every segment
+    # totals the construction's welfare, and the constrained LP is max_ue's.
+    rng = random.Random(4099)
+    for _ in range(30):
+        make = rng.choice([random_constant_instance, random_uniform_instance])
+        agents = make(rng, rng.randint(2, 4))
+        top = utilitarian_efficiency(equity_table(agents, utilitarian_optimal(agents)))
+        for criterion in CRITERIA:
+            assert welfare_optima(agents, criterion) == (top, max_ue(agents, criterion)[0])
+
+
+def test_welfare_layer_rejects_sloped_densities():
+    agents = [Valuation.piecewise_linear([((0, 1), 2, 0)]), Valuation.uniform()]
+    split = Allocation([[(0, "1/2")], [("1/2", 1)]])
+    for call in (
+        lambda: welfare_optima(agents, "proportional"),
+        lambda: max_ue(agents),
+        lambda: max_ee(agents),
+        lambda: pareto_oracle(agents, split),
+    ):
+        with pytest.raises(UnsupportedValuationClass) as caught:
+            call()
+        assert str(caught.value) == "density varies inside a segment; rates undefined"
 
 
 def test_materialized_lengths_carry_exact_utilities():

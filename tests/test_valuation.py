@@ -8,10 +8,13 @@ from hypothesis import strategies as st
 from fairslice.intervals import IntervalSet
 from fairslice.valuation import CutResult, TargetUnreachable, Valuation, ZeroMassError
 from helpers import (
+    LARGE_DENOMINATORS,
     any_valuations,
     constant_valuations,
     grid_fractions,
     interval_sets,
+    large_scale_regions,
+    large_scale_valuations,
     linear_valuations,
     midpoint_mass,
     query_points,
@@ -314,9 +317,9 @@ def test_cut_to_a_cumulative_mass_stops_at_the_piece_end(case, data):
 
 @settings(max_examples=300)
 @given(any_valuations(), st.lists(query_points(), max_size=6), st.data())
-def test_portion_masses_match_reference_with_points_on_piece_ends(v, extra, data):
+def test_measure_matches_reference_with_points_on_piece_ends(v, extra, data):
+    # Region ends on piece ends are the boundary case of the masses_at sweep.
     points = sorted(set(piece_ends(v)) | set(extra) | {Fraction(0), Fraction(1)})
-    portions = []
     for _ in range(data.draw(st.integers(min_value=1, max_value=4))):
         # Disjoint spans: consecutive pairs of distinct ascending indices,
         # some of them one point wide.
@@ -324,9 +327,20 @@ def test_portion_masses_match_reference_with_points_on_piece_ends(v, extra, data
         spans = list(zip(ends[::2], ends[1::2]))
         if data.draw(st.booleans()):
             spans.append((ends[-1], ends[-1]) if ends else (0, 0))
-        portions.append(spans)
-    masses = v.portion_masses(points, portions)
-    for spans, mass in zip(portions, masses):
         region = IntervalSet((points[i], points[j]) for i, j in spans)
+        mass = v.measure(region)
         assert type(mass) is Fraction
         assert mass == reference_measure(v, region)
+
+
+@pytest.mark.parametrize("kind", sorted(LARGE_DENOMINATORS))
+@settings(max_examples=150)
+@given(data=st.data())
+def test_measure_on_large_scales_matches_the_reference(kind, data):
+    # One lcm scale per region: coprime, 2^-40 dyadic and hash-alike
+    # denominators in both the valuation and the region.
+    v = data.draw(large_scale_valuations(kind))
+    region = data.draw(large_scale_regions(kind))
+    mass = v.measure(region)
+    assert type(mass) is Fraction
+    assert mass == reference_measure(v, region)
