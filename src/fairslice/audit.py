@@ -26,7 +26,7 @@ from functools import cmp_to_key, reduce
 from math import gcd, lcm
 from operator import itemgetter, or_
 
-from fairslice.intervals import IntervalSet, _atom_table, _ranking, frac, union_all
+from fairslice.intervals import _as_region, _atom_table, _ranking, _scaled, frac, union_all
 
 
 @dataclass(frozen=True, slots=True)
@@ -39,11 +39,7 @@ class Allocation:
     _ranks: tuple = field(compare=False, repr=False)
 
     def __init__(self, portions):
-        cleaned = []
-        for portion in portions:
-            if not isinstance(portion, IntervalSet):
-                portion = IntervalSet(portion)
-            cleaned.append(portion)
+        cleaned = [_as_region(portion) for portion in portions]
         scale, marks, _, spans = _ranking(cleaned)
         # Sweep the spans by left end; equal left ends overlap in any order.
         # Spans of one canonical portion never overlap, so a span starting before
@@ -78,32 +74,23 @@ class Allocation:
 class EquityTable:
     """Square matrix of exact utilities: entries[i][j] = value of portion j to agent i.
 
-    Row i is held as integers over one denominator; `entries`, the reduced
-    Fractions, are built on first read.  Tables compare and hash by entries.
+    Row i is held as integers over one denominator; `table[i]` builds row
+    i's reduced Fractions and `entries` every row's, on each read.  Tables
+    compare and hash by entries.
     """
 
     _rows: tuple = field(repr=False)
     _dens: tuple = field(repr=False)
-    _entries: tuple = field(repr=False)
 
     def __init__(self, entries):
-        rows = [[frac(x) for x in row] for row in entries]
-        if any(len(row) != len(rows) for row in rows):
+        rows = [_scaled([frac(x) for x in row]) for row in entries]
+        if any(len(row) != len(rows) for row, _ in rows):
             raise ValueError("equity table must be square")
-        dens = [lcm(*(x.denominator for x in row)) for row in rows]
-        _store(
-            self,
-            [[x.numerator * (den // x.denominator) for x in row] for row, den in zip(rows, dens)],
-            dens,
-        )
+        _store(self, [row for row, _ in rows], [den for _, den in rows])
 
     @property
     def entries(self):
-        if self._entries is None:
-            object.__setattr__(self, "_entries", tuple(
-                tuple(Fraction(x, den) for x in row) for row, den in zip(self._rows, self._dens)
-            ))
-        return self._entries
+        return tuple(self[i] for i in range(self.n))
 
     @property
     def n(self):
@@ -129,7 +116,7 @@ class EquityTable:
         return [(row[i], den) for i, (row, den) in enumerate(zip(self._rows, self._dens))]
 
     def __getitem__(self, i):
-        return self.entries[i]
+        return tuple(Fraction(x, self._dens[i]) for x in self._rows[i])
 
     def __eq__(self, other):
         if not isinstance(other, EquityTable):
@@ -146,7 +133,6 @@ class EquityTable:
 def _store(table, rows, dens):
     object.__setattr__(table, "_rows", tuple(tuple(row) for row in rows))
     object.__setattr__(table, "_dens", tuple(dens))
-    object.__setattr__(table, "_entries", None)
     return table
 
 

@@ -7,11 +7,13 @@ points carry no measure, two regions count as disjoint when their intersection
 has length zero, which the canonical form renders as emptiness.  Union,
 intersection, difference and complement are one merge of two regions'
 endpoints; its result is canonical as built and stored as it is.  Length is
-computed on first read and kept.
+summed whenever it is read.  `_as_region` is the one coercion of a
+region-like value (an IntervalSet or (lo, hi) pairs) to a region.
 
-Code that compares many endpoints at once ranks them first: `_ranking`
-writes every endpoint of some regions as an integer over one scale, the
-lcm of their denominators, and sorts those integers, so no Fraction is
+Rationals become integers in one place: `_scaled` writes some values as
+integers over one scale, the lcm of their denominators.  Code that
+compares many endpoints at once ranks them first: `_ranking` scales every
+endpoint of some regions and sorts those integers, so no Fraction is
 compared.  An atom table cuts the cake at the ranked endpoints, and a
 region is then a bitmask over its atoms.  Allocations, equity tables and
 the revelation games all work on these ranks.
@@ -20,7 +22,7 @@ All endpoints are `fractions.Fraction`.  Floats are refused at the boundary:
 Fraction(0.4) is not 2/5, and we never want to find that out the hard way.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 from operator import attrgetter
@@ -112,12 +114,6 @@ def _merge(x, y, keep):
     return IntervalSet.from_canonical(zip(edges[::2], edges[1::2]))
 
 
-def _store(region, spans):
-    object.__setattr__(region, "intervals", spans)
-    object.__setattr__(region, "_length", None)
-    return region
-
-
 @dataclass(frozen=True, slots=True)
 class IntervalSet:
     """Canonical finite union of closed intervals within [0,1].
@@ -128,7 +124,6 @@ class IntervalSet:
     """
 
     intervals: tuple
-    _length: Fraction = field(compare=False, repr=False)
 
     def __init__(self, intervals=()):
         ivs = []
@@ -138,13 +133,15 @@ class IntervalSet:
             else:
                 lo, hi = item
                 ivs.append(Interval(lo, hi))
-        _store(self, _canonical(ivs))
+        object.__setattr__(self, "intervals", _canonical(ivs))
 
     @classmethod
     def from_canonical(cls, pairs):
         """The region of (lo, hi) pairs already in canonical form, stored as given:
         sorted, of positive length, neither overlapping nor touching."""
-        return _store(object.__new__(cls), tuple(Interval(lo, hi) for lo, hi in pairs))
+        region = object.__new__(cls)
+        object.__setattr__(region, "intervals", tuple(Interval(lo, hi) for lo, hi in pairs))
+        return region
 
     @classmethod
     def unit(cls):
@@ -156,9 +153,7 @@ class IntervalSet:
 
     @property
     def length(self):
-        if self._length is None:
-            object.__setattr__(self, "_length", sum((iv.length for iv in self), Fraction(0)))
-        return self._length
+        return sum((iv.length for iv in self.intervals), Fraction(0))
 
     def is_empty(self):
         return not self.intervals
@@ -202,20 +197,31 @@ class IntervalSet:
 _UNIT = IntervalSet.unit()
 
 
+def _as_region(x):
+    # A region as given, or one built from (lo, hi) pairs.
+    return x if isinstance(x, IntervalSet) else IntervalSet(x)
+
+
 def union_all(regions):
     """Union of an iterable of IntervalSets."""
     return IntervalSet(iv for region in regions for iv in region.intervals)
 
 
+def _scaled(values):
+    # Fractions as integers over one scale, the lcm of their denominators
+    # (1 for none): values[k] is integers[k] / scale.
+    scale = lcm(*{x.denominator for x in values})
+    return [x.numerator * (scale // x.denominator) for x in values], scale
+
+
 def _ranking(regions):
-    # Rank every endpoint of the regions as an integer over one scale, the
-    # lcm of their denominators.  The ranks come from sorting, never from
-    # hashing: integers that differ by a multiple of 2^61 - 1 hash alike.
-    # Returns the scale, the distinct endpoints in order as integers over it
-    # and as Fractions, and per region its spans as pairs of ranks.
+    # Rank every endpoint of the regions as an integer over the scale of
+    # `_scaled`.  The ranks come from sorting, never from hashing: integers
+    # that differ by a multiple of 2^61 - 1 hash alike.  Returns the scale,
+    # the distinct endpoints in order as integers over it and as Fractions,
+    # and per region its spans as pairs of ranks.
     points = [x for region in regions for iv in region.intervals for x in (iv.lo, iv.hi)]
-    scale = lcm(*{x.denominator for x in points})
-    ends = [x.numerator * (scale // x.denominator) for x in points]
+    ends, scale = _scaled(points)
     marks, firsts, rank = [], [], [0] * len(ends)
     for k in sorted(range(len(ends)), key=ends.__getitem__):
         if not marks or marks[-1] != ends[k]:

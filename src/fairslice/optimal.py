@@ -220,13 +220,19 @@ def _materialize(srm, x):
     return Allocation(portions)
 
 
-def _max_ue(srm, constraint, trace):
-    # The welfare LP, under an optional criterion, on a built rate matrix.
-    objective = [r for row in srm.rates for r in row]
-    solution = lp_solve(_allocation_lp(srm, objective, constraint), trace)
+def _solve(problem, trace=None):
+    # Every welfare LP is feasible and bounded, so any other status is a bug.
+    solution = lp_solve(problem, trace)
     if solution.status != OPTIMAL:
         raise RuntimeError("welfare LP came back %s" % solution.status)
     return solution
+
+
+def _max_ue(srm, constraint=None, floors=None, trace=None):
+    # Total utility maximized on a built rate matrix, under an optional
+    # criterion and optional per-agent floors.
+    objective = [r for row in srm.rates for r in row]
+    return _solve(_allocation_lp(srm, objective, constraint, floors), trace)
 
 
 def max_ue(valuations, constraint=None, trace=None):
@@ -239,7 +245,7 @@ def max_ue(valuations, constraint=None, trace=None):
     only mean a bug and is raised loudly.
     """
     srm = segment_rates(valuations)
-    solution = _max_ue(srm, constraint, trace)
+    solution = _max_ue(srm, constraint, trace=trace)
     return solution.value, _materialize(srm, solution.x)
 
 
@@ -254,9 +260,7 @@ def max_ee(valuations):
         row = _row(srm, n * m + 1, (1, i, i))
         row[n * m] = Fraction(-1)
         problem.add(row, GREATER, 0)
-    solution = lp_solve(problem)
-    if solution.status != OPTIMAL:
-        raise RuntimeError("welfare LP came back %s" % solution.status)
+    solution = _solve(problem)
     return solution.value, _materialize(srm, solution.x[: n * m])
 
 
@@ -269,11 +273,7 @@ def pareto_oracle(valuations, allocation):
     """
     srm = segment_rates(valuations)
     floors = [v.measure(portion) for v, portion in zip(valuations, allocation)]
-    objective = [r for row in srm.rates for r in row]
-    solution = lp_solve(_allocation_lp(srm, objective, floors=floors))
-    if solution.status != OPTIMAL:
-        raise RuntimeError("dominance LP came back %s" % solution.status)
-    return solution.value == sum(floors, Fraction(0))
+    return _max_ue(srm, floors=floors).value == sum(floors, Fraction(0))
 
 
 def welfare_optima(valuations, criterion, trace=None):
@@ -286,7 +286,7 @@ def welfare_optima(valuations, criterion, trace=None):
     srm = segment_rates(valuations)
     columns = zip(zip(*srm.rates), srm.segmentation.segments())
     top = sum((max(rates) * (hi - lo) for rates, (lo, hi) in columns), _ZERO)
-    return top, _max_ue(srm, criterion, trace).value
+    return top, _max_ue(srm, criterion, trace=trace).value
 
 
 def price_of(valuations, criterion):

@@ -23,7 +23,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from fairslice.intervals import frac
+from fairslice.intervals import _scaled, frac
 
 LESS = "<="
 EQUAL = "=="
@@ -85,11 +85,12 @@ def lp_solve(problem, trace=None):
 
 
 class _Tableau:
-    # Column layout: structural variables, then one slack or surplus per
-    # inequality row, then artificials for rows that need one.  Rows are
-    # normalized to non-negative rhs up front, and a >= row with rhs 0 to
-    # the <= row it negates to; flips are remembered so the duals reported
-    # at the end refer to the rows as the caller wrote them.
+    # Column layout: the structural variables, then one slack or surplus
+    # per row that is not ==, then one artificial per row that is not <=,
+    # each in row order.  Rows are normalized to non-negative rhs up front,
+    # and a >= row with rhs 0 to the <= row it negates to; flips are
+    # remembered so the duals reported at the end refer to the rows as the
+    # caller wrote them.
     #
     # Row r is multiplied by s_r, the lcm of its denominators, and its slack
     # and artificial stand for s_r times the ones of the row as written, so
@@ -116,8 +117,7 @@ class _Tableau:
         # Each row as written times s_r, with the rhs last, for the certificate.
         self.written = []
         for coefficients, sense, rhs in problem.rows:
-            s = _lcm_of_denominators(coefficients + [rhs])
-            ints = _scaled(coefficients + [rhs], s)
+            ints, s = _scaled(coefficients + [rhs])
             self.written.append(ints)
             flipped = rhs < 0 or (rhs == 0 and sense == GREATER)
             if flipped:
@@ -125,23 +125,14 @@ class _Tableau:
                 sense = {LESS: GREATER, GREATER: LESS, EQUAL: EQUAL}[sense]
             rows.append((ints, sense, s, flipped))
 
-        cols = n
-        slack_col = {}
-        for r, (_, sense, _, _) in enumerate(rows):
-            if sense in (LESS, GREATER):
-                slack_col[r] = cols
-                cols += 1
-        self.artificials = set()
-        art_col = {}
-        for r, (_, sense, _, _) in enumerate(rows):
-            if sense in (GREATER, EQUAL):
-                art_col[r] = cols
-                self.artificials.add(cols)
-                cols += 1
-
-        self.cols = cols
+        with_slack = [r for r, row in enumerate(rows) if row[1] != EQUAL]
+        with_artificial = [r for r, row in enumerate(rows) if row[1] != LESS]
+        slack_col = {r: n + k for k, r in enumerate(with_slack)}
+        art_col = {r: n + len(with_slack) + k for k, r in enumerate(with_artificial)}
+        self.artificials = set(art_col.values())
+        self.cols = n + len(with_slack) + len(with_artificial)
         self.den = 1
-        self.scale = [1] * cols
+        self.scale = [1] * self.cols
         self.body = []
         self.rhs = []
         self.basis = []
@@ -201,10 +192,8 @@ class _Tableau:
         return self._reduce(costs)
 
     def _phase2_costs(self):
-        objective = self.problem.objective
-        self.cost_scale = _lcm_of_denominators(objective)
-        costs = _scaled(objective, self.cost_scale) + [0] * (self.cols - len(objective))
-        return self._reduce(costs)
+        costs, _ = _scaled(self.problem.objective)
+        return self._reduce(costs + [0] * (self.cols - len(costs)))
 
     def _reduce(self, costs):
         # Reduced costs over den, of the nonbasic columns (a basic one's is 0).
@@ -342,7 +331,7 @@ class _Tableau:
     def _certify(self):
         # In ints: row r as written times s_r, with the rhs last; the vertex
         # times den; and, read off the costs of the slacks and artificials,
-        # the multiplier of each such row times den * cost_scale.
+        # the multiplier of each such row times den * the objective's scale.
         self._align(range(len(self.body)))
         n = self.problem.n_vars
         den = self.den
@@ -358,7 +347,7 @@ class _Tableau:
             q = position.get(self.id_col[original])
             y = 0 if q is None else -self.costs[q]
             duals[original] = -y if self.flipped[original] else y
-        objective = _scaled(self.problem.objective, self.cost_scale)
+        objective, cost_scale = _scaled(self.problem.objective)
         value = sum(c * v for c, v in zip(objective, x))
 
         checks = all(v >= 0 for v in x) and value == sum(
@@ -379,7 +368,7 @@ class _Tableau:
         )
         if not checks:
             raise RuntimeError("simplex returned an uncertified solution")
-        scale = den * self.cost_scale
+        scale = den * cost_scale
         duals = tuple(Fraction(y * self.scale[c], scale) for y, c in zip(duals, self.id_col))
         point = tuple(Fraction(v, den) for v in x)
         return LpSolution(OPTIMAL, Fraction(value, scale), point, duals, self.pivots)
@@ -402,12 +391,3 @@ class _Tableau:
                     self.basis[r],
                 )
             )
-
-
-def _lcm_of_denominators(values):
-    return math.lcm(*(v.denominator for v in values))
-
-
-def _scaled(values, scale):
-    # Fractions times a common multiple of their denominators, as ints.
-    return [v.numerator * (scale // v.denominator) for v in values]

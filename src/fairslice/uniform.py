@@ -17,7 +17,7 @@ from functools import reduce
 from operator import or_
 
 from fairslice.audit import Allocation
-from fairslice.intervals import IntervalSet, _atom_table, _region, _weight
+from fairslice.intervals import IntervalSet, _as_region, _atom_table, _region, _weight
 from fairslice.valuation import Valuation
 
 
@@ -31,10 +31,6 @@ class Infeasible(ValueError):
     Raised by exact_allocation when its precondition (the group minimises
     the average share) was violated by the caller.
     """
-
-
-def _as_region(x):
-    return x if isinstance(x, IntervalSet) else IntervalSet(x)
 
 
 # The agent who wants a given region, under its older name; an empty region

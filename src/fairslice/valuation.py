@@ -36,7 +36,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from fairslice.intervals import Interval, IntervalSet, frac
+from fairslice.intervals import Interval, IntervalSet, _as_region, _scaled, frac
 
 BISECT_TOLERANCE = Fraction(1, 10**12)
 
@@ -117,15 +117,8 @@ class Valuation:
                 kept.append((interval, slope, intercept))
         # Ends over one scale sort and compare as integers; the index keeps
         # pieces with equal ends in input order.
-        scale = math.lcm(*(x.denominator for iv, _, _ in kept for x in (iv.lo, iv.hi)))
-        ends = sorted(
-            (
-                iv.lo.numerator * (scale // iv.lo.denominator),
-                iv.hi.numerator * (scale // iv.hi.denominator),
-                k,
-            )
-            for k, (iv, _, _) in enumerate(kept)
-        )
+        points, scale = _scaled([x for iv, _, _ in kept for x in (iv.lo, iv.hi)])
+        ends = sorted(zip(points[::2], points[1::2], range(len(kept))))
         for (_, prev_hi, i), (lo, _, j) in zip(ends, ends[1:]):
             if lo < prev_hi:
                 raise ValueError("pieces overlap: %r and %r" % (kept[i][0], kept[j][0]))
@@ -138,14 +131,10 @@ class Valuation:
         # has mass (hi - lo) (2 scale c + s (hi + lo)) / (2 scale^2 unit).
         # The masses keep only the numerators, so their sum M is the scale
         # that normalises them.
-        unit = math.lcm(*(x.denominator for _, _, k in ends for x in kept[k][1:]))
-        coefficients = []
+        units, _ = _scaled([x for _, _, k in ends for x in kept[k][1:]])
+        coefficients = list(zip(units[::2], units[1::2]))
         masses = [0]
-        for lo, hi, k in ends:
-            _, slope, intercept = kept[k]
-            s = slope.numerator * (unit // slope.denominator)
-            c = intercept.numerator * (unit // intercept.denominator)
-            coefficients.append((s, c))
+        for (lo, hi, _), (s, c) in zip(ends, coefficients):
             masses.append(masses[-1] + (hi - lo) * (2 * scale * c + s * (hi + lo)))
         total = masses[-1]
         if total == 0:
@@ -177,8 +166,7 @@ class Valuation:
     @classmethod
     def uniform_on(cls, region):
         """Uniform over a region: indicator scaled by 1/length."""
-        if not isinstance(region, IntervalSet):
-            region = IntervalSet(region)
+        region = _as_region(region)
         valuation = cls([(iv, _ZERO, _ONE) for iv in region])
         # A canonical region's slices are the pieces, so it is the support.
         object.__setattr__(valuation, "_support", region)
@@ -248,9 +236,7 @@ class Valuation:
 
     def measure(self, region):
         """Exact mass of an IntervalSet, from one masses_at sweep of its ends."""
-        ends = [x for iv in region for x in (iv.lo, iv.hi)]
-        scale = math.lcm(*(x.denominator for x in ends))
-        below, den = self.masses_at([x.numerator * (scale // x.denominator) for x in ends], scale)
+        below, den = self.masses_at(*_scaled([x for iv in region for x in (iv.lo, iv.hi)]))
         return Fraction(sum(below[1::2]) - sum(below[::2]), den)
 
     def masses_at(self, marks, scale):

@@ -118,6 +118,13 @@ def test_parse_rejects_boolean_numbers():
         parse_scenario(bad)
 
 
+def test_profile_entry_that_is_not_a_list_exits_2(tmp_path, capsys):
+    path = write(tmp_path, text_of([agent("a", (0, 1))], profile=[5]))
+    code, out, err = run_cli(capsys, "equilibrium", path)
+    assert (code, out) == (2, "")
+    assert err == "error: profile[0]: expected a list of [lo, hi] pairs\n"
+
+
 def test_parse_syntax_error_carries_position():
     with pytest.raises(ParseError) as caught:
         parse_scenario('{\n  "agents": [,]\n}')

@@ -1,11 +1,12 @@
+import math
 from fractions import Fraction
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from fairslice.intervals import Interval, IntervalSet, frac, union_all
-from helpers import interval_sets
+from fairslice.intervals import Interval, IntervalSet, _scaled, frac, union_all
+from helpers import LARGE_DENOMINATORS, interval_sets, large_scale_fractions
 
 
 def iset(*pairs):
@@ -196,6 +197,15 @@ def test_unmerged_intervals_are_kept_as_given():
     assert region.intervals[1] is right
 
 
-def test_length_is_computed_once():
-    region = iset((0, "1/3"), ("1/2", "3/4"))
-    assert region.length is region.length
+def test_scaled_empty_list_has_scale_one():
+    assert _scaled([]) == ([], 1)
+
+
+@pytest.mark.parametrize("kind", sorted(LARGE_DENOMINATORS))
+@given(data=st.data())
+def test_scaled_writes_each_value_over_the_lcm_of_the_denominators(kind, data):
+    values = data.draw(st.lists(large_scale_fractions(kind), max_size=8))
+    integers, scale = _scaled(values)
+    assert scale == math.lcm(*(x.denominator for x in values))
+    assert [Fraction(i, scale) for i in integers] == values
+    assert all(type(i) is int for i in integers)

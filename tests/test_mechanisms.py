@@ -147,6 +147,11 @@ def test_selfridge_holds_bisected_cuts_to_the_slice(agents):
     assert sum(Valuation.uniform().measure(portion) for portion in result.allocation) == 1
 
 
+def test_even_paz_needs_an_agent():
+    with pytest.raises(ArityMismatch):
+        even_paz([])
+
+
 def test_even_paz_single_agent():
     result = run(even_paz, [uniform(("1/4", "3/4"))])
     assert portions_pairs(result) == [[(Fraction(0), Fraction(1))]]

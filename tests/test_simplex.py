@@ -85,6 +85,16 @@ def test_matches_fraction_tableau_on_random_programs(problem):
     solve_both(problem)
 
 
+def test_add_refuses_a_row_of_the_wrong_width():
+    with pytest.raises(ValueError, match="row has 1 coefficients, problem has 2 variables"):
+        LpProblem([1, 2]).add([1], "<=", 1)
+
+
+def test_add_refuses_an_unknown_sense():
+    with pytest.raises(ValueError, match="sense must be one of <=, ==, >="):
+        LpProblem([1]).add([1], "<", 1)
+
+
 def test_beale_cycling_program():
     # Degenerate at the origin: a largest-coefficient rule cycles here,
     # Bland's rule walks out.

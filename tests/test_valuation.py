@@ -73,6 +73,22 @@ def test_negative_density_rejected():
         Valuation.piecewise_linear([((0, 1), -3, 1)])
 
 
+def test_eval_refuses_a_reversed_span():
+    with pytest.raises(ValueError, match="need a <= b"):
+        Valuation.uniform().eval(Fraction(1, 2), Fraction(1, 3))
+
+
+@pytest.mark.parametrize("start", [-1, Fraction(3, 2)])
+def test_cut_refuses_a_start_off_the_cake(start):
+    with pytest.raises(ValueError, match=r"cut start must lie in \[0,1\]"):
+        Valuation.uniform().cut(start, Fraction(1, 4))
+
+
+def test_cut_refuses_a_negative_target():
+    with pytest.raises(ValueError, match="cut target must be non-negative"):
+        Valuation.uniform().cut(0, Fraction(-1, 4))
+
+
 def test_overlapping_pieces_rejected():
     with pytest.raises(ValueError):
         Valuation.piecewise_constant([((0, "1/2"), 1), (("1/4", 1), 1)])
