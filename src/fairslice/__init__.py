@@ -50,6 +50,7 @@ from fairslice.uniform import (
     min_average_mechanism,
     min_average_rounds,
     min_average_subset,
+    wanted_regions,
 )
 from fairslice.equilibrium import (
     EquilibriumReport,

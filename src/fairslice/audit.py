@@ -136,12 +136,14 @@ def _store(table, rows, dens):
     return table
 
 
+def _one_per_portion(valuations, allocation):
+    if len(valuations) != len(allocation):
+        raise ValueError("%d valuations but %d portions" % (len(valuations), len(allocation)))
+
+
 def equity_table(valuations, allocation):
     """Exact utility matrix of every agent for every portion."""
-    if len(valuations) != len(allocation):
-        raise ValueError(
-            "%d valuations but %d portions" % (len(valuations), len(allocation))
-        )
+    _one_per_portion(valuations, allocation)
     scale, marks, spans = allocation._ranks
     rows, dens = [], []
     for v in valuations:
@@ -200,6 +202,7 @@ def is_non_wasteful(valuations, allocation):
     # region exactly when it meets the agent's support in positive length.
     # Cake outside its owner's support is wanted by someone else exactly
     # when it meets the union of the supports.
+    _one_per_portion(valuations, allocation)
     n = len(allocation)
     _, _, bits, _ = _atom_table([*allocation.portions, *(v.support() for v in valuations)])
     portions, supports = bits[:n], bits[n:]

@@ -46,6 +46,7 @@ from fairslice.uniform import (
     length_game,
     lex_order,
     min_average_mechanism,
+    wanted_regions,
 )
 from fairslice.valuation import BISECT_TOLERANCE, UnsupportedValuationClass
 
@@ -59,7 +60,7 @@ QUERY_MECHANISMS = {
 REVELATION_MECHANISMS = ("lex-order", "length-game", "procaccia")
 MECHANISMS = tuple(QUERY_MECHANISMS) + REVELATION_MECHANISMS
 
-# Agent counts a mechanism accepts; None means any.
+# Fixed agent counts: `run` names them in its error, `bench` draws no others.
 FIXED_ARITY = {"cut-and-choose": 2, "selfridge": 3}
 
 
@@ -70,18 +71,9 @@ def _read_scenario(args):
         return parse_scenario(handle.read())
 
 
-def _preferences(scenario):
-    if not all(v.is_piecewise_uniform() for v in scenario.valuations):
-        raise UnsupportedValuationClass(
-            "revelation mechanisms need piecewise-uniform agents"
-        )
-    return scenario.valuations
-
-
-def _profile(scenario, preferences):
-    if scenario.profile is not None:
-        return scenario.profile
-    return Profile([p.support() for p in preferences])
+def _profile(scenario):
+    wanted = wanted_regions(scenario.valuations)
+    return Profile(wanted) if scenario.profile is None else scenario.profile
 
 
 def _report(scenario, allocation, transcript=None, equilibrium=None):
@@ -204,15 +196,13 @@ def cmd_run(args):
     if name in QUERY_MECHANISMS:
         result = QUERY_MECHANISMS[name](sincere_oracles(scenario.valuations))
         allocation, transcript = result.allocation, result.transcript
+    elif name == "procaccia":
+        allocation = min_average_mechanism(scenario.valuations)
+    elif name == "lex-order":
+        profile = _profile(scenario)
+        allocation = lex_order(profile, AgentOrder(range(len(profile))))
     else:
-        preferences = _preferences(scenario)
-        profile = _profile(scenario, preferences)
-        if name == "lex-order":
-            allocation = lex_order(profile, AgentOrder(range(len(profile))))
-        elif name == "length-game":
-            allocation = length_game(profile)
-        else:
-            allocation = min_average_mechanism(preferences)
+        allocation = length_game(_profile(scenario))
     return _answer(args, scenario, allocation, transcript=transcript)
 
 
@@ -225,9 +215,8 @@ def cmd_audit(args):
 
 def cmd_equilibrium(args):
     scenario = _read_scenario(args)
-    preferences = _preferences(scenario)
-    reduced = reduce_profile(_profile(scenario, preferences))
-    verdict = is_equilibrium(preferences, reduced)
+    reduced = reduce_profile(_profile(scenario))
+    verdict = is_equilibrium(scenario.valuations, reduced)
     equilibrium = {
         "is_equilibrium": verdict.is_equilibrium,
         "condition": None,
@@ -299,7 +288,10 @@ def cmd_bench(args):
         if arity is not None and n != arity:
             continue
         agents = random_uniform_agents(args.seed * 1000003 + n, n)
-        transcript = mechanism(sincere_oracles(agents)).transcript
+        try:
+            transcript = mechanism(sincere_oracles(agents)).transcript
+        except ArityMismatch:
+            continue  # the protocol refuses n agents: no row
         rows.append((n, transcript.total, transcript.eval_count, transcript.cut_count))
     _write(args.format, [dict(zip(rows[0], row)) for row in rows[1:]], rows)
     return 0

@@ -15,7 +15,7 @@ from functools import reduce
 from operator import or_
 
 from fairslice.intervals import IntervalSet, _atom_table, _region, _weight
-from fairslice.uniform import Profile, length_game, min_average_mechanism
+from fairslice.uniform import Profile, length_game, min_average_mechanism, wanted_regions
 
 
 class NotWellBehaved(ValueError):
@@ -79,7 +79,7 @@ def is_equilibrium(preferences, reduced):
         raise NotReduced("expected a certified ReducedProfile")
     n = len(reduced.profile)
     atoms, weights, bits, _ = _atom_table(
-        [*reduced.profile.strategies, *(p.support() for p in preferences)]
+        [*reduced.profile.strategies, *wanted_regions(preferences)]
     )
     claims, supports = bits[:n], bits[n:]
     # No claim loses part of itself when the claim masks add without a carry.
@@ -170,9 +170,8 @@ class _Board:
 
 
 def _board(preferences, profile, i, first):
-    atoms, weights, bits, scale = _atom_table(
-        [preferences[i].support(), first, *profile.strategies]
-    )
+    (support,) = wanted_regions([preferences[i]])
+    atoms, weights, bits, scale = _atom_table([support, first, *profile.strategies])
     weights = tuple(2 * w for w in weights)
     wanted = bits[0]
     claims = tuple(mask & wanted for mask in bits[2:])
@@ -290,11 +289,9 @@ def best_response_dynamics(preferences, start, max_rounds=None):
     n = len(start)
     if max_rounds is None:
         max_rounds = 100 * n
+    wanted = wanted_regions(preferences)
     fair = min_average_mechanism(preferences).portions
-    trimmed = Profile(
-        [start[k].intersect(preferences[k].support()) for k in range(n)]
-    )
-    profile = reduce_profile(trimmed).profile
+    profile = reduce_profile(Profile([start[k].intersect(wanted[k]) for k in range(n)])).profile
     for _ in range(max_rounds):
         moved = False
         for k in range(n):

@@ -16,9 +16,10 @@ even_paz         n agents; divide-and-conquer halving.  Proportional in
 
 Determinism pins every tie: the chooser in cut_and_choose takes the right
 slice when indifferent, preference ties resolve to the leftmost slice, and
-equal marks in even_paz order by agent index.  Oracles answering inexactly
-(a bisected cut through a linear density) are taken at their word, held
-only to the slice being cut; audits against the true valuations show that.
+equal marks in even_paz order by agent index.  Each cut names its slice and
+the Recorder holds the answer to it, so any exact answers make a valid
+allocation.  An inexact cut (bisected through a linear density) is taken at
+its word; audits against the true valuations show that.
 """
 
 from fractions import Fraction
@@ -77,9 +78,7 @@ def last_diminisher(oracles):
             if rec.eval(i, s, l) > share:
                 last = i
                 if len(remaining) > 1:
-                    # A trim can only shrink the candidate; an oracle claiming
-                    # a point outside [s,l] is held to the physical slice.
-                    l = min(l, max(s, rec.cut(i, s, share)))
+                    l = rec.cut(i, s, share, l)
         if last is None:
             last = remaining[0]
         portions[last].append((s, l))
@@ -120,8 +119,7 @@ def selfridge(oracles):
     y = thirds[y_index]
 
     # Trim X to tie with Y in agent 2's eyes; the trimming T may be empty.
-    # A bisected cut may land past X, so the trim is held to the slice.
-    c = min(x2, max(x1, rec.cut(1, x1, worth[y_index])))
+    c = rec.cut(1, x1, worth[y_index], x2)
     x_prime = (x1, c)
     trim = (c, x2)
 
@@ -151,8 +149,8 @@ def _divide_trimming(rec, divider, trim, portions):
     c, x2 = trim
     first_picker = 2 if divider == 1 else 1
     u = rec.eval(divider, c, x2)
-    d = min(x2, rec.cut(divider, c, u / 3))
-    e = min(x2, rec.cut(divider, d, u / 3))
+    d = rec.cut(divider, c, u / 3, x2)
+    e = rec.cut(divider, d, u / 3, x2)
     slices = [(c, d), (d, e), (e, x2)]
     values = [rec.eval(first_picker, lo, hi) for lo, hi in slices]
     best = max(range(3), key=lambda k: (values[k], -k))
@@ -190,9 +188,7 @@ def even_paz(oracles):
         left_share = Fraction(len(group) // 2, len(group))
         marks = {}
         for i in group:
-            v = rec.eval(i, s, t)
-            # Marks are clamped into the working slice so portions nest.
-            marks[i] = min(t, max(s, rec.cut(i, s, v * left_share)))
+            marks[i] = rec.cut(i, s, rec.eval(i, s, t) * left_share, t)
         ordered = sorted(sorted(group), key=marks.__getitem__)  # ties by index
         half = len(group) // 2
         split = marks[ordered[half - 1]]

@@ -19,7 +19,7 @@ Pareto test go through the LP and stay exact end to end.
 from dataclasses import dataclass
 from fractions import Fraction
 
-from fairslice.audit import Allocation
+from fairslice.audit import Allocation, _one_per_portion
 from fairslice.simplex import (
     GREATER,
     EQUAL,
@@ -271,6 +271,7 @@ def pareto_oracle(valuations, allocation):
     current utility; the allocation is Pareto efficient exactly when that
     optimum cannot exceed the current total.
     """
+    _one_per_portion(valuations, allocation)
     srm = segment_rates(valuations)
     floors = [v.measure(portion) for v, portion in zip(valuations, allocation)]
     return _max_ue(srm, floors=floors).value == sum(floors, Fraction(0))

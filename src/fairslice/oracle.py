@@ -11,12 +11,12 @@ AgentOracle, which wraps a valuation.  A Recorder sits between a running
 mechanism and its oracles and logs every query and reply as a QueryRecord
 named tuple, so runs can be audited and query complexity is measurable.
 
-A cut through a linear density may have an irrational answer, which the
-valuation bisects to a tolerance.  Valuation.cut hands back the whole
-CutResult so the Recorder can count such inexact cuts; the mechanism sees
-only the point.  A stand-in oracle may answer with a bare point, which is
-read as an exact rational (an int, a Fraction or a string such as "3/7",
-never a float) and taken as exact.
+The Recorder owns what an answer is: each is read once as an exact
+rational (an int, a Fraction or a string such as "3/7", never a float) and
+recorded as given, and a cut of the slice [a, end] is held to it.  A cut
+through a linear density may have an irrational answer, which the valuation
+bisects to a tolerance; Valuation.cut hands back the whole CutResult so the
+Recorder can count such inexact cuts.  A bare point is taken as exact.
 """
 
 from dataclasses import dataclass, field
@@ -83,18 +83,19 @@ class Recorder:
         self.transcript = QueryTranscript()
 
     def eval(self, i, a, b):
-        response = self.oracles[i].eval(a, b)
+        response = frac(self.oracles[i].eval(a, b))
         self.transcript.add(i, "eval", (a, b), response)
         return response
 
-    def cut(self, i, a, target):
+    def cut(self, i, a, target, end=1):
+        """Agent i's cut of the slice [a, end], held to the slice."""
         response = self.oracles[i].cut(a, target)
         exact = True
         if isinstance(response, CutResult):
             response, exact = response.point, response.exact
         response = frac(response)
         self.transcript.add(i, "cut", (a, target), response, exact)
-        return response
+        return max(frac(a), min(response, frac(end)))
 
 
 @dataclass(frozen=True)

@@ -2,11 +2,13 @@
 
 Agents here are piecewise-uniform `Valuation`s: each cares only about a
 fixed region of the cake (its support) and values any piece by the share of
-that region it covers.  A strategy is itself a region (a claim), and a
-profile is one claim per agent.  Three allocation rules are provided:
-priority allocation under an explicit agent order, the same with priority
-given to shorter claims, and a direct-revelation rule that repeatedly
-serves the group of agents whose jointly wanted cake is smallest per head.
+that region it covers.  The guarantees hold for no other agents, so the
+revelation layer reads supports only through `wanted_regions`, which
+refuses them.  A strategy is itself a region (a claim), and a profile is
+one claim per agent.  Three allocation rules are provided: priority
+allocation under an explicit agent order, the same with priority given to
+shorter claims, and a direct-revelation rule that repeatedly serves the
+group of agents whose jointly wanted cake is smallest per head.
 
 All lengths and utilities are exact rationals.
 """
@@ -18,7 +20,7 @@ from operator import or_
 
 from fairslice.audit import Allocation
 from fairslice.intervals import IntervalSet, _as_region, _atom_table, _region, _weight
-from fairslice.valuation import Valuation
+from fairslice.valuation import UnsupportedValuationClass, Valuation
 
 
 class EmptySubset(ValueError):
@@ -36,6 +38,13 @@ class Infeasible(ValueError):
 # The agent who wants a given region, under its older name; an empty region
 # raises ValueError.
 UniformPreference = Valuation.uniform_on
+
+
+def wanted_regions(preferences):
+    """Each agent's support; UnsupportedValuationClass unless all are piecewise uniform."""
+    if not all(p.is_piecewise_uniform() for p in preferences):
+        raise UnsupportedValuationClass("revelation mechanisms need piecewise-uniform agents")
+    return [p.support() for p in preferences]
 
 
 @dataclass(frozen=True, slots=True)
@@ -149,7 +158,8 @@ def _wanted_atoms(preferences, agents, cake):
     agents = sorted(set(agents))
     if not agents:
         raise EmptySubset("need at least one agent")
-    atoms, weights, bits, scale = _atom_table([cake, *(preferences[i].support() for i in agents)])
+    supports = wanted_regions([preferences[i] for i in agents])
+    atoms, weights, bits, scale = _atom_table([cake, *supports])
     return {i: mask & bits[0] for i, mask in zip(agents, bits[1:])}, atoms, weights, scale
 
 
@@ -377,7 +387,7 @@ def min_average_rounds(preferences):
     round's region and average are read off the bitmask of its group's
     wanted cake.
     """
-    atoms, weights, bits, scale = _atom_table([p.support() for p in preferences])
+    atoms, weights, bits, scale = _atom_table(wanted_regions(preferences))
     remaining = tuple(range(len(preferences)))
     cake = (1 << len(atoms)) - 1
     rounds = []

@@ -196,14 +196,12 @@ class Valuation:
             object.__setattr__(self, "_support", IntervalSet(p.interval for p in self.pieces))
         return self._support
 
+    # Slope 0 is alpha 0, and equal intercepts are equal betas.
     def is_piecewise_constant(self):
-        return all(p.slope == 0 for p in self.pieces)
+        return not any(alpha for alpha, _, _, _ in self._poly)
 
     def is_piecewise_uniform(self):
-        if not self.is_piecewise_constant():
-            return False
-        values = {p.intercept for p in self.pieces}
-        return len(values) <= 1
+        return self.is_piecewise_constant() and len({beta for _, beta, _, _ in self._poly}) == 1
 
     # ------------------------------------------------------------------
     # measure

@@ -19,6 +19,7 @@ from fairslice.audit import (
     utilitarian_equivalent,
 )
 from fairslice.intervals import IntervalSet
+from fairslice.optimal import pareto_oracle
 from fairslice.valuation import Valuation
 from helpers import (
     LARGE_DENOMINATORS,
@@ -350,3 +351,10 @@ def test_equity_table_round_trips_its_entries(rows):
     assert EquityTable(table.entries) == table
     assert table.strings() == [[str(x) for x in row] for row in rows]
     assert criteria(table) == reference_criteria(rows)
+
+
+@pytest.mark.parametrize("valuations", [HALVES[:1], THREE_AGENTS], ids=["fewer", "more"])
+@pytest.mark.parametrize("report", [equity_table, is_non_wasteful, pareto_oracle])
+def test_reports_need_one_valuation_per_portion(report, valuations):
+    with pytest.raises(ValueError, match="%d valuations but 2 portions" % len(valuations)):
+        report(valuations, alloc([(0, "0.5")], [("0.5", 1)]))

@@ -556,6 +556,13 @@ def test_run_revelation_needs_uniform_agents(tmp_path, capsys):
     assert code == 2 and "piecewise-uniform" in err
 
 
+@pytest.mark.parametrize("mechanism", ["lex-order", "length-game"])
+def test_run_explicit_profile_still_needs_uniform_agents(tmp_path, capsys, mechanism):
+    path = write(tmp_path, json.dumps({**json.loads(RAMP), "profile": [[[0, 1]], []]}))
+    code, out, err = run_cli(capsys, "run", path, "--mechanism", mechanism)
+    assert (code, out) == (2, "") and "piecewise-uniform" in err
+
+
 def test_run_procaccia_ignores_a_point_step(tmp_path, capsys):
     # A zero-length step of another value carries no mass, so agent a stays
     # piecewise uniform and the report is the one without the step.
@@ -845,6 +852,21 @@ def test_bench_fixed_arity_rows_only_match(capsys):
     _, out, _ = run_cli(capsys, "bench", "--mechanism", "cut-and-choose", "--n-range", "2..5")
     rows = out.splitlines()[1:]
     assert len(rows) == 1 and rows[0].startswith("2,")
+
+
+@pytest.mark.parametrize(
+    "mechanism, n_range, kept",
+    [
+        ("cut-and-choose", "1..4", [2]),
+        ("selfridge", "0..4", [3]),
+        ("last-diminisher", "1..4", [2, 3, 4]),
+        ("even-paz", "0..3", [1, 2, 3]),
+    ],
+)
+def test_bench_skips_every_n_the_protocol_refuses(capsys, mechanism, n_range, kept):
+    code, out, err = run_cli(capsys, "bench", "--mechanism", mechanism, "--n-range", n_range)
+    assert (code, err) == (0, "")
+    assert [int(line.split(",")[0]) for line in out.splitlines()[1:]] == kept
 
 
 def test_bench_rejects_revelation_mechanisms(capsys):

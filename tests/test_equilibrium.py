@@ -31,6 +31,7 @@ from fairslice.uniform import (
     length_game,
     min_average_mechanism,
 )
+from fairslice.valuation import UnsupportedValuationClass, Valuation
 
 from helpers import (
     claim_profiles,
@@ -449,3 +450,23 @@ class TestDynamics:
             for allocation in fixpoints:
                 assert utilitarian_equivalent(prefs, allocation, target)
                 assert is_envy_free(equity_table(prefs, allocation))
+
+
+@pytest.mark.parametrize(
+    "entry",
+    [
+        lambda prefs, profile: is_equilibrium(prefs, reduce_profile(profile)),
+        lambda prefs, profile: best_response(prefs, profile, 0),
+        lambda prefs, profile: best_response_dynamics(prefs, profile),
+    ],
+    ids=["is_equilibrium", "best_response", "best_response_dynamics"],
+)
+def test_equilibrium_entries_refuse_other_agents(entry):
+    # Agent a is worth 1/10 on [0, 1/2] and 9/10 on [1/2, 1].  Reading only
+    # its support, the sincere profile would pass as an equilibrium in which
+    # a gains nothing by deviating, though claiming [1/2, 1] wins it 9/10.
+    steep = Valuation.piecewise_constant([((0, "1/2"), 1), (("1/2", 1), 9)])
+    prefs = [steep, UniformPreference([("1/2", 1)])]
+    profile = Profile([p.support() for p in prefs])
+    with pytest.raises(UnsupportedValuationClass, match="need piecewise-uniform agents"):
+        entry(prefs, profile)

@@ -308,3 +308,72 @@ def test_valuations_are_their_own_sincere_oracles(agents, mechanism, data):
     assert direct.allocation == wrapped.allocation
     assert direct.transcript.records == wrapped.transcript.records
     assert direct.transcript.inexact_cuts == wrapped.transcript.inexact_cuts
+
+
+# Any answer on a 1/64 grid over [-1, 2], as a Fraction, a "p/q" string or,
+# when whole, an int.
+ANY_ANSWER = st.integers(min_value=-64, max_value=128).flatmap(
+    lambda k: st.sampled_from(
+        [Fraction(k, 64), "%d/64" % k] + ([k // 64] if k % 64 == 0 else [])
+    )
+)
+
+
+class _AnyOracle:
+    """Answers every eval and cut with a drawn answer, logged in `given`."""
+
+    def __init__(self, data, given):
+        self.data, self.given = data, given
+
+    def _answer(self):
+        answer = self.data.draw(ANY_ANSWER)
+        self.given.append(answer)
+        return answer
+
+    def eval(self, a, b):
+        return self._answer()
+
+    def cut(self, a, target):
+        return self._answer()
+
+
+@pytest.mark.parametrize("mechanism", SIZES, ids=[m.__name__ for m in SIZES])
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_any_exact_answers_make_a_valid_run(mechanism, data):
+    # The Recorder reads every answer as the Fraction given and holds each
+    # cut to the slice it cuts: no run raises, and every portion is a region
+    # of the cake, one per agent.
+    n = data.draw(st.integers(*SIZES[mechanism]))
+    given = []
+    result = mechanism([_AnyOracle(data, given) for _ in range(n)])
+    responses = [r.response for r in result.transcript.records]
+    assert responses == [Fraction(answer) for answer in given]
+    assert all(type(response) is Fraction for response in responses)
+    assert len(result.allocation) == n
+    for portion in result.allocation:
+        assert all(0 <= lo <= hi <= 1 for lo, hi in portion.pairs())
+
+
+class _FloatOracle(AgentOracle):
+    """Answers sincerely, but as a float to every question of one kind."""
+
+    def __init__(self, valuation, kind):
+        super().__init__(valuation)
+        self.kind = kind
+
+    def eval(self, a, b):
+        answer = super().eval(a, b)
+        return float(answer) if self.kind == "eval" else answer
+
+    def cut(self, a, target):
+        answer = super().cut(a, target).point
+        return float(answer) if self.kind == "cut" else answer
+
+
+@pytest.mark.parametrize("kind", ["eval", "cut"])
+@pytest.mark.parametrize("mechanism", SIZES, ids=[m.__name__ for m in SIZES])
+def test_float_answers_are_refused(mechanism, kind):
+    n = max(2, SIZES[mechanism][0])
+    with pytest.raises(TypeError):
+        mechanism([_FloatOracle(Valuation.uniform(), kind) for _ in range(n)])

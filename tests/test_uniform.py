@@ -26,8 +26,9 @@ from fairslice.uniform import (
     min_average_mechanism,
     min_average_rounds,
     min_average_subset,
+    wanted_regions,
 )
-from fairslice.valuation import Valuation
+from fairslice.valuation import UnsupportedValuationClass, Valuation
 
 from helpers import (
     LARGE_DENOMINATORS,
@@ -634,3 +635,34 @@ class TestTruthfulness:
                 distorted[i] = UniformPreference(lie)
                 outcome = min_average_mechanism(distorted)
                 assert truth.measure(outcome[i]) <= truth.measure(sincere[i])
+
+
+# Agent a wants all the cake, but nine times as much on its right half: not
+# piecewise uniform.  The min-average share [0, 1/2] would be worth 1/10 to
+# it, against 9/10 for claiming b's half.
+STEEP = [
+    Valuation.piecewise_constant([((0, "1/2"), 1), (("1/2", 1), 9)]),
+    Valuation.uniform_on([("1/2", 1)]),
+]
+
+
+@pytest.mark.parametrize(
+    "entry",
+    [
+        wanted_regions,
+        min_average_mechanism,
+        min_average_rounds,
+        lambda prefs: min_average_subset(prefs, [0, 1], IntervalSet.unit()),
+        lambda prefs: exact_allocation(prefs, [0, 1], IntervalSet.unit()),
+    ],
+    ids=["wanted_regions", "min_average_mechanism", "min_average_rounds",
+         "min_average_subset", "exact_allocation"],
+)
+def test_revelation_entries_refuse_other_agents(entry):
+    with pytest.raises(UnsupportedValuationClass, match="need piecewise-uniform agents"):
+        entry(STEEP)
+
+
+def test_wanted_regions_are_the_supports():
+    prefs = [Valuation.uniform_on([(0, "1/4"), ("1/2", 1)]), Valuation.uniform()]
+    assert wanted_regions(prefs) == [region((0, F(1, 4)), (F(1, 2), 1)), IntervalSet.unit()]
