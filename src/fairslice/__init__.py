@@ -17,7 +17,6 @@ from fairslice.audit import (
     is_envy_free,
     is_equitable,
     is_non_wasteful,
-    uncovered_valued_cake,
     utilitarian_efficiency,
     egalitarian_efficiency,
     utilitarian_equivalent,
@@ -26,7 +25,6 @@ from fairslice.oracle import (
     AgentOracle,
     MechanismResult,
     QueryRecord,
-    QueryTranscript,
     Recorder,
     sincere_oracles,
 )

@@ -26,7 +26,7 @@ from functools import cmp_to_key, reduce
 from math import gcd, lcm
 from operator import itemgetter, or_
 
-from fairslice.intervals import _as_region, _atom_table, _ranking, _scaled, frac, union_all
+from fairslice.intervals import _as_region, _atom_table, _ranking, _scaled, frac
 
 
 @dataclass(frozen=True, slots=True)
@@ -65,9 +65,6 @@ class Allocation:
 
     def __getitem__(self, i):
         return self.portions[i]
-
-    def allocated_region(self):
-        return union_all(self.portions)
 
 
 @dataclass(frozen=True, slots=True, eq=False)
@@ -136,14 +133,17 @@ def _store(table, rows, dens):
     return table
 
 
-def _one_per_portion(valuations, allocation):
-    if len(valuations) != len(allocation):
-        raise ValueError("%d valuations but %d portions" % (len(valuations), len(allocation)))
+def _one_each(agents, items, mismatch="%d valuations but %d portions"):
+    # The count rule of every entry that takes one item per agent.
+    if len(agents) != len(items):
+        raise ValueError(mismatch % (len(agents), len(items)))
+    if not agents:
+        raise ValueError("need at least one agent")
 
 
 def equity_table(valuations, allocation):
     """Exact utility matrix of every agent for every portion."""
-    _one_per_portion(valuations, allocation)
+    _one_each(valuations, allocation)
     scale, marks, spans = allocation._ranks
     rows, dens = [], []
     for v in valuations:
@@ -195,25 +195,18 @@ def egalitarian_efficiency(table):
 def is_non_wasteful(valuations, allocation):
     """No one holds cake worthless to them that someone else wants.
 
-    Cake valued by somebody but handed to nobody is a separate concern;
-    uncovered_valued_cake reports it.
+    Cake valued by somebody but handed to nobody is a separate concern.
     """
     # Every kept piece has positive density inside it, so an agent values a
     # region exactly when it meets the agent's support in positive length.
     # Cake outside its owner's support is wanted by someone else exactly
     # when it meets the union of the supports.
-    _one_per_portion(valuations, allocation)
+    _one_each(valuations, allocation)
     n = len(allocation)
     _, _, bits, _ = _atom_table([*allocation.portions, *(v.support() for v in valuations)])
     portions, supports = bits[:n], bits[n:]
     wanted = reduce(or_, supports, 0)
     return not any(portion & ~support & wanted for portion, support in zip(portions, supports))
-
-
-def uncovered_valued_cake(valuations, allocation):
-    """Region valued by at least one agent yet allocated to none."""
-    wanted = union_all(v.support() for v in valuations)
-    return wanted.difference(allocation.allocated_region())
 
 
 def utilitarian_equivalent(valuations, a, b):

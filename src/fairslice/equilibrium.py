@@ -14,8 +14,13 @@ from fractions import Fraction
 from functools import reduce
 from operator import or_
 
+from fairslice.audit import _one_each
 from fairslice.intervals import IntervalSet, _atom_table, _region, _weight
-from fairslice.uniform import Profile, length_game, min_average_mechanism, wanted_regions
+from fairslice.uniform import (
+    Profile, _check_agent, length_game, min_average_mechanism, wanted_regions,
+)
+
+_MISMATCH = "%d preferences but %d strategies"
 
 
 class NotWellBehaved(ValueError):
@@ -23,7 +28,7 @@ class NotWellBehaved(ValueError):
 
 
 class NotReduced(ValueError):
-    """The profile is not certified reduced, or its certificate is wrong."""
+    """The profile is not a ReducedProfile, or some claim loses part of itself."""
 
 
 @dataclass(frozen=True)
@@ -31,7 +36,6 @@ class ReducedProfile:
     """A profile whose claims are exactly the portions they win."""
 
     profile: Profile
-    certified_reduced: bool
 
 
 def reduce_profile(profile):
@@ -41,7 +45,7 @@ def reduce_profile(profile):
     are pairwise disjoint it does so under any priority order.
     """
     allocation = length_game(profile)
-    return ReducedProfile(Profile(allocation.portions), True)
+    return ReducedProfile(Profile(allocation.portions))
 
 
 @dataclass(frozen=True)
@@ -68,15 +72,15 @@ class EquilibriumReport:
 
 
 def is_equilibrium(preferences, reduced):
-    """Decide equilibrium for a certified reduced, well behaved profile.
+    """Decide equilibrium for a reduced, well behaved profile.
 
     Reports the first violation found: unclaimed wanted cake, then claim
     pairs in (claimer, wanter) index order.  Witnesses always have positive
     length.  Each check is a bitmask test on one atom table over the claims
     and the wanted regions; only a witness becomes a region.
     """
-    if not isinstance(reduced, ReducedProfile) or not reduced.certified_reduced:
-        raise NotReduced("expected a certified ReducedProfile")
+    if not isinstance(reduced, ReducedProfile):
+        raise NotReduced("expected a ReducedProfile")
     n = len(reduced.profile)
     atoms, weights, bits, _ = _atom_table(
         [*reduced.profile.strategies, *wanted_regions(preferences)]
@@ -86,8 +90,7 @@ def is_equilibrium(preferences, reduced):
     claimed = reduce(or_, claims, 0)
     if sum(claims) != claimed:
         raise NotReduced("certificate is wrong: some claim loses part of itself")
-    if len(supports) != n:
-        raise ValueError("%d preferences but %d strategies" % (len(supports), n))
+    _one_each(preferences, reduced.profile, _MISMATCH)
     if any(claim & ~support for claim, support in zip(claims, supports)):
         raise NotWellBehaved("some claim strays outside its owner's wanted region")
 
@@ -269,6 +272,8 @@ def best_response(preferences, profile, i):
     most one partial atom, and what it wins is an integer sum.  Only the
     best candidates become regions, for the tie-break.
     """
+    _one_each(preferences, profile, _MISMATCH)
+    _check_agent(i, len(preferences))
     return _respond(preferences, profile, i, IntervalSet.empty())
 
 
@@ -286,6 +291,7 @@ def best_response_dynamics(preferences, start, max_rounds=None):
     and the fixpoint is a certified equilibrium; hitting the round budget
     reports False.
     """
+    _one_each(preferences, start, _MISMATCH)
     n = len(start)
     if max_rounds is None:
         max_rounds = 100 * n
@@ -300,6 +306,6 @@ def best_response_dynamics(preferences, start, max_rounds=None):
                 profile = reduce_profile(profile.replace(k, strategy)).profile
                 moved = True
         if not moved:
-            report = is_equilibrium(preferences, ReducedProfile(profile, True))
+            report = is_equilibrium(preferences, ReducedProfile(profile))
             return profile, report.is_equilibrium
     return profile, False

@@ -33,7 +33,7 @@ class ArityMismatch(ValueError):
 
 
 def _result(portions, recorder):
-    return MechanismResult(Allocation(portions), recorder.transcript)
+    return MechanismResult(Allocation(portions), recorder)
 
 
 def cut_and_choose(oracles):

@@ -19,7 +19,7 @@ Pareto test go through the LP and stay exact end to end.
 from dataclasses import dataclass
 from fractions import Fraction
 
-from fairslice.audit import Allocation, _one_per_portion
+from fairslice.audit import Allocation, _one_each
 from fairslice.simplex import (
     GREATER,
     EQUAL,
@@ -63,6 +63,8 @@ def segment(valuations):
     agents is constant on each segment.  Crossings of rational affine
     pieces land on rational points, which keeps everything exact.
     """
+    if not valuations:
+        raise ValueError("need at least one agent")
     marks = {Fraction(0), Fraction(1)}
     for v in valuations:
         for piece in v.pieces:
@@ -271,7 +273,7 @@ def pareto_oracle(valuations, allocation):
     current utility; the allocation is Pareto efficient exactly when that
     optimum cannot exceed the current total.
     """
-    _one_per_portion(valuations, allocation)
+    _one_each(valuations, allocation)
     srm = segment_rates(valuations)
     floors = [v.measure(portion) for v, portion in zip(valuations, allocation)]
     return _max_ue(srm, floors=floors).value == sum(floors, Fraction(0))

@@ -9,7 +9,8 @@ A Valuation answers both, so it is its own sincere oracle.  Anything with
 the same two methods can stand in for one: the tests' lying agents build on
 AgentOracle, which wraps a valuation.  A Recorder sits between a running
 mechanism and its oracles and logs every query and reply as a QueryRecord
-named tuple, so runs can be audited and query complexity is measurable.
+named tuple; it is the transcript a MechanismResult carries, so runs can be
+audited and query complexity is measurable.
 
 The Recorder owns what an answer is: each is read once as an exact
 rational (an int, a Fraction or a string such as "3/7", never a float) and
@@ -19,7 +20,7 @@ bisects to a tolerance; Valuation.cut hands back the whole CutResult so the
 Recorder can count such inexact cuts.  A bare point is taken as exact.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 from fairslice.intervals import frac
@@ -50,17 +51,13 @@ class QueryRecord(NamedTuple):
     response: object
 
 
-@dataclass
-class QueryTranscript:
-    """Ordered log of every oracle interaction in one mechanism run."""
+class Recorder:
+    """Routes queries to oracles (0-indexed agents) and is the run's transcript."""
 
-    records: list = field(default_factory=list)
-    inexact_cuts: int = 0
-
-    def add(self, agent, kind, args, response, exact=True):
-        self.records.append(QueryRecord(agent, kind, tuple(args), response))
-        if not exact:
-            self.inexact_cuts += 1
+    def __init__(self, oracles):
+        self.oracles = list(oracles)
+        self.records = []
+        self.inexact_cuts = 0
 
     @property
     def total(self):
@@ -74,27 +71,19 @@ class QueryTranscript:
     def cut_count(self):
         return sum(1 for r in self.records if r.kind == "cut")
 
-
-class Recorder:
-    """Routes queries to oracles (0-indexed agents) and logs them."""
-
-    def __init__(self, oracles):
-        self.oracles = list(oracles)
-        self.transcript = QueryTranscript()
-
     def eval(self, i, a, b):
         response = frac(self.oracles[i].eval(a, b))
-        self.transcript.add(i, "eval", (a, b), response)
+        self.records.append(QueryRecord(i, "eval", (a, b), response))
         return response
 
     def cut(self, i, a, target, end=1):
         """Agent i's cut of the slice [a, end], held to the slice."""
         response = self.oracles[i].cut(a, target)
-        exact = True
         if isinstance(response, CutResult):
-            response, exact = response.point, response.exact
+            self.inexact_cuts += not response.exact
+            response = response.point
         response = frac(response)
-        self.transcript.add(i, "cut", (a, target), response, exact)
+        self.records.append(QueryRecord(i, "cut", (a, target), response))
         return max(frac(a), min(response, frac(end)))
 
 
@@ -103,4 +92,4 @@ class MechanismResult:
     """What a protocol run produces: the allocation and how it was reached."""
 
     allocation: object
-    transcript: QueryTranscript
+    transcript: Recorder

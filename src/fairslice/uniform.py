@@ -47,6 +47,11 @@ def wanted_regions(preferences):
     return [p.support() for p in preferences]
 
 
+def _check_agent(i, n):
+    if not 0 <= i < n:
+        raise ValueError("agent index %d is out of range for %d agents" % (i, n))
+
+
 @dataclass(frozen=True, slots=True)
 class Profile:
     """One claimed region per agent, in agent order.  Empty claims are legal."""
@@ -119,6 +124,8 @@ def length_game(profile):
 def _priority(profile, order):
     # `lex_order` on one atom table of the claims; with no order, shorter
     # claims first, ties to the lower index.
+    if not len(profile):
+        raise EmptySubset("need at least one agent")
     atoms, weights, bits, _ = _atom_table(profile.strategies)
     if order is None:
         order = sorted(range(len(bits)), key=lambda i: _weight(bits[i], weights))
@@ -158,6 +165,8 @@ def _wanted_atoms(preferences, agents, cake):
     agents = sorted(set(agents))
     if not agents:
         raise EmptySubset("need at least one agent")
+    for i in (agents[0], agents[-1]):
+        _check_agent(i, len(preferences))
     supports = wanted_regions([preferences[i] for i in agents])
     atoms, weights, bits, scale = _atom_table([cake, *supports])
     return {i: mask & bits[0] for i, mask in zip(agents, bits[1:])}, atoms, weights, scale

@@ -14,11 +14,10 @@ from fairslice.audit import (
     is_equitable,
     is_non_wasteful,
     is_proportional,
-    uncovered_valued_cake,
     utilitarian_efficiency,
     utilitarian_equivalent,
 )
-from fairslice.intervals import IntervalSet
+from fairslice.intervals import IntervalSet, union_all
 from fairslice.optimal import pareto_oracle
 from fairslice.valuation import Valuation
 from helpers import (
@@ -158,14 +157,6 @@ def test_non_wasteful_examples():
     assert not is_non_wasteful(skewed, alloc([(0, 1)], []))
 
 
-def test_uncovered_valued_cake():
-    agents = [uniform((0, "0.5")), uniform(("0.25", "0.75"))]
-    a = alloc([(0, "0.25")], [("0.5", "0.75")])
-    assert uncovered_valued_cake(agents, a) == IntervalSet([("0.25", "0.5")])
-    full = alloc([(0, "0.5")], [("0.5", "0.75")])
-    assert uncovered_valued_cake(agents, full).is_empty()
-
-
 def test_utilitarian_equivalent():
     a = alloc([(0, "0.5")], [("0.5", 1)])
     b = alloc([(0, "0.25"), ("0.25", "0.5")], [("0.5", 1)])
@@ -199,7 +190,7 @@ def random_full_allocations(n):
 )
 def test_envy_free_full_allocation_is_proportional(valuations, data):
     allocation = data.draw(random_full_allocations(len(valuations)))
-    assert allocation.allocated_region() == IntervalSet.unit()
+    assert union_all(allocation.portions) == IntervalSet.unit()
     table = equity_table(valuations, allocation)
     if is_envy_free(table):
         assert is_proportional(table)

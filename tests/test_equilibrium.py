@@ -65,7 +65,6 @@ class TestReduceProfile:
     def test_disjoint_profile_is_already_reduced(self):
         profile = Profile([region((0, "1/4")), region(("1/2", "1"))])
         reduced = reduce_profile(profile)
-        assert reduced.certified_reduced
         assert reduced.profile == profile
 
     def test_overlapping_claims_shrink_to_their_winnings(self):
@@ -116,7 +115,7 @@ def equilibrium_inputs(draw):
 
     The profile is random (often not reduced, not well behaved, with empty
     claims), reduced, reduced after trimming to the wanted regions, or a
-    full split of the wanted cake.  It comes certified, uncertified or bare,
+    full split of the wanted cake.  It comes as a ReducedProfile or bare,
     and the preferences are now and then one agent too many or too few.
     """
     n = draw(st.integers(min_value=1, max_value=4))
@@ -135,10 +134,9 @@ def equilibrium_inputs(draw):
         prefs = prefs + draw(uniform_preferences(1))
     elif extra < 0:
         prefs = prefs[:-1]
-    wrapping = draw(st.sampled_from(["certified"] * 4 + ["uncertified", "bare"]))
-    if wrapping == "bare":
+    if draw(st.sampled_from([False] * 4 + [True])):
         return prefs, profile
-    return prefs, ReducedProfile(profile, wrapping == "certified")
+    return prefs, ReducedProfile(profile)
 
 
 def _outcome(check, prefs, reduced):
@@ -164,7 +162,7 @@ class TestIsEquilibrium:
         profile = Profile(
             [region((0, "1/10")), region(("1/10", "1/2")), region(("3/5", "1"))]
         )
-        report = is_equilibrium(OVERLAP3, ReducedProfile(profile, True))
+        report = is_equilibrium(OVERLAP3, ReducedProfile(profile))
         assert not report.is_equilibrium
         assert report.violated_condition == UnallocatedValuedCake(
             region(("1/2", "3/5"))
@@ -177,7 +175,7 @@ class TestIsEquilibrium:
             UniformPreference(region((0, "1/2"))),
         ]
         profile = Profile([region((0, "1/2")), IntervalSet.empty()])
-        report = is_equilibrium(prefs, ReducedProfile(profile, True))
+        report = is_equilibrium(prefs, ReducedProfile(profile))
         assert not report.is_equilibrium
         assert report.violated_condition == LengthOrderViolation(
             0, 1, region((0, "1/2"))
@@ -188,15 +186,13 @@ class TestIsEquilibrium:
         profile = Profile([region((0, "1/2")), IntervalSet.empty()])
         prefs = [UniformPreference(IntervalSet.unit()) for _ in range(2)]
         with pytest.raises(NotReduced):
-            is_equilibrium(prefs, ReducedProfile(profile, False))
-        with pytest.raises(NotReduced):
             is_equilibrium(prefs, profile)
 
     def test_wrong_certificate_rejected(self):
         overlapping = Profile([region((0, "1/2")), region((0, "1/2"))])
         prefs = [UniformPreference(IntervalSet.unit()) for _ in range(2)]
         with pytest.raises(NotReduced):
-            is_equilibrium(prefs, ReducedProfile(overlapping, True))
+            is_equilibrium(prefs, ReducedProfile(overlapping))
 
     def test_ill_behaved_profile_rejected(self):
         prefs = [
@@ -205,7 +201,7 @@ class TestIsEquilibrium:
         ]
         profile = Profile([region((0, "1/2")), region(("1/2", "1"))])
         with pytest.raises(NotWellBehaved):
-            is_equilibrium(prefs, ReducedProfile(profile, True))
+            is_equilibrium(prefs, ReducedProfile(profile))
 
     @pytest.mark.parametrize(
         "second, error, message",
@@ -217,7 +213,7 @@ class TestIsEquilibrium:
         ],
     )
     def test_checks_run_in_order(self, second, error, message):
-        profile = ReducedProfile(Profile([region((0, "1/2")), region(second)]), True)
+        profile = ReducedProfile(Profile([region((0, "1/2")), region(second)]))
         prefs = [UniformPreference(region((0, "1/4")))] * 3
         for check in (is_equilibrium, reference_is_equilibrium):
             with pytest.raises(error) as caught:
@@ -236,7 +232,7 @@ class TestIsEquilibrium:
     @settings(deadline=None)
     def test_min_average_outputs_are_equilibria(self, prefs):
         allocation = min_average_mechanism(prefs)
-        reduced = ReducedProfile(Profile(allocation.portions), True)
+        reduced = ReducedProfile(Profile(allocation.portions))
         assert is_equilibrium(prefs, reduced).is_equilibrium
 
     @given(
@@ -250,7 +246,7 @@ class TestIsEquilibrium:
         # the coverage polymatroid, which the min-average rule computes
         # (Fujishige, 1980); about one profile in nine drawn here is one.
         prefs, profile = instance
-        report = is_equilibrium(prefs, ReducedProfile(profile, True))
+        report = is_equilibrium(prefs, ReducedProfile(profile))
         lengths = [portion.length for portion in min_average_mechanism(prefs)]
         assert report.is_equilibrium == ([claim.length for claim in profile] == lengths)
 
@@ -306,7 +302,7 @@ class TestBestResponse:
         profile = reduce_profile(
             Profile([p.support() for p in prefs])
         ).profile
-        report = is_equilibrium(prefs, ReducedProfile(profile, True))
+        report = is_equilibrium(prefs, ReducedProfile(profile))
         gains = [best_response(prefs, profile, i)[1] for i in range(3)]
         assert report.is_equilibrium == all(g == 0 for g in gains)
 

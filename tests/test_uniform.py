@@ -606,7 +606,7 @@ class TestMinAverageMechanism:
     @settings(deadline=None)
     def test_allocates_exactly_the_wanted_cake(self, prefs):
         allocation = min_average_mechanism(prefs)
-        assert allocation.allocated_region() == union_all(
+        assert union_all(allocation.portions) == union_all(
             p.support() for p in prefs
         )
         for portion, pref in zip(allocation, prefs):
