@@ -211,6 +211,6 @@ def is_non_wasteful(valuations, allocation):
 
 def utilitarian_equivalent(valuations, a, b):
     """True when every agent is exactly indifferent between a and b."""
-    diag_a = equity_table(valuations, a)._diagonal()
-    diag_b = equity_table(valuations, b)._diagonal()
-    return all(na * db == nb * da for (na, da), (nb, db) in zip(diag_a, diag_b))
+    _one_each(valuations, a)
+    _one_each(valuations, b)
+    return all(v.measure(x) == v.measure(y) for v, x, y in zip(valuations, a, b))

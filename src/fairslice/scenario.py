@@ -110,43 +110,54 @@ def _region(value, path):
         raise ParseError("%s: %s" % (path, error))
 
 
+# Each valuation type: the Valuation classmethod that builds it and the
+# fields of a piece besides lo and hi, in the order the method takes them.
+# The last field is the density's intercept, and the one before it, if any,
+# its slope.
+_TYPES = {
+    "uniform": ("uniform_on", ()),
+    "constant": ("piecewise_constant", ("value",)),
+    "linear": ("piecewise_linear", ("slope", "intercept")),
+}
+
+
 def _valuation(spec, path):
     kind = _field(spec, "type", path)
     pieces = _field(spec, "pieces", path)
     if not isinstance(pieces, list) or not pieces:
         raise ParseError("%s.pieces: expected a non-empty list" % path)
-    rows = []
-    for k, piece in enumerate(pieces):
-        where = "%s.pieces[%d]" % (path, k)
-        lo = _number(_field(piece, "lo", where), where)
-        hi = _number(_field(piece, "hi", where), where)
-        rows.append((piece, where, lo, hi))
+    wheres = ["%s.pieces[%d]" % (path, k) for k in range(len(pieces))]
+    spans = [
+        (_number(_field(piece, "lo", where), where), _number(_field(piece, "hi", where), where))
+        for piece, where in zip(pieces, wheres)
+    ]
+    if not isinstance(kind, str) or kind not in _TYPES:
+        raise ParseError("%s.type: unknown valuation type %r" % (path, kind))
+    method, fields = _TYPES[kind]
+    if fields:
+        spans = [
+            (span, *(_number(_field(piece, name, where), where) for name in fields))
+            for span, piece, where in zip(spans, pieces, wheres)
+        ]
     try:
-        if kind == "uniform":
-            return Valuation.uniform_on([(lo, hi) for _, _, lo, hi in rows])
-        if kind == "constant":
-            return Valuation.piecewise_constant(
-                [
-                    ((lo, hi), _number(_field(piece, "value", where), where))
-                    for piece, where, lo, hi in rows
-                ]
-            )
-        if kind == "linear":
-            return Valuation.piecewise_linear(
-                [
-                    (
-                        (lo, hi),
-                        _number(_field(piece, "slope", where), where),
-                        _number(_field(piece, "intercept", where), where),
-                    )
-                    for piece, where, lo, hi in rows
-                ]
-            )
-    except ParseError:
-        raise
+        return getattr(Valuation, method)(spans)
     except ValueError as error:
         raise ParseError("%s: %s" % (path, error))
-    raise ParseError("%s.type: unknown valuation type %r" % (path, kind))
+
+
+def _per_agent(data, key, item, build, count):
+    # The region list under key, one per agent, handed to build; None when
+    # the scenario has no such list.
+    if key not in data:
+        return None
+    rows = data[key]
+    if not isinstance(rows, list) or len(rows) != count:
+        raise ParseError("%s: expected one %s per agent" % (key, item))
+    regions = [_region(row, "%s[%d]" % (key, k)) for k, row in enumerate(rows)]
+    try:
+        return build(regions)
+    except ValueError as error:
+        raise ParseError("%s: %s" % (key, error))
 
 
 def parse_scenario(text):
@@ -179,24 +190,8 @@ def parse_scenario(text):
     if len(set(ids)) != len(ids):
         raise ParseError("agents: ids are not unique")
 
-    profile = None
-    if "profile" in data:
-        rows = data["profile"]
-        if not isinstance(rows, list) or len(rows) != len(agents):
-            raise ParseError("profile: expected one strategy per agent")
-        profile = Profile([_region(row, "profile[%d]" % k) for k, row in enumerate(rows)])
-
-    allocation = None
-    if "allocation" in data:
-        rows = data["allocation"]
-        if not isinstance(rows, list) or len(rows) != len(agents):
-            raise ParseError("allocation: expected one portion per agent")
-        portions = [_region(row, "allocation[%d]" % k) for k, row in enumerate(rows)]
-        try:
-            allocation = Allocation(portions)
-        except ValueError as error:
-            raise ParseError("allocation: %s" % error)
-
+    profile = _per_agent(data, "profile", "strategy", Profile, len(agents))
+    allocation = _per_agent(data, "allocation", "portion", Allocation, len(agents))
     version = data.get("version", "1")
     return Scenario(str(version), tuple(ids), tuple(valuations), profile, allocation)
 
@@ -209,19 +204,17 @@ def region_pairs(region):
 def _valuation_spec(valuation):
     if valuation.is_piecewise_uniform():
         # Read back as one region, which merges touching pieces: write it so.
-        kind = "uniform"
-        pieces = [{"lo": iv.lo, "hi": iv.hi} for iv in valuation.support()]
+        kind, rows = "uniform", [(iv, ()) for iv in valuation.support()]
     else:
-        if valuation.is_piecewise_constant():
-            kind, extra = "constant", lambda p: {"value": p.intercept}
-        else:
-            kind, extra = "linear", lambda p: {"slope": p.slope, "intercept": p.intercept}
-        pieces = [
-            {"lo": p.interval.lo, "hi": p.interval.hi, **extra(p)} for p in valuation.pieces
-        ]
+        kind = "constant" if valuation.is_piecewise_constant() else "linear"
+        rows = [(p.interval, (p.intercept, p.slope)) for p in valuation.pieces]
+    fields = _TYPES[kind][1][::-1]
     return {
         "type": kind,
-        "pieces": [{key: str(value) for key, value in piece.items()} for piece in pieces],
+        "pieces": [
+            {"lo": str(iv.lo), "hi": str(iv.hi), **{f: str(x) for f, x in zip(fields, values)}}
+            for iv, values in rows
+        ],
     }
 
 
@@ -234,8 +227,8 @@ def serialize_scenario(scenario):
             for agent_id, valuation in zip(scenario.ids, scenario.valuations)
         ],
     }
-    if scenario.profile is not None:
-        data["profile"] = [region_pairs(s) for s in scenario.profile]
-    if scenario.allocation is not None:
-        data["allocation"] = [region_pairs(p) for p in scenario.allocation]
+    for key in ("profile", "allocation"):
+        regions = getattr(scenario, key)
+        if regions is not None:
+            data[key] = [region_pairs(region) for region in regions]
     return json.dumps(data, indent=2, sort_keys=True) + "\n"

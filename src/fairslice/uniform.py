@@ -65,6 +65,7 @@ class Profile:
 
     def replace(self, i, strategy):
         """A copy with agent i's claim swapped out."""
+        _check_agent(i, len(self))
         strategies = list(self.strategies)
         strategies[i] = _as_region(strategy)
         return Profile(strategies)

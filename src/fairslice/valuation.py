@@ -207,14 +207,19 @@ class Valuation:
     # measure
 
     def _mass_below(self, p, r):
-        # F(p/r), the mass of [0, p/r], as an unreduced integer pair.
+        # F(p/r), the mass of [0, p/r], as an unreduced integer pair.  On a
+        # piece it is (alpha p^2 + beta p r + delta r^2) / (M r^2); on a
+        # constant piece alpha is 0 and r cancels once.
         scaled = p * self._scale
         k = bisect_right(self._los, scaled // r) - 1
         if k < 0:
             return 0, 1
         if scaled > self._his[k] * r:
             return self._masses[k + 1], self._masses[-1]
-        return _at(self._poly[k], p, r)
+        alpha, beta, delta, total = self._poly[k]
+        if alpha:
+            return (alpha * p + beta * r) * p + delta * r * r, total * r * r
+        return beta * p + delta * r, total * r
 
     def eval(self, a, b):
         """Exact mass of [a,b], as F(b) - F(a).
@@ -305,7 +310,7 @@ class Valuation:
         gn, gd = nl * td + tn * dl, dl * td
         total = self._masses[-1]
         k = bisect_left(self._masses, -(-gn * total // gd), 1) - 1
-        if k == len(self.pieces):
+        if k == len(self._los):
             raise TargetUnreachable(
                 "requested mass %s exceeds mass %s right of %s" % (target, self.eval(a, 1), a)
             )
@@ -336,13 +341,3 @@ class Valuation:
             else:
                 hi = mid
         return CutResult(Fraction(hi, d), False)
-
-
-def _at(poly, p, r):
-    # F(p/r) = (alpha p^2 + beta p r + delta r^2) / (M r^2), unreduced; on a
-    # constant piece alpha is 0 and r cancels once.
-    alpha, beta, delta, total = poly
-    if alpha:
-        return (alpha * p + beta * r) * p + delta * r * r, total * r * r
-    return beta * p + delta * r, total * r
-

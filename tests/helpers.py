@@ -684,21 +684,6 @@ def reference_overlap_error(portions):
     return None
 
 
-def scan_cut(valuation, a, target, steps=4096):
-    """Brute cut oracle: walk a fine grid and return the first point reaching target.
-
-    Only meaningful when the true cut lies on the grid; callers pick targets
-    that make that so.
-    """
-    best = None
-    for k in range(steps + 1):
-        b = a + (Fraction(1) - a) * Fraction(k, steps)
-        if valuation.eval(a, b) >= target:
-            best = b
-            break
-    return best
-
-
 def pairwise_overlap(portions):
     """First pair (i, j), i < j, of regions sharing positive length, else None.
 
@@ -1049,6 +1034,8 @@ def reference_is_equilibrium(preferences, reduced):
         raise NotReduced("certificate is wrong: some claim loses part of itself")
     if len(preferences) != len(profile):
         raise ValueError("%d preferences but %d strategies" % (len(preferences), len(profile)))
+    if not preferences:
+        raise ValueError("need at least one agent")
     if not all(s.difference(p.support()).is_empty() for s, p in zip(profile, preferences)):
         raise NotWellBehaved("some claim strays outside its owner's wanted region")
 

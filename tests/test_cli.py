@@ -125,6 +125,41 @@ def test_profile_entry_that_is_not_a_list_exits_2(tmp_path, capsys):
     assert err == "error: profile[0]: expected a list of [lo, hi] pairs\n"
 
 
+def pieces_of(valuation):
+    return [{"id": "a", "valuation": valuation}]
+
+
+@pytest.mark.parametrize(
+    "text,message",
+    [
+        (
+            text_of([agent("a", (0, 1))], profile=[[["1/2", "1/3"]]]),
+            "profile[0]: need 0 <= lo <= hi <= 1, got [1/2, 1/3]",
+        ),
+        (
+            text_of([agent("a", (0, 1))], allocation=[[["1/2", "1/3"]]]),
+            "allocation[0]: need 0 <= lo <= hi <= 1, got [1/2, 1/3]",
+        ),
+        (
+            text_of(pieces_of({"type": "uniform", "pieces": []})),
+            "agents[0].pieces: expected a non-empty list",
+        ),
+        (
+            text_of(pieces_of({"type": "uniform", "pieces": {}})),
+            "agents[0].pieces: expected a non-empty list",
+        ),
+        (
+            text_of(pieces_of({"type": ["uniform"], "pieces": [{"lo": 0, "hi": 1}]})),
+            "agents[0].type: unknown valuation type ['uniform']",
+        ),
+    ],
+)
+def test_scenario_error_names_its_path(tmp_path, capsys, text, message):
+    code, out, err = run_cli(capsys, "equilibrium", write(tmp_path, text))
+    assert (code, out) == (2, "")
+    assert err == "error: %s\n" % message
+
+
 def test_parse_syntax_error_carries_position():
     with pytest.raises(ParseError) as caught:
         parse_scenario('{\n  "agents": [,]\n}')

@@ -45,6 +45,7 @@ ENTRIES = {
         COUNT, lambda p, c, o, i: utilitarian_equivalent(p, Allocation(c), Allocation(c))
     ),
     "pareto_oracle": (COUNT, lambda p, c, o, i: pareto_oracle(p, Allocation(c))),
+    "Profile.replace": (INDEX, lambda p, c, o, i: Profile(c).replace(i, IntervalSet.unit())),
     "lex_order": (COUNT + INDEX, lambda p, c, o, i: lex_order(Profile(c), o)),
     "is_equilibrium": (COUNT, lambda p, c, o, i: is_equilibrium(p, ReducedProfile(Profile(c)))),
     "best_response": (COUNT + INDEX, lambda p, c, o, i: best_response(p, Profile(c), i)),

@@ -117,10 +117,12 @@ def equilibrium_inputs(draw):
     claims), reduced, reduced after trimming to the wanted regions, or a
     full split of the wanted cake.  It comes as a ReducedProfile or bare,
     and the preferences are now and then one agent too many or too few.
+    The profile may be empty.
     """
-    n = draw(st.integers(min_value=1, max_value=4))
+    n = draw(st.integers(min_value=0, max_value=4))
     prefs = draw(uniform_preferences(n))
-    kind = draw(st.sampled_from(["raw", "reduced", "trimmed", "full"]))
+    # reduce_profile refuses an empty profile, which is raw.
+    kind = draw(st.sampled_from(["raw", "reduced", "trimmed", "full"] if n else ["raw"]))
     if kind == "full":
         profile = draw(full_profiles(prefs))
     else:
