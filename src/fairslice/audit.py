@@ -13,20 +13,22 @@ overlap check sorts and sweeps the ranks.  Agent i's row of the table holds inte
 one denominator M_i S^2, where M_i is the valuation's mass scale: each is a
 difference of the agent's cumulative mass at integer points.  The criteria
 compare within a row or cross-multiply across rows, and an entry becomes a
-reduced Fraction only when it is read.  The waste check is a bitmask test on
-one atom table over the portions and the agents' supports.
+reduced Fraction only when it is read.  The waste check ranks the
+allocation's endpoints together with the agents' integer piece ends and
+tests bitmasks over the atoms between them.
 
 Everything here compares exact rationals for equality.  There are no
 tolerances in this module.
 """
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cmp_to_key, reduce
 from math import gcd, lcm
 from operator import itemgetter, or_
 
-from fairslice.intervals import _as_region, _atom_table, _ranking, _scaled, frac
+from fairslice.intervals import _as_region, _ranking, _scaled, frac
 
 
 @dataclass(frozen=True, slots=True)
@@ -198,13 +200,28 @@ def is_non_wasteful(valuations, allocation):
     Cake valued by somebody but handed to nobody is a separate concern.
     """
     # Every kept piece has positive density inside it, so an agent values a
-    # region exactly when it meets the agent's support in positive length.
-    # Cake outside its owner's support is wanted by someone else exactly
-    # when it meets the union of the supports.
+    # region exactly when it meets the agent's pieces in positive length.
+    # Cake outside its owner's pieces is wanted by someone else exactly
+    # when it meets somebody's pieces.  The allocation's ranked endpoints
+    # and every piece end go over one common scale, and each is ranked by
+    # its first place among them all, sorted; a region is then a bitmask
+    # over the gaps between consecutive places.
     _one_each(valuations, allocation)
-    n = len(allocation)
-    _, _, bits, _ = _atom_table([*allocation.portions, *(v.support() for v in valuations)])
-    portions, supports = bits[:n], bits[n:]
+    scale, marks, spans = allocation._ranks
+    common = lcm(scale, *(v._scale for v in valuations))
+    ends = [mark * (common // scale) for mark in marks]
+    for v in valuations:
+        step = common // v._scale
+        ends += [x * step for x in v._los + v._his]
+    order = sorted(ends)
+    bits = [1 << bisect_left(order, x) for x in ends]
+    portions = [sum(bits[hi] - bits[lo] for lo, hi in pairs) for pairs in spans]
+    supports, start = [], len(marks)
+    for v in valuations:
+        middle = start + len(v._los)
+        end = middle + len(v._los)
+        supports.append(sum(bits[middle:end]) - sum(bits[start:middle]))
+        start = end
     wanted = reduce(or_, supports, 0)
     return not any(portion & ~support & wanted for portion, support in zip(portions, supports))
 

@@ -4,13 +4,12 @@ Six subcommands: run a mechanism, audit a given allocation, certify an
 equilibrium, compute (constrained) optima, price a fairness criterion, and
 benchmark query counts.  Reports are exact: every number prints as p/q.
 Every result goes to stdout through one writer, `_write`, as JSON, CSV or
-a plain table.  Exit codes follow one contract everywhere: 0 on success, 1
+a plain table; the JSON text comes from `scenario.json_text`.  Exit codes follow one contract everywhere: 0 on success, 1
 when an --expect-* assertion fails, 2 on bad input.
 """
 
 import argparse
 import functools
-import json
 import sys
 
 from fairslice.audit import (
@@ -39,7 +38,7 @@ from fairslice.mechanisms import (
 )
 from fairslice.optimal import CRITERIA, max_ue, utilitarian_optimal, welfare_optima
 from fairslice.oracle import sincere_oracles
-from fairslice.scenario import ParseError, parse_scenario, region_pairs
+from fairslice.scenario import ParseError, json_text, parse_scenario, region_pairs
 from fairslice.uniform import (
     AgentOrder,
     Profile,
@@ -148,7 +147,7 @@ def _write(fmt, data, rows=(), lines=()):
     rows and lines may be generators, so only the chosen format is built.
     """
     if fmt == "json":
-        text = json.dumps(data, indent=2, sort_keys=True)
+        text = json_text(data)
     elif fmt == "csv":
         text = "\n".join(",".join(_plain(value) for value in row) for row in rows)
     else:

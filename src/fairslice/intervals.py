@@ -214,6 +214,13 @@ def _scaled(values):
     return [x.numerator * (scale // x.denominator) for x in values], scale
 
 
+def _scaled_pairs(numerators, denominators):
+    # `_scaled` for rationals given as numerators and positive denominators,
+    # not necessarily reduced.
+    scale = lcm(*set(denominators))
+    return [num * (scale // den) for num, den in zip(numerators, denominators)], scale
+
+
 def _ranking(regions):
     # Rank every endpoint of the regions as an integer over the scale of
     # `_scaled`.  The ranks come from sorting, never from hashing: integers

@@ -20,6 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from fairslice.audit import Allocation, _one_each
+from fairslice.intervals import _scaled
 from fairslice.simplex import (
     GREATER,
     EQUAL,
@@ -99,10 +100,13 @@ class SegmentRateMatrix:
     rates: tuple
 
     def __post_init__(self):
-        lengths = [hi - lo for lo, hi in self.segmentation.segments()]
+        # In integers: the marks over their common scale S and each row's
+        # rates over the row's own scale R integrate to R S.
+        marks, scale = _scaled(self.segmentation.marks)
+        lengths = [hi - lo for lo, hi in zip(marks, marks[1:])]
         for row in self.rates:
-            total = sum((r * w for r, w in zip(row, lengths) if r), Fraction(0))
-            if total != 1:
+            units, unit = _scaled(row)
+            if sum(u * w for u, w in zip(units, lengths)) != unit * scale:
                 raise ValueError("segment rates do not integrate to 1")
 
 

@@ -7,19 +7,26 @@ exact token: a "p/q" string, an integer, or a decimal string like "0.4"
 JSON decimals are converted from their literal text for the same reason;
 a float never exists at any point.
 
+A valuation's tokens go straight to the integers its constructor takes
+(`Valuation.from_integers`): piece ends over one scale, density
+coefficients over another, with no Fraction per token.
+
 Parsing is strict and failures carry position where the decoder knows it:
 syntax errors report line and column, structural errors name the offending
 path.  Serializing normalizes pieces and reorders keys, after which the
 text is a fixpoint: serialize(parse(text)) == text for canonical files.
+Scenarios and the CLI's JSON reports are written by one writer,
+`json_text`, whose text is that of json.dumps(indent=2, sort_keys=True).
 """
 
 import json
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _quote
 
 from fairslice.audit import Allocation
-from fairslice.intervals import IntervalSet
+from fairslice.intervals import IntervalSet, _scaled_pairs
 from fairslice.uniform import Profile
 from fairslice.valuation import Valuation
 
@@ -90,6 +97,36 @@ def _number(value, path):
         raise ParseError("%s: cannot read %r as a rational" % (path, value))
 
 
+def _scaled_fields(pieces, keys, path):
+    # The fields keys of every piece, piece by piece, as integers over one
+    # scale (see `intervals._scaled`).  A JSON integer, and a "p" or "p/q"
+    # of at most 40 ASCII digits with q > 0, become integers without a
+    # Fraction; `_number` reads any other token.  A piece's path is
+    # formatted only for an error.
+    tokens = [piece.get(key) if type(piece) is dict else None for piece in pieces for key in keys]
+    numerators, denominators = [], []
+    for i, token in enumerate(tokens):
+        if type(token) is str:
+            if len(token) <= 40 and token.isascii():
+                num, slash, den = token.partition("/")
+                if num.isdigit() and (den.isdigit() or not slash):
+                    den = int(den) if slash else 1
+                    if den:
+                        numerators.append(int(num))
+                        denominators.append(den)
+                        continue
+        elif type(token) is int:
+            numerators.append(token)
+            denominators.append(1)
+            continue
+        k, j = divmod(i, len(keys))
+        where = "%s.pieces[%d]" % (path, k)
+        value = _number(_field(pieces[k], keys[j], where), where)
+        numerators.append(value.numerator)
+        denominators.append(value.denominator)
+    return _scaled_pairs(numerators, denominators)
+
+
 def _field(mapping, key, path):
     if not isinstance(mapping, dict) or key not in mapping:
         raise ParseError("%s: missing field %r" % (path, key))
@@ -110,14 +147,13 @@ def _region(value, path):
         raise ParseError("%s: %s" % (path, error))
 
 
-# Each valuation type: the Valuation classmethod that builds it and the
-# fields of a piece besides lo and hi, in the order the method takes them.
-# The last field is the density's intercept, and the one before it, if any,
-# its slope.
+# The fields of a piece besides lo and hi, per valuation type.  The last
+# is the density's intercept, and the one before it, if any, its slope; a
+# uniform piece has neither.
 _TYPES = {
-    "uniform": ("uniform_on", ()),
-    "constant": ("piecewise_constant", ("value",)),
-    "linear": ("piecewise_linear", ("slope", "intercept")),
+    "uniform": (),
+    "constant": ("value",),
+    "linear": ("slope", "intercept"),
 }
 
 
@@ -126,21 +162,18 @@ def _valuation(spec, path):
     pieces = _field(spec, "pieces", path)
     if not isinstance(pieces, list) or not pieces:
         raise ParseError("%s.pieces: expected a non-empty list" % path)
-    wheres = ["%s.pieces[%d]" % (path, k) for k in range(len(pieces))]
-    spans = [
-        (_number(_field(piece, "lo", where), where), _number(_field(piece, "hi", where), where))
-        for piece, where in zip(pieces, wheres)
-    ]
+    ends, scale = _scaled_fields(pieces, ("lo", "hi"), path)
     if not isinstance(kind, str) or kind not in _TYPES:
         raise ParseError("%s.type: unknown valuation type %r" % (path, kind))
-    method, fields = _TYPES[kind]
+    fields = _TYPES[kind]
     if fields:
-        spans = [
-            (span, *(_number(_field(piece, name, where), where) for name in fields))
-            for span, piece, where in zip(spans, pieces, wheres)
-        ]
+        units, _ = _scaled_fields(pieces, fields, path)
+        slopes = units[::2] if len(fields) == 2 else [0] * len(pieces)
+        intercepts = units[len(fields) - 1 :: len(fields)]
     try:
-        return getattr(Valuation, method)(spans)
+        if not fields:
+            return Valuation.uniform_on_spans(ends[::2], ends[1::2], scale)
+        return Valuation.from_integers(ends[::2], ends[1::2], scale, slopes, intercepts)
     except ValueError as error:
         raise ParseError("%s: %s" % (path, error))
 
@@ -208,7 +241,7 @@ def _valuation_spec(valuation):
     else:
         kind = "constant" if valuation.is_piecewise_constant() else "linear"
         rows = [(p.interval, (p.intercept, p.slope)) for p in valuation.pieces]
-    fields = _TYPES[kind][1][::-1]
+    fields = _TYPES[kind][::-1]
     return {
         "type": kind,
         "pieces": [
@@ -216,6 +249,63 @@ def _valuation_spec(valuation):
             for iv, values in rows
         ],
     }
+
+
+def json_text(value):
+    """value as json.dumps(value, indent=2, sort_keys=True) writes it.
+
+    value is built of dicts with string keys, lists, tuples, strings,
+    integers, True, False and None.  A list of strings is written with one
+    join.
+    """
+    parts = []
+    _json_parts(value, "\n", parts)
+    return "".join(parts)
+
+
+def _json_parts(value, newline, parts):
+    # Append value's text to parts; newline is a line break plus the
+    # indentation of the line the value starts on.
+    if type(value) is str:
+        parts.append(_quote(value))
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            parts.append("[]")
+            return
+        inner = newline + "  "
+        if type(value[0]) is str:
+            try:  # _quote refuses anything but a string
+                parts.append("[" + inner + ("," + inner).join(map(_quote, value)) + newline + "]")
+                return
+            except TypeError:
+                pass
+        separator = "[" + inner
+        for x in value:
+            parts.append(separator)
+            _json_parts(x, inner, parts)
+            separator = "," + inner
+        parts.append(newline + "]")
+    elif isinstance(value, dict):
+        if not value:
+            parts.append("{}")
+            return
+        inner = newline + "  "
+        separator = "{" + inner
+        for key in sorted(value):
+            parts.append(separator + _quote(key) + ": ")
+            _json_parts(value[key], inner, parts)
+            separator = "," + inner
+        parts.append(newline + "}")
+    elif value is True:
+        parts.append("true")
+    elif value is False:
+        parts.append("false")
+    elif value is None:
+        parts.append("null")
+    elif type(value) is int:
+        parts.append(int.__repr__(value))
+    else:
+        parts.append(json.dumps(value))
 
 
 def serialize_scenario(scenario):
@@ -231,4 +321,4 @@ def serialize_scenario(scenario):
         regions = getattr(scenario, key)
         if regions is not None:
             data[key] = [region_pairs(region) for region in regions]
-    return json.dumps(data, indent=2, sort_keys=True) + "\n"
+    return json_text(data) + "\n"

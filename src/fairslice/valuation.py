@@ -22,6 +22,14 @@ reads F at many sorted points over one scale S in one merge, as integers
 over M S^2, which is how an equity table is built; measure reads a
 region's endpoints in one such sweep.
 
+Every constructor, the raw-piece one included, ends in the integer
+constructor that `from_integers` exposes: piece ends over one scale and
+density coefficients over one unit, in input order.  It checks
+the pieces and builds the integer arrays in canonical form, the scale the
+lcm of the piece ends' denominators and the coefficients with no common
+factor, so equal valuations hold equal arrays.  The Piece tuple and the
+support are built from the arrays on first read.
+
 cut adds its target to F(a), finds the piece where F reaches that goal by
 bisecting the integer masses for ceil(goal*M), and solves F(x) = goal there
 as one integer equation A x^2 + B x + C = 0.  A constant piece (A = 0) and
@@ -33,7 +41,7 @@ Fraction.
 
 import math
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from fairslice.intervals import Interval, IntervalSet, _as_region, _scaled, frac
@@ -75,100 +83,158 @@ class CutResult:
     exact: bool
 
 
-@dataclass(frozen=True, slots=True)
+def _span(lo, hi, scale):
+    # The span [lo, hi] / scale as an Interval prints, for error messages.
+    return "[%s, %s]" % (Fraction(lo, scale), Fraction(hi, scale))
+
+
+def _span_error(lo, hi, scale):
+    return ValueError("need 0 <= lo <= hi <= 1, got %s" % _span(lo, hi, scale))
+
+
+def _merged(spans):
+    # Integer spans (lo, hi) as the spans of a canonical region: sorted,
+    # overlapping and touching spans merged, zero-length ones dropped.
+    merged = []
+    for lo, hi in sorted(spans):
+        if merged and lo <= merged[-1][1]:
+            merged[-1][1] = max(hi, merged[-1][1])
+        elif lo < hi:
+            merged.append([lo, hi])
+    return merged
+
+
+def _build(valuation, los, his, scale, slopes, intercepts):
+    # The one constructor: piece k is [los[k], his[k]] / scale with density
+    # (slopes[k] x + intercepts[k]) / unit.  Each piece is checked in input
+    # order; an affine density is non-negative on a piece iff it is at both
+    # ends.  Pieces of zero density are dropped, and the rest sort as
+    # integers.
+    kept = []
+    for lo, hi, s, c in zip(los, his, slopes, intercepts):
+        if not 0 <= lo <= hi <= scale:
+            raise _span_error(lo, hi, scale)
+        if s * lo + c * scale < 0 or s * hi + c * scale < 0:
+            raise ValueError("density negative on %s" % _span(lo, hi, scale))
+        if s or c:
+            kept.append((lo, hi, s, c))
+    kept.sort()
+    # A zero-length piece carries no mass.  It is dropped only after the
+    # overlap check, so a point inside another piece is still rejected;
+    # one at another piece's left end sorts first, so it is not, in any
+    # input order.  A piece of positive length and non-zero density has
+    # positive mass, so what is left has mass exactly when it is not empty.
+    pieces = []
+    prev_lo = prev_hi = 0
+    for piece in kept:
+        lo, hi = piece[0], piece[1]
+        if lo < prev_hi:
+            raise ValueError(
+                "pieces overlap: %s and %s" % (_span(prev_lo, prev_hi, scale), _span(lo, hi, scale))
+            )
+        prev_lo, prev_hi = lo, hi
+        if lo < hi:
+            pieces.append(piece)
+    if not pieces:
+        raise ZeroMassError("density has zero total mass")
+    # The canonical form: ends over the lcm of their denominators, and
+    # coefficients with no common factor.
+    g = math.gcd(scale, *[x for piece in pieces for x in piece[:2]])
+    h = math.gcd(*[x for piece in pieces for x in piece[2:]])
+    if g > 1 or h > 1:
+        scale //= g
+        pieces = [(lo // g, hi // g, s // h, c // h) for lo, hi, s, c in pieces]
+    # With slope s and intercept c over some unit, a piece [lo, hi] / scale
+    # has mass (hi - lo) (2 scale c + s (hi + lo)) / (2 scale^2 unit).  The
+    # masses keep only the numerators, so their sum M is the scale that
+    # normalises them.  Scaled to mass 1 the density is (2 scale^2 / M)
+    # (s x + c); F on a piece is its left mass plus the integral of that
+    # from lo / scale.
+    square, twice = scale * scale, 2 * scale
+    below, masses, poly = 0, [0], []
+    for lo, hi, s, c in pieces:
+        poly.append((square * s, twice * scale * c, below - lo * (s * lo + twice * c)))
+        below += (hi - lo) * (twice * c + s * (hi + lo))
+        masses.append(below)
+    object.__setattr__(valuation, "_los", tuple([piece[0] for piece in pieces]))
+    object.__setattr__(valuation, "_his", tuple([piece[1] for piece in pieces]))
+    object.__setattr__(valuation, "_scale", scale)
+    object.__setattr__(valuation, "_masses", tuple(masses))
+    object.__setattr__(valuation, "_poly", tuple(poly))
+    object.__setattr__(valuation, "_pieces", None)
+    object.__setattr__(valuation, "_support", None)
+
+
+@dataclass(frozen=True, slots=True, eq=False)
 class Valuation:
     """A normalised piecewise affine measure on the cake.
 
     Built from raw (interval-like, slope, intercept) triples, usually through
     the classmethods: pieces with a negative density or overlapping another
     are rejected, and the rest are scaled so the total mass is exactly 1.
-    Raises ZeroMassError when there is nothing to scale.
+    Raises ZeroMassError when there is nothing to scale.  Valuations
+    compare, hash and print by their pieces.
     """
 
-    pieces: tuple
     # Piece k is [_los[k], _his[k]] / _scale.  _masses[k] / _masses[-1] is
     # the mass left of piece k, so _masses[-1] is the scale M of every mass.
-    # _poly[k] holds integers (alpha, beta, delta, M) with
+    # _poly[k] holds integers (alpha, beta, delta) with
     # F(p/r) = (alpha p^2 + beta p r + delta r^2) / (M r^2) on piece k,
-    # where F(x) is the mass of [0, x].  _support is the region of the pieces,
-    # built on the first call to support(): most valuations are never asked.
-    _los: tuple = field(compare=False, repr=False)
-    _his: tuple = field(compare=False, repr=False)
-    _scale: int = field(compare=False, repr=False)
-    _masses: tuple = field(compare=False, repr=False)
-    _poly: tuple = field(compare=False, repr=False)
-    _support: IntervalSet = field(compare=False, repr=False)
+    # where F(x) is the mass of [0, x].  _pieces and _support are built on
+    # first read.
+    _los: tuple
+    _his: tuple
+    _scale: int
+    _masses: tuple
+    _poly: tuple
+    _pieces: tuple
+    _support: IntervalSet
 
     def __init__(self, raw_pieces):
-        kept = []
+        ends, coefficients = [], []
         for interval, slope, intercept in raw_pieces:
-            if not isinstance(interval, Interval):
-                interval = Interval(*interval)
-            slope = frac(slope)
-            intercept = frac(intercept)
-            # An affine density is non-negative on an interval iff it is at
-            # both ends; its sign at x is that of the numerator below.
-            sn, sd = slope.numerator, slope.denominator
-            cn, cd = intercept.numerator, intercept.denominator
-            for x in (interval.lo, interval.hi):
-                if sn * x.numerator * cd + cn * sd * x.denominator < 0:
-                    raise ValueError("density negative on %r" % (interval,))
-            if sn or cn:
-                kept.append((interval, slope, intercept))
-        # Ends over one scale sort and compare as integers; the index keeps
-        # pieces with equal ends in input order.
-        points, scale = _scaled([x for iv, _, _ in kept for x in (iv.lo, iv.hi)])
-        ends = sorted(zip(points[::2], points[1::2], range(len(kept))))
-        for (_, prev_hi, i), (lo, _, j) in zip(ends, ends[1:]):
-            if lo < prev_hi:
-                raise ValueError("pieces overlap: %r and %r" % (kept[i][0], kept[j][0]))
-        # A zero-length piece carries no mass.  It is dropped only after the
-        # overlap check, so a point inside another piece is still rejected;
-        # one at another piece's left end sorts first, so it is not, in any
-        # input order.
-        ends = [end for end in ends if end[0] < end[1]]
-        # With slope s/unit and intercept c/unit, a piece [lo, hi] / scale
-        # has mass (hi - lo) (2 scale c + s (hi + lo)) / (2 scale^2 unit).
-        # The masses keep only the numerators, so their sum M is the scale
-        # that normalises them.
-        units, _ = _scaled([x for _, _, k in ends for x in kept[k][1:]])
-        coefficients = list(zip(units[::2], units[1::2]))
-        masses = [0]
-        for (lo, hi, _), (s, c) in zip(ends, coefficients):
-            masses.append(masses[-1] + (hi - lo) * (2 * scale * c + s * (hi + lo)))
-        total = masses[-1]
-        if total == 0:
-            raise ZeroMassError("density has zero total mass")
-        # Scaled to mass 1 the density is (2 scale^2 / M) (s x + c); F on a
-        # piece is its left mass plus the integral of that from lo / scale.
-        square = scale * scale
-        pieces, poly = [], []
-        for (lo, _, k), (s, c), below in zip(ends, coefficients, masses):
-            pieces.append(
-                Piece(
-                    kept[k][0],
-                    Fraction(2 * square * s, total) if s else _ZERO,
-                    Fraction(2 * square * c, total) if c else _ZERO,
-                )
-            )
-            poly.append((square * s, 2 * square * c, below - lo * (s * lo + 2 * scale * c), total))
-        object.__setattr__(self, "pieces", tuple(pieces))
-        object.__setattr__(self, "_los", tuple(end[0] for end in ends))
-        object.__setattr__(self, "_his", tuple(end[1] for end in ends))
-        object.__setattr__(self, "_scale", scale)
-        object.__setattr__(self, "_masses", tuple(masses))
-        object.__setattr__(self, "_poly", tuple(poly))
-        object.__setattr__(self, "_support", None)
+            lo, hi = interval
+            ends += (frac(lo), frac(hi))
+            coefficients += (frac(slope), frac(intercept))
+        ends, scale = _scaled(ends)
+        units, _ = _scaled(coefficients)
+        _build(self, ends[::2], ends[1::2], scale, units[::2], units[1::2])
 
     # ------------------------------------------------------------------
     # construction
 
     @classmethod
+    def from_integers(cls, los, his, scale, slopes, intercepts):
+        """From integer pieces: piece k is [los[k], his[k]] / scale with density
+        (slopes[k] x + intercepts[k]) / unit, for any positive unit; scaled to
+        mass 1.  Checks and errors are those of the raw-piece constructor.
+
+        >>> Valuation.from_integers([0], [1], 2, [0], [1]) == Valuation.uniform_on([(0, "1/2")])
+        True
+        """
+        valuation = object.__new__(cls)
+        _build(valuation, los, his, scale, slopes, intercepts)
+        return valuation
+
+    @classmethod
+    def uniform_on_spans(cls, los, his, scale):
+        """Uniform over the union of the spans [los[k], his[k]] / scale, which
+        may overlap, touch or be empty, as `uniform_on` takes a region."""
+        for lo, hi in zip(los, his):
+            if not 0 <= lo <= hi <= scale:
+                raise _span_error(lo, hi, scale)
+        spans = _merged(zip(los, his))
+        n = len(spans)
+        return cls.from_integers(
+            [span[0] for span in spans], [span[1] for span in spans], scale, [0] * n, [1] * n
+        )
+
+    @classmethod
     def uniform_on(cls, region):
         """Uniform over a region: indicator scaled by 1/length."""
         region = _as_region(region)
-        valuation = cls([(iv, _ZERO, _ONE) for iv in region])
-        # A canonical region's slices are the pieces, so it is the support.
+        ends, scale = _scaled([x for iv in region for x in (iv.lo, iv.hi)])
+        valuation = cls.uniform_on_spans(ends[::2], ends[1::2], scale)
         object.__setattr__(valuation, "_support", region)
         return valuation
 
@@ -190,18 +256,51 @@ class Valuation:
     # ------------------------------------------------------------------
     # structure
 
+    @property
+    def pieces(self):
+        """The density pieces in order, as `Piece`s of slope and intercept."""
+        if self._pieces is None:
+            # Scaled to mass 1 the density on a piece is 2 alpha x / M + beta / M.
+            scale, total = self._scale, self._masses[-1]
+            pieces = tuple(
+                Piece(
+                    Interval(Fraction(lo, scale), Fraction(hi, scale)),
+                    Fraction(2 * alpha, total) if alpha else _ZERO,
+                    Fraction(beta, total) if beta else _ZERO,
+                )
+                for lo, hi, (alpha, beta, _) in zip(self._los, self._his, self._poly)
+            )
+            object.__setattr__(self, "_pieces", pieces)
+        return self._pieces
+
     def support(self):
         """Region of positive density (up to measure zero)."""
         if self._support is None:
-            object.__setattr__(self, "_support", IntervalSet(p.interval for p in self.pieces))
+            scale = self._scale
+            region = IntervalSet.from_canonical(
+                (Fraction(lo, scale), Fraction(hi, scale))
+                for lo, hi in _merged(zip(self._los, self._his))
+            )
+            object.__setattr__(self, "_support", region)
         return self._support
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.pieces == other.pieces
+
+    def __hash__(self):
+        return hash(self.pieces)
+
+    def __repr__(self):
+        return "%s(pieces=%r)" % (type(self).__qualname__, self.pieces)
 
     # Slope 0 is alpha 0, and equal intercepts are equal betas.
     def is_piecewise_constant(self):
-        return not any(alpha for alpha, _, _, _ in self._poly)
+        return not any(alpha for alpha, _, _ in self._poly)
 
     def is_piecewise_uniform(self):
-        return self.is_piecewise_constant() and len({beta for _, beta, _, _ in self._poly}) == 1
+        return self.is_piecewise_constant() and len({beta for _, beta, _ in self._poly}) == 1
 
     # ------------------------------------------------------------------
     # measure
@@ -216,7 +315,8 @@ class Valuation:
             return 0, 1
         if scaled > self._his[k] * r:
             return self._masses[k + 1], self._masses[-1]
-        alpha, beta, delta, total = self._poly[k]
+        alpha, beta, delta = self._poly[k]
+        total = self._masses[-1]
         if alpha:
             return (alpha * p + beta * r) * p + delta * r * r, total * r * r
         return beta * p + delta * r, total * r
@@ -255,7 +355,7 @@ class Valuation:
         square = scale * scale
         below = []
         done = 0
-        for lo, hi, mass, (alpha, beta, delta, _) in zip(
+        for lo, hi, mass, (alpha, beta, delta) in zip(
             self._los, self._his, self._masses, self._poly
         ):
             # Point p / scale lies on [lo, hi] / D iff ceil(lo scale / D) <= p
@@ -317,7 +417,7 @@ class Valuation:
         # On piece k, F(x) = goal is A x^2 + B x + C = 0 in integers.  F
         # rises there, so its root in the piece is the one where the
         # derivative 2 A x + B is non-negative.
-        alpha, beta, delta, _ = self._poly[k]
+        alpha, beta, delta = self._poly[k]
         A, B, C = alpha * gd, beta * gd, delta * gd - gn * total
         if not A:
             return CutResult(Fraction(-C, B), True)

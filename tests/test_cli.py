@@ -21,13 +21,18 @@ from fairslice.cli import MECHANISMS, main
 from fairslice.generator import GRID, random_uniform_agents
 from fairslice.scenario import (
     ParseError,
+    Scenario,
     _exponent_out_of_range,
     _number,
+    _scaled_fields,
+    json_text,
     parse_scenario,
     region_pairs,
     serialize_scenario,
 )
 from fairslice.simplex import INFEASIBLE, LpSolution
+from fairslice.valuation import Valuation
+from helpers import LARGE_DENOMINATORS, any_valuations, large_scale_valuations, query_points
 
 F = Fraction
 
@@ -262,6 +267,94 @@ def test_serialize_keeps_profile_and_allocation():
     rebuilt = parse_scenario(serialize_scenario(parse_scenario(MIXED)))
     assert rebuilt.profile is not None and rebuilt.allocation is not None
     assert region_pairs(rebuilt.allocation[2]) == [["1/2", "1"]]
+
+
+def _rewritten(valuation):
+    # The valuation read back from the canonical text of a one-agent scenario.
+    text = serialize_scenario(Scenario("1", ("a",), (valuation,)))
+    return parse_scenario(text).valuations[0]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+@pytest.mark.parametrize("kind", ["grid", *LARGE_DENOMINATORS])
+def test_reader_rebuilds_the_valuation_the_writer_wrote(kind, data):
+    v = data.draw(any_valuations() if kind == "grid" else large_scale_valuations(kind))
+    rebuilt = _rewritten(v)
+    # A piecewise-uniform valuation is written as its support, which merges
+    # touching pieces; anything else is written piece by piece.
+    expected = Valuation.uniform_on(v.support()) if v.is_piecewise_uniform() else v
+    assert rebuilt == expected
+    for name in ("_los", "_his", "_scale", "_masses", "_poly"):
+        assert getattr(rebuilt, name) == getattr(expected, name), name
+    assert rebuilt.pieces == expected.pieces
+    assert rebuilt.support() == v.support()
+    a, b = sorted(data.draw(st.lists(query_points(), min_size=2, max_size=2)))
+    assert rebuilt.eval(a, b) == v.eval(a, b)
+    target = v.eval(a, 1) * data.draw(st.sampled_from([0, F(1, 3), F(1, 2), 1]))
+    assert rebuilt.cut(a, target) == v.cut(a, target)
+
+
+@pytest.mark.parametrize(
+    "token, read",
+    [
+        ("1" + "0" * 30 + "/2" + "0" * 30, F(1, 2)),
+        ("1" * 41 + "/0", "cannot read '11111111111111111111...1111111111/0, 43 characters'"),
+        ("1/0", "cannot read '1/0' as a rational"),
+        (" 1/2", F(1, 2)),
+        ("+1/2", F(1, 2)),
+        ("1e3/2", "cannot read '1e3/2' as a rational"),
+        ("\u0661/\u0662", F(1, 2)),
+    ],
+)
+def test_reader_tokens_off_the_integer_path(token, read):
+    # Tokens that are not a short "p/q" in ASCII digits with q > 0 are read
+    # as Fraction reads them, or refused with the token in the message.
+    text = text_of([agent("a", (0, token))])
+    if isinstance(read, Fraction):
+        assert parse_scenario(text).valuations[0].support().pairs() == [(0, read)]
+    else:
+        with pytest.raises(ParseError) as raised:
+            parse_scenario(text)
+        assert str(raised.value).startswith("agents[0].pieces[0]: " + read)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(st.integers(), st.text(alphabet="0123456789\u0663/_-+.e ", max_size=12)))
+@example("0/7")
+@example("007/010")
+@example("1/0")
+@example("5/")
+def test_piece_fields_read_tokens_as_number_does(token):
+    # The integer path of the reader agrees with `_number`, refusals included.
+    pieces = [{"v": token}, {"v": "1/3"}]
+    try:
+        expected = _number(token, "x.pieces[0]")
+    except ParseError as error:
+        with pytest.raises(ParseError) as raised:
+            _scaled_fields(pieces, ("v",), "x")
+        assert str(raised.value) == str(error)
+    else:
+        (num, third), scale = _scaled_fields(pieces, ("v",), "x")
+        assert (Fraction(num, scale), Fraction(third, scale)) == (expected, Fraction(1, 3))
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.text(),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(), inner, max_size=4),
+    max_leaves=16,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(JSON_VALUES)
+@example({"": [], "\u00e9\x00": {"\n": [[], {}, [[]]]}, "z": {}})
+@example([-12345678901234567890, 0, 7, True, False, None, "\u2028\x1f\"\\"])
+@example({"\U0001f370": ["", "\x7f", "caf\u00e9"], "k": [["a"], [1, "b"]]})
+@example([])
+@example({})
+def test_json_text_is_json_dumps(value):
+    assert json_text(value) == json.dumps(value, indent=2, sort_keys=True)
 
 
 # ----------------------------------------------------------------------

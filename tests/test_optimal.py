@@ -1,6 +1,7 @@
 """Welfare optimization: segmentation, the exact LP, constrained optima, prices."""
 
 import io
+import math
 import random
 from fractions import Fraction
 
@@ -12,6 +13,7 @@ from fairslice.audit import Allocation, equity_table, utilitarian_efficiency
 from fairslice.intervals import IntervalSet
 from fairslice.optimal import (
     CRITERIA,
+    SegmentRateMatrix,
     Segmentation,
     _materialize,
     max_ee,
@@ -100,6 +102,29 @@ def test_rates_golden():
         (0, 0, 2, 2),
         (0, 5, 5, 0),
     )
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(any_valuations(), min_size=1, max_size=3), st.data())
+def test_rates_off_by_one_unit_are_refused(valuations, data):
+    # Raise one rate so that its row integrates to 1 plus or minus the
+    # smallest step over the row's and the marks' common denominators.
+    try:
+        srm = segment_rates(valuations)
+    except UnsupportedValuationClass:
+        return
+    i = data.draw(st.integers(min_value=0, max_value=len(srm.rates) - 1))
+    s = data.draw(st.integers(min_value=0, max_value=len(srm.segmentation) - 1))
+    sign = data.draw(st.sampled_from([1, -1]))
+    lo, hi = srm.segmentation.segments()[s]
+    unit = math.lcm(*(r.denominator for r in srm.rates[i]))
+    scale = math.lcm(*(x.denominator for x in srm.segmentation.marks))
+    rates = [list(row) for row in srm.rates]
+    rates[i][s] += Fraction(sign, unit * scale) / (hi - lo)
+    assert sum(r * (b - a) for r, (a, b) in zip(rates[i], srm.segmentation.segments())) != 1
+    with pytest.raises(ValueError, match="segment rates do not integrate to 1"):
+        SegmentRateMatrix(srm.segmentation, tuple(map(tuple, rates)))
+    SegmentRateMatrix(srm.segmentation, srm.rates)
 
 
 def test_rates_reject_sloped_densities():

@@ -1,3 +1,4 @@
+import json
 import re
 from fractions import Fraction
 
@@ -6,6 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fairslice.intervals import IntervalSet
+from fairslice.scenario import parse_scenario
 from fairslice.valuation import CutResult, TargetUnreachable, Valuation, ZeroMassError
 from helpers import (
     LARGE_DENOMINATORS,
@@ -145,6 +147,22 @@ def test_one_pass_construction_matches_the_two_pass_reference(specs):
     for k, p in enumerate(pieces):
         assert v.eval(0, p.interval.lo) == below[k]
         assert v.eval(0, p.interval.hi) == below[k + 1]
+
+
+def test_pieces_are_built_on_first_read():
+    text = json.dumps({"agents": [{"id": "a", "valuation": {"type": "constant", "pieces": [
+        {"lo": "0", "hi": "1/2", "value": "3"}, {"lo": "1/2", "hi": "1", "value": "1"}]}}]})
+    made = [
+        Valuation.uniform_on([(0, "1/3")]),
+        Valuation.piecewise_constant([((0, "1/2"), 3), (("1/2", 1), 1)]),
+        Valuation.piecewise_linear([((0, 1), 2, 0)]),
+        Valuation.from_integers([0, 1], [1, 2], 2, [0, 0], [3, 1]),
+        parse_scenario(text).valuations[0],
+    ]
+    for v in made:
+        assert v._pieces is None
+        assert v.pieces and v._pieces is v.pieces
+    assert made[1] == made[3] == made[4]
 
 
 def test_cut_uniform_halves():
