@@ -4,48 +4,30 @@ Six subcommands: run a mechanism, audit a given allocation, certify an
 equilibrium, compute (constrained) optima, price a fairness criterion, and
 benchmark query counts.  Reports are exact: every number prints as p/q.
 Every result goes to stdout through one writer, `_write`, as JSON, CSV or
-a plain table; the JSON text comes from `scenario.json_text`.  Exit codes follow one contract everywhere: 0 on success, 1
-when an --expect-* assertion fails, 2 on bad input.
+a plain table; the JSON text comes from `scenario.json_text`.  Exit codes
+follow one contract everywhere: 0 on success, 1 when an --expect-*
+assertion fails, 2 on bad input.
 """
 
 import argparse
+import csv
 import functools
 import sys
 
 from fairslice.audit import (
-    Allocation,
-    egalitarian_efficiency,
-    equity_table,
-    is_envy_free,
-    is_equitable,
-    is_non_wasteful,
-    is_proportional,
-    utilitarian_efficiency,
+    Allocation, egalitarian_efficiency, equity_table, is_envy_free, is_equitable, is_non_wasteful,
+    is_proportional, utilitarian_efficiency,
 )
 from fairslice.equilibrium import (
-    NotWellBehaved,
-    UnallocatedValuedCake,
-    is_equilibrium,
-    reduce_profile,
+    NotWellBehaved, UnallocatedValuedCake, is_equilibrium, reduce_profile,
 )
 from fairslice.generator import random_uniform_agents
-from fairslice.mechanisms import (
-    ArityMismatch,
-    cut_and_choose,
-    even_paz,
-    last_diminisher,
-    selfridge,
-)
+from fairslice.mechanisms import ArityMismatch, cut_and_choose, even_paz, last_diminisher, selfridge
 from fairslice.optimal import CRITERIA, max_ue, utilitarian_optimal, welfare_optima
 from fairslice.oracle import sincere_oracles
 from fairslice.scenario import ParseError, json_text, parse_scenario, region_pairs
 from fairslice.uniform import (
-    AgentOrder,
-    Profile,
-    length_game,
-    lex_order,
-    min_average_mechanism,
-    wanted_regions,
+    AgentOrder, Profile, length_game, lex_order, min_average_mechanism, wanted_regions,
 )
 from fairslice.valuation import BISECT_TOLERANCE, UnsupportedValuationClass
 
@@ -64,10 +46,18 @@ FIXED_ARITY = {"cut-and-choose": 2, "selfridge": 3}
 
 
 def _read_scenario(args):
-    if args.scenario in (None, "-"):
+    # The bytes of the file or of standard input, decoded as strict UTF-8.
+    if args.scenario not in (None, "-"):
+        with open(args.scenario, "rb") as handle:
+            data = handle.read()
+    elif hasattr(sys.stdin, "buffer"):
+        data = sys.stdin.buffer.read()
+    else:  # a text stream, such as io.StringIO, holds no bytes
         return parse_scenario(sys.stdin.read())
-    with open(args.scenario, "r", encoding="utf-8") as handle:
-        return parse_scenario(handle.read())
+    try:
+        return parse_scenario(data.decode("utf-8"))
+    except UnicodeDecodeError as error:
+        raise ParseError("input is not UTF-8: %s at byte %d" % (error.reason, error.start))
 
 
 def _profile(scenario):
@@ -146,13 +136,11 @@ def _write(fmt, data, rows=(), lines=()):
 
     rows and lines may be generators, so only the chosen format is built.
     """
-    if fmt == "json":
-        text = json_text(data)
-    elif fmt == "csv":
-        text = "\n".join(",".join(_plain(value) for value in row) for row in rows)
+    if fmt == "csv":
+        # A field holding a comma, a quote or a line break is quoted (RFC 4180).
+        csv.writer(sys.stdout, lineterminator="\n").writerows(map(_plain, row) for row in rows)
     else:
-        text = "\n".join(lines)
-    sys.stdout.write(text + "\n")
+        sys.stdout.write((json_text(data) if fmt == "json" else "\n".join(lines)) + "\n")
 
 
 def _answer(args, scenario, allocation, transcript=None, equilibrium=None):

@@ -11,7 +11,10 @@ summed whenever it is read.  `_as_region` is the one coercion of a
 region-like value (an IntervalSet or (lo, hi) pairs) to a region.
 
 Rationals become integers in one place: `_scaled` writes some values as
-integers over one scale, the lcm of their denominators.  Code that
+integers over one scale, the lcm of their denominators; its body,
+`_scaled_pairs`, takes them as integer pairs.  Integer spans become a
+region in one place too: `_merged` checks spans over one scale as an
+Interval checks its ends and merges them as a region does.  Code that
 compares many endpoints at once ranks them first: `_ranking` scales every
 endpoint of some regions and sorts those integers, so no Fraction is
 compared.  An atom table cuts the cake at the ranked endpoints, and a
@@ -54,10 +57,11 @@ class Interval:
     def __init__(self, lo, hi):
         lo = frac(lo)
         hi = frac(hi)
-        # On integers, as Fraction's comparisons go through numbers.Rational.
+        # On integers, as Fraction's comparisons go through numbers.Rational;
+        # on a failure, `_check_span` over the scale ld hd raises the error.
         ln, ld, hn, hd = lo.numerator, lo.denominator, hi.numerator, hi.denominator
         if not (0 <= ln and ln * hd <= hn * ld and hn <= hd):
-            raise ValueError("need 0 <= lo <= hi <= 1, got [%s, %s]" % (lo, hi))
+            _check_span(ln * hd, hn * ld, ld * hd)
         object.__setattr__(self, "lo", lo)
         object.__setattr__(self, "hi", hi)
 
@@ -74,6 +78,40 @@ class Interval:
     def __iter__(self):
         yield self.lo
         yield self.hi
+
+
+def _span(lo, hi, scale):
+    # The integer span [lo, hi] / scale as an Interval prints it.
+    return "[%s, %s]" % (Fraction(lo, scale), Fraction(hi, scale))
+
+
+def _check_span(lo, hi, scale):
+    # The range check of an Interval, on the integer span [lo, hi] / scale.
+    if not 0 <= lo <= hi <= scale:
+        raise ValueError("need 0 <= lo <= hi <= 1, got " + _span(lo, hi, scale))
+
+
+def _merged(los, his, scale):
+    # The integer spans [los[k], his[k]] / scale, each checked in input
+    # order, as the spans of a canonical region: sorted, overlapping and
+    # touching spans merged, zero-length ones dropped: (starts, ends).
+    for lo, hi in zip(los, his):
+        _check_span(lo, hi, scale)
+    starts, ends = [], []
+    for lo, hi in sorted(zip(los, his)):
+        if ends and lo <= ends[-1]:
+            if hi > ends[-1]:
+                ends[-1] = hi
+        elif lo < hi:
+            starts.append(lo)
+            ends.append(hi)
+    return starts, ends
+
+
+def _spans_region(los, his, scale):
+    # The region of the integer spans [los[k], his[k]] / scale (see `_merged`).
+    spans = zip(*_merged(los, his, scale))
+    return IntervalSet.from_canonical((Fraction(a, scale), Fraction(b, scale)) for a, b in spans)
 
 
 def _canonical(intervals):
@@ -210,15 +248,14 @@ def union_all(regions):
 def _scaled(values):
     # Fractions as integers over one scale, the lcm of their denominators
     # (1 for none): values[k] is integers[k] / scale.
-    scale = lcm(*{x.denominator for x in values})
-    return [x.numerator * (scale // x.denominator) for x in values], scale
+    return _scaled_pairs([x.as_integer_ratio() for x in values])
 
 
-def _scaled_pairs(numerators, denominators):
-    # `_scaled` for rationals given as numerators and positive denominators,
-    # not necessarily reduced.
-    scale = lcm(*set(denominators))
-    return [num * (scale // den) for num, den in zip(numerators, denominators)], scale
+def _scaled_pairs(pairs):
+    # The body of `_scaled`, for rationals given as (numerator, denominator)
+    # pairs, the denominator positive and the pair not necessarily reduced.
+    scale = lcm(*{den for _, den in pairs})
+    return [num * (scale // den) for num, den in pairs], scale
 
 
 def _ranking(regions):

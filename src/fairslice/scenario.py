@@ -7,9 +7,10 @@ exact token: a "p/q" string, an integer, or a decimal string like "0.4"
 JSON decimals are converted from their literal text for the same reason;
 a float never exists at any point.
 
-A valuation's tokens go straight to the integers its constructor takes
-(`Valuation.from_integers`): piece ends over one scale, density
-coefficients over another, with no Fraction per token.
+One token reader, `_token`, turns every number into an integer pair.  A
+valuation's pairs go straight to the integers `Valuation.from_integers`
+takes, piece ends over one scale and coefficients over another; a region
+list's ends are scaled, checked and merged in integers by `intervals`.
 
 Parsing is strict and failures carry position where the decoder knows it:
 syntax errors report line and column, structural errors name the offending
@@ -26,7 +27,7 @@ from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _quote
 
 from fairslice.audit import Allocation
-from fairslice.intervals import IntervalSet, _scaled_pairs
+from fairslice.intervals import _scaled_pairs, _spans_region
 from fairslice.uniform import Profile
 from fairslice.valuation import Valuation
 
@@ -78,53 +79,47 @@ def _decimal_literal(text):
     return Fraction(text)
 
 
-def _number(value, path):
-    if isinstance(value, bool) or not isinstance(value, (int, str, Fraction)):
-        raise ParseError("%s: expected an exact number token, got %r" % (path, value))
-    if isinstance(value, str) and _exponent_out_of_range(value):
-        raise ParseError(
-            "%s: cannot read a number: exponent beyond %d" % (path, _MAX_EXPONENT)
-        )
-    try:
-        if isinstance(value, str):  # "p/q" in digits skips Fraction's regex
+def _token(value, path):
+    # An exact number token as an integer pair (numerator, denominator > 0),
+    # not necessarily reduced: a JSON integer, a Fraction from
+    # `_decimal_literal`, a "p" or "p/q" of at most 40 ASCII digits with
+    # q > 0, or any other string as Fraction reads it.
+    if type(value) is str:
+        if len(value) <= 40 and value.isascii():
             num, slash, den = value.partition("/")
-            if slash and num.isdecimal() and den.isdecimal():
-                return Fraction(int(num), int(den))
-        return Fraction(value)
-    except (ValueError, ZeroDivisionError):
-        if len(value) > 40:  # only a string fails; a long one is shown by its ends
-            value = "%s...%s, %d characters" % (value[:20], value[-12:], len(value))
-        raise ParseError("%s: cannot read %r as a rational" % (path, value))
+            if num.isdigit() and (den.isdigit() or not slash):
+                den = int(den) if slash else 1
+                if den:
+                    return int(num), den
+        if _exponent_out_of_range(value):
+            raise ParseError("%s: cannot read a number: exponent beyond %d" % (path, _MAX_EXPONENT))
+        try:
+            value = Fraction(value)
+        except (ValueError, ZeroDivisionError):
+            if len(value) > 40:  # a long token is shown by its ends
+                value = "%s...%s, %d characters" % (value[:20], value[-12:], len(value))
+            raise ParseError("%s: cannot read %r as a rational" % (path, value))
+    elif type(value) is int:
+        return value, 1
+    elif type(value) is not Fraction:
+        raise ParseError("%s: expected an exact number token, got %r" % (path, value))
+    return value.as_integer_ratio()
 
 
 def _scaled_fields(pieces, keys, path):
     # The fields keys of every piece, piece by piece, as integers over one
-    # scale (see `intervals._scaled`).  A JSON integer, and a "p" or "p/q"
-    # of at most 40 ASCII digits with q > 0, become integers without a
-    # Fraction; `_number` reads any other token.  A piece's path is
-    # formatted only for an error.
+    # scale (see `intervals._scaled`).  A piece's path is formatted only
+    # for an error: a token that fails is read again under it.
     tokens = [piece.get(key) if type(piece) is dict else None for piece in pieces for key in keys]
-    numerators, denominators = [], []
+    pairs = []
     for i, token in enumerate(tokens):
-        if type(token) is str:
-            if len(token) <= 40 and token.isascii():
-                num, slash, den = token.partition("/")
-                if num.isdigit() and (den.isdigit() or not slash):
-                    den = int(den) if slash else 1
-                    if den:
-                        numerators.append(int(num))
-                        denominators.append(den)
-                        continue
-        elif type(token) is int:
-            numerators.append(token)
-            denominators.append(1)
-            continue
-        k, j = divmod(i, len(keys))
-        where = "%s.pieces[%d]" % (path, k)
-        value = _number(_field(pieces[k], keys[j], where), where)
-        numerators.append(value.numerator)
-        denominators.append(value.denominator)
-    return _scaled_pairs(numerators, denominators)
+        try:
+            pairs.append(_token(token, path))
+        except ParseError:
+            k, j = divmod(i, len(keys))
+            where = "%s.pieces[%d]" % (path, k)
+            pairs.append(_token(_field(pieces[k], keys[j], where), where))
+    return _scaled_pairs(pairs)
 
 
 def _field(mapping, key, path):
@@ -140,9 +135,10 @@ def _region(value, path):
     for k, span in enumerate(value):
         if not isinstance(span, list) or len(span) != 2:
             raise ParseError("%s[%d]: expected a [lo, hi] pair" % (path, k))
-        pairs.append((_number(span[0], path), _number(span[1], path)))
+        pairs += (_token(span[0], path), _token(span[1], path))
+    ends, scale = _scaled_pairs(pairs)
     try:
-        return IntervalSet(pairs)
+        return _spans_region(ends[::2], ends[1::2], scale)
     except ValueError as error:
         raise ParseError("%s: %s" % (path, error))
 

@@ -19,7 +19,9 @@ from functools import reduce
 from operator import or_
 
 from fairslice.audit import Allocation
-from fairslice.intervals import IntervalSet, _as_region, _atom_table, _region, _weight
+from fairslice.intervals import (
+    IntervalSet, _as_region, _atom_table, _region, _spans_region, _weight,
+)
 from fairslice.valuation import UnsupportedValuationClass, Valuation
 
 
@@ -249,9 +251,10 @@ def exact_allocation(preferences, agents, cake):
     and the members' supports, on runs of adjacent atoms that the same
     members want.  Amounts and positions are integers over the table's
     scale times the group size, so runs and the average share are whole
-    numbers; touching spans merge in integers, and each endpoint becomes
-    one `Fraction` at the end.  Raises Infeasible when no such portions
-    exist, meaning the group did not minimise the average.
+    numbers; each portion's spans merge in integers (`intervals._merged`),
+    and each endpoint becomes one `Fraction` at the end.  Raises Infeasible
+    when no such portions exist, meaning the group did not minimise the
+    average.
     """
     return _equal_shares(*_wanted_atoms(preferences, agents, cake))
 
@@ -270,19 +273,16 @@ def _equal_shares(wanted, atoms, weights, scale):
         raise Infeasible("cannot give agent %d a portion of length %s" % (short, quota))
     _check_fill(held, spare, owned, share)
 
-    portions = {i: [] for i in wanted}
+    portions = {i: ([], []) for i in wanted}
     for k, amounts in zip(firsts, held):
         lo = atoms[k][0]
         pos = lo.numerator * (unit // lo.denominator)
         for i in sorted(amounts):
-            end, spans = pos + amounts[i], portions[i]
-            if spans and spans[-1][1] == pos:
-                spans[-1] = (spans[-1][0], end)
-            elif end > pos:
-                spans.append((pos, end))
-            pos = end
-    return {i: IntervalSet.from_canonical((Fraction(lo, unit), Fraction(hi, unit))
-                                          for lo, hi in spans) for i, spans in portions.items()}
+            los, his = portions[i]
+            los.append(pos)
+            pos += amounts[i]
+            his.append(pos)
+    return {i: _spans_region(los, his, unit) for i, (los, his) in portions.items()}
 
 
 def _check_fill(held, spare, owned, share):

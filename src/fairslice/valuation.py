@@ -24,11 +24,12 @@ region's endpoints in one such sweep.
 
 Every constructor, the raw-piece one included, ends in the integer
 constructor that `from_integers` exposes: piece ends over one scale and
-density coefficients over one unit, in input order.  It checks
-the pieces and builds the integer arrays in canonical form, the scale the
-lcm of the piece ends' denominators and the coefficients with no common
-factor, so equal valuations hold equal arrays.  The Piece tuple and the
-support are built from the arrays on first read.
+density coefficients over one unit, in input order.  It checks the
+pieces (their ranges as an Interval does) and builds the integer arrays
+in canonical form, the scale the lcm of the piece ends' denominators and
+the coefficients with no common factor, so equal valuations hold equal
+arrays.  The Piece tuple and the support are built from the arrays on
+first read, the support by the integer span merge of `intervals`.
 
 cut adds its target to F(a), finds the piece where F reaches that goal by
 bisecting the integer masses for ceil(goal*M), and solves F(x) = goal there
@@ -44,7 +45,9 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 
-from fairslice.intervals import Interval, IntervalSet, _as_region, _scaled, frac
+from fairslice.intervals import (
+    Interval, IntervalSet, _as_region, _check_span, _merged, _scaled, _span, _spans_region, frac,
+)
 
 BISECT_TOLERANCE = Fraction(1, 10**12)
 
@@ -83,27 +86,6 @@ class CutResult:
     exact: bool
 
 
-def _span(lo, hi, scale):
-    # The span [lo, hi] / scale as an Interval prints, for error messages.
-    return "[%s, %s]" % (Fraction(lo, scale), Fraction(hi, scale))
-
-
-def _span_error(lo, hi, scale):
-    return ValueError("need 0 <= lo <= hi <= 1, got %s" % _span(lo, hi, scale))
-
-
-def _merged(spans):
-    # Integer spans (lo, hi) as the spans of a canonical region: sorted,
-    # overlapping and touching spans merged, zero-length ones dropped.
-    merged = []
-    for lo, hi in sorted(spans):
-        if merged and lo <= merged[-1][1]:
-            merged[-1][1] = max(hi, merged[-1][1])
-        elif lo < hi:
-            merged.append([lo, hi])
-    return merged
-
-
 def _build(valuation, los, his, scale, slopes, intercepts):
     # The one constructor: piece k is [los[k], his[k]] / scale with density
     # (slopes[k] x + intercepts[k]) / unit.  Each piece is checked in input
@@ -112,8 +94,7 @@ def _build(valuation, los, his, scale, slopes, intercepts):
     # integers.
     kept = []
     for lo, hi, s, c in zip(los, his, slopes, intercepts):
-        if not 0 <= lo <= hi <= scale:
-            raise _span_error(lo, hi, scale)
+        _check_span(lo, hi, scale)
         if s * lo + c * scale < 0 or s * hi + c * scale < 0:
             raise ValueError("density negative on %s" % _span(lo, hi, scale))
         if s or c:
@@ -220,14 +201,8 @@ class Valuation:
     def uniform_on_spans(cls, los, his, scale):
         """Uniform over the union of the spans [los[k], his[k]] / scale, which
         may overlap, touch or be empty, as `uniform_on` takes a region."""
-        for lo, hi in zip(los, his):
-            if not 0 <= lo <= hi <= scale:
-                raise _span_error(lo, hi, scale)
-        spans = _merged(zip(los, his))
-        n = len(spans)
-        return cls.from_integers(
-            [span[0] for span in spans], [span[1] for span in spans], scale, [0] * n, [1] * n
-        )
+        los, his = _merged(los, his, scale)
+        return cls.from_integers(los, his, scale, [0] * len(los), [1] * len(los))
 
     @classmethod
     def uniform_on(cls, region):
@@ -276,11 +251,7 @@ class Valuation:
     def support(self):
         """Region of positive density (up to measure zero)."""
         if self._support is None:
-            scale = self._scale
-            region = IntervalSet.from_canonical(
-                (Fraction(lo, scale), Fraction(hi, scale))
-                for lo, hi in _merged(zip(self._los, self._his))
-            )
+            region = _spans_region(self._los, self._his, self._scale)
             object.__setattr__(self, "_support", region)
         return self._support
 

@@ -9,6 +9,7 @@ import json
 import subprocess
 import sys
 import unittest.mock
+from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
 
@@ -17,22 +18,31 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import fairslice.optimal
+from fairslice.audit import Allocation
 from fairslice.cli import MECHANISMS, main
 from fairslice.generator import GRID, random_uniform_agents
+from fairslice.intervals import IntervalSet
 from fairslice.scenario import (
     ParseError,
     Scenario,
     _exponent_out_of_range,
-    _number,
     _scaled_fields,
+    _token,
     json_text,
     parse_scenario,
     region_pairs,
     serialize_scenario,
 )
 from fairslice.simplex import INFEASIBLE, LpSolution
+from fairslice.uniform import Profile
 from fairslice.valuation import Valuation
-from helpers import LARGE_DENOMINATORS, any_valuations, large_scale_valuations, query_points
+from helpers import (
+    LARGE_DENOMINATORS,
+    any_valuations,
+    large_scale_regions,
+    large_scale_valuations,
+    query_points,
+)
 
 F = Fraction
 
@@ -326,10 +336,10 @@ def test_reader_tokens_off_the_integer_path(token, read):
 @example("1/0")
 @example("5/")
 def test_piece_fields_read_tokens_as_number_does(token):
-    # The integer path of the reader agrees with `_number`, refusals included.
+    # The integer path of the reader agrees with `_token`, refusals included.
     pieces = [{"v": token}, {"v": "1/3"}]
     try:
-        expected = _number(token, "x.pieces[0]")
+        expected = Fraction(*_token(token, "x.pieces[0]"))
     except ParseError as error:
         with pytest.raises(ParseError) as raised:
             _scaled_fields(pieces, ("v",), "x")
@@ -337,6 +347,91 @@ def test_piece_fields_read_tokens_as_number_does(token):
     else:
         (num, third), scale = _scaled_fields(pieces, ("v",), "x")
         assert (Fraction(num, scale), Fraction(third, scale)) == (expected, Fraction(1, 3))
+
+
+@pytest.mark.parametrize(
+    "token, read",
+    [
+        ("1" + "0" * 30 + "/2" + "0" * 30, F(1, 2)),
+        ("1" * 41 + "/0", "cannot read '11111111111111111111...1111111111/0, 43 characters'"),
+        ("1/0", "cannot read '1/0' as a rational"),
+        (" 1/2", F(1, 2)),
+        ("+1/2", F(1, 2)),
+        ("1e3/2", "cannot read '1e3/2' as a rational"),
+        ("\u0661/\u0662", F(1, 2)),
+    ],
+)
+def test_profile_endpoints_read_tokens_as_pieces_do(token, read):
+    # The tokens of test_reader_tokens_off_the_integer_path, as a claim's
+    # right end: one token reader serves region lists and pieces alike.
+    text = text_of([agent("a", (0, 1))], profile=[[[0, token]]])
+    if isinstance(read, Fraction):
+        assert parse_scenario(text).profile[0].pairs() == [(0, read)]
+    else:
+        with pytest.raises(ParseError) as raised:
+            parse_scenario(text)
+        assert str(raised.value).startswith("profile[0]: " + read)
+
+
+def _token_forms(x):
+    # Every JSON token that reads as x: "p/q", an integer, and a decimal
+    # string or bare decimal when x has a finite decimal expansion.
+    forms = ['"%s"' % x]
+    if x.denominator == 1:
+        forms.append(str(x))
+    decimal = str(Decimal(x.numerator) / Decimal(x.denominator))
+    if "." in decimal and Fraction(decimal) == x:
+        forms += ['"%s"' % decimal, decimal]
+    return forms
+
+
+# Ends on a coarse grid, so that spans often overlap, touch or have zero
+# length, now and then just outside the cake.
+REGION_ENDS = st.sampled_from(
+    [F(k, 8) for k in range(9)] * 3 + [F(1, 3), F(3, 40)] * 3 + [F(-1, 8), F(9, 8)]
+)
+SORTED_SPAN = st.tuples(REGION_ENDS, REGION_ENDS).map(lambda pair: tuple(sorted(pair)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(st.one_of(SORTED_SPAN, SORTED_SPAN, st.tuples(REGION_ENDS, REGION_ENDS)), max_size=5),
+    st.data(),
+)
+def test_region_reader_matches_interval_set(spans, data):
+    # A profile entry reads as IntervalSet(pairs) reads the same spans,
+    # whatever their order and form, or fails with its error.
+    tokens = ["[%s, %s]" % tuple(data.draw(st.sampled_from(_token_forms(x))) for x in span)
+              for span in spans]
+    text = text_of([agent("a", (0, 1))], profile=["ENTRY"])
+    text = text.replace('"ENTRY"', "[%s]" % ", ".join(tokens))
+    try:
+        expected = IntervalSet(spans)
+    except ValueError as error:
+        with pytest.raises(ParseError) as raised:
+            parse_scenario(text)
+        assert str(raised.value) == "profile[0]: %s" % error
+    else:
+        assert parse_scenario(text).profile[0] == expected
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+@pytest.mark.parametrize("kind", sorted(LARGE_DENOMINATORS))
+def test_reader_rebuilds_the_regions_the_writer_wrote(kind, data):
+    claims = data.draw(st.lists(large_scale_regions(kind), min_size=1, max_size=4))
+    portions, taken = [], IntervalSet.empty()
+    for claim in claims:
+        portions.append(claim.difference(taken))
+        taken = taken.union(claim)
+    ids = tuple("a%d" % k for k in range(len(claims)))
+    valuations = (Valuation.uniform(),) * len(claims)
+    scenario = Scenario("1", ids, valuations, Profile(claims), Allocation(portions))
+    text = serialize_scenario(scenario)
+    rebuilt = parse_scenario(text)
+    assert list(rebuilt.profile) == claims
+    assert list(rebuilt.allocation) == portions
+    assert serialize_scenario(rebuilt) == text
 
 
 JSON_VALUES = st.recursive(
@@ -542,6 +637,28 @@ def test_run_bad_json_exits_2_with_position(tmp_path, capsys):
     assert "line 2 column" in err
 
 
+@pytest.mark.parametrize("source", ["file", "stdin"])
+def test_run_input_that_is_not_utf8_exits_2(tmp_path, capsys, monkeypatch, source):
+    # A file and standard input are decoded alike, as strict UTF-8.
+    data = b'{"agents": \xff}'
+    path = tmp_path / "bad.json"
+    path.write_bytes(data)
+    if source == "stdin":
+        monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(data), encoding="utf-8"))
+        path = "-"
+    code, out, err = run_cli(capsys, "run", str(path), "--mechanism", "even-paz")
+    assert (code, out) == (2, "")
+    assert err == "error: input is not UTF-8: invalid start byte at byte 11\n"
+
+
+def test_run_reads_utf8_bytes_from_stdin(capsys, monkeypatch):
+    text = HALVES.replace('"left"', '"caf\u00e9"')
+    monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(text.encode("utf-8"))))
+    code, out, _ = run_cli(capsys, "run", "-", "--mechanism", "cut-and-choose")
+    assert code == 0
+    assert json.loads(out)["agents"] == ["caf\u00e9", "right"]
+
+
 def test_run_overlong_integer_exits_2(tmp_path, capsys):
     # Python refuses to convert integer text of more than 4,300 digits.
     text = text_of([agent("a", (0, "HUGE"))]).replace('"HUGE"', "1" + "0" * 4400)
@@ -572,15 +689,15 @@ def test_number_reads_string_tokens_as_fraction_does(text):
     if _exponent_out_of_range(text):
         # Refused before Fraction would build 10**exponent.
         with pytest.raises(ParseError, match="exponent beyond"):
-            _number(text, "x")
+            _token(text, "x")
         return
     try:
         expected = Fraction(text)
     except (ValueError, ZeroDivisionError):
         with pytest.raises(ParseError, match="cannot read"):
-            _number(text, "x")
+            _token(text, "x")
     else:
-        assert _number(text, "x") == expected
+        assert Fraction(*_token(text, "x")) == expected
 
 
 @pytest.mark.parametrize(
@@ -899,6 +1016,19 @@ def test_pof_csv_golden(tmp_path, capsys):
     fields = row.split(",")
     assert fields == [path, "4", "2", "3/2", "4/3"]
     assert F(fields[4]) >= 1
+
+
+@pytest.mark.parametrize("name", ["x,y.json", 'a"b.json'])
+def test_pof_csv_quotes_a_field_with_a_comma_or_a_quote(tmp_path, capsys, name):
+    path = write(tmp_path, OVERLAP, name)
+    code, out, _ = run_cli(capsys, "pof", path, "--criterion", "envy-free")
+    assert code == 0
+    header, row = out.splitlines()
+    assert row == '"%s",2,3/2,3/2,1' % path.replace('"', '""')
+    assert list(csv.reader([header, row])) == [
+        ["instance", "n", "ue_optimal", "ue_constrained", "ratio"],
+        [path, "2", "3/2", "3/2", "1"],
+    ]
 
 
 def test_pof_json_format(tmp_path, capsys):
