@@ -7,12 +7,13 @@ envy-freeness and equitability are statements about diagonals and rows, so
 one exact table computation feeds every predicate.
 
 Everything runs on one ranking of the allocation's endpoints, made when the
-allocation is built (`intervals._ranking`): every endpoint is an integer
-over one scale S, the lcm of their denominators, known by its rank.  The
-overlap check sorts and sweeps the ranks.  Agent i's row of the table holds integers over
-one denominator M_i S^2, where M_i is the valuation's mass scale: each is a
-difference of the agent's cumulative mass at integer points.  The criteria
-compare within a row or cross-multiply across rows, and an entry becomes a
+allocation is built (`intervals._ranking`): every portion's integer ends go
+over one scale S, the lcm of the portions' scales, each known by its rank.
+The overlap check sorts and sweeps the ranks.  Agent i's row of the table
+holds integers over one denominator M_i S^2, where M_i is the valuation's
+mass scale: each is a difference of the agent's cumulative mass at integer
+points.  The criteria compare within a row or cross-multiply across rows;
+an entry is printed from its integers (`intervals._text`) and becomes a
 reduced Fraction only when it is read.  The waste check ranks the
 allocation's endpoints together with the agents' integer piece ends and
 tests bitmasks over the atoms between them.
@@ -25,10 +26,10 @@ from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cmp_to_key, reduce
-from math import gcd, lcm
+from math import lcm
 from operator import itemgetter, or_
 
-from fairslice.intervals import _as_region, _ranking, _scaled, frac
+from fairslice.intervals import _as_region, _ranking, _scaled, _text, frac
 
 
 @dataclass(frozen=True, slots=True)
@@ -42,7 +43,7 @@ class Allocation:
 
     def __init__(self, portions):
         cleaned = [_as_region(portion) for portion in portions]
-        scale, marks, _, spans = _ranking(cleaned)
+        scale, marks, spans = _ranking(cleaned)
         # Sweep the spans by left end; equal left ends overlap in any order.
         # Spans of one canonical portion never overlap, so a span starting before
         # the furthest right end seen so far overlaps the portion that reached it.
@@ -98,14 +99,7 @@ class EquityTable:
     def strings(self):
         """Rows of the entries as str() prints them, each reduced by one gcd
         without building a Fraction."""
-        rows = []
-        for row, den in zip(self._rows, self._dens):
-            texts = []
-            for x in row:
-                g = gcd(x, den)
-                texts.append(str(x // g) if g == den else "%d/%d" % (x // g, den // g))
-            rows.append(texts)
-        return rows
+        return [[_text(x, den) for x in row] for row, den in zip(self._rows, self._dens)]
 
     def diagonal(self):
         return tuple(Fraction(num, den) for num, den in self._diagonal())

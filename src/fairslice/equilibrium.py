@@ -82,7 +82,7 @@ def is_equilibrium(preferences, reduced):
     if not isinstance(reduced, ReducedProfile):
         raise NotReduced("expected a ReducedProfile")
     n = len(reduced.profile)
-    atoms, weights, bits, _ = _atom_table(
+    marks, weights, bits, scale = _atom_table(
         [*reduced.profile.strategies, *wanted_regions(preferences)]
     )
     claims, supports = bits[:n], bits[n:]
@@ -97,7 +97,8 @@ def is_equilibrium(preferences, reduced):
     missing = reduce(or_, supports, 0) & ~claimed
     if missing:
         deviator = next(i for i, support in enumerate(supports) if support & missing)
-        return EquilibriumReport(False, UnallocatedValuedCake(_region(missing, atoms)), deviator)
+        witness = _region(missing, marks, scale)
+        return EquilibriumReport(False, UnallocatedValuedCake(witness), deviator)
 
     lengths = [_weight(claim, weights) for claim in claims]
     for i in range(n):
@@ -105,7 +106,7 @@ def is_equilibrium(preferences, reduced):
             witness = claims[i] & supports[j]
             if i != j and witness and lengths[i] > lengths[j]:
                 return EquilibriumReport(
-                    False, LengthOrderViolation(i, j, _region(witness, atoms)), j
+                    False, LengthOrderViolation(i, j, _region(witness, marks, scale)), j
                 )
     return EquilibriumReport(True)
 
@@ -132,16 +133,17 @@ class _Board:
     """Atoms cut at every endpoint of agent i's wanted region, of every claim
     and of one more claim `first`.
 
-    Lengths are integers over one unit, doubled so that every midpoint the
-    candidate family takes is an integer too.  `wanted` is the bitmask of
-    agent i's wanted atoms; each claim, and `first`, is the bitmask of the
-    wanted atoms it covers, with the integer length of the whole claim.
+    Cuts and lengths are integers over one unit, doubled so that every
+    midpoint the candidate family takes is an integer too.  `wanted` is the
+    bitmask of agent i's wanted atoms; each claim, and `first`, is the
+    bitmask of the wanted atoms it covers, with the integer length of the
+    whole claim.
     Rivals are ranked once by (length, index); ahead[p] is the union of the
     first p of them, so the rivals served before a claim are one bisect.
     """
 
     i: int
-    atoms: tuple
+    marks: tuple
     weights: tuple
     unit: int
     wanted: int
@@ -165,16 +167,19 @@ class _Board:
     def region(self, key):
         """The candidate (whole atoms, partial atom, amount) as a region."""
         mask, k, amount = key
-        region = _region(mask, self.atoms)
+        marks = self.marks
         if amount:
-            lo = self.atoms[k][0]
-            region = region.union(IntervalSet([(lo, lo + Fraction(amount, self.unit))]))
-        return region
+            # Cut atom k after `amount` and take its left part, atom k of the
+            # new table; the atoms above k move up by one.
+            marks = marks[: k + 1] + (marks[k] + amount,) + marks[k + 1 :]
+            low = mask & ((1 << k) - 1)
+            mask = low | 1 << k | (mask ^ low) << 1
+        return _region(mask, marks, self.unit)
 
 
 def _board(preferences, profile, i, first):
     (support,) = wanted_regions([preferences[i]])
-    atoms, weights, bits, scale = _atom_table([support, first, *profile.strategies])
+    marks, weights, bits, scale = _atom_table([support, first, *profile.strategies])
     weights = tuple(2 * w for w in weights)
     wanted = bits[0]
     claims = tuple(mask & wanted for mask in bits[2:])
@@ -184,7 +189,7 @@ def _board(preferences, profile, i, first):
     for j in rivals:
         ahead.append(ahead[-1] | claims[j])
     return _Board(
-        i, tuple(atoms), weights, 2 * scale, wanted, claims, lengths,
+        i, tuple(2 * x for x in marks), weights, 2 * scale, wanted, claims, lengths,
         bits[1] & wanted, _weight(bits[1], weights),
         tuple((lengths[j], j) for j in rivals), tuple(ahead),
     )

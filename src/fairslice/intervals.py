@@ -4,31 +4,35 @@ The cake is [0,1].  A slice is a closed interval with exact rational endpoints;
 a region is a finite union of slices kept in canonical form: sorted, pairwise
 disjoint, touching slices merged, zero-length slices dropped.  Because single
 points carry no measure, two regions count as disjoint when their intersection
-has length zero, which the canonical form renders as emptiness.  Union,
-intersection, difference and complement are one merge of two regions'
-endpoints; its result is canonical as built and stored as it is.  Length is
-summed whenever it is read.  `_as_region` is the one coercion of a
-region-like value (an IntervalSet or (lo, hi) pairs) to a region.
+has length zero, which the canonical form renders as emptiness.
 
-Rationals become integers in one place: `_scaled` writes some values as
-integers over one scale, the lcm of their denominators; its body,
-`_scaled_pairs`, takes them as integer pairs.  Integer spans become a
-region in one place too: `_merged` checks spans over one scale as an
-Interval checks its ends and merges them as a region does.  Code that
-compares many endpoints at once ranks them first: `_ranking` scales every
-endpoint of some regions and sorts those integers, so no Fraction is
-compared.  An atom table cuts the cake at the ranked endpoints, and a
-region is then a bitmask over its atoms.  Allocations, equity tables and
-the revelation games all work on these ranks.
+A region holds that form once, in integers, as a valuation does: its ends
+in order over one scale that shares no factor with all of them, so equal
+regions hold equal integers.  `_scaled` writes rationals as integers over
+the lcm of their denominators, `_merged` checks integer spans as an
+Interval checks its ends and merges them, and every region is stored by
+`_store` (`_spans_region` for a new one).  Union, intersection, difference
+and complement are one walk over two regions' ends over the lcm of their
+scales.  Intervals and Fractions are built only when a region is iterated
+or read as pairs, a length or text; `_text` prints an integer ratio as its
+Fraction would.  `_as_region` is the one coercion of a region-like value
+(an IntervalSet or (lo, hi) pairs) to a region.
 
-All endpoints are `fractions.Fraction`.  Floats are refused at the boundary:
-Fraction(0.4) is not 2/5, and we never want to find that out the hard way.
+Code that compares many endpoints at once ranks them: `_ranking` puts the
+ends of some regions over one scale and sorts those integers.  An atom
+table cuts the cake at the ranked ends, and a region is then a bitmask
+over its atoms.  Allocations, equity tables and the revelation games all
+work on these ranks.
+
+Every endpoint a region hands out is a `fractions.Fraction`.  Floats are
+refused at the boundary: Fraction(0.4) is not 2/5, and we never want to find
+that out the hard way.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
-from operator import attrgetter
+from itertools import islice
+from math import gcd, lcm
 
 
 def frac(x):
@@ -80,9 +84,28 @@ class Interval:
         yield self.hi
 
 
+def _scaled(values):
+    # Fractions as integers over one scale, the lcm of their denominators
+    # (1 for none): values[k] is integers[k] / scale.
+    return _scaled_pairs([x.as_integer_ratio() for x in values])
+
+
+def _scaled_pairs(pairs):
+    # The body of `_scaled`, for rationals given as (numerator, denominator)
+    # pairs, the denominator positive and the pair not necessarily reduced.
+    scale = lcm(*{den for _, den in pairs})
+    return [num * (scale // den) for num, den in pairs], scale
+
+
+def _text(num, den):
+    # str(Fraction(num, den)) for den > 0, from one gcd and no Fraction.
+    g = gcd(num, den)
+    return str(num // g) if g == den else f"{num // g}/{den // g}"
+
+
 def _span(lo, hi, scale):
     # The integer span [lo, hi] / scale as an Interval prints it.
-    return "[%s, %s]" % (Fraction(lo, scale), Fraction(hi, scale))
+    return "[%s, %s]" % (_text(lo, scale), _text(hi, scale))
 
 
 def _check_span(lo, hi, scale):
@@ -91,49 +114,57 @@ def _check_span(lo, hi, scale):
         raise ValueError("need 0 <= lo <= hi <= 1, got " + _span(lo, hi, scale))
 
 
-def _merged(los, his, scale):
-    # The integer spans [los[k], his[k]] / scale, each checked in input
-    # order, as the spans of a canonical region: sorted, overlapping and
-    # touching spans merged, zero-length ones dropped: (starts, ends).
-    for lo, hi in zip(los, his):
-        _check_span(lo, hi, scale)
-    starts, ends = [], []
-    for lo, hi in sorted(zip(los, his)):
-        if ends and lo <= ends[-1]:
-            if hi > ends[-1]:
-                ends[-1] = hi
+def _merged(ends, scale):
+    # The integer spans [ends[2k], ends[2k + 1]] / scale, each checked in
+    # input order, as the ends of a canonical region: sorted, overlapping
+    # and touching spans merged, zero-length ones dropped.
+    spans = list(zip(ends[::2], ends[1::2]))
+    for lo, hi in spans:  # the test of `_check_span`, inline: most spans pass
+        if not 0 <= lo <= hi <= scale:
+            _check_span(lo, hi, scale)
+    spans.sort()
+    merged = []
+    for lo, hi in spans:
+        if merged and lo <= merged[-1]:
+            if hi > merged[-1]:
+                merged[-1] = hi
         elif lo < hi:
-            starts.append(lo)
-            ends.append(hi)
-    return starts, ends
+            merged += (lo, hi)
+    return merged
 
 
-def _spans_region(los, his, scale):
-    # The region of the integer spans [los[k], his[k]] / scale (see `_merged`).
-    spans = zip(*_merged(los, his, scale))
-    return IntervalSet.from_canonical((Fraction(a, scale), Fraction(b, scale)) for a, b in spans)
+def _store(region, ends, scale):
+    # Hold the ends of a canonical region on it, with the scale and the ends
+    # divided by their gcd, so that equal regions hold equal integers.
+    g = gcd(scale, *ends)
+    if g > 1:
+        ends = [x // g for x in ends]
+        scale //= g
+    object.__setattr__(region, "_ends", tuple(ends))
+    object.__setattr__(region, "_scale", scale)
+    return region
 
 
-def _canonical(intervals):
-    # Sort by left end, merge anything overlapping or merely touching, drop
-    # what has zero length; a slice that merges with nothing is kept as is.
-    spans = []
-    for iv in sorted(intervals, key=attrgetter("lo")):
-        if spans and iv.lo <= spans[-1].hi:
-            if iv.hi > spans[-1].hi:
-                spans[-1] = Interval(spans[-1].lo, iv.hi)
-        else:
-            spans.append(iv)
-    return tuple(iv for iv in spans if iv.hi > iv.lo)
+def _spans_region(ends, scale):
+    # The region of integer ends over one scale already in canonical form:
+    # strictly ascending, so spans [ends[2k], ends[2k + 1]] / scale are
+    # sorted, of positive length, neither overlapping nor touching.
+    return _store(object.__new__(IntervalSet), ends, scale)
+
+
+def _common(regions):
+    # Each region's ends over one scale, the lcm of the regions' scales.
+    scale = lcm(*{region._scale for region in regions})
+    return [[x * (scale // region._scale) for x in region._ends] for region in regions], scale
 
 
 def _merge(x, y, keep):
-    # Walk both regions' endpoints in order.  Past a point, a region's count
-    # of endpoints so far is odd exactly when the walk is inside it.  An edge
-    # falls wherever keep, False outside both, changes value; a shared point
-    # is passed in both at once, so no touching or zero-length span appears.
-    a = [p for iv in x.intervals for p in (iv.lo, iv.hi)]
-    b = [p for iv in y.intervals for p in (iv.lo, iv.hi)]
+    # Walk both regions' ends in order, over one scale.  Past a point, a
+    # region's count of ends so far is odd exactly when the walk is inside
+    # it.  An edge falls wherever keep, False outside both, changes value; a
+    # shared point is passed in both at once, so no touching or zero-length
+    # span appears.
+    (a, b), scale = _common((x, y))
     i = j = 0
     kept = False
     edges = []
@@ -149,7 +180,7 @@ def _merge(x, y, keep):
         if keep(i % 2 == 1, j % 2 == 1) != kept:
             kept = not kept
             edges.append(point)
-    return IntervalSet.from_canonical(zip(edges[::2], edges[1::2]))
+    return _spans_region(edges, scale)
 
 
 @dataclass(frozen=True, slots=True)
@@ -161,25 +192,18 @@ class IntervalSet:
     immutable and compare by value.
     """
 
-    intervals: tuple
+    # Span k is [_ends[2k], _ends[2k + 1]] / _scale.  The ends ascend
+    # strictly, and _scale shares no factor with all of them, so the empty
+    # region has scale 1.
+    _ends: tuple
+    _scale: int
 
     def __init__(self, intervals=()):
-        ivs = []
-        for item in intervals:
-            if isinstance(item, Interval):
-                ivs.append(item)
-            else:
-                lo, hi = item
-                ivs.append(Interval(lo, hi))
-        object.__setattr__(self, "intervals", _canonical(ivs))
-
-    @classmethod
-    def from_canonical(cls, pairs):
-        """The region of (lo, hi) pairs already in canonical form, stored as given:
-        sorted, of positive length, neither overlapping nor touching."""
-        region = object.__new__(cls)
-        object.__setattr__(region, "intervals", tuple(Interval(lo, hi) for lo, hi in pairs))
-        return region
+        pairs = []
+        for lo, hi in intervals:
+            pairs += (frac(lo).as_integer_ratio(), frac(hi).as_integer_ratio())
+        ends, scale = _scaled_pairs(pairs)
+        _store(self, _merged(ends, scale), scale)
 
     @classmethod
     def unit(cls):
@@ -190,14 +214,20 @@ class IntervalSet:
         return cls(())
 
     @property
+    def intervals(self):
+        """The spans in order, as Intervals."""
+        return tuple(Interval(lo, hi) for lo, hi in self.pairs())
+
+    @property
     def length(self):
-        return sum((iv.length for iv in self.intervals), Fraction(0))
+        ends = self._ends
+        return Fraction(sum(ends[1::2]) - sum(ends[::2]), self._scale)
 
     def is_empty(self):
-        return not self.intervals
+        return not self._ends
 
     def contains(self, x):
-        return any(iv.contains(x) for iv in self.intervals)
+        return any(lo <= x <= hi for lo, hi in self.pairs())
 
     def union(self, other):
         return _merge(self, other, lambda a, b: a or b)
@@ -218,16 +248,17 @@ class IntervalSet:
 
     def pairs(self):
         """Endpoint pairs, handy for serialization."""
-        return [(iv.lo, iv.hi) for iv in self.intervals]
+        ends = [Fraction(x, self._scale) for x in self._ends]
+        return list(zip(ends[::2], ends[1::2]))
 
     def __len__(self):
-        return len(self.intervals)
+        return len(self._ends) // 2
 
     def __iter__(self):
         return iter(self.intervals)
 
     def __repr__(self):
-        if not self.intervals:
+        if not self._ends:
             return "IntervalSet(empty)"
         return "IntervalSet(%s)" % " u ".join(repr(iv) for iv in self.intervals)
 
@@ -242,54 +273,37 @@ def _as_region(x):
 
 def union_all(regions):
     """Union of an iterable of IntervalSets."""
-    return IntervalSet(iv for region in regions for iv in region.intervals)
-
-
-def _scaled(values):
-    # Fractions as integers over one scale, the lcm of their denominators
-    # (1 for none): values[k] is integers[k] / scale.
-    return _scaled_pairs([x.as_integer_ratio() for x in values])
-
-
-def _scaled_pairs(pairs):
-    # The body of `_scaled`, for rationals given as (numerator, denominator)
-    # pairs, the denominator positive and the pair not necessarily reduced.
-    scale = lcm(*{den for _, den in pairs})
-    return [num * (scale // den) for num, den in pairs], scale
+    parts, scale = _common(list(regions))
+    return _spans_region(_merged([x for ends in parts for x in ends], scale), scale)
 
 
 def _ranking(regions):
-    # Rank every endpoint of the regions as an integer over the scale of
-    # `_scaled`.  The ranks come from sorting, never from hashing: integers
-    # that differ by a multiple of 2^61 - 1 hash alike.  Returns the scale,
-    # the distinct endpoints in order as integers over it and as Fractions,
-    # and per region its spans as pairs of ranks.
-    points = [x for region in regions for iv in region.intervals for x in (iv.lo, iv.hi)]
-    ends, scale = _scaled(points)
-    marks, firsts, rank = [], [], [0] * len(ends)
+    # Rank every end of the regions as an integer over one scale, the lcm of
+    # their scales.  The ranks come from sorting, never from hashing:
+    # integers that differ by a multiple of 2^61 - 1 hash alike.  Returns
+    # the scale, the distinct ends in order as integers over it, and per
+    # region its spans as pairs of ranks.
+    parts, scale = _common(regions)
+    ends = [x for part in parts for x in part]
+    marks, rank = [], [0] * len(ends)
     for k in sorted(range(len(ends)), key=ends.__getitem__):
         if not marks or marks[-1] != ends[k]:
             marks.append(ends[k])
-            firsts.append(points[k])
         rank[k] = len(marks) - 1
-    pairs = list(zip(rank[::2], rank[1::2]))
-    spans, start = [], 0
-    for region in regions:
-        end = start + len(region.intervals)
-        spans.append(pairs[start:end])
-        start = end
-    return scale, marks, firsts, spans
+    pairs = zip(rank[::2], rank[1::2])
+    return scale, marks, [list(islice(pairs, len(part) // 2)) for part in parts]
 
 
 def _atom_table(regions):
-    # Cut the cake at every endpoint of every region; each atom lies wholly
-    # inside or outside each region.  Returns the atoms as (lo, hi) pairs of
-    # endpoints in order, their lengths as integers over the scale of
-    # `_ranking`, per region the bitmask of its atoms, and the scale.
-    scale, marks, points, spans = _ranking(regions)
+    # Cut the cake at every end of every region; each atom lies wholly
+    # inside or outside each region.  Returns the cuts in order, atom k
+    # being [marks[k], marks[k + 1]], and the atoms' lengths, both integers
+    # over the scale of `_ranking`; per region the bitmask of its atoms; and
+    # the scale.
+    scale, marks, spans = _ranking(regions)
     bits = [sum((1 << hi) - (1 << lo) for lo, hi in pairs) for pairs in spans]
     weights = [hi - lo for lo, hi in zip(marks, marks[1:])]
-    return list(zip(points, points[1:])), weights, bits, scale
+    return marks, weights, bits, scale
 
 
 def _weight(mask, weights):
@@ -302,14 +316,15 @@ def _weight(mask, weights):
     return total
 
 
-def _region(mask, atoms):
-    # The atoms of a bitmask as a region, one span per run of adjacent atoms:
-    # adding the lowest set bit carries through its run.
-    spans = []
+def _region(mask, marks, scale):
+    # The atoms of a bitmask over the cuts marks / scale as a region, one
+    # span per run of adjacent atoms: adding the lowest set bit carries
+    # through its run.
+    ends = []
     while mask:
         lo = (mask & -mask).bit_length() - 1
         rest = mask + (1 << lo)
         hi = (rest & -rest).bit_length() - 1
-        spans.append((atoms[lo][0], atoms[hi - 1][1]))
+        ends += (marks[lo], marks[hi])
         mask &= rest
-    return IntervalSet.from_canonical(spans)
+    return _spans_region(ends, scale)

@@ -27,7 +27,7 @@ from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _quote
 
 from fairslice.audit import Allocation
-from fairslice.intervals import _scaled_pairs, _spans_region
+from fairslice.intervals import _merged, _scaled_pairs, _spans_region, _text
 from fairslice.uniform import Profile
 from fairslice.valuation import Valuation
 
@@ -138,7 +138,7 @@ def _region(value, path):
         pairs += (_token(span[0], path), _token(span[1], path))
     ends, scale = _scaled_pairs(pairs)
     try:
-        return _spans_region(ends[::2], ends[1::2], scale)
+        return _spans_region(_merged(ends, scale), scale)
     except ValueError as error:
         raise ParseError("%s: %s" % (path, error))
 
@@ -168,7 +168,7 @@ def _valuation(spec, path):
         intercepts = units[len(fields) - 1 :: len(fields)]
     try:
         if not fields:
-            return Valuation.uniform_on_spans(ends[::2], ends[1::2], scale)
+            return Valuation.uniform_on(_spans_region(_merged(ends, scale), scale))
         return Valuation.from_integers(ends[::2], ends[1::2], scale, slopes, intercepts)
     except ValueError as error:
         raise ParseError("%s: %s" % (path, error))
@@ -227,24 +227,20 @@ def parse_scenario(text):
 
 def region_pairs(region):
     """An IntervalSet as [[lo, hi], ...] with exact string endpoints."""
-    return [[str(iv.lo), str(iv.hi)] for iv in region]
+    ends, scale = region._ends, region._scale
+    return [[_text(lo, scale), _text(hi, scale)] for lo, hi in zip(ends[::2], ends[1::2])]
 
 
 def _valuation_spec(valuation):
     if valuation.is_piecewise_uniform():
         # Read back as one region, which merges touching pieces: write it so.
-        kind, rows = "uniform", [(iv, ()) for iv in valuation.support()]
+        kind, rows = "uniform", region_pairs(valuation.support())
     else:
         kind = "constant" if valuation.is_piecewise_constant() else "linear"
-        rows = [(p.interval, (p.intercept, p.slope)) for p in valuation.pieces]
-    fields = _TYPES[kind][::-1]
-    return {
-        "type": kind,
-        "pieces": [
-            {"lo": str(iv.lo), "hi": str(iv.hi), **{f: str(x) for f, x in zip(fields, values)}}
-            for iv, values in rows
-        ],
-    }
+        rows = [map(str, (*p.interval, p.intercept, p.slope)) for p in valuation.pieces]
+    # A piece's fields after lo and hi, intercept first, as the rows hold them.
+    fields = ("lo", "hi", *_TYPES[kind][::-1])
+    return {"type": kind, "pieces": [dict(zip(fields, row)) for row in rows]}
 
 
 def json_text(value):

@@ -10,7 +10,9 @@ allocation under an explicit agent order, the same with priority given to
 shorter claims, and a direct-revelation rule that repeatedly serves the
 group of agents whose jointly wanted cake is smallest per head.
 
-All lengths and utilities are exact rationals.
+All lengths and utilities are exact rationals.  The rules run on integer
+atom tables (`intervals._atom_table`), and a result becomes a region
+straight from a table's integer cuts, with no Fraction on the way.
 """
 
 from dataclasses import dataclass
@@ -20,7 +22,7 @@ from operator import or_
 
 from fairslice.audit import Allocation
 from fairslice.intervals import (
-    IntervalSet, _as_region, _atom_table, _region, _spans_region, _weight,
+    IntervalSet, _as_region, _atom_table, _merged, _region, _spans_region, _weight,
 )
 from fairslice.valuation import UnsupportedValuationClass, Valuation
 
@@ -129,13 +131,13 @@ def _priority(profile, order):
     # claims first, ties to the lower index.
     if not len(profile):
         raise EmptySubset("need at least one agent")
-    atoms, weights, bits, _ = _atom_table(profile.strategies)
+    marks, weights, bits, scale = _atom_table(profile.strategies)
     if order is None:
         order = sorted(range(len(bits)), key=lambda i: _weight(bits[i], weights))
     portions = [None] * len(bits)
     claimed = 0
     for i in order:
-        portions[i] = _region(bits[i] & ~claimed, atoms)
+        portions[i] = _region(bits[i] & ~claimed, marks, scale)
         claimed |= bits[i]
     return Allocation(portions)
 
@@ -171,8 +173,8 @@ def _wanted_atoms(preferences, agents, cake):
     for i in (agents[0], agents[-1]):
         _check_agent(i, len(preferences))
     supports = wanted_regions([preferences[i] for i in agents])
-    atoms, weights, bits, scale = _atom_table([cake, *supports])
-    return {i: mask & bits[0] for i, mask in zip(agents, bits[1:])}, atoms, weights, scale
+    marks, weights, bits, scale = _atom_table([cake, *supports])
+    return {i: mask & bits[0] for i, mask in zip(agents, bits[1:])}, marks, weights, scale
 
 
 def _min_average_group(wanted, weights):
@@ -251,15 +253,14 @@ def exact_allocation(preferences, agents, cake):
     and the members' supports, on runs of adjacent atoms that the same
     members want.  Amounts and positions are integers over the table's
     scale times the group size, so runs and the average share are whole
-    numbers; each portion's spans merge in integers (`intervals._merged`),
-    and each endpoint becomes one `Fraction` at the end.  Raises Infeasible
-    when no such portions exist, meaning the group did not minimise the
-    average.
+    numbers; each portion's spans merge in integers into a region over that
+    unit, and no endpoint becomes a `Fraction`.  Raises Infeasible when no
+    such portions exist, meaning the group did not minimise the average.
     """
     return _equal_shares(*_wanted_atoms(preferences, agents, cake))
 
 
-def _equal_shares(wanted, atoms, weights, scale):
+def _equal_shares(wanted, marks, weights, scale):
     # The fill of `exact_allocation` for the group of `wanted`.  Amounts are
     # integers over `unit`: a run is its weight times the group size long,
     # and the average share is the weight of all the runs.
@@ -273,16 +274,13 @@ def _equal_shares(wanted, atoms, weights, scale):
         raise Infeasible("cannot give agent %d a portion of length %s" % (short, quota))
     _check_fill(held, spare, owned, share)
 
-    portions = {i: ([], []) for i in wanted}
+    portions = {i: [] for i in wanted}
     for k, amounts in zip(firsts, held):
-        lo = atoms[k][0]
-        pos = lo.numerator * (unit // lo.denominator)
+        pos = marks[k] * len(wanted)
         for i in sorted(amounts):
-            los, his = portions[i]
-            los.append(pos)
+            portions[i] += (pos, pos + amounts[i])
             pos += amounts[i]
-            his.append(pos)
-    return {i: _spans_region(los, his, unit) for i, (los, his) in portions.items()}
+    return {i: _spans_region(_merged(ends, unit), unit) for i, ends in portions.items()}
 
 
 def _check_fill(held, spare, owned, share):
@@ -397,19 +395,19 @@ def min_average_rounds(preferences):
     round's region and average are read off the bitmask of its group's
     wanted cake.
     """
-    atoms, weights, bits, scale = _atom_table(wanted_regions(preferences))
+    marks, weights, bits, scale = _atom_table(wanted_regions(preferences))
     remaining = tuple(range(len(preferences)))
-    cake = (1 << len(atoms)) - 1
+    cake = (1 << len(weights)) - 1
     rounds = []
     while remaining:
         wanted = {i: bits[i] & cake for i in remaining}
         group = _min_average_group(wanted, weights)
-        shares = _equal_shares({i: wanted[i] for i in group}, atoms, weights, scale)
+        shares = _equal_shares({i: wanted[i] for i in group}, marks, weights, scale)
         # _equal_shares checks that the shares cover the group's wanted cake.
         served = reduce(or_, (wanted[i] for i in group))
         avg = Fraction(_weight(served, weights), scale * len(group))
         rounds.append(
-            ServiceRound(group, avg, _region(served, atoms), tuple(sorted(shares.items())))
+            ServiceRound(group, avg, _region(served, marks, scale), tuple(sorted(shares.items())))
         )
         cake &= ~served
         remaining = tuple(sorted(set(remaining).difference(group)))

@@ -20,7 +20,7 @@ at or below floor(p*D/r), and F(p/r) comes out as an unreduced integer
 pair.  eval(a, b) is F(b) - F(a), reduced into one Fraction.  masses_at
 reads F at many sorted points over one scale S in one merge, as integers
 over M S^2, which is how an equity table is built; measure reads a
-region's endpoints in one such sweep.
+region's integer ends, over the region's own scale, in one such sweep.
 
 Every constructor, the raw-piece one included, ends in the integer
 constructor that `from_integers` exposes: piece ends over one scale and
@@ -28,8 +28,10 @@ density coefficients over one unit, in input order.  It checks the
 pieces (their ranges as an Interval does) and builds the integer arrays
 in canonical form, the scale the lcm of the piece ends' denominators and
 the coefficients with no common factor, so equal valuations hold equal
-arrays.  The Piece tuple and the support are built from the arrays on
-first read, the support by the integer span merge of `intervals`.
+arrays.  `uniform_on` hands it a region's integer ends as they are and
+keeps the region as the support; otherwise the Piece tuple and the
+support are built from the arrays on first read, the support by the
+integer span merge of `intervals`.
 
 cut adds its target to F(a), finds the piece where F reaches that goal by
 bisecting the integer masses for ceil(goal*M), and solves F(x) = goal there
@@ -198,18 +200,11 @@ class Valuation:
         return valuation
 
     @classmethod
-    def uniform_on_spans(cls, los, his, scale):
-        """Uniform over the union of the spans [los[k], his[k]] / scale, which
-        may overlap, touch or be empty, as `uniform_on` takes a region."""
-        los, his = _merged(los, his, scale)
-        return cls.from_integers(los, his, scale, [0] * len(los), [1] * len(los))
-
-    @classmethod
     def uniform_on(cls, region):
         """Uniform over a region: indicator scaled by 1/length."""
         region = _as_region(region)
-        ends, scale = _scaled([x for iv in region for x in (iv.lo, iv.hi)])
-        valuation = cls.uniform_on_spans(ends[::2], ends[1::2], scale)
+        ends, n = region._ends, len(region)
+        valuation = cls.from_integers(ends[::2], ends[1::2], region._scale, [0] * n, [1] * n)
         object.__setattr__(valuation, "_support", region)
         return valuation
 
@@ -251,7 +246,8 @@ class Valuation:
     def support(self):
         """Region of positive density (up to measure zero)."""
         if self._support is None:
-            region = _spans_region(self._los, self._his, self._scale)
+            ends = [x for span in zip(self._los, self._his) for x in span]
+            region = _spans_region(_merged(ends, self._scale), self._scale)
             object.__setattr__(self, "_support", region)
         return self._support
 
@@ -310,7 +306,7 @@ class Valuation:
 
     def measure(self, region):
         """Exact mass of an IntervalSet, from one masses_at sweep of its ends."""
-        below, den = self.masses_at(*_scaled([x for iv in region for x in (iv.lo, iv.hi)]))
+        below, den = self.masses_at(region._ends, region._scale)
         return Fraction(sum(below[1::2]) - sum(below[::2]), den)
 
     def masses_at(self, marks, scale):

@@ -269,6 +269,89 @@ def large_scale_valuations(kind):
     return build()
 
 
+def reference_canonical(intervals):
+    """Intervals in canonical form by Fraction comparisons: sorted by left
+    end, anything overlapping or merely touching merged, zero-length ones
+    dropped.  The library merges the same spans as integers over one scale.
+    """
+    spans = []
+    for iv in sorted(intervals, key=lambda iv: iv.lo):
+        if spans and iv.lo <= spans[-1].hi:
+            if iv.hi > spans[-1].hi:
+                spans[-1] = Interval(spans[-1].lo, iv.hi)
+        else:
+            spans.append(iv)
+    return tuple(iv for iv in spans if iv.hi > iv.lo)
+
+
+def reference_region(items):
+    """The canonical Intervals of Intervals or (lo, hi) pairs, each pair
+    checked as an Interval in input order."""
+    return reference_canonical([iv if isinstance(iv, Interval) else Interval(*iv) for iv in items])
+
+
+def reference_merge(x, y, keep):
+    """The region algebra on canonical Interval tuples by Fraction comparisons.
+
+    Walks both tuples' endpoints in order; past a point, a tuple's count of
+    endpoints so far is odd exactly when the walk is inside it, and an edge
+    falls wherever keep changes value.  The library walks integers over the
+    lcm of the two regions' scales.
+    """
+    a = [p for iv in x for p in (iv.lo, iv.hi)]
+    b = [p for iv in y for p in (iv.lo, iv.hi)]
+    i = j = 0
+    kept = False
+    edges = []
+    while i < len(a) or j < len(b):
+        if j == len(b) or (i < len(a) and a[i] <= b[j]):
+            point = a[i]
+            i += 1
+            if j < len(b) and b[j] == point:
+                j += 1
+        else:
+            point = b[j]
+            j += 1
+        if keep(i % 2 == 1, j % 2 == 1) != kept:
+            kept = not kept
+            edges.append(point)
+    return tuple(Interval(lo, hi) for lo, hi in zip(edges[::2], edges[1::2]))
+
+
+def raw_spans(kind, max_spans=5):
+    """Spans as IntervalSet takes them, over one kind of LARGE_DENOMINATORS:
+    Intervals, Fraction pairs and "p/q" string pairs, unsorted, overlapping,
+    touching, zero-length, reversed, and now and then out of [0, 1]."""
+    outside = st.sampled_from(LARGE_DENOMINATORS[kind]).flatmap(
+        lambda d: st.sampled_from([Fraction(-1, d), 1 + Fraction(1, d)])
+    )
+    point = st.one_of(large_scale_fractions(kind), large_scale_fractions(kind), outside)
+
+    @st.composite
+    def build(draw):
+        # Each span runs from a point of a small sorted pool to the same
+        # point, the next or the one after, so spans often touch, overlap or
+        # have zero length; one span in eight is reversed.
+        pool = sorted(draw(st.lists(point, min_size=1, max_size=5)))
+        spans = []
+        for _ in range(draw(st.integers(min_value=0, max_value=max_spans))):
+            k = draw(st.integers(min_value=0, max_value=len(pool) - 1))
+            step = draw(st.integers(min_value=0, max_value=2))
+            lo, hi = pool[k], pool[min(k + step, len(pool) - 1)]
+            if draw(st.integers(min_value=0, max_value=7)) == 0:
+                lo, hi = hi, lo
+            form = draw(st.sampled_from(["interval", "fractions", "strings"]))
+            if form == "interval" and 0 <= lo <= hi <= 1:
+                spans.append(Interval(lo, hi))
+            elif form == "strings":
+                spans.append((str(lo), str(hi)))
+            else:
+                spans.append((lo, hi))
+        return spans
+
+    return build()
+
+
 def query_points():
     """Points of [0,1] on the grid, off it, and over a large prime denominator."""
     return st.one_of(
@@ -869,7 +952,8 @@ def reference_exact_allocation(preferences, agents, cake):
     region = union_all(wanted.values())
     quota = Fraction(region.length, len(agents))
 
-    atoms, _, bits, _ = _atom_table(list(wanted.values()))
+    marks, _, bits, scale = _atom_table(list(wanted.values()))
+    atoms = [(Fraction(lo, scale), Fraction(hi, scale)) for lo, hi in zip(marks, marks[1:])]
     lengths = [hi - lo for lo, hi in atoms]
     owners = [
         [i for i, mask in zip(agents, bits) if mask >> k & 1] for k in range(len(atoms))

@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 
 import fairslice.optimal
 from fairslice.audit import Allocation
-from fairslice.cli import MECHANISMS, main
+from fairslice.cli import MECHANISMS, QUERY_MECHANISMS, main
 from fairslice.generator import GRID, random_uniform_agents
 from fairslice.intervals import IntervalSet
 from fairslice.scenario import (
@@ -1128,10 +1128,12 @@ def test_bench_skips_every_n_the_protocol_refuses(capsys, mechanism, n_range, ke
 
 
 def test_bench_rejects_revelation_mechanisms(capsys):
-    code, _, err = run_cli(
-        capsys, "bench", "--mechanism", "procaccia", "--n-range", "2..4"
-    )
-    assert code == 2 and "query protocols" in err
+    with pytest.raises(SystemExit) as caught:
+        main(["bench", "--mechanism", "procaccia", "--n-range", "2..4"])
+    assert caught.value.code == 2
+    err = capsys.readouterr().err
+    assert "--mechanism" in err and "Traceback" not in err
+    assert all(name in err for name in QUERY_MECHANISMS)
 
 
 @pytest.mark.parametrize("text", ["abc", "2..", "x..4"])

@@ -5,8 +5,20 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from fairslice.intervals import Interval, IntervalSet, _scaled, frac, union_all
-from helpers import LARGE_DENOMINATORS, interval_sets, large_scale_fractions
+from fairslice.intervals import (
+    Interval, IntervalSet, _atom_table, _region, _scaled, _spans_region, frac, union_all,
+)
+from fairslice.valuation import Valuation
+from helpers import (
+    LARGE_DENOMINATORS,
+    interval_sets,
+    large_scale_fractions,
+    large_scale_regions,
+    raw_spans,
+    reference_canonical,
+    reference_merge,
+    reference_region,
+)
 
 
 def iset(*pairs):
@@ -123,14 +135,22 @@ def endpoints(*sets):
 
 
 @st.composite
-def region_pairs(draw):
+def region_pairs(draw, regions):
     """Two regions; half the time the second is cut at the first's endpoints."""
-    x = draw(regions())
+    x = draw(regions)
     if draw(st.booleans()):
-        return x, draw(regions())
+        return x, draw(regions)
     ends = st.sampled_from(endpoints(x))
     spans = draw(st.lists(st.tuples(ends, ends), max_size=4))
     return x, IntervalSet(sorted(span) for span in spans)
+
+
+# Grid regions, and regions over each kind of large denominator, on which
+# the algebra runs over the lcm of two large scales.
+REGION_PAIRS = {
+    "grid": region_pairs(regions()),
+    **{kind: region_pairs(large_scale_regions(kind)) for kind in sorted(LARGE_DENOMINATORS)},
+}
 
 
 OPERATIONS = {
@@ -141,11 +161,12 @@ OPERATIONS = {
 }
 
 
+@pytest.mark.parametrize("source", REGION_PAIRS)
 @pytest.mark.parametrize("name", OPERATIONS)
-@given(pair=region_pairs())
-def test_operations_follow_their_boolean_rule(name, pair):
+@given(data=st.data())
+def test_operations_follow_their_boolean_rule(name, source, data):
     operation, rule = OPERATIONS[name]
-    x, y = pair
+    x, y = data.draw(REGION_PAIRS[source])
     result = operation(x, y)
     # Between consecutive endpoints membership is the rule itself; an
     # endpoint belongs to the closed result when a gap beside it does.
@@ -190,11 +211,10 @@ def test_interval_bounds_agree_with_fraction_comparisons(lo, hi):
             Interval(lo, hi)
 
 
-def test_unmerged_intervals_are_kept_as_given():
+def test_unmerged_intervals_keep_their_ends():
     left, right = Interval(0, "1/4"), Interval("1/2", "3/4")
     region = IntervalSet([right, ("1/4", "1/3"), left])
     assert region.intervals == (Interval(0, "1/3"), right)
-    assert region.intervals[1] is right
 
 
 def test_scaled_empty_list_has_scale_one():
@@ -209,3 +229,82 @@ def test_scaled_writes_each_value_over_the_lcm_of_the_denominators(kind, data):
     assert scale == math.lcm(*(x.denominator for x in values))
     assert [Fraction(i, scale) for i in integers] == values
     assert all(type(i) is int for i in integers)
+
+
+def reference_repr(intervals):
+    return "IntervalSet(%s)" % (" u ".join(map(repr, intervals)) or "empty")
+
+
+@pytest.mark.parametrize("kind", sorted(LARGE_DENOMINATORS))
+@given(data=st.data())
+def test_integer_regions_match_the_fraction_reference(kind, data):
+    # Each region against the Fraction canonicaliser, error text included,
+    # their union against one canonicalisation of all their spans, and the
+    # algebra on the first two against the Fraction merge.
+    regions, references = [], []
+    for items in data.draw(st.lists(raw_spans(kind), min_size=1, max_size=3)):
+        try:
+            expected = reference_region(items)
+        except ValueError as error:
+            with pytest.raises(ValueError) as refused:
+                IntervalSet(items)
+            assert str(refused.value) == str(error)
+            continue
+        region = IntervalSet(items)
+        assert region.pairs() == [(iv.lo, iv.hi) for iv in expected]
+        assert region.intervals == expected
+        assert repr(region) == reference_repr(expected)
+        regions.append(region)
+        references.append(expected)
+    union = union_all(regions)
+    assert union.intervals == reference_canonical(iv for ivs in references for iv in ivs)
+    if len(regions) >= 2:
+        (x, y), (a, b) = regions[:2], references[:2]
+        for name in ("union", "intersect", "difference"):
+            operation, rule = OPERATIONS[name]
+            assert operation(x, y).intervals == reference_merge(a, b, rule)
+
+
+def canonical(region):
+    return region._ends, region._scale
+
+
+def test_one_point_set_has_one_canonical_form():
+    # [1/4, 1/2] u [3/4, 1], made five ways over different scales.
+    target = ((1, 2, 3, 4), 4)
+    from_pairs = IntervalSet([(Fraction(3, 4), 1), ("1/4", "1/3"), (Fraction(1, 3), "0.5")])
+    scaled = [_spans_region([x * k for x in (1, 2, 3, 4)], 4 * k) for k in (3, 2**61 - 1)]
+    # Atoms of [0, 1/2], [1/4, 1] and [1/2, 3/4] cut over 60ths by [1/3, 2/5].
+    marks, _, bits, scale = _atom_table(
+        [IntervalSet([(0, "1/2")]), IntervalSet([("1/4", 1)]),
+         IntervalSet([("1/2", "3/4")]), IntervalSet([("1/3", "2/5")])]
+    )
+    assert scale == 60
+    from_atoms = _region(bits[0] & bits[1] | bits[1] & ~bits[0] & ~bits[2], marks, scale)
+    support = Valuation.piecewise_constant(
+        [(("1/4", "1/3"), 1), (("1/3", "1/2"), 2), (("3/4", 1), 5)]
+    ).support()
+    merged = IntervalSet([("1/4", "1/3")]).union(IntervalSet([("1/3", "1/2"), ("3/4", 1)]))
+    built = [from_pairs, *scaled, from_atoms, support, merged]
+    assert [canonical(region) for region in built] == [target] * len(built)
+    assert all(region == from_pairs for region in built)
+    assert len({hash(region) for region in built}) == 1
+
+
+def test_empty_region_has_scale_one():
+    x = IntervalSet([("1/3", "2/3")])
+    for empty in (
+        IntervalSet.empty(), IntervalSet([("1/3", "1/3")]), x.difference(x),
+        _spans_region([], 7), union_all([]),
+    ):
+        assert canonical(empty) == ((), 1)
+
+
+@given(interval_sets().filter(lambda r: not r.is_empty()))
+def test_uniform_on_takes_a_region_as_it_is(region):
+    ends, n = region._ends, len(region)
+    valuation = Valuation.uniform_on(region)
+    assert valuation == Valuation.from_integers(
+        ends[::2], ends[1::2], region._scale, [0] * n, [1] * n
+    )
+    assert valuation.support() is region

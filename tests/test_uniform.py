@@ -341,11 +341,11 @@ def _atoms_of(mask, atoms):
 def check_atom_table(regions):
     # The table against region algebra: lengths, each region, and the
     # intersection and differences of every pair.
-    atoms, weights, bits, scale = _atom_table(regions)
+    marks, weights, bits, scale = _atom_table(regions)
+    atoms = [(F(lo, scale), F(hi, scale)) for lo, hi in zip(marks, marks[1:])]
     assert len(weights) == len(atoms) and len(bits) == len(regions)
     # Atoms are consecutive, of positive length, and span every region.
     assert all(lo < hi for lo, hi in atoms)
-    assert all(a[1] == b[0] for a, b in zip(atoms, atoms[1:]))
     assert all(F(w, scale) == hi - lo for w, (lo, hi) in zip(weights, atoms))
     for r, mask in zip(regions, bits):
         assert F(_weight(mask, weights), scale) == r.length
