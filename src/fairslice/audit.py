@@ -6,30 +6,33 @@ entry (i, j) is agent i's value for agent j's portion: proportionality,
 envy-freeness and equitability are statements about diagonals and rows, so
 one exact table computation feeds every predicate.
 
-Everything runs on one ranking of the allocation's endpoints, made when the
-allocation is built (`intervals._ranking`): every portion's integer ends go
-over one scale S, the lcm of the portions' scales, each known by its rank.
-The overlap check sorts and sweeps the ranks.  Agent i's row of the table
-holds integers over one denominator M_i S^2, where M_i is the valuation's
-mass scale: each is a difference of the agent's cumulative mass at integer
-points.  The criteria compare within a row or cross-multiply across rows;
-an entry is printed from its integers (`intervals._text`) and becomes a
-reduced Fraction only when it is read.  The waste check ranks the
-allocation's endpoints together with the agents' integer piece ends and
-tests bitmasks over the atoms between them.
+An allocation holds only its portions, each a region in integers
+(`intervals`).  The overlap check puts every portion's ends over one
+scale, the lcm of the portions' scales, and sweeps the spans by left end.
+An equity table ranks the portions' ends once (`intervals._ranking`): the
+distinct ends in order, as integers over one scale S.  Agent i's row of
+the table holds integers over one denominator M_i S^2, where M_i is the
+valuation's mass scale: each is a difference of the agent's cumulative
+mass at integer points.  The criteria compare within a row or
+cross-multiply across rows; an entry is printed from its integers
+(`intervals._text`) and becomes a reduced Fraction only when it is read.
+The waste check is three bitmask tests on one atom table over the
+portions and the agents' supports, as the equilibrium check tests claims
+against supports.  A valuation is read only through its methods:
+`masses_at`, `measure` and `support`.
 
 Everything here compares exact rationals for equality.  There are no
 tolerances in this module.
 """
 
-from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cmp_to_key, reduce
-from math import lcm
 from operator import itemgetter, or_
 
-from fairslice.intervals import _as_region, _ranking, _scaled, _text, frac
+from fairslice.intervals import (
+    _as_region, _atom_table, _common, _ranking, _scaled, _scaled_pairs, _text, frac,
+)
 
 
 @dataclass(frozen=True, slots=True)
@@ -37,19 +40,17 @@ class Allocation:
     """An n-tuple of pairwise disjoint portions, one region per agent."""
 
     portions: tuple
-    # The endpoints ranked once: (scale, endpoints as integers over it in
-    # order, per portion its spans as pairs of indices into them).
-    _ranks: tuple = field(compare=False, repr=False)
 
     def __init__(self, portions):
-        cleaned = [_as_region(portion) for portion in portions]
-        scale, marks, spans = _ranking(cleaned)
-        # Sweep the spans by left end; equal left ends overlap in any order.
-        # Spans of one canonical portion never overlap, so a span starting before
-        # the furthest right end seen so far overlaps the portion that reached it.
+        cleaned = tuple(_as_region(portion) for portion in portions)
+        # Sweep the spans by left end, over one scale; equal left ends
+        # overlap in any order.  Spans of one canonical portion never
+        # overlap, so a span starting before the furthest right end seen so
+        # far overlaps the portion that reached it.
+        parts, _ = _common(cleaned)
         reach, owner = 0, None
-        ranked = [(lo, hi, k) for k, pairs in enumerate(spans) for lo, hi in pairs]
-        for lo, hi, k in sorted(ranked, key=itemgetter(0)):
+        spans = [(lo, hi, k) for k, e in enumerate(parts) for lo, hi in zip(e[::2], e[1::2])]
+        for lo, hi, k in sorted(spans, key=itemgetter(0)):
             if lo < reach:
                 i, j = sorted((owner, k))
                 raise ValueError(
@@ -57,8 +58,7 @@ class Allocation:
                     % (i, j, cleaned[i].intersect(cleaned[j]))
                 )
             reach, owner = hi, k
-        object.__setattr__(self, "portions", tuple(cleaned))
-        object.__setattr__(self, "_ranks", (scale, marks, spans))
+        object.__setattr__(self, "portions", cleaned)
 
     def __len__(self):
         return len(self.portions)
@@ -140,7 +140,7 @@ def _one_each(agents, items, mismatch="%d valuations but %d portions"):
 def equity_table(valuations, allocation):
     """Exact utility matrix of every agent for every portion."""
     _one_each(valuations, allocation)
-    scale, marks, spans = allocation._ranks
+    scale, marks, spans = _ranking(allocation.portions)
     rows, dens = [], []
     for v in valuations:
         below, den = v.masses_at(marks, scale)
@@ -174,9 +174,8 @@ def is_equitable(table):
 
 def utilitarian_efficiency(table):
     """Sum of the diagonal: total subjective welfare."""
-    diag = table._diagonal()
-    den = lcm(*(d for _, d in diag))
-    return Fraction(sum(num * (den // d) for num, d in diag), den)
+    nums, den = _scaled_pairs(table._diagonal())
+    return Fraction(sum(nums), den)
 
 
 # Orders (numerator, denominator) pairs with positive denominators by value.
@@ -194,28 +193,12 @@ def is_non_wasteful(valuations, allocation):
     Cake valued by somebody but handed to nobody is a separate concern.
     """
     # Every kept piece has positive density inside it, so an agent values a
-    # region exactly when it meets the agent's pieces in positive length.
-    # Cake outside its owner's pieces is wanted by someone else exactly
-    # when it meets somebody's pieces.  The allocation's ranked endpoints
-    # and every piece end go over one common scale, and each is ranked by
-    # its first place among them all, sorted; a region is then a bitmask
-    # over the gaps between consecutive places.
+    # region exactly when it meets the agent's support in positive length.
+    # Cake outside its owner's support is wanted by someone else exactly
+    # when it meets somebody's support.
     _one_each(valuations, allocation)
-    scale, marks, spans = allocation._ranks
-    common = lcm(scale, *(v._scale for v in valuations))
-    ends = [mark * (common // scale) for mark in marks]
-    for v in valuations:
-        step = common // v._scale
-        ends += [x * step for x in v._los + v._his]
-    order = sorted(ends)
-    bits = [1 << bisect_left(order, x) for x in ends]
-    portions = [sum(bits[hi] - bits[lo] for lo, hi in pairs) for pairs in spans]
-    supports, start = [], len(marks)
-    for v in valuations:
-        middle = start + len(v._los)
-        end = middle + len(v._los)
-        supports.append(sum(bits[middle:end]) - sum(bits[start:middle]))
-        start = end
+    _, _, bits, _ = _atom_table([*allocation, *(v.support() for v in valuations)])
+    portions, supports = bits[:len(allocation)], bits[len(allocation):]
     wanted = reduce(or_, supports, 0)
     return not any(portion & ~support & wanted for portion, support in zip(portions, supports))
 

@@ -21,7 +21,7 @@ Fraction would.  `_as_region` is the one coercion of a region-like value
 Code that compares many endpoints at once ranks them: `_ranking` puts the
 ends of some regions over one scale and sorts those integers.  An atom
 table cuts the cake at the ranked ends, and a region is then a bitmask
-over its atoms.  Allocations, equity tables and the revelation games all
+over its atoms.  Equity tables, the waste check and the revelation games
 work on these ranks.
 
 Every endpoint a region hands out is a `fractions.Fraction`.  Floats are

@@ -222,6 +222,8 @@ def parse_scenario(text):
     profile = _per_agent(data, "profile", "strategy", Profile, len(agents))
     allocation = _per_agent(data, "allocation", "portion", Allocation, len(agents))
     version = data.get("version", "1")
+    if type(version) not in (str, int):  # a bool is an int, but not its type
+        raise ParseError("version: expected a string or an integer")
     return Scenario(str(version), tuple(ids), tuple(valuations), profile, allocation)
 
 

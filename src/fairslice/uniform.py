@@ -173,7 +173,7 @@ def _wanted_atoms(preferences, agents, cake):
     for i in (agents[0], agents[-1]):
         _check_agent(i, len(preferences))
     supports = wanted_regions([preferences[i] for i in agents])
-    marks, weights, bits, scale = _atom_table([cake, *supports])
+    marks, weights, bits, scale = _atom_table([_as_region(cake), *supports])
     return {i: mask & bits[0] for i, mask in zip(agents, bits[1:])}, marks, weights, scale
 
 

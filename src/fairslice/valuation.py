@@ -44,7 +44,7 @@ Fraction.
 
 import math
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from fairslice.intervals import (
@@ -148,7 +148,7 @@ def _build(valuation, los, his, scale, slopes, intercepts):
     object.__setattr__(valuation, "_support", None)
 
 
-@dataclass(frozen=True, slots=True, eq=False)
+@dataclass(frozen=True, slots=True)
 class Valuation:
     """A normalised piecewise affine measure on the cake.
 
@@ -156,7 +156,8 @@ class Valuation:
     the classmethods: pieces with a negative density or overlapping another
     are rejected, and the rest are scaled so the total mass is exactly 1.
     Raises ZeroMassError when there is nothing to scale.  Valuations
-    compare, hash and print by their pieces.
+    compare and hash by their canonical integer arrays, so equal pieces
+    hold equal arrays, and print by their pieces.
     """
 
     # Piece k is [_los[k], _his[k]] / _scale.  _masses[k] / _masses[-1] is
@@ -164,14 +165,15 @@ class Valuation:
     # _poly[k] holds integers (alpha, beta, delta) with
     # F(p/r) = (alpha p^2 + beta p r + delta r^2) / (M r^2) on piece k,
     # where F(x) is the mass of [0, x].  _pieces and _support are built on
-    # first read.
+    # first read.  _masses follows from the other arrays, so it is not
+    # compared.
     _los: tuple
     _his: tuple
     _scale: int
-    _masses: tuple
+    _masses: tuple = field(compare=False)
     _poly: tuple
-    _pieces: tuple
-    _support: IntervalSet
+    _pieces: tuple = field(compare=False)
+    _support: IntervalSet = field(compare=False)
 
     def __init__(self, raw_pieces):
         ends, coefficients = [], []
@@ -251,14 +253,6 @@ class Valuation:
             object.__setattr__(self, "_support", region)
         return self._support
 
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.pieces == other.pieces
-
-    def __hash__(self):
-        return hash(self.pieces)
-
     def __repr__(self):
         return "%s(pieces=%r)" % (type(self).__qualname__, self.pieces)
 
@@ -305,7 +299,8 @@ class Valuation:
         return Fraction(nh * dl - nl * dh, dl * dh)
 
     def measure(self, region):
-        """Exact mass of an IntervalSet, from one masses_at sweep of its ends."""
+        """Exact mass of a region, from one masses_at sweep of its ends."""
+        region = _as_region(region)
         below, den = self.masses_at(region._ends, region._scale)
         return Fraction(sum(below[1::2]) - sum(below[::2]), den)
 

@@ -795,6 +795,31 @@ def test_run_non_string_id_exits_2(tmp_path, capsys, agent_id):
     assert "agents[0].id: expected a string" in err
 
 
+@pytest.mark.parametrize(
+    "version",
+    ["[1]", '{"major": 1}', "true", "null", "1.5", "1e4300"],
+    ids=["list", "object", "bool", "null", "decimal", "long-decimal"],
+)
+def test_run_version_of_another_kind_exits_2(tmp_path, capsys, version):
+    # A version is a JSON string or integer.  Anything else was once read
+    # through str(): [1] came back as "[1]", and 1e4300 failed as a number
+    # too long to write.
+    text = text_of([agent("a", (0, 1))], version="V").replace('"V"', version)
+    with pytest.raises(ParseError, match="^version: expected a string or an integer$"):
+        parse_scenario(text)
+    code, out, err = run_cli(capsys, "run", write(tmp_path, text), "--mechanism", "even-paz")
+    assert (code, out) == (2, "")
+    assert err == "error: version: expected a string or an integer\n"
+
+
+@pytest.mark.parametrize("version", ['"2"', "2"])
+def test_parse_reads_a_string_or_integer_version(version):
+    text = text_of([agent("a", (0, 1))], version="V").replace('"V"', version)
+    scenario = parse_scenario(text)
+    assert scenario.version == "2"
+    assert json.loads(serialize_scenario(scenario))["version"] == "2"
+
+
 def test_run_revelation_needs_uniform_agents(tmp_path, capsys):
     path = write(tmp_path, RAMP)
     code, _, err = run_cli(capsys, "run", path, "--mechanism", "length-game")

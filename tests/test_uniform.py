@@ -386,6 +386,38 @@ class TestLargeScales:
         prefs = data.draw(st.lists(supports.map(UniformPreference), min_size=1, max_size=5))
         check_round_trace(prefs)
 
+    @given(data=st.data())
+    @settings(deadline=None, max_examples=30)
+    def test_cake_as_pairs(self, kind, data):
+        # The group search and the fill take a cake as (lo, hi) pairs, as
+        # every entry that takes a region does, with the same answer or error.
+        supports = large_scale_regions(kind).filter(lambda r: not r.is_empty())
+        prefs = data.draw(st.lists(supports.map(UniformPreference), min_size=1, max_size=4))
+        cake = data.draw(large_scale_regions(kind))
+        agents = range(len(prefs))
+        group = min_average_subset(prefs, agents, cake)
+        assert min_average_subset(prefs, agents, cake.pairs()) == group
+        for members in (group, agents):
+            assert outcome(exact_allocation, prefs, members, cake.pairs()) == (
+                outcome(exact_allocation, prefs, members, cake)
+            )
+
+
+def outcome(f, *args):
+    # A call's answer, or the class and text of its error.
+    try:
+        return f(*args)
+    except ValueError as error:
+        return type(error), str(error)
+
+
+@pytest.mark.parametrize("entry", [min_average_subset, exact_allocation])
+def test_a_float_cake_end_is_refused_as_frac_does(entry):
+    prefs = [UniformPreference(region((0, "1/2")))]
+    assert entry(prefs, [0], [(0, 1)]) == entry(prefs, [0], IntervalSet.unit())
+    with pytest.raises(TypeError, match="expected an exact rational"):
+        entry(prefs, [0], [(0, 0.5)])
+
 
 class TestExactAllocation:
     def test_disjoint_agents_keep_their_regions(self):

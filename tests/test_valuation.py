@@ -378,3 +378,70 @@ def test_measure_on_large_scales_matches_the_reference(kind, data):
     mass = v.measure(region)
     assert type(mass) is Fraction
     assert mass == reference_measure(v, region)
+
+
+@pytest.mark.parametrize("kind", sorted(LARGE_DENOMINATORS))
+@settings(max_examples=100)
+@given(data=st.data())
+def test_measure_takes_pairs_as_the_equal_region(kind, data):
+    # measure coerces its argument as every entry that takes a region does.
+    v = data.draw(large_scale_valuations(kind))
+    region = data.draw(large_scale_regions(kind))
+    mass = v.measure(region)
+    assert v.measure(region.pairs()) == mass
+    assert v.measure([(str(lo), str(hi)) for lo, hi in region.pairs()]) == mass
+
+
+def test_measure_refuses_a_float_end_as_frac_does():
+    assert Valuation.uniform().measure([(0, "1/4")]) == Fraction(1, 4)
+    with pytest.raises(TypeError, match="expected an exact rational"):
+        Valuation.uniform().measure([(0, 0.25)])
+
+
+def rebuilt(v):
+    # The same pieces through the raw-piece constructor: fresh arrays.
+    return Valuation([(p.interval, p.slope, p.intercept) for p in v.pieces])
+
+
+@pytest.mark.parametrize("source", ["any", *sorted(LARGE_DENOMINATORS)])
+@settings(max_examples=150)
+@given(data=st.data())
+def test_valuations_compare_and_hash_as_their_pieces_do(source, data):
+    # Valuations compare by their integer arrays; the canonical form makes
+    # that equality by pieces.
+    strategy = any_valuations() if source == "any" else large_scale_valuations(source)
+    a, b = data.draw(strategy), data.draw(strategy)
+    for x, y in ((a, b), (a, rebuilt(a)), (b, rebuilt(a))):
+        assert (x == y) == (x.pieces == y.pieces)
+        assert (x != y) == (x.pieces != y.pieces)
+        if x == y:
+            assert hash(x) == hash(y)
+
+
+@pytest.mark.parametrize("k", [1, 5, 2**61 - 1])
+def test_integer_pieces_scaled_by_k_equal_their_fraction_pieces(k):
+    # [1/6, 1/2] with density (3/2) x + 1/4 and [2/3, 1] with density 5/7,
+    # unnormalised: over the unit 28 the coefficients are (42, 7) and (0, 20).
+    raw = Valuation.piecewise_linear(
+        [(("1/6", "1/2"), Fraction(3, 2), Fraction(1, 4)), (("2/3", 1), 0, Fraction(5, 7))]
+    )
+    scaled = Valuation.from_integers(
+        [1 * k, 4 * k], [3 * k, 6 * k], 6 * k, [42 * k, 0], [7 * k, 20 * k]
+    )
+    assert scaled == raw and not scaled != raw
+    assert hash(scaled) == hash(raw)
+    assert scaled.pieces == raw.pieces and repr(scaled) == repr(raw)
+    # The same ends with another density are another valuation.
+    other = Valuation.from_integers(
+        [1 * k, 4 * k], [3 * k, 6 * k], 6 * k, [42 * k, 0], [7 * k, 21 * k]
+    )
+    assert other != raw and other.pieces != raw.pieces
+
+
+def test_one_measure_in_different_pieces_still_compares_unequal():
+    # Equality is by pieces, not by measure: two touching steps of one
+    # density are not the one step of uniform().
+    steps = Valuation.piecewise_constant([((0, "1/2"), 1), (("1/2", 1), 1)])
+    assert all(steps.eval(0, x) == Valuation.uniform().eval(0, x) for x in ("1/3", "1/2", 1))
+    assert steps != Valuation.uniform()
+    assert steps.pieces != Valuation.uniform().pieces

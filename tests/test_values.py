@@ -1,10 +1,14 @@
-"""The core value types: immutable, compared and hashed by value."""
+"""The core value types: immutable, compared and hashed by value, each
+holding one form that only its own module reads."""
 
+import ast
 import dataclasses
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import fairslice
 from fairslice.audit import Allocation, EquityTable
 from fairslice.intervals import Interval, IntervalSet
 from fairslice.oracle import QueryRecord
@@ -67,3 +71,24 @@ def test_region_reprs_feed_error_messages():
     assert repr(Interval(0, "1/2")) == "[0, 1/2]"
     assert repr(IntervalSet([(0, "1/3"), ("1/2", 1)])) == "IntervalSet([0, 1/3] u [1/2, 1])"
     assert repr(IntervalSet.empty()) == "IntervalSet(empty)"
+
+
+# A valuation's integer arrays.  `_scale` is left out: a region has one too.
+VALUATION_ARRAYS = {"_los", "_his", "_masses", "_poly"}
+
+
+def test_each_form_is_read_in_its_own_module():
+    # Outside valuation.py a valuation is read through its methods, and no
+    # value keeps a ranking of its ends beside its own form.
+    strays = []
+    for path in sorted(Path(fairslice.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Attribute):
+                name = node.attr
+                if name in VALUATION_ARRAYS and path.name != "valuation.py":
+                    strays.append("%s:%d reads %s" % (path.name, node.lineno, name))
+            else:
+                name = getattr(node, "id", None) or getattr(node, "value", None)
+            if name == "_ranks":
+                strays.append("%s:%d names _ranks" % (path.name, node.lineno))
+    assert strays == []
