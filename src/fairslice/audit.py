@@ -31,7 +31,7 @@ from functools import cmp_to_key, reduce
 from operator import itemgetter, or_
 
 from fairslice.intervals import (
-    _as_region, _atom_table, _common, _ranking, _scaled, _scaled_pairs, _text, frac,
+    _as_region, _atom_table, _common, _ranking, _ratio, _scaled_pairs, _text,
 )
 
 
@@ -83,7 +83,7 @@ class EquityTable:
     _dens: tuple = field(repr=False)
 
     def __init__(self, entries):
-        rows = [_scaled([frac(x) for x in row]) for row in entries]
+        rows = [_scaled_pairs([_ratio(x) for x in row]) for row in entries]
         if any(len(row) != len(rows) for row, _ in rows):
             raise ValueError("equity table must be square")
         _store(self, [row for row, _ in rows], [den for _, den in rows])

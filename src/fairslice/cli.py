@@ -41,7 +41,7 @@ QUERY_MECHANISMS = {
 REVELATION_MECHANISMS = ("lex-order", "length-game", "procaccia")
 MECHANISMS = tuple(QUERY_MECHANISMS) + REVELATION_MECHANISMS
 
-# Fixed agent counts: `run` names them in its error, `bench` draws no others.
+# Fixed agent counts, which only `run` reads, to name them in its error.
 FIXED_ARITY = {"cut-and-choose": 2, "selfridge": 3}
 
 
@@ -265,11 +265,8 @@ def _n_range(text):
 
 def cmd_bench(args):
     mechanism = QUERY_MECHANISMS[args.mechanism]
-    arity = FIXED_ARITY.get(args.mechanism)
     rows = [("n", "total", "eval", "cut")]
     for n in args.n_range:
-        if arity is not None and n != arity:
-            continue
         agents = random_uniform_agents(args.seed * 1000003 + n, n)
         try:
             transcript = mechanism(sincere_oracles(agents)).transcript

@@ -24,31 +24,69 @@ table cuts the cake at the ranked ends, and a region is then a bitmask
 over its atoms.  Equity tables, the waste check and the revelation games
 work on these ranks.
 
-Every endpoint a region hands out is a `fractions.Fraction`.  Floats are
-refused at the boundary: Fraction(0.4) is not 2/5, and we never want to find
-that out the hard way.
+Every endpoint a region hands out is a `fractions.Fraction`.  `_ratio` is
+the one reader of an exact number, for the library and the scenario reader
+alike: an int, a Fraction or text becomes an integer pair, behind one bound
+on exponents; `frac` is that pair as a Fraction.  Floats are refused at the
+boundary: Fraction(0.4) is not 2/5, and we never want to find that out the
+hard way.
 """
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
 from math import gcd, lcm
+
+# Fraction("1e999999999") builds 10**999999999 before anything can look at
+# the result, so exponents are held to the interpreter's limit on integer
+# digits, 4,300.
+_MAX_EXPONENT = 4300
+_EXPONENT = re.compile(r"[eE]([-+]?\d+(?:_\d+)*)\s*\Z")
+
+
+def _exponent_out_of_range(text):
+    match = _EXPONENT.search(text)
+    if match is None:
+        return False
+    exponent = match.group(1).replace("_", "")
+    return len(exponent) > _MAX_EXPONENT or abs(int(exponent)) > _MAX_EXPONENT
+
+
+def _ratio(x):
+    # An exact number as an integer pair (numerator, denominator > 0), not
+    # necessarily reduced: an int, a Fraction, a "p" or "p/q" of at most 40
+    # ASCII digits with q > 0, or any other text as Fraction reads it once
+    # its exponent is in range.  isinstance against Fraction, whose
+    # metaclass is ABCMeta, is slow for anything but a Fraction, so
+    # subclasses are tested for last.
+    if type(x) is Fraction or type(x) is int:
+        return x.as_integer_ratio()
+    if isinstance(x, str):
+        if len(x) <= 40 and x.isascii():
+            num, slash, den = x.partition("/")
+            if num.isdigit() and (den.isdigit() or not slash):
+                den = int(den) if slash else 1
+                if den:
+                    return int(num), den
+        if _exponent_out_of_range(x):
+            raise ValueError("exponent beyond %d" % _MAX_EXPONENT)
+        return Fraction(x).as_integer_ratio()
+    if isinstance(x, (int, Fraction)):
+        return x.as_integer_ratio()
+    raise TypeError("expected an exact rational (int, Fraction, or string), got %r" % (x,))
 
 
 def frac(x):
     """Coerce ints, Fractions, and strings like "3/7" or "0.4" to Fraction.
 
     Floats are rejected: their binary expansions silently break exactness.
+    So is an exponent beyond 4,300, which would build a huge integer first.
     """
-    # isinstance against Fraction, whose metaclass is ABCMeta, is slow for
-    # anything but a Fraction, so subclasses are tested for last.
     if type(x) is Fraction:
         return x
-    if isinstance(x, (int, str)):
-        return Fraction(x)
-    if isinstance(x, Fraction):
-        return x
-    raise TypeError("expected an exact rational (int, Fraction, or string), got %r" % (x,))
+    ratio = _ratio(x)
+    return x if isinstance(x, Fraction) else Fraction(*ratio)
 
 
 @dataclass(frozen=True, slots=True)
@@ -201,7 +239,7 @@ class IntervalSet:
     def __init__(self, intervals=()):
         pairs = []
         for lo, hi in intervals:
-            pairs += (frac(lo).as_integer_ratio(), frac(hi).as_integer_ratio())
+            pairs += (_ratio(lo), _ratio(hi))
         ends, scale = _scaled_pairs(pairs)
         _store(self, _merged(ends, scale), scale)
 

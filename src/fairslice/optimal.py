@@ -72,10 +72,10 @@ def segment(valuations):
             marks.add(piece.interval.lo)
             marks.add(piece.interval.hi)
     # Two flat densities never cross.
-    sloped = [any(p.slope for p in v.pieces) for v in valuations]
+    flat = [v.is_piecewise_constant() for v in valuations]
     for a in range(len(valuations)):
         for b in range(a + 1, len(valuations)):
-            if not (sloped[a] or sloped[b]):
+            if flat[a] and flat[b]:
                 continue
             for p in valuations[a].pieces:
                 for q in valuations[b].pieces:
@@ -140,7 +140,7 @@ def segment_rates(valuations):
     unsound.  Every piece spans at least one segment, so that is any
     sloped piece at all.
     """
-    if any(p.slope for v in valuations for p in v.pieces):
+    if not all(v.is_piecewise_constant() for v in valuations):
         raise UnsupportedValuationClass("density varies inside a segment; rates undefined")
     seg = segment(valuations)
     return SegmentRateMatrix(seg, tuple(_densities(valuations, seg.segments())))

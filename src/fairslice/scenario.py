@@ -7,7 +7,9 @@ exact token: a "p/q" string, an integer, or a decimal string like "0.4"
 JSON decimals are converted from their literal text for the same reason;
 a float never exists at any point.
 
-One token reader, `_token`, turns every number into an integer pair.  A
+One token reader, `_token`, turns every number into an integer pair
+through `intervals._ratio`, the library's one reader of an exact number,
+so a scenario accepts the number text the library accepts.  A
 valuation's pairs go straight to the integers `Valuation.from_integers`
 takes, piece ends over one scale and coefficients over another; a region
 list's ends are scaled, checked and merged in integers by `intervals`.
@@ -21,13 +23,11 @@ Scenarios and the CLI's JSON reports are written by one writer,
 """
 
 import json
-import re
 from dataclasses import dataclass
-from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _quote
 
 from fairslice.audit import Allocation
-from fairslice.intervals import _merged, _scaled_pairs, _spans_region, _text
+from fairslice.intervals import _merged, _ratio, _scaled_pairs, _spans_region, _text, frac
 from fairslice.uniform import Profile
 from fairslice.valuation import Valuation
 
@@ -57,53 +57,22 @@ class Scenario:
         return len(self.valuations)
 
 
-# Fraction("1e999999999") builds 10**999999999 before anything can look at
-# the result, so exponents are held to the interpreter's limit on integer
-# digits, 4,300.
-_MAX_EXPONENT = 4300
-_EXPONENT = re.compile(r"[eE]([-+]?\d+(?:_\d+)*)\s*\Z")
-
-
-def _exponent_out_of_range(text):
-    match = _EXPONENT.search(text)
-    if match is None:
-        return False
-    exponent = match.group(1).replace("_", "")
-    return len(exponent) > _MAX_EXPONENT or abs(int(exponent)) > _MAX_EXPONENT
-
-
-def _decimal_literal(text):
-    # parse_float hook: bare JSON decimals, read exactly.
-    if _exponent_out_of_range(text):
-        raise ValueError("exponent beyond %d" % _MAX_EXPONENT)
-    return Fraction(text)
-
-
 def _token(value, path):
-    # An exact number token as an integer pair (numerator, denominator > 0),
-    # not necessarily reduced: a JSON integer, a Fraction from
-    # `_decimal_literal`, a "p" or "p/q" of at most 40 ASCII digits with
-    # q > 0, or any other string as Fraction reads it.
-    if type(value) is str:
-        if len(value) <= 40 and value.isascii():
-            num, slash, den = value.partition("/")
-            if num.isdigit() and (den.isdigit() or not slash):
-                den = int(den) if slash else 1
-                if den:
-                    return int(num), den
-        if _exponent_out_of_range(value):
-            raise ParseError("%s: cannot read a number: exponent beyond %d" % (path, _MAX_EXPONENT))
-        try:
-            value = Fraction(value)
-        except (ValueError, ZeroDivisionError):
-            if len(value) > 40:  # a long token is shown by its ends
-                value = "%s...%s, %d characters" % (value[:20], value[-12:], len(value))
-            raise ParseError("%s: cannot read %r as a rational" % (path, value))
-    elif type(value) is int:
-        return value, 1
-    elif type(value) is not Fraction:
-        raise ParseError("%s: expected an exact number token, got %r" % (path, value))
-    return value.as_integer_ratio()
+    # An exact number token as `_ratio` reads it: a JSON integer, a Fraction
+    # that `frac` read from a bare decimal, or a string.  A bool is an int,
+    # but no token.
+    try:
+        if type(value) is not bool:
+            return _ratio(value)
+    except TypeError:
+        pass
+    except (ValueError, ZeroDivisionError) as error:
+        if str(error).startswith("exponent beyond"):  # the bound of `_ratio`
+            raise ParseError("%s: cannot read a number: %s" % (path, error))
+        if len(value) > 40:  # a long token is shown by its ends
+            value = "%s...%s, %d characters" % (value[:20], value[-12:], len(value))
+        raise ParseError("%s: cannot read %r as a rational" % (path, value))
+    raise ParseError("%s: expected an exact number token, got %r" % (path, value))
 
 
 def _scaled_fields(pieces, keys, path):
@@ -192,7 +161,7 @@ def _per_agent(data, key, item, build, count):
 def parse_scenario(text):
     """Parse scenario text; raises ParseError on any defect."""
     try:
-        data = json.loads(text, parse_float=_decimal_literal, parse_int=int)
+        data = json.loads(text, parse_float=frac, parse_int=int)
     except json.JSONDecodeError as error:
         raise ParseError(error.msg, error.lineno, error.colno)
     except ValueError as error:

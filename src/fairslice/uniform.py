@@ -18,7 +18,7 @@ straight from a table's integer cuts, with no Fraction on the way.
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
-from operator import or_
+from operator import index, or_
 
 from fairslice.audit import Allocation
 from fairslice.intervals import (
@@ -91,7 +91,7 @@ class AgentOrder:
     sequence: tuple
 
     def __init__(self, sequence):
-        seq = tuple(int(i) for i in sequence)
+        seq = tuple(map(index, sequence))  # an int, never a truncated float
         if sorted(seq) != list(range(len(seq))):
             raise ValueError("order must be a permutation of 0..n-1, got %r" % (seq,))
         object.__setattr__(self, "sequence", seq)

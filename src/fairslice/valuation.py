@@ -31,7 +31,8 @@ the coefficients with no common factor, so equal valuations hold equal
 arrays.  `uniform_on` hands it a region's integer ends as they are and
 keeps the region as the support; otherwise the Piece tuple and the
 support are built from the arrays on first read, the support by the
-integer span merge of `intervals`.
+integer span merge of `intervals`.  The raw-piece constructor, eval and
+cut read their numbers as integer pairs through `intervals._ratio`.
 
 cut adds its target to F(a), finds the piece where F reaches that goal by
 bisecting the integer masses for ceil(goal*M), and solves F(x) = goal there
@@ -48,7 +49,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from fairslice.intervals import (
-    Interval, IntervalSet, _as_region, _check_span, _merged, _scaled, _span, _spans_region, frac,
+    Interval, IntervalSet, _as_region, _check_span, _merged, _ratio, _scaled_pairs, _span,
+    _spans_region, _text,
 )
 
 BISECT_TOLERANCE = Fraction(1, 10**12)
@@ -176,13 +178,13 @@ class Valuation:
     _support: IntervalSet = field(compare=False)
 
     def __init__(self, raw_pieces):
-        ends, coefficients = [], []
+        pairs, coefficients = [], []
         for interval, slope, intercept in raw_pieces:
             lo, hi = interval
-            ends += (frac(lo), frac(hi))
-            coefficients += (frac(slope), frac(intercept))
-        ends, scale = _scaled(ends)
-        units, _ = _scaled(coefficients)
+            pairs += (_ratio(lo), _ratio(hi))
+            coefficients += (_ratio(slope), _ratio(intercept))
+        ends, scale = _scaled_pairs(pairs)
+        units, _ = _scaled_pairs(coefficients)
         _build(self, ends[::2], ends[1::2], scale, units[::2], units[1::2])
 
     # ------------------------------------------------------------------
@@ -289,9 +291,8 @@ class Valuation:
         >>> v.eval(Fraction(1, 2), 1)
         Fraction(1, 6)
         """
-        a = frac(a)
-        b = frac(b)
-        pa, ra, pb, rb = a.numerator, a.denominator, b.numerator, b.denominator
+        pa, ra = _ratio(a)
+        pb, rb = _ratio(b)
         if pb * ra < pa * rb:
             raise ValueError("need a <= b")
         nl, dl = self._mass_below(pa, ra)
@@ -355,16 +356,14 @@ class Valuation:
         >>> ramp.cut(0, Fraction(1, 2))
         CutResult(point=Fraction(388736063997, 549755813888), exact=False)
         """
-        a = frac(a)
-        target = frac(target)
-        p, r = a.numerator, a.denominator
-        tn, td = target.numerator, target.denominator
+        p, r = _ratio(a)
+        tn, td = _ratio(target)
         if not 0 <= p <= r:
             raise ValueError("cut start must lie in [0,1]")
         if tn < 0:
             raise ValueError("cut target must be non-negative")
         if tn == 0:
-            return CutResult(a, True)
+            return CutResult(Fraction(p, r), True)
         # The goal F(a) + target is gn / gd.  The cut lies on the first piece
         # whose right end reaches it: masses[k + 1] >= goal * M, an integer
         # inequality that holds iff masses[k + 1] >= ceil(goal * M).
@@ -374,7 +373,8 @@ class Valuation:
         k = bisect_left(self._masses, -(-gn * total // gd), 1) - 1
         if k == len(self._los):
             raise TargetUnreachable(
-                "requested mass %s exceeds mass %s right of %s" % (target, self.eval(a, 1), a)
+                "requested mass %s exceeds mass %s right of %s"
+                % (_text(tn, td), self.eval(a, 1), _text(p, r))
             )
         # On piece k, F(x) = goal is A x^2 + B x + C = 0 in integers.  F
         # rises there, so its root in the piece is the one where the

@@ -21,11 +21,10 @@ import fairslice.optimal
 from fairslice.audit import Allocation
 from fairslice.cli import MECHANISMS, QUERY_MECHANISMS, main
 from fairslice.generator import GRID, random_uniform_agents
-from fairslice.intervals import IntervalSet
+from fairslice.intervals import IntervalSet, _exponent_out_of_range, frac
 from fairslice.scenario import (
     ParseError,
     Scenario,
-    _exponent_out_of_range,
     _scaled_fields,
     _token,
     json_text,
@@ -686,18 +685,24 @@ def test_run_overlong_string_token_exits_2(tmp_path, capsys):
 @example("007/010")
 @example("\u0663/4")
 def test_number_reads_string_tokens_as_fraction_does(text):
+    # The library's `frac` reads each text as the scenario reader does.
     if _exponent_out_of_range(text):
         # Refused before Fraction would build 10**exponent.
         with pytest.raises(ParseError, match="exponent beyond"):
             _token(text, "x")
+        with pytest.raises(ValueError, match="exponent beyond"):
+            frac(text)
         return
     try:
         expected = Fraction(text)
     except (ValueError, ZeroDivisionError):
         with pytest.raises(ParseError, match="cannot read"):
             _token(text, "x")
+        with pytest.raises((ValueError, ZeroDivisionError)):
+            frac(text)
     else:
         assert Fraction(*_token(text, "x")) == expected
+        assert frac(text) == expected
 
 
 @pytest.mark.parametrize(

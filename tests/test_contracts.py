@@ -5,6 +5,9 @@ below 0 or at the agent count are refused with a ValueError (or a
 subclass).  Such input never raises an IndexError, TypeError,
 ZeroDivisionError or RuntimeError, and never gets an answer.  An empty
 input is refused as needing at least one agent.
+
+Every entry that reads an exact number reads it through one reader, which
+refuses an exponent beyond 4,300 before building 10**exponent.
 """
 
 from fractions import Fraction
@@ -13,14 +16,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fairslice.audit import Allocation, equity_table, is_non_wasteful, utilitarian_equivalent
+from fairslice.audit import (
+    Allocation, EquityTable, equity_table, is_non_wasteful, utilitarian_equivalent,
+)
 from fairslice.equilibrium import (
     ReducedProfile,
     best_response,
     best_response_dynamics,
     is_equilibrium,
 )
-from fairslice.intervals import IntervalSet
+from fairslice.intervals import Interval, IntervalSet, frac
 from fairslice.optimal import (
     max_ee,
     max_ue,
@@ -29,7 +34,10 @@ from fairslice.optimal import (
     utilitarian_optimal,
     welfare_optima,
 )
+from fairslice.oracle import Recorder
+from fairslice.simplex import LESS, LpProblem
 from fairslice.uniform import Profile, exact_allocation, lex_order, min_average_subset
+from fairslice.valuation import Valuation
 from helpers import uniform_preferences
 
 COUNT = ("fewer", "more", "empty")
@@ -90,3 +98,39 @@ def test_bad_counts_and_indices_are_refused(name, data):
         call(agents, claims, order, index)
     if kind == "empty":
         assert "at least one" in str(caught.value)
+
+
+class _Answers:
+    # A stand-in oracle that answers every query with one text.
+    def __init__(self, text):
+        self.text = text
+
+    def eval(self, a, b):
+        return self.text
+
+    def cut(self, a, target):
+        return self.text
+
+
+# Each entry called on one number text.
+NUMBER_ENTRIES = {
+    "frac": frac,
+    "Interval": lambda t: Interval(0, t),
+    "IntervalSet": lambda t: IntervalSet([(0, t)]),
+    "Valuation.uniform_on": lambda t: Valuation.uniform_on([(0, t)]),
+    "Valuation.piecewise_constant": lambda t: Valuation.piecewise_constant([((0, 1), t)]),
+    "Valuation.eval": lambda t: Valuation.uniform().eval(0, t),
+    "Valuation.cut": lambda t: Valuation.uniform().cut(0, t),
+    "LpProblem.add": lambda t: LpProblem([1]).add([t], LESS, 1),
+    "EquityTable": lambda t: EquityTable([[t]]),
+    "Recorder.eval": lambda t: Recorder([_Answers(t)]).eval(0, 0, 1),
+    "Recorder.cut": lambda t: Recorder([_Answers(t)]).cut(0, 0, Fraction(1, 2)),
+}
+
+
+# "1e-999999999" would take hours to build, were it not refused first.
+@pytest.mark.parametrize("text", ["1e4301", "1.5E-4301", "1e1_000_000", "1e-999999999"])
+@pytest.mark.parametrize("name", sorted(NUMBER_ENTRIES))
+def test_out_of_range_exponents_are_refused(name, text):
+    with pytest.raises(ValueError, match="exponent beyond 4300"):
+        NUMBER_ENTRIES[name](text)

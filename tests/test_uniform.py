@@ -108,6 +108,16 @@ class TestLexOrder:
         with pytest.raises(ValueError):
             lex_order(Profile([IntervalSet.unit()]), AgentOrder([0, 1]))
 
+    def test_order_refuses_what_is_not_an_index(self):
+        # A float or a Fraction is never truncated to an agent, nor is a
+        # string read as one.
+        profile = Profile([IntervalSet.unit(), IntervalSet.unit()])
+        for order in ([1.9, 0.2], ["1", "0"], [Fraction(1), 0]):
+            with pytest.raises(TypeError):
+                AgentOrder(order)
+            with pytest.raises(TypeError):
+                lex_order(profile, order)
+
     @given(uniform_preferences(3))
     def test_portions_stay_inside_claims(self, prefs):
         profile = Profile([p.support() for p in prefs])

@@ -92,3 +92,34 @@ def test_each_form_is_read_in_its_own_module():
             if name == "_ranks":
                 strays.append("%s:%d names _ranks" % (path.name, node.lineno))
     assert strays == []
+
+
+def _literal(node):
+    try:
+        ast.literal_eval(node)
+    except ValueError:
+        return False
+    return True
+
+
+def test_number_text_is_read_only_in_intervals():
+    # `intervals._ratio` is the one reader of number text, behind the one
+    # exponent bound: no other module builds a Fraction from one value that
+    # is not a literal, or names the bound.
+    strays = []
+    for path in sorted(Path(fairslice.__file__).parent.glob("*.py")):
+        if path.name == "intervals.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Call):
+                callee = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+                args = node.args
+                if callee == "Fraction" and len(args) == 1 and not node.keywords:
+                    if not isinstance(args[0], ast.Starred) and not _literal(args[0]):
+                        strays.append("%s:%d reads a Fraction" % (path.name, node.lineno))
+            name = getattr(node, "id", None) or getattr(node, "attr", None)
+            if isinstance(node, ast.alias):
+                name = node.name
+            if name in ("_EXPONENT", "_MAX_EXPONENT"):
+                strays.append("%s:%d names %s" % (path.name, node.lineno, name))
+    assert strays == []
