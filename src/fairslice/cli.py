@@ -41,7 +41,8 @@ QUERY_MECHANISMS = {
 REVELATION_MECHANISMS = ("lex-order", "length-game", "procaccia")
 MECHANISMS = tuple(QUERY_MECHANISMS) + REVELATION_MECHANISMS
 
-# Fixed agent counts, which only `run` reads, to name them in its error.
+# Fixed agent counts: `run` names them in its error, and `bench` skips every
+# other n before it draws agents.
 FIXED_ARITY = {"cut-and-choose": 2, "selfridge": 3}
 
 
@@ -267,6 +268,8 @@ def cmd_bench(args):
     mechanism = QUERY_MECHANISMS[args.mechanism]
     rows = [("n", "total", "eval", "cut")]
     for n in args.n_range:
+        if FIXED_ARITY.get(args.mechanism, n) != n:
+            continue  # a fixed count rules n out before any agent is drawn
         agents = random_uniform_agents(args.seed * 1000003 + n, n)
         try:
             transcript = mechanism(sincere_oracles(agents)).transcript

@@ -9,8 +9,14 @@ per-segment length table respecting the segment capacities is therefore
 realizable as a genuine allocation (materialized left to right), and
 welfare questions become linear programs over those lengths.
 
+Every piece end is a mark, so on a segment each density is one affine
+piece or 0, and the segment's mass over its length is the density at its
+midpoint.  Rates and the unconstrained optimum therefore come from one
+`Valuation.masses_at` sweep per agent over the marks, as integers, the
+sweep an equity table makes over a portion's ends.
+
 The unconstrained utilitarian optimum never needs the LP: handing every
-segment to an agent with maximal density on it is already optimal, and that
+segment to an agent of greatest mass on it is already optimal, and that
 construction works for affine densities too, and it is also the numerator
 of every price-of-fairness ratio.  Criterion-constrained optima and the
 Pareto test go through the LP and stay exact end to end.
@@ -20,7 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from fairslice.audit import Allocation, _one_each
-from fairslice.intervals import _scaled
+from fairslice.intervals import _scaled, frac
 from fairslice.simplex import (
     GREATER,
     EQUAL,
@@ -32,17 +38,17 @@ from fairslice.simplex import (
 from fairslice.valuation import UnsupportedValuationClass
 
 CRITERIA = ("proportional", "envy-free", "equitable")
-_ZERO = Fraction(0)
 
 
 @dataclass(frozen=True)
 class Segmentation:
-    """Sorted cut marks from 0 to 1; consecutive pairs are the segments."""
+    """Sorted cut marks from 0 to 1, read as exact numbers; consecutive pairs
+    are the segments."""
 
     marks: tuple
 
     def __post_init__(self):
-        marks = tuple(self.marks)
+        marks = tuple(map(frac, self.marks))
         if not marks or marks[0] != 0 or marks[-1] != 1:
             raise ValueError("marks must run from 0 to 1")
         if any(a >= b for a, b in zip(marks, marks[1:])):
@@ -93,41 +99,40 @@ class SegmentRateMatrix:
     """Per-unit-length utility of each agent on each segment.
 
     Only defined when every density is constant across every segment; each
-    agent's rates integrate back to exactly 1 over the cake.
+    agent's rates integrate back to exactly 1 over the cake.  Rates are read
+    as exact numbers, one per segment for each of at least one agent.
     """
 
     segmentation: Segmentation
     rates: tuple
 
     def __post_init__(self):
+        rates = tuple(tuple(map(frac, row)) for row in self.rates)
+        if not rates:
+            raise ValueError("need at least one agent")
         # In integers: the marks over their common scale S and each row's
         # rates over the row's own scale R integrate to R S.
         marks, scale = _scaled(self.segmentation.marks)
         lengths = [hi - lo for lo, hi in zip(marks, marks[1:])]
-        for row in self.rates:
+        for row in rates:
+            _one_each(row, lengths, "%d rates but %d segments")
             units, unit = _scaled(row)
             if sum(u * w for u, w in zip(units, lengths)) != unit * scale:
                 raise ValueError("segment rates do not integrate to 1")
+        object.__setattr__(self, "rates", rates)
 
 
-def _densities(valuations, segments):
-    # Each agent's density on each segment: one walk of its sorted, disjoint
-    # pieces against the sorted segments.  Every piece end is a mark, so a
-    # segment lies inside one piece or outside all of them; a sloped piece is
-    # read at the segment midpoint, a flat one by its intercept.
+def _rates(valuations, segmentation):
+    # Each agent's mass of every segment over its length, from one masses_at
+    # sweep over the marks: with the marks and F as integers over S and den,
+    # (F(hi) - F(lo)) S / (den (hi - lo)), one Fraction each.
+    marks, scale = _scaled(segmentation.marks)
+    lengths = [hi - lo for lo, hi in zip(marks, marks[1:])]
     table = []
     for v in valuations:
-        row = []
-        pieces = iter(v.pieces)
-        piece = next(pieces, None)
-        for lo, hi in segments:
-            while piece is not None and piece.interval.hi <= lo:
-                piece = next(pieces, None)
-            if piece is None or hi <= piece.interval.lo:
-                row.append(_ZERO)
-            else:
-                row.append(piece.density_at((lo + hi) / 2) if piece.slope else piece.intercept)
-        table.append(tuple(row))
+        below, den = v.masses_at(marks, scale)
+        spans = zip(below, below[1:], lengths)
+        table.append(tuple(Fraction((b - a) * scale, den * w) for a, b, w in spans))
     return table
 
 
@@ -143,22 +148,23 @@ def segment_rates(valuations):
     if not all(v.is_piecewise_constant() for v in valuations):
         raise UnsupportedValuationClass("density varies inside a segment; rates undefined")
     seg = segment(valuations)
-    return SegmentRateMatrix(seg, tuple(_densities(valuations, seg.segments())))
+    return SegmentRateMatrix(seg, _rates(valuations, seg))
 
 
 def utilitarian_optimal(valuations):
-    """Hand each segment to an agent with maximal density on it.
+    """Hand each segment to the first agent of greatest mass on it.
 
-    Ties go to the lowest agent index.  Works for affine densities: inside
-    a segment no two densities cross, so the midpoint decides the pointwise
+    Lengths are shared within a segment, so that agent's rate, its density
+    at the midpoint, is the greatest.  Works for affine densities: inside a
+    segment no two densities cross, so the midpoint decides the pointwise
     order everywhere.  The resulting total utility is maximal over all
     allocations.
     """
-    segments = segment(valuations).segments()
-    densities = _densities(valuations, segments)
+    seg = segment(valuations)
+    rates = _rates(valuations, seg)
     portions = [[] for _ in valuations]
-    for s, span in enumerate(segments):
-        winner = max(range(len(valuations)), key=lambda i: (densities[i][s], -i))
+    for s, span in enumerate(seg.segments()):
+        winner = max(range(len(valuations)), key=lambda i: rates[i][s])
         portions[winner].append(span)
     return Allocation(portions)
 
@@ -292,7 +298,7 @@ def welfare_optima(valuations, criterion, trace=None):
     """
     srm = segment_rates(valuations)
     columns = zip(zip(*srm.rates), srm.segmentation.segments())
-    top = sum((max(rates) * (hi - lo) for rates, (lo, hi) in columns), _ZERO)
+    top = sum((max(rates) * (hi - lo) for rates, (lo, hi) in columns), Fraction(0))
     return top, _max_ue(srm, criterion, trace=trace).value
 
 

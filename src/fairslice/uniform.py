@@ -395,6 +395,8 @@ def min_average_rounds(preferences):
     round's region and average are read off the bitmask of its group's
     wanted cake.
     """
+    if not preferences:
+        raise EmptySubset("need at least one agent")
     marks, weights, bits, scale = _atom_table(wanted_regions(preferences))
     remaining = tuple(range(len(preferences)))
     cake = (1 << len(weights)) - 1

@@ -19,8 +19,9 @@ over M.  A query point p/r falls on the piece whose start is the last one
 at or below floor(p*D/r), and F(p/r) comes out as an unreduced integer
 pair.  eval(a, b) is F(b) - F(a), reduced into one Fraction.  masses_at
 reads F at many sorted points over one scale S in one merge, as integers
-over M S^2, which is how an equity table is built; measure reads a
-region's integer ends, over the region's own scale, in one such sweep.
+over M S^2, which is how an equity table is built and `optimal` rates
+its segments; measure reads a region's integer ends, over the region's
+own scale, in one such sweep.
 
 Every constructor, the raw-piece one included, ends in the integer
 constructor that `from_integers` exposes: piece ends over one scale and
@@ -313,7 +314,8 @@ class Valuation:
         M * scale**2 for the valuation's mass scale M.  One merge of the
         points with the pieces gives every value; points in one gap share
         one value, so a span inside a gap weighs 0.  This is how an equity
-        table is built and a region measured.
+        table is built, a region measured and a segment rated: a segment's
+        mass over its length.
         """
         square = scale * scale
         below = []

@@ -17,6 +17,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import fairslice.cli
 import fairslice.optimal
 from fairslice.audit import Allocation
 from fairslice.cli import MECHANISMS, QUERY_MECHANISMS, main
@@ -1155,6 +1156,24 @@ def test_bench_skips_every_n_the_protocol_refuses(capsys, mechanism, n_range, ke
     code, out, err = run_cli(capsys, "bench", "--mechanism", mechanism, "--n-range", n_range)
     assert (code, err) == (0, "")
     assert [int(line.split(",")[0]) for line in out.splitlines()[1:]] == kept
+
+
+def test_bench_draws_agents_only_for_a_fixed_arity(capsys, monkeypatch):
+    # cut-and-choose takes 2 agents, so 1..300 draws once and prints the
+    # row that n = 2 alone prints.
+    _, alone, _ = run_cli(capsys, "bench", "--mechanism", "cut-and-choose", "--n-range", "2")
+    draws = []
+
+    def counting(seed, n):
+        draws.append(n)
+        return random_uniform_agents(seed, n)
+
+    monkeypatch.setattr(fairslice.cli, "random_uniform_agents", counting)
+    code, out, err = run_cli(
+        capsys, "bench", "--mechanism", "cut-and-choose", "--n-range", "1..300"
+    )
+    assert (code, err, draws) == (0, "", [2])
+    assert out == alone
 
 
 def test_bench_rejects_revelation_mechanisms(capsys):

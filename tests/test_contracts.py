@@ -27,6 +27,8 @@ from fairslice.equilibrium import (
 )
 from fairslice.intervals import Interval, IntervalSet, frac
 from fairslice.optimal import (
+    SegmentRateMatrix,
+    Segmentation,
     max_ee,
     max_ue,
     pareto_oracle,
@@ -36,7 +38,14 @@ from fairslice.optimal import (
 )
 from fairslice.oracle import Recorder
 from fairslice.simplex import LESS, LpProblem
-from fairslice.uniform import Profile, exact_allocation, lex_order, min_average_subset
+from fairslice.uniform import (
+    Profile,
+    exact_allocation,
+    lex_order,
+    min_average_mechanism,
+    min_average_rounds,
+    min_average_subset,
+)
 from fairslice.valuation import Valuation
 from helpers import uniform_preferences
 
@@ -63,6 +72,12 @@ ENTRIES = {
     ),
     "exact_allocation": (
         ("empty",) + INDEX, lambda p, c, o, i: exact_allocation(p, o, IntervalSet.unit())
+    ),
+    "min_average_mechanism": (("empty",), lambda p, c, o, i: min_average_mechanism(p)),
+    "min_average_rounds": (("empty",), lambda p, c, o, i: min_average_rounds(p)),
+    "SegmentRateMatrix": (
+        ("empty",),
+        lambda p, c, o, i: SegmentRateMatrix(Segmentation((0, 1)), tuple((1,) for _ in p)),
     ),
     "utilitarian_optimal": (("empty",), lambda p, c, o, i: utilitarian_optimal(p)),
     "max_ue": (("empty",), lambda p, c, o, i: max_ue(p)),
@@ -125,6 +140,8 @@ NUMBER_ENTRIES = {
     "EquityTable": lambda t: EquityTable([[t]]),
     "Recorder.eval": lambda t: Recorder([_Answers(t)]).eval(0, 0, 1),
     "Recorder.cut": lambda t: Recorder([_Answers(t)]).cut(0, 0, Fraction(1, 2)),
+    "Segmentation": lambda t: Segmentation((0, t, 1)),
+    "SegmentRateMatrix": lambda t: SegmentRateMatrix(Segmentation((0, 1)), ((t,),)),
 }
 
 

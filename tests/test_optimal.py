@@ -37,8 +37,10 @@ from fairslice.simplex import (
 from fairslice.uniform import min_average_mechanism
 from fairslice.valuation import UnsupportedValuationClass, Valuation
 from helpers import (
+    LARGE_DENOMINATORS,
     any_valuations,
     assignment_optimum,
+    large_scale_valuations,
     random_constant_instance,
     random_uniform_instance,
     reference_segment,
@@ -93,6 +95,26 @@ def test_segmentation_rejects_bad_marks():
         Segmentation((0, Fraction(1, 2)))
     with pytest.raises(ValueError):
         Segmentation((0, Fraction(1, 2), Fraction(1, 2), 1))
+    with pytest.raises(TypeError):
+        Segmentation((0, 0.5, 1))
+
+
+HALVES = Segmentation((0, Fraction(1, 2), 1))
+
+
+def test_value_types_store_the_exact_numbers_they_read():
+    seg = Segmentation((0, "1/2", 1))
+    srm = SegmentRateMatrix(seg, (("1/2", "3/2"),))
+    assert (seg, srm.rates) == (HALVES, ((Fraction(1, 2), Fraction(3, 2)),))
+    assert all(type(x) is Fraction for x in seg.marks + srm.rates[0])
+    with pytest.raises(TypeError):
+        SegmentRateMatrix(HALVES, ((1.0, 1.0),))
+
+
+@pytest.mark.parametrize("row", [(2,), (1, 1, 1)])
+def test_rate_matrix_refuses_a_row_of_the_wrong_length(row):
+    with pytest.raises(ValueError, match="%d rates but 2 segments" % len(row)):
+        SegmentRateMatrix(HALVES, (row,))
 
 
 def test_rates_golden():
@@ -138,10 +160,19 @@ def test_rates_reject_sloped_densities():
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.lists(any_valuations(), min_size=1, max_size=4))
+@given(
+    st.one_of(
+        st.lists(any_valuations(), min_size=1, max_size=4),
+        *[
+            st.lists(large_scale_valuations(kind), min_size=1, max_size=4)
+            for kind in sorted(LARGE_DENOMINATORS)
+        ],
+    )
+)
 def test_segment_walk_matches_the_piece_scan(valuations):
-    # Constant, uniform and linear agents, with gaps between their pieces:
-    # one walk per valuation finds the piece the scan finds for each segment,
+    # Constant, uniform and linear agents, with gaps between their pieces,
+    # on the grid or over large denominators: one masses_at sweep per
+    # valuation rates every segment as the scan's midpoint density does,
     # and pairs of flat agents are skipped without losing a crossing.
     assert segment(valuations) == reference_segment(valuations)
     try:

@@ -94,6 +94,19 @@ def test_each_form_is_read_in_its_own_module():
     assert strays == []
 
 
+def test_only_valuation_reads_a_density():
+    # Every other module reads an agent's worth from the cumulative mass
+    # (`masses_at`, `eval`, `measure`), never from a piece's density.
+    strays = []
+    for path in sorted(Path(fairslice.__file__).parent.glob("*.py")):
+        if path.name == "valuation.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Attribute) and node.attr == "density_at":
+                strays.append("%s:%d reads density_at" % (path.name, node.lineno))
+    assert strays == []
+
+
 def _literal(node):
     try:
         ast.literal_eval(node)
