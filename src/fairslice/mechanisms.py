@@ -20,11 +20,17 @@ equal marks in even_paz order by agent index.  Each cut names its slice and
 the Recorder holds the answer to it, so any exact answers make a valid
 allocation.  An inexact cut (bisected through a linear density) is taken at
 its word; audits against the true valuations show that.
+
+Answers reach a protocol as the exact rationals the Recorder read, and
+every decision between them is taken on integers: answers are ranked
+over one scale (`intervals._scaled`) and a worth is tested against a
+share by cross-multiplying, never by a Fraction comparison.
 """
 
 from fractions import Fraction
 
 from fairslice.audit import Allocation
+from fairslice.intervals import _scaled
 from fairslice.oracle import MechanismResult, Recorder
 
 
@@ -46,7 +52,8 @@ def cut_and_choose(oracles):
         raise ArityMismatch("cut_and_choose needs exactly 2 agents, got %d" % len(oracles))
     rec = Recorder(oracles)
     a = rec.cut(0, 0, Fraction(1, 2))
-    if rec.eval(1, 0, a) > rec.eval(1, a, 1):
+    (left, right), _ = _scaled([rec.eval(1, 0, a), rec.eval(1, a, 1)])
+    if left > right:
         portions = [[(a, 1)], [(0, a)]]
     else:
         portions = [[(0, a)], [(a, 1)]]
@@ -75,7 +82,8 @@ def last_diminisher(oracles):
         l = Fraction(1)
         last = None
         for i in remaining:
-            if rec.eval(i, s, l) > share:
+            worth = rec.eval(i, s, l)
+            if worth.numerator * n > worth.denominator:
                 last = i
                 if len(remaining) > 1:
                     l = rec.cut(i, s, share, l)
@@ -108,11 +116,12 @@ def selfridge(oracles):
     b = rec.cut(0, a, Fraction(1, 3))
     thirds = [(Fraction(0), a), (a, b), (b, Fraction(1))]
     worth = [rec.eval(1, lo, hi) for lo, hi in thirds]
+    rank, _ = _scaled(worth)
 
-    x_index = max(range(3), key=lambda k: (worth[k], -k))
+    x_index = max(range(3), key=lambda k: (rank[k], -k))
     x1, x2 = thirds[x_index]
     z_index = min(
-        (k for k in range(3) if k != x_index), key=lambda k: (worth[k], k)
+        (k for k in range(3) if k != x_index), key=lambda k: (rank[k], k)
     )
     z = thirds[z_index]
     (y_index,) = set(range(3)) - {x_index, z_index}
@@ -124,7 +133,7 @@ def selfridge(oracles):
     trim = (c, x2)
 
     portions = [[], [], []]
-    pick_3 = [rec.eval(2, *x_prime), rec.eval(2, *y), rec.eval(2, *z)]
+    pick_3, _ = _scaled([rec.eval(2, *x_prime), rec.eval(2, *y), rec.eval(2, *z)])
     if pick_3[0] >= pick_3[1] and pick_3[0] >= pick_3[2]:
         # Agent 3 takes the trimmed slice; agent 2 keeps its second
         # favourite third (Y by construction) and agent 1 the remaining one.
@@ -138,7 +147,8 @@ def selfridge(oracles):
         portions[0].append(z if pick_3[1] >= pick_3[2] else y)
         divider = 2
 
-    if trim[1] > trim[0]:
+    # The cut c is held to [x1, x2], so the trimming is empty iff c is x2.
+    if c != x2:
         _divide_trimming(rec, divider, trim, portions)
     return _result(portions, rec)
 
@@ -152,11 +162,12 @@ def _divide_trimming(rec, divider, trim, portions):
     d = rec.cut(divider, c, u / 3, x2)
     e = rec.cut(divider, d, u / 3, x2)
     slices = [(c, d), (d, e), (e, x2)]
-    values = [rec.eval(first_picker, lo, hi) for lo, hi in slices]
+    values, _ = _scaled([rec.eval(first_picker, lo, hi) for lo, hi in slices])
     best = max(range(3), key=lambda k: (values[k], -k))
     portions[first_picker].append(slices[best])
     rest = [slices[k] for k in range(3) if k != best]
-    if rec.eval(0, *rest[0]) >= rec.eval(0, *rest[1]):
+    (first, second), _ = _scaled([rec.eval(0, *rest[0]), rec.eval(0, *rest[1])])
+    if first >= second:
         portions[0].append(rest[0])
         portions[divider].append(rest[1])
     else:
@@ -185,12 +196,13 @@ def even_paz(oracles):
         if len(group) == 1:
             portions[group[0]].append((s, t))
             return
-        left_share = Fraction(len(group) // 2, len(group))
+        half, k = len(group) // 2, len(group)
         marks = {}
         for i in group:
-            marks[i] = rec.cut(i, s, rec.eval(i, s, t) * left_share, t)
-        ordered = sorted(sorted(group), key=marks.__getitem__)  # ties by index
-        half = len(group) // 2
+            worth = rec.eval(i, s, t)
+            marks[i] = rec.cut(i, s, Fraction(worth.numerator * half, worth.denominator * k), t)
+        rank = dict(zip(marks, _scaled(marks.values())[0]))
+        ordered = sorted(sorted(group), key=rank.__getitem__)  # ties by index
         split = marks[ordered[half - 1]]
         subroutine(ordered[:half], s, split)
         subroutine(ordered[half:], split, t)

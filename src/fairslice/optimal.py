@@ -24,6 +24,7 @@ Pareto test go through the LP and stay exact end to end.
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from fairslice.audit import Allocation, _one_each
 from fairslice.intervals import _scaled, frac
@@ -72,11 +73,7 @@ def segment(valuations):
     """
     if not valuations:
         raise ValueError("need at least one agent")
-    marks = {Fraction(0), Fraction(1)}
-    for v in valuations:
-        for piece in v.pieces:
-            marks.add(piece.interval.lo)
-            marks.add(piece.interval.hi)
+    crossings = []
     # Two flat densities never cross.
     flat = [v.is_piecewise_constant() for v in valuations]
     for a in range(len(valuations)):
@@ -90,8 +87,16 @@ def segment(valuations):
                     # Pieces that do not overlap leave no x strictly between the bounds.
                     x = (q.intercept - p.intercept) / (p.slope - q.slope)
                     if max(p.interval.lo, q.interval.lo) < x < min(p.interval.hi, q.interval.hi):
-                        marks.add(x)
-    return Segmentation(tuple(sorted(marks)))
+                        crossings.append(x.as_integer_ratio())
+    # Piece ends and crossings as integers over the lcm of their
+    # denominators, merged as integers rather than hashed as Fractions.
+    ends = [v.piece_ends() for v in valuations]
+    scale = lcm(*[den for _, den in ends], *[den for _, den in crossings])
+    marks = {0, scale}
+    for points, den in ends:
+        marks.update([p * (scale // den) for p in points])
+    marks.update([num * (scale // den) for num, den in crossings])
+    return Segmentation(tuple([Fraction(m, scale) for m in sorted(marks)]))
 
 
 @dataclass(frozen=True)

@@ -14,16 +14,19 @@ audited and query complexity is measurable.
 
 The Recorder owns what an answer is: each is read once as an exact
 rational (an int, a Fraction or a string such as "3/7", never a float) and
-recorded as given, and a cut of the slice [a, end] is held to it.  A cut
-through a linear density may have an irrational answer, which the valuation
-bisects to a tolerance; Valuation.cut hands back the whole CutResult so the
-Recorder can count such inexact cuts.  A bare point is taken as exact.
+recorded as given, and a cut of the slice [a, end] is held to it.  Answers
+are compared as integers, here and in the protocols: the clamp
+cross-multiplies the answer's numerator and denominator with the bounds',
+never through a Fraction comparison.  A cut through a linear density may
+have an irrational answer, which the valuation bisects to a tolerance;
+Valuation.cut hands back the whole CutResult so the Recorder can count
+such inexact cuts.  A bare point is taken as exact.
 """
 
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from fairslice.intervals import frac
+from fairslice.intervals import _ratio, frac
 from fairslice.valuation import CutResult
 
 
@@ -65,7 +68,7 @@ class Recorder:
 
     @property
     def eval_count(self):
-        return sum(1 for r in self.records if r.kind == "eval")
+        return self.total - self.cut_count
 
     @property
     def cut_count(self):
@@ -84,7 +87,13 @@ class Recorder:
             response = response.point
         response = frac(response)
         self.records.append(QueryRecord(i, "cut", (a, target), response))
-        return max(frac(a), min(response, frac(end)))
+        n, d = response.as_integer_ratio()
+        (an, ad), (en, ed) = _ratio(a), _ratio(end)
+        if n * ad <= an * d:
+            return frac(a)
+        if n * ed >= en * d:
+            return frac(end)
+        return response
 
 
 @dataclass(frozen=True)

@@ -248,6 +248,14 @@ class Valuation:
             object.__setattr__(self, "_pieces", pieces)
         return self._pieces
 
+    def piece_ends(self):
+        """Every piece's two ends as integers over one scale: (ends, scale).
+
+        >>> Valuation.uniform_on([(0, "1/4"), ("1/2", 1)]).piece_ends()
+        ((0, 2, 1, 4), 4)
+        """
+        return self._los + self._his, self._scale
+
     def support(self):
         """Region of positive density (up to measure zero)."""
         if self._support is None:

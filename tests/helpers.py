@@ -25,6 +25,7 @@ from fairslice.equilibrium import (
 )
 from fairslice.intervals import Interval, IntervalSet, _atom_table, _weight, frac, union_all
 from fairslice.optimal import SegmentRateMatrix, Segmentation
+from fairslice.oracle import MechanismResult, QueryRecord, Recorder
 from fairslice.simplex import (
     EQUAL,
     GREATER,
@@ -1207,6 +1208,134 @@ def reference_leximin_lengths(preferences):
             if i not in fixed and y > 0:
                 fixed[i] = solution.value
     return [fixed[i] for i in range(n)]
+
+
+# ----------------------------------------------------------------------
+# the query protocols, deciding by Fraction comparisons
+
+
+class ReferenceRecorder(Recorder):
+    """The Recorder, holding each cut to its slice by Fraction max and min."""
+
+    def cut(self, i, a, target, end=1):
+        response = self.oracles[i].cut(a, target)
+        if isinstance(response, CutResult):
+            self.inexact_cuts += not response.exact
+            response = response.point
+        response = frac(response)
+        self.records.append(QueryRecord(i, "cut", (a, target), response))
+        return max(frac(a), min(response, frac(end)))
+
+
+def _reference_result(portions, rec):
+    return MechanismResult(Allocation(portions), rec)
+
+
+def reference_cut_and_choose(oracles):
+    """cut_and_choose, the chooser comparing its two answers as Fractions."""
+    rec = ReferenceRecorder(oracles)
+    a = rec.cut(0, 0, Fraction(1, 2))
+    if rec.eval(1, 0, a) > rec.eval(1, a, 1):
+        portions = [[(a, 1)], [(0, a)]]
+    else:
+        portions = [[(0, a)], [(a, 1)]]
+    return _reference_result(portions, rec)
+
+
+def reference_last_diminisher(oracles):
+    """last_diminisher, each worth compared with the Fraction share 1/n."""
+    n = len(oracles)
+    rec = ReferenceRecorder(oracles)
+    share = Fraction(1, n)
+    portions = [[] for _ in range(n)]
+    remaining = list(range(n))
+    s = Fraction(0)
+    while remaining:
+        l = Fraction(1)
+        last = None
+        for i in remaining:
+            if rec.eval(i, s, l) > share:
+                last = i
+                if len(remaining) > 1:
+                    l = rec.cut(i, s, share, l)
+        if last is None:
+            last = remaining[0]
+        portions[last].append((s, l))
+        s = l
+        remaining.remove(last)
+    return _reference_result(portions, rec)
+
+
+def reference_selfridge(oracles):
+    """selfridge, every pick made by Fraction max, min and comparison."""
+    rec = ReferenceRecorder(oracles)
+    a = rec.cut(0, 0, Fraction(1, 3))
+    b = rec.cut(0, a, Fraction(1, 3))
+    thirds = [(Fraction(0), a), (a, b), (b, Fraction(1))]
+    worth = [rec.eval(1, lo, hi) for lo, hi in thirds]
+    x_index = max(range(3), key=lambda k: (worth[k], -k))
+    x1, x2 = thirds[x_index]
+    z_index = min((k for k in range(3) if k != x_index), key=lambda k: (worth[k], k))
+    z = thirds[z_index]
+    (y_index,) = set(range(3)) - {x_index, z_index}
+    y = thirds[y_index]
+    c = rec.cut(1, x1, worth[y_index], x2)
+    x_prime = (x1, c)
+    trim = (c, x2)
+    portions = [[], [], []]
+    pick_3 = [rec.eval(2, *x_prime), rec.eval(2, *y), rec.eval(2, *z)]
+    if pick_3[0] >= pick_3[1] and pick_3[0] >= pick_3[2]:
+        portions[2].append(x_prime)
+        portions[1].append(y)
+        portions[0].append(z)
+        divider = 1
+    else:
+        portions[2].append(y if pick_3[1] >= pick_3[2] else z)
+        portions[1].append(x_prime)
+        portions[0].append(z if pick_3[1] >= pick_3[2] else y)
+        divider = 2
+    if trim[1] > trim[0]:
+        c, x2 = trim
+        first_picker = 2 if divider == 1 else 1
+        u = rec.eval(divider, c, x2)
+        d = rec.cut(divider, c, u / 3, x2)
+        e = rec.cut(divider, d, u / 3, x2)
+        slices = [(c, d), (d, e), (e, x2)]
+        values = [rec.eval(first_picker, lo, hi) for lo, hi in slices]
+        best = max(range(3), key=lambda k: (values[k], -k))
+        portions[first_picker].append(slices[best])
+        rest = [slices[k] for k in range(3) if k != best]
+        if rec.eval(0, *rest[0]) >= rec.eval(0, *rest[1]):
+            portions[0].append(rest[0])
+            portions[divider].append(rest[1])
+        else:
+            portions[0].append(rest[1])
+            portions[divider].append(rest[0])
+    return _reference_result(portions, rec)
+
+
+def reference_even_paz(oracles):
+    """even_paz, each group sorted by its Fraction marks, ties by index."""
+    n = len(oracles)
+    rec = ReferenceRecorder(oracles)
+    portions = [[] for _ in range(n)]
+
+    def subroutine(group, s, t):
+        if len(group) == 1:
+            portions[group[0]].append((s, t))
+            return
+        left_share = Fraction(len(group) // 2, len(group))
+        marks = {}
+        for i in group:
+            marks[i] = rec.cut(i, s, rec.eval(i, s, t) * left_share, t)
+        ordered = sorted(sorted(group), key=marks.__getitem__)
+        half = len(group) // 2
+        split = marks[ordered[half - 1]]
+        subroutine(ordered[:half], s, split)
+        subroutine(ordered[half:], split, t)
+
+    subroutine(list(range(n)), Fraction(0), Fraction(1))
+    return _reference_result(portions, rec)
 
 
 # ----------------------------------------------------------------------

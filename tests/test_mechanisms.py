@@ -1,3 +1,4 @@
+import itertools
 import math
 from fractions import Fraction
 
@@ -10,7 +11,8 @@ from fairslice.audit import (
     is_envy_free,
     is_proportional,
 )
-from fairslice.intervals import IntervalSet
+from fairslice.generator import random_uniform_agents
+from fairslice.intervals import IntervalSet, frac
 from fairslice.mechanisms import (
     ArityMismatch,
     cut_and_choose,
@@ -18,9 +20,20 @@ from fairslice.mechanisms import (
     last_diminisher,
     selfridge,
 )
-from fairslice.oracle import AgentOracle, sincere_oracles
+from fairslice.oracle import AgentOracle, Recorder, sincere_oracles
 from fairslice.valuation import Valuation
-from helpers import constant_valuations, linear_valuations, uniform_valuations
+from helpers import (
+    LARGE_DENOMINATORS,
+    LARGE_PRIME,
+    constant_valuations,
+    large_scale_fractions,
+    linear_valuations,
+    reference_cut_and_choose,
+    reference_even_paz,
+    reference_last_diminisher,
+    reference_selfridge,
+    uniform_valuations,
+)
 
 
 def uniform(*pairs):
@@ -349,6 +362,9 @@ def test_any_exact_answers_make_a_valid_run(mechanism, data):
     result = mechanism([_AnyOracle(data, given) for _ in range(n)])
     responses = [r.response for r in result.transcript.records]
     assert responses == [Fraction(answer) for answer in given]
+    kinds = [r.kind for r in result.transcript.records]
+    counts = (result.transcript.eval_count, result.transcript.cut_count)
+    assert counts == (kinds.count("eval"), kinds.count("cut"))
     assert all(type(response) is Fraction for response in responses)
     assert len(result.allocation) == n
     for portion in result.allocation:
@@ -377,3 +393,111 @@ def test_float_answers_are_refused(mechanism, kind):
     n = max(2, SIZES[mechanism][0])
     with pytest.raises(TypeError):
         mechanism([_FloatOracle(Valuation.uniform(), kind) for _ in range(n)])
+
+
+REFERENCES = {
+    cut_and_choose: reference_cut_and_choose,
+    selfridge: reference_selfridge,
+    last_diminisher: reference_last_diminisher,
+    even_paz: reference_even_paz,
+}
+
+
+class _Scripted:
+    """Answers every question, whoever is asked, with the next of `answers`, cycling."""
+
+    def __init__(self, answers):
+        self.answers = itertools.cycle(answers)
+
+    def eval(self, a, b):
+        return next(self.answers)
+
+    def cut(self, a, target):
+        return next(self.answers)
+
+
+def assert_runs_as_the_reference(mechanism, make_oracles):
+    result, reference = mechanism(make_oracles()), REFERENCES[mechanism](make_oracles())
+    assert result.transcript.records == reference.transcript.records
+    assert result.allocation == reference.allocation
+    assert result.transcript.inexact_cuts == reference.transcript.inexact_cuts
+
+
+@pytest.mark.parametrize("agents", ["generator", "constant", "linear"])
+@pytest.mark.parametrize("mechanism", SIZES, ids=[m.__name__ for m in SIZES])
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_sincere_runs_decide_as_the_fraction_reference(mechanism, agents, data):
+    n = data.draw(st.integers(*SIZES[mechanism]))
+    if agents == "generator":
+        vals = random_uniform_agents(data.draw(st.integers(0, 10**6)), n)
+    else:
+        vals = data.draw(st.lists(AGENTS[agents], min_size=n, max_size=n))
+    assert_runs_as_the_reference(mechanism, lambda: sincere_oracles(vals))
+
+
+@pytest.mark.parametrize("kind", sorted(LARGE_DENOMINATORS))
+@pytest.mark.parametrize("mechanism", SIZES, ids=[m.__name__ for m in SIZES])
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_stand_in_answers_decide_as_the_fraction_reference(mechanism, kind, data):
+    # The answers come from a pool of at most three, so worths and marks tie
+    # often and ties are broken by agent index, in both runs.
+    n = data.draw(st.integers(*SIZES[mechanism]))
+    pool = data.draw(st.lists(large_scale_fractions(kind), min_size=1, max_size=3))
+    answers = data.draw(st.lists(st.sampled_from(pool), min_size=1, max_size=40))
+    assert_runs_as_the_reference(mechanism, lambda: [_Scripted(answers)] * n)
+
+
+# Past a bound by less than any answer over a denominator below 2^61 - 1.
+NEAR = Fraction(1, LARGE_PRIME**2)
+QUARTER, HALF, THREE_QUARTERS = Fraction(1, 4), Fraction(1, 2), Fraction(3, 4)
+
+
+@pytest.mark.parametrize(
+    "a, end, answer, point",
+    [
+        (HALF, 1, "2/4", HALF),
+        (HALF, 1, 1, Fraction(1)),
+        (0, THREE_QUARTERS, "6/8", THREE_QUARTERS),
+        (0, THREE_QUARTERS, 0, Fraction(0)),
+        (HALF, 1, HALF - NEAR, HALF),
+        (HALF, 1, 1 + NEAR, Fraction(1)),
+        (QUARTER, THREE_QUARTERS, QUARTER - NEAR, QUARTER),
+        (QUARTER, THREE_QUARTERS, THREE_QUARTERS + NEAR, THREE_QUARTERS),
+        (QUARTER, THREE_QUARTERS, QUARTER + NEAR, QUARTER + NEAR),
+        (QUARTER, THREE_QUARTERS, THREE_QUARTERS - NEAR, THREE_QUARTERS - NEAR),
+    ],
+)
+def test_cut_is_held_to_its_slice_at_the_bounds(a, end, answer, point):
+    rec = Recorder([_Scripted([answer])])
+    held = rec.cut(0, a, Fraction(1, 3), end)
+    assert type(held) is Fraction and held == point
+    (record,) = rec.records
+    assert type(record.response) is Fraction and record.response == frac(answer)
+
+
+LINEAR_AGENTS = [
+    Valuation.piecewise_linear([((0, "1/2"), k, 1), (("1/2", 1), -1, 2)]) for k in range(1, 6)
+]
+
+
+@pytest.mark.parametrize("agents", ["generator", "linear"])
+@pytest.mark.parametrize("mechanism", SIZES, ids=[m.__name__ for m in SIZES])
+def test_protocols_take_no_fraction_ordering_comparison(mechanism, agents, monkeypatch):
+    # Every decision between answers is taken on integers, the clamp and the
+    # Allocation included.  The reference run shows that the count works.
+    n = SIZES[mechanism][1]
+    vals = random_uniform_agents(1, n) if agents == "generator" else LINEAR_AGENTS[:n]
+    compared = []
+    for name in ("__lt__", "__le__", "__gt__", "__ge__"):
+
+        def counting(x, y, name=name, compare=getattr(Fraction, name)):
+            compared.append(name)
+            return compare(x, y)
+
+        monkeypatch.setattr(Fraction, name, counting)
+    mechanism(sincere_oracles(vals))
+    assert compared == []
+    REFERENCES[mechanism](sincere_oracles(vals))
+    assert compared
