@@ -86,6 +86,7 @@ class EquityTable:
         rows = [_scaled_pairs([_ratio(x) for x in row]) for row in entries]
         if any(len(row) != len(rows) for row, _ in rows):
             raise ValueError("equity table must be square")
+        _some(rows)
         _store(self, [row for row, _ in rows], [den for _, den in rows])
 
     @property
@@ -129,12 +130,21 @@ def _store(table, rows, dens):
     return table
 
 
+class EmptySubset(ValueError):
+    """An operation that needs at least one agent received none."""
+
+
+def _some(agents):
+    # The one refusal of an empty input.
+    if not agents:
+        raise EmptySubset("need at least one agent")
+
+
 def _one_each(agents, items, mismatch="%d valuations but %d portions"):
     # The count rule of every entry that takes one item per agent.
     if len(agents) != len(items):
         raise ValueError(mismatch % (len(agents), len(items)))
-    if not agents:
-        raise ValueError("need at least one agent")
+    _some(agents)
 
 
 def equity_table(valuations, allocation):

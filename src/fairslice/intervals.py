@@ -13,10 +13,11 @@ the lcm of their denominators, `_merged` checks integer spans as an
 Interval checks its ends and merges them, and every region is stored by
 `_store` (`_spans_region` for a new one).  Union, intersection, difference
 and complement are one walk over two regions' ends over the lcm of their
-scales.  Intervals and Fractions are built only when a region is iterated
-or read as pairs, a length or text; `_text` prints an integer ratio as its
-Fraction would.  `_as_region` is the one coercion of a region-like value
-(an IntervalSet or (lo, hi) pairs) to a region.
+scales, and `contains` tests a point on the integers.  Intervals and
+Fractions are built only when a region is iterated or read as pairs, a
+length or text; `_text` prints an integer ratio as its Fraction would.
+`_as_region` is the one coercion of a region-like value (an IntervalSet or
+(lo, hi) pairs) to a region.
 
 Code that compares many endpoints at once ranks them: `_ranking` puts the
 ends of some regions over one scale and sorts those integers.  An atom
@@ -27,9 +28,9 @@ work on these ranks.
 Every endpoint a region hands out is a `fractions.Fraction`.  `_ratio` is
 the one reader of an exact number, for the library and the scenario reader
 alike: an int, a Fraction or text becomes an integer pair, behind one bound
-on exponents; `frac` is that pair as a Fraction.  Floats are refused at the
-boundary: Fraction(0.4) is not 2/5, and we never want to find that out the
-hard way.
+on exponents; `frac` is that pair as a Fraction.  Floats, bools and every
+other type are refused at the boundary: Fraction(0.4) is not 2/5, and we
+never want to find that out the hard way.
 """
 
 import re
@@ -55,11 +56,10 @@ def _exponent_out_of_range(text):
 
 def _ratio(x):
     # An exact number as an integer pair (numerator, denominator > 0), not
-    # necessarily reduced: an int, a Fraction, a "p" or "p/q" of at most 40
-    # ASCII digits with q > 0, or any other text as Fraction reads it once
-    # its exponent is in range.  isinstance against Fraction, whose
-    # metaclass is ABCMeta, is slow for anything but a Fraction, so
-    # subclasses are tested for last.
+    # necessarily reduced: exactly an int or a Fraction, a "p" or "p/q" of
+    # at most 40 ASCII digits with q > 0, or any other text as Fraction
+    # reads it once its exponent is in range.  A bool is refused, as a
+    # float is.
     if type(x) is Fraction or type(x) is int:
         return x.as_integer_ratio()
     if isinstance(x, str):
@@ -72,8 +72,6 @@ def _ratio(x):
         if _exponent_out_of_range(x):
             raise ValueError("exponent beyond %d" % _MAX_EXPONENT)
         return Fraction(x).as_integer_ratio()
-    if isinstance(x, (int, Fraction)):
-        return x.as_integer_ratio()
     raise TypeError("expected an exact rational (int, Fraction, or string), got %r" % (x,))
 
 
@@ -83,10 +81,7 @@ def frac(x):
     Floats are rejected: their binary expansions silently break exactness.
     So is an exponent beyond 4,300, which would build a huge integer first.
     """
-    if type(x) is Fraction:
-        return x
-    ratio = _ratio(x)
-    return x if isinstance(x, Fraction) else Fraction(*ratio)
+    return x if type(x) is Fraction else Fraction(*_ratio(x))
 
 
 @dataclass(frozen=True, slots=True)
@@ -110,9 +105,6 @@ class Interval:
     @property
     def length(self):
         return self.hi - self.lo
-
-    def contains(self, x):
-        return self.lo <= x <= self.hi
 
     def __repr__(self):
         return "[%s, %s]" % (self.lo, self.hi)
@@ -265,7 +257,10 @@ class IntervalSet:
         return not self._ends
 
     def contains(self, x):
-        return any(lo <= x <= hi for lo, hi in self.pairs())
+        """True when the exact number x lies in some span, ends included."""
+        p, r = _ratio(x)
+        point, ends = p * self._scale, self._ends
+        return any(lo * r <= point <= hi * r for lo, hi in zip(ends[::2], ends[1::2]))
 
     def union(self, other):
         return _merge(self, other, lambda a, b: a or b)

@@ -15,10 +15,11 @@ even_paz         n agents; divide-and-conquer halving.  Proportional in
                  O(n log n) queries.
 
 Determinism pins every tie: the chooser in cut_and_choose takes the right
-slice when indifferent, preference ties resolve to the leftmost slice, and
-equal marks in even_paz order by agent index.  Each cut names its slice and
-the Recorder holds the answer to it, so any exact answers make a valid
-allocation.  An inexact cut (bisected through a linear density) is taken at
+slice when indifferent; in selfridge agent 3 takes the trimmed slice X' on
+any tie and prefers Y to Z wherever they lie, and every other tie goes to
+the leftmost slice; equal marks in even_paz order by agent index.  Each cut
+names its slice and the Recorder holds the answer to it, so any exact
+answers make a valid allocation.  An inexact cut (bisected through a linear density) is taken at
 its word; audits against the true valuations show that.
 
 Answers reach a protocol as the exact rationals the Recorder read, and
@@ -107,7 +108,9 @@ def selfridge(oracles):
 
     The pick order protects agent 2: picking after agent 1 instead would let
     agent 1 walk off with agent 2's second favourite and leave agent 2 with
-    its worst slice.  All ties resolve to the leftmost slice in the running.
+    its worst slice.  Agent 3 takes X' on any tie and otherwise prefers Y
+    to Z on a tie, wherever those slices lie; every other tie resolves to
+    the leftmost slice in the running.
     """
     if len(oracles) != 3:
         raise ArityMismatch("selfridge needs exactly 3 agents, got %d" % len(oracles))

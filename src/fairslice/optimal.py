@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
-from fairslice.audit import Allocation, _one_each
+from fairslice.audit import Allocation, _one_each, _some
 from fairslice.intervals import _scaled, frac
 from fairslice.simplex import (
     GREATER,
@@ -71,8 +71,7 @@ def segment(valuations):
     agents is constant on each segment.  Crossings of rational affine
     pieces land on rational points, which keeps everything exact.
     """
-    if not valuations:
-        raise ValueError("need at least one agent")
+    _some(valuations)
     crossings = []
     # Two flat densities never cross.
     flat = [v.is_piecewise_constant() for v in valuations]
@@ -113,8 +112,7 @@ class SegmentRateMatrix:
 
     def __post_init__(self):
         rates = tuple(tuple(map(frac, row)) for row in self.rates)
-        if not rates:
-            raise ValueError("need at least one agent")
+        _some(rates)
         # In integers: the marks over their common scale S and each row's
         # rates over the row's own scale R integrate to R S.
         marks, scale = _scaled(self.segmentation.marks)

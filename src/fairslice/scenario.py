@@ -59,11 +59,9 @@ class Scenario:
 
 def _token(value, path):
     # An exact number token as `_ratio` reads it: a JSON integer, a Fraction
-    # that `frac` read from a bare decimal, or a string.  A bool is an int,
-    # but no token.
+    # that `frac` read from a bare decimal, or a string.
     try:
-        if type(value) is not bool:
-            return _ratio(value)
+        return _ratio(value)
     except TypeError:
         pass
     except (ValueError, ZeroDivisionError) as error:

@@ -20,15 +20,11 @@ from fractions import Fraction
 from functools import reduce
 from operator import index, or_
 
-from fairslice.audit import Allocation
+from fairslice.audit import Allocation, EmptySubset, _one_each, _some
 from fairslice.intervals import (
     IntervalSet, _as_region, _atom_table, _merged, _region, _spans_region, _weight,
 )
 from fairslice.valuation import UnsupportedValuationClass, Valuation
-
-
-class EmptySubset(ValueError):
-    """An operation that needs at least one agent received none."""
 
 
 class Infeasible(ValueError):
@@ -111,10 +107,7 @@ def lex_order(profile, order):
     """
     if not isinstance(order, AgentOrder):
         order = AgentOrder(order)
-    if len(order) != len(profile):
-        raise ValueError(
-            "order covers %d agents but the profile has %d" % (len(order), len(profile))
-        )
+    _one_each(order, profile, "order covers %d agents but the profile has %d")
     return _priority(profile, order)
 
 
@@ -129,8 +122,7 @@ def length_game(profile):
 def _priority(profile, order):
     # `lex_order` on one atom table of the claims; with no order, shorter
     # claims first, ties to the lower index.
-    if not len(profile):
-        raise EmptySubset("need at least one agent")
+    _some(profile)
     marks, weights, bits, scale = _atom_table(profile.strategies)
     if order is None:
         order = sorted(range(len(bits)), key=lambda i: _weight(bits[i], weights))
@@ -168,8 +160,7 @@ def _wanted_atoms(preferences, agents, cake):
     # One atom table over the cake and the agents' supports, the agents read
     # as a set: each agent's wanted cake as a bitmask, in order, then the table.
     agents = sorted(set(agents))
-    if not agents:
-        raise EmptySubset("need at least one agent")
+    _some(agents)
     for i in (agents[0], agents[-1]):
         _check_agent(i, len(preferences))
     supports = wanted_regions([preferences[i] for i in agents])
@@ -395,8 +386,7 @@ def min_average_rounds(preferences):
     round's region and average are read off the bitmask of its group's
     wanted cake.
     """
-    if not preferences:
-        raise EmptySubset("need at least one agent")
+    _some(preferences)
     marks, weights, bits, scale = _atom_table(wanted_regions(preferences))
     remaining = tuple(range(len(preferences)))
     cake = (1 << len(weights)) - 1

@@ -1120,7 +1120,7 @@ def reference_is_equilibrium(preferences, reduced):
     if len(preferences) != len(profile):
         raise ValueError("%d preferences but %d strategies" % (len(preferences), len(profile)))
     if not preferences:
-        raise ValueError("need at least one agent")
+        raise EmptySubset("need at least one agent")
     if not all(s.difference(p.support()).is_empty() for s, p in zip(profile, preferences)):
         raise NotWellBehaved("some claim strays outside its owner's wanted region")
 

@@ -57,6 +57,7 @@ INDEX = ("negative", "beyond")
 # the case then breaks.
 ENTRIES = {
     "equity_table": (COUNT, lambda p, c, o, i: equity_table(p, Allocation(c))),
+    "EquityTable": (("empty",), lambda p, c, o, i: EquityTable([[1] * len(p) for _ in p])),
     "is_non_wasteful": (COUNT, lambda p, c, o, i: is_non_wasteful(p, Allocation(c))),
     "utilitarian_equivalent": (
         COUNT, lambda p, c, o, i: utilitarian_equivalent(p, Allocation(c), Allocation(c))
@@ -132,6 +133,7 @@ NUMBER_ENTRIES = {
     "frac": frac,
     "Interval": lambda t: Interval(0, t),
     "IntervalSet": lambda t: IntervalSet([(0, t)]),
+    "IntervalSet.contains": lambda t: IntervalSet.unit().contains(t),
     "Valuation.uniform_on": lambda t: Valuation.uniform_on([(0, t)]),
     "Valuation.piecewise_constant": lambda t: Valuation.piecewise_constant([((0, 1), t)]),
     "Valuation.eval": lambda t: Valuation.uniform().eval(0, t),

@@ -88,6 +88,35 @@ def test_contains():
     assert not s.contains(Fraction(3, 8))
 
 
+def test_contains_refuses_what_is_not_an_exact_number():
+    # A float or a bool is refused as `frac` refuses it, never compared.
+    region = iset((0, "1/2"))
+    for point in (0.25, True):
+        with pytest.raises(TypeError):
+            region.contains(point)
+    with pytest.raises(TypeError):
+        frac(True)
+
+
+@pytest.mark.parametrize("kind", sorted(LARGE_DENOMINATORS))
+@given(data=st.data())
+def test_contains_follows_the_fraction_rule(kind, data):
+    # Points anywhere, at a span's end and a hair to either side of one,
+    # given as Fractions and as "p/q" text.
+    region = data.draw(large_scale_regions(kind), label="region")
+    points = [large_scale_fractions(kind)]
+    ends = [x for pair in region.pairs() for x in pair]
+    if ends:
+        hair = Fraction(1, max(LARGE_DENOMINATORS[kind]) ** 2)
+        points.append(st.builds(
+            lambda end, step: end + step * hair, st.sampled_from(ends), st.sampled_from([-1, 0, 1])
+        ))
+    point = data.draw(st.one_of(points), label="point")
+    expected = any(lo <= point <= hi for lo, hi in region.pairs())
+    assert region.contains(point) == expected
+    assert region.contains("%d/%d" % (point.numerator, point.denominator)) == expected
+
+
 @given(interval_sets())
 def test_canonicalization_idempotent(s):
     again = IntervalSet(s.pairs())

@@ -107,6 +107,22 @@ def test_only_valuation_reads_a_density():
     assert strays == []
 
 
+def test_only_audit_refuses_no_agents():
+    # `audit._some` is the one refusal of an empty input; every other module
+    # calls it rather than raising the error itself.
+    strays = []
+    for path in sorted(Path(fairslice.__file__).parent.glob("*.py")):
+        if path.name == "audit.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Raise):
+                for part in ast.walk(node):
+                    text = getattr(part, "value", None)
+                    if isinstance(text, str) and "need at least one agent" in text:
+                        strays.append("%s:%d raises it" % (path.name, node.lineno))
+    assert strays == []
+
+
 def _literal(node):
     try:
         ast.literal_eval(node)
