@@ -1,19 +1,21 @@
 """Exact linear programming over rationals.
 
-A two-phase primal simplex on an integer-preserving tableau (Edmonds
-1967; Bareiss, "Sylvester's identity and multistep integer-preserving
-Gaussian elimination", Math. Comp. 1968).  Each row is scaled to integers
-once and keeps its own denominator, so a pivot is integer products and
-exact divisions with no gcd, and leaves alone every row with a zero in the
-pivot column.  The tableau is condensed, as in exact simplex codes since
-Avis & Fukuda (1992): a row holds only the nonbasic columns, because a
-basic column is a unit column that a pivot need not rewrite.  A `>=` row
-with rhs 0 enters negated as a `<=` row, on its slack, with no
-artificial.  Bland's rule picks both the entering and the leaving
-variable by smallest column id, trading pivot count for a termination
-guarantee on degenerate instances; the scaling keeps every sign and every
-ratio order of the Fraction tableau, so the pivots are the ones that
-tableau would take.
+A two-phase primal simplex on a tableau of integer rows in lowest terms.
+Each row is scaled to integers once and keeps its own denominator, as do
+the costs; a pivot forms each touched row from integer products and
+divides it by the gcd of its entries, rhs and denominator, and leaves
+alone every row with a zero in the pivot column.  A row in lowest terms is
+the smallest integer form of its Fraction row, so no stored integer is
+larger than the minor an integer-preserving (Bareiss 1968) tableau would
+hold, and most are far smaller.  The tableau is condensed, as in exact
+simplex codes since Avis & Fukuda (1992): a row holds only the nonbasic
+columns, because a basic column is a unit column that a pivot need not
+rewrite.  A `>=` row with rhs 0 enters negated as a `<=` row, on its
+slack, with no artificial.  Bland's rule picks both the entering and the
+leaving variable by smallest column id, trading pivot count for a
+termination guarantee on degenerate instances; a row's scaling, by a
+positive number, keeps every sign and every ratio order of the Fraction
+tableau, so the pivots are the ones that tableau would take.
 Every optimal solve is certified in integers before it is returned: the
 vertex against each row, the multipliers' signs, dual feasibility
 (A^T y >= c) and strong duality.  Fractions appear only at the boundary.
@@ -104,9 +106,10 @@ class _Tableau:
     # permuted, Bland's rule compares column ids, never positions.  Row i
     # holds ints over its own denominator dens[i]: entry (i, j) of the
     # Fraction tableau, j = nonbasic[q], is
-    # body[i][q] * scale[j] / (dens[i] * scale[basis[i]]).  den is the last
-    # pivot, the costs are over den, and a row over den holds what the
-    # one-denominator (Bareiss) tableau would.
+    # body[i][q] * scale[j] / (dens[i] * scale[basis[i]]), and the costs are
+    # over cden.  Every row, with its rhs and denominator, is in lowest
+    # terms (their gcd is 1), and so are the costs with cden once a pivot
+    # has touched them.
 
     def __init__(self, problem, trace):
         self.problem = problem
@@ -131,7 +134,6 @@ class _Tableau:
         art_col = {r: n + len(with_slack) + k for k, r in enumerate(with_artificial)}
         self.artificials = set(art_col.values())
         self.cols = n + len(with_slack) + len(with_artificial)
-        self.den = 1
         self.scale = [1] * self.cols
         self.body = []
         self.rhs = []
@@ -196,23 +198,15 @@ class _Tableau:
         return self._reduce(costs + [0] * (self.cols - len(costs)))
 
     def _reduce(self, costs):
-        # Reduced costs over den, of the nonbasic columns (a basic one's is 0).
-        self._align(range(len(self.body)))
-        reduced = [self.den * costs[c] for c in self.nonbasic]
+        # Reduced costs of the nonbasic columns (a basic one's is 0), over
+        # cden, the lcm of the row denominators.
+        self.cden = math.lcm(*self.dens)
+        reduced = [self.cden * costs[c] for c in self.nonbasic]
         for r, row in enumerate(self.body):
-            factor = costs[self.basis[r]]
+            factor = costs[self.basis[r]] * (self.cden // self.dens[r])
             if factor != 0:
                 reduced = [v - factor * w for v, w in zip(reduced, row)]
         return reduced
-
-    def _align(self, rows):
-        # Bring rows over den: exact, as the one-denominator tableau holds the result.
-        for r in rows:
-            d = self.dens[r]
-            if d != self.den:
-                self.body[r] = [v * self.den // d for v in self.body[r]]
-                self.rhs[r] = self.rhs[r] * self.den // d
-                self.dens[r] = self.den
 
     def _optimize(self, costs):
         artificials = self.artificials
@@ -257,41 +251,31 @@ class _Tableau:
                 "pivot %d: column %d enters, row %d leaves\n"
                 % (self.pivots, self.nonbasic[q], r)
             )
-        # Row r, brought over den, stays and is now over p.  Every other
-        # row with g != 0 at q, its rhs and the costs become
-        # (p * v - g * w) // d, d their denominator, now p; a row with
-        # g == 0 is left alone.  Each division is exact: it yields the
-        # one-denominator tableau's entry, by Sylvester's identity a minor
-        # of the scaled input.  A negative pivot (only when expelling
+        # Row r stays and is now over |p|, which keeps it in lowest terms:
+        # its entries, rhs and denominator are the old ones with p and
+        # dens[r] swapped.  A negative pivot (only when expelling
         # artificials) first negates row r, which pivots to the same rows.
-        # The leaving column was b = den in row r (-den once negated) and 0
-        # elsewhere, so at q row r now holds b and the others (-g * b) // d.
-        self._align((r,))
-        den = self.den
+        # The leaving column was b = dens[r] in row r (-dens[r] once
+        # negated) and 0 elsewhere, so at q row r now holds b.  Every other
+        # row with g != 0 at q, and the costs, are eliminated at q against
+        # row r (_eliminate); a row with g == 0 is left alone.
         row = self.body[r]
         rhs = self.rhs[r]
         p = row[q]
-        b = den
+        b = self.dens[r]
         if p < 0:
-            p, b = -p, -den
+            p, b = -p, -b
             self.body[r] = row = [-w for w in row]
             self.rhs[r] = rhs = -rhs
         for other, body_row in enumerate(self.body):
-            g = body_row[q]
-            if g == 0 or other == r:
-                continue
-            d = self.dens[other]
-            new = [(p * v - g * w) // d for v, w in zip(body_row, row)]
-            new[q] = -g * b // d
-            self.body[other] = new
-            self.rhs[other] = (p * self.rhs[other] - g * rhs) // d
-            self.dens[other] = p
+            if body_row[q] != 0 and other != r:
+                self.body[other], self.rhs[other], self.dens[other] = _eliminate(
+                    body_row, self.rhs[other], self.dens[other], row, rhs, p, b, q
+                )
         if costs is not None:
-            g = costs[q]
-            costs[:] = [(p * v - g * w) // den for v, w in zip(costs, row)]
-            costs[q] = -g * b // den
+            costs[:], _, self.cden = _eliminate(costs, 0, self.cden, row, 0, p, b, q)
         row[q] = b
-        self.den = self.dens[r] = p
+        self.dens[r] = p
         self.basis[r], self.nonbasic[q] = self.nonbasic[q], self.basis[r]
         if self.trace is not None:
             self._dump()
@@ -330,22 +314,22 @@ class _Tableau:
 
     def _certify(self):
         # In ints: row r as written times s_r, with the rhs last; the vertex
-        # times den; and, read off the costs of the slacks and artificials,
-        # the multiplier of each such row times den * the objective's scale.
-        self._align(range(len(self.body)))
+        # times den, the lcm of the row denominators and cden; and, read off
+        # the costs of the slacks and artificials, the multiplier of each
+        # such row times den * the objective's scale.
         n = self.problem.n_vars
-        den = self.den
+        den = math.lcm(self.cden, *self.dens)
         written = self.written
         x = [0] * n
         for r, b in enumerate(self.basis):
             if b < n:
-                x[b] = self.rhs[r]
+                x[b] = self.rhs[r] * (den // self.dens[r])
         duals = [0] * len(written)
         # A basic slack or artificial has reduced cost 0, so its row's dual is 0.
         position = {c: q for q, c in enumerate(self.nonbasic)}
         for original in self.row_of:
             q = position.get(self.id_col[original])
-            y = 0 if q is None else -self.costs[q]
+            y = 0 if q is None else -self.costs[q] * (den // self.cden)
             duals[original] = -y if self.flipped[original] else y
         objective, cost_scale = _scaled(self.problem.objective)
         value = sum(c * v for c, v in zip(objective, x))
@@ -391,3 +375,22 @@ class _Tableau:
                     self.basis[r],
                 )
             )
+
+
+def _eliminate(v, v_rhs, d, w, w_rhs, p, b, q):
+    # Row v, with rhs v_rhs, over d, less g / d times the pivot row w, with
+    # rhs w_rhs, over p, where g = v[q] and w[q] = p: (p * v - g * w) over
+    # d * p, with p and g first divided by their gcd and the result by its
+    # content.  Position q becomes the leaving column, which is b in w and
+    # 0 in v.  The costs pass rhs 0.
+    g = v[q]
+    k = math.gcd(p, g)
+    p, g = p // k, g // k
+    new = [p * x - g * y for x, y in zip(v, w)]
+    new[q] = -g * b
+    new_rhs = p * v_rhs - g * w_rhs
+    d *= p
+    k = math.gcd(d, new_rhs, *new)
+    if k == 1:
+        return new, new_rhs, d
+    return [x // k for x in new], new_rhs // k, d // k

@@ -1345,7 +1345,7 @@ def reference_even_paz(oracles):
 def reference_lp_solve(problem, trace=None):
     """The two-phase Bland simplex on a dense tableau of Fractions.
 
-    The library pivots on an integer-preserving tableau instead; it must
+    The library pivots on integer rows in lowest terms instead; it must
     take the same pivots, print the same trace and return the same vertex
     and duals as this one.
     """

@@ -1,19 +1,20 @@
 """The exact simplex against its Fraction-tableau oracle.
 
-The library pivots on an integer-preserving tableau whose rows each keep a
-denominator of their own; `reference_lp_solve` in helpers.py pivots on
+The library pivots on integer rows that each keep a denominator of their
+own and stay in lowest terms; `reference_lp_solve` in helpers.py pivots on
 Fractions.  Both run Bland's rule and take a `>=` row with rhs 0 as the
 `<=` row it negates to, so they must agree on everything a caller or a
 reader of --verbose-lp can see: status, value, vertex, duals, pivot count
 and the trace text, on random programs and on the CLI's --verbose-lp.
 Further cases pin the pivot mechanics (a row with a zero in the pivot
-column is left as it was, rows hold only the nonbasic columns, envy-free
-programs need no artificial) and the integer certificate, which must
+column is left as it was, rows hold only the nonbasic columns and stay in
+lowest terms, envy-free programs need no artificial) and the integer certificate, which must
 refuse a vertex that is feasible but not optimal.
 """
 
 import io
 import json
+import math
 from fractions import Fraction
 
 import pytest
@@ -238,7 +239,7 @@ def test_pivot_leaves_a_row_with_zero_in_the_pivot_column_alone():
     tableau = simplex._Tableau(problem, None)
     untouched = tableau.body[1]
     tableau._pivot(0, 0)
-    assert tableau.den == 2
+    assert (tableau.body[0], tableau.rhs[0]) == ([1, 0], 1)
     assert tableau.body[1] is untouched
     assert tableau.dens == [2, 1]
     assert solve_both(problem).value == Fraction(3, 2)
@@ -253,14 +254,14 @@ def test_certificate_refuses_a_feasible_vertex_that_is_not_optimal():
         tableau._certify()
 
 
-@pytest.mark.parametrize("criterion", ["envy-free", "proportional", "equitable"])
-def test_rows_hold_only_the_nonbasic_columns(monkeypatch, criterion):
-    # Envy-free starts on its slacks; proportional and equitable run phase
-    # one on artificials and expel them before phase two.  After every
-    # pivot each column is basic or nonbasic, and each stored row and the
-    # costs hold one entry per nonbasic column.
-    problem, _ = welfare_program(monkeypatch, 4, criterion)
-    seen = []
+def checked_pivot(seen):
+    """`_Tableau._pivot`, then a check of what every pivot must leave.
+
+    Each column is basic or nonbasic, and each stored row and the costs
+    hold one entry per nonbasic column.  Each row, with its rhs and its
+    positive denominator, is in lowest terms, and so are the costs with
+    cden.  The pivot count goes on seen.
+    """
     pivot = simplex._Tableau._pivot
 
     def checked(self, r, q, costs=None):
@@ -268,14 +269,39 @@ def test_rows_hold_only_the_nonbasic_columns(monkeypatch, criterion):
         width = self.cols - len(self.basis)
         assert sorted(self.nonbasic + self.basis) == list(range(self.cols))
         assert all(len(row) == width for row in self.body)
-        assert costs is None or len(costs) == width
+        for row, rhs, d in zip(self.body, self.rhs, self.dens):
+            assert d > 0 and math.gcd(*row, rhs, d) == 1
+        if costs is not None:
+            assert len(costs) == width
+            assert self.cden > 0 and math.gcd(*costs, self.cden) == 1
         seen.append(self.pivots)
 
-    monkeypatch.setattr(simplex._Tableau, "_pivot", checked)
+    return checked
+
+
+@pytest.mark.parametrize("criterion", ["envy-free", "proportional", "equitable"])
+def test_rows_hold_only_the_nonbasic_columns(monkeypatch, criterion):
+    # Envy-free starts on its slacks; proportional and equitable run phase
+    # one on artificials and expel them before phase two.
+    problem, _ = welfare_program(monkeypatch, 4, criterion)
+    seen = []
+    monkeypatch.setattr(simplex._Tableau, "_pivot", checked_pivot(seen))
     tableau = simplex._Tableau(problem, None)
     assert bool(tableau.artificials) == (criterion != "envy-free")
     tableau.solve()
     assert seen == list(range(1, tableau.pivots + 1)) and len(seen) > 1
+
+
+@settings(max_examples=200, deadline=None)
+@given(lp_problems())
+def test_rows_stay_in_lowest_terms_on_random_programs(problem):
+    # Degenerate, redundant and phase-one programs: every pivot, phase one,
+    # expelling artificials and phase two, leaves the same invariants.
+    seen = []
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(simplex._Tableau, "_pivot", checked_pivot(seen))
+        solution = lp_solve(problem)
+    assert seen == list(range(1, solution.pivots + 1))
 
 
 def assert_verbose_lp_matches_fraction_tableau(tmp_path, capsys, monkeypatch, criterion):
