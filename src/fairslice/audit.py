@@ -98,9 +98,14 @@ class EquityTable:
         return len(self._rows)
 
     def strings(self):
-        """Rows of the entries as str() prints them, each reduced by one gcd
-        without building a Fraction."""
-        return [[_text(x, den) for x in row] for row, den in zip(self._rows, self._dens)]
+        """Rows of the entries as str() prints them, without building a
+        Fraction: each distinct entry of a row is reduced by one gcd and
+        printed once."""
+        rows = []
+        for row, den in zip(self._rows, self._dens):
+            texts = {}  # numerator -> text; a text is never empty
+            rows.append([texts.get(x) or texts.setdefault(x, _text(x, den)) for x in row])
+        return rows
 
     def diagonal(self):
         return tuple(Fraction(num, den) for num, den in self._diagonal())

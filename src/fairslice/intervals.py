@@ -75,6 +75,14 @@ def _ratio(x):
     raise TypeError("expected an exact rational (int, Fraction, or string), got %r" % (x,))
 
 
+def _lowest(num, den):
+    # num / den in lowest terms, with a positive denominator.
+    g = gcd(num, den)
+    if den < 0:
+        g = -g
+    return num // g, den // g
+
+
 def frac(x):
     """Coerce ints, Fractions, and strings like "3/7" or "0.4" to Fraction.
 

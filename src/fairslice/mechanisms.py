@@ -22,17 +22,21 @@ names its slice and the Recorder holds the answer to it, so any exact
 answers make a valid allocation.  An inexact cut (bisected through a linear density) is taken at
 its word; audits against the true valuations show that.
 
-Answers reach a protocol as the exact rationals the Recorder read, and
-every decision between them is taken on integers: answers are ranked
-over one scale (`intervals._scaled`) and a worth is tested against a
-share by cross-multiplying, never by a Fraction comparison.
+Answers reach a protocol as the reduced integer pairs the Recorder read,
+and every decision between them is taken on integers: answers are ranked
+over one scale (`intervals._scaled_pairs`) and a worth is tested against
+a share by cross-multiplying, never by a Fraction comparison.  Points,
+shares and targets are pairs too; a Fraction is built only for each end
+of an allocated slice.
 """
 
 from fractions import Fraction
 
 from fairslice.audit import Allocation
-from fairslice.intervals import _scaled
+from fairslice.intervals import _scaled_pairs
 from fairslice.oracle import MechanismResult, Recorder
+
+_ZERO, _ONE = (0, 1), (1, 1)
 
 
 class ArityMismatch(ValueError):
@@ -40,7 +44,12 @@ class ArityMismatch(ValueError):
 
 
 def _result(portions, recorder):
-    return MechanismResult(Allocation(portions), recorder)
+    # Each portion is a list of slices whose ends are integer pairs; the
+    # allocation gets them as Fractions.
+    return MechanismResult(
+        Allocation([[(Fraction(*lo), Fraction(*hi)) for lo, hi in p] for p in portions]),
+        recorder,
+    )
 
 
 def cut_and_choose(oracles):
@@ -52,12 +61,12 @@ def cut_and_choose(oracles):
     if len(oracles) != 2:
         raise ArityMismatch("cut_and_choose needs exactly 2 agents, got %d" % len(oracles))
     rec = Recorder(oracles)
-    a = rec.cut(0, 0, Fraction(1, 2))
-    (left, right), _ = _scaled([rec.eval(1, 0, a), rec.eval(1, a, 1)])
+    a = rec._cut_pair(0, _ZERO, (1, 2))
+    (left, right), _ = _scaled_pairs([rec._eval_pair(1, _ZERO, a), rec._eval_pair(1, a, _ONE)])
     if left > right:
-        portions = [[(a, 1)], [(0, a)]]
+        portions = [[(a, _ONE)], [(_ZERO, a)]]
     else:
-        portions = [[(0, a)], [(a, 1)]]
+        portions = [[(_ZERO, a)], [(a, _ONE)]]
     return _result(portions, rec)
 
 
@@ -75,19 +84,19 @@ def last_diminisher(oracles):
     if n < 2:
         raise ArityMismatch("last_diminisher needs at least 2 agents, got %d" % n)
     rec = Recorder(oracles)
-    share = Fraction(1, n)
+    share = (1, n)
     portions = [[] for _ in range(n)]
     remaining = list(range(n))
-    s = Fraction(0)
+    s = _ZERO
     while remaining:
-        l = Fraction(1)
+        l = _ONE
         last = None
         for i in remaining:
-            worth = rec.eval(i, s, l)
-            if worth.numerator * n > worth.denominator:
+            num, den = rec._eval_pair(i, s, l)
+            if num * n > den:
                 last = i
                 if len(remaining) > 1:
-                    l = rec.cut(i, s, share, l)
+                    l = rec._cut_pair(i, s, share, l)
         if last is None:
             last = remaining[0]
         portions[last].append((s, l))
@@ -115,11 +124,11 @@ def selfridge(oracles):
     if len(oracles) != 3:
         raise ArityMismatch("selfridge needs exactly 3 agents, got %d" % len(oracles))
     rec = Recorder(oracles)
-    a = rec.cut(0, 0, Fraction(1, 3))
-    b = rec.cut(0, a, Fraction(1, 3))
-    thirds = [(Fraction(0), a), (a, b), (b, Fraction(1))]
-    worth = [rec.eval(1, lo, hi) for lo, hi in thirds]
-    rank, _ = _scaled(worth)
+    a = rec._cut_pair(0, _ZERO, (1, 3))
+    b = rec._cut_pair(0, a, (1, 3))
+    thirds = [(_ZERO, a), (a, b), (b, _ONE)]
+    worth = [rec._eval_pair(1, lo, hi) for lo, hi in thirds]
+    rank, _ = _scaled_pairs(worth)
 
     x_index = max(range(3), key=lambda k: (rank[k], -k))
     x1, x2 = thirds[x_index]
@@ -131,12 +140,12 @@ def selfridge(oracles):
     y = thirds[y_index]
 
     # Trim X to tie with Y in agent 2's eyes; the trimming T may be empty.
-    c = rec.cut(1, x1, worth[y_index], x2)
+    c = rec._cut_pair(1, x1, worth[y_index], x2)
     x_prime = (x1, c)
     trim = (c, x2)
 
     portions = [[], [], []]
-    pick_3, _ = _scaled([rec.eval(2, *x_prime), rec.eval(2, *y), rec.eval(2, *z)])
+    pick_3, _ = _scaled_pairs([rec._eval_pair(2, lo, hi) for lo, hi in (x_prime, y, z)])
     if pick_3[0] >= pick_3[1] and pick_3[0] >= pick_3[2]:
         # Agent 3 takes the trimmed slice; agent 2 keeps its second
         # favourite third (Y by construction) and agent 1 the remaining one.
@@ -161,15 +170,16 @@ def _divide_trimming(rec, divider, trim, portions):
     # {2,3} that took the trimmed slice picks first, then agent 1.
     c, x2 = trim
     first_picker = 2 if divider == 1 else 1
-    u = rec.eval(divider, c, x2)
-    d = rec.cut(divider, c, u / 3, x2)
-    e = rec.cut(divider, d, u / 3, x2)
+    un, ud = rec._eval_pair(divider, c, x2)
+    third = (un, 3 * ud)
+    d = rec._cut_pair(divider, c, third, x2)
+    e = rec._cut_pair(divider, d, third, x2)
     slices = [(c, d), (d, e), (e, x2)]
-    values, _ = _scaled([rec.eval(first_picker, lo, hi) for lo, hi in slices])
+    values, _ = _scaled_pairs([rec._eval_pair(first_picker, lo, hi) for lo, hi in slices])
     best = max(range(3), key=lambda k: (values[k], -k))
     portions[first_picker].append(slices[best])
     rest = [slices[k] for k in range(3) if k != best]
-    (first, second), _ = _scaled([rec.eval(0, *rest[0]), rec.eval(0, *rest[1])])
+    (first, second), _ = _scaled_pairs([rec._eval_pair(0, lo, hi) for lo, hi in rest])
     if first >= second:
         portions[0].append(rest[0])
         portions[divider].append(rest[1])
@@ -202,13 +212,13 @@ def even_paz(oracles):
         half, k = len(group) // 2, len(group)
         marks = {}
         for i in group:
-            worth = rec.eval(i, s, t)
-            marks[i] = rec.cut(i, s, Fraction(worth.numerator * half, worth.denominator * k), t)
-        rank = dict(zip(marks, _scaled(marks.values())[0]))
+            num, den = rec._eval_pair(i, s, t)
+            marks[i] = rec._cut_pair(i, s, (num * half, den * k), t)
+        rank = dict(zip(marks, _scaled_pairs(list(marks.values()))[0]))
         ordered = sorted(sorted(group), key=rank.__getitem__)  # ties by index
         split = marks[ordered[half - 1]]
         subroutine(ordered[:half], s, split)
         subroutine(ordered[half:], split, t)
 
-    subroutine(list(range(n)), Fraction(0), Fraction(1))
+    subroutine(list(range(n)), _ZERO, _ONE)
     return _result(portions, rec)

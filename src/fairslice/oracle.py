@@ -8,26 +8,33 @@ Protocols in this family interact with agents only through two questions:
 A Valuation answers both, so it is its own sincere oracle.  Anything with
 the same two methods can stand in for one: the tests' lying agents build on
 AgentOracle, which wraps a valuation.  A Recorder sits between a running
-mechanism and its oracles and logs every query and reply as a QueryRecord
-named tuple; it is the transcript a MechanismResult carries, so runs can be
-audited and query complexity is measurable.
+mechanism and its oracles and logs every query and reply; it is the
+transcript a MechanismResult carries, so runs can be audited and query
+complexity is measurable.
 
-The Recorder owns what an answer is: each is read once as an exact
-rational (an int, a Fraction or a string such as "3/7", never a float) and
-recorded as given, and a cut of the slice [a, end] is held to it.  Answers
-are compared as integers, here and in the protocols: the clamp
-cross-multiplies the answer's numerator and denominator with the bounds',
-never through a Fraction comparison.  A cut through a linear density may
-have an irrational answer, which the valuation bisects to a tolerance;
-Valuation.cut hands back the whole CutResult so the Recorder can count
-such inexact cuts.  A bare point is taken as exact.
+Questions and answers pass through the Recorder as integer pairs
+(numerator, denominator > 0), answers in lowest terms.  A Valuation is
+asked through its pair kernels, `_eval_pair` and `_cut_pair`; any other
+oracle through one `_StandIn` adapter, made when the Recorder is, which
+hands it Fractions and reads its answer once as an exact rational (an int,
+a Fraction or a string such as "3/7", never a float) through `_ratio`.  A
+cut through a linear density may have an irrational answer, which the
+valuation bisects to a tolerance; the cut kernel says whether its answer
+is exact, a stand-in's CutResult says so too, and a bare point is taken as
+exact, so the Recorder counts inexact cuts.  An answer is recorded as
+given, and a cut of the slice [a, end] is held to it by cross-multiplying
+the answer's pair with the bounds', never through a Fraction comparison.
+The log is raw tuples with running counts; `records` builds their
+QueryRecord named tuples of Fractions on each read.  The public `eval`
+and `cut` are the pair methods with Fractions in and out.
 """
 
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import NamedTuple
 
-from fairslice.intervals import _ratio, frac
-from fairslice.valuation import CutResult
+from fairslice.intervals import _lowest, _ratio
+from fairslice.valuation import CutResult, Valuation
 
 
 class AgentOracle:
@@ -54,46 +61,81 @@ class QueryRecord(NamedTuple):
     response: object
 
 
+class _StandIn:
+    """Puts pair questions to an oracle that is not a Valuation, as Fractions.
+
+    Its answers are read through `_ratio` into reduced pairs; a cut answer
+    may be a CutResult or a bare point, which counts as exact.
+    """
+
+    def __init__(self, oracle):
+        self.oracle = oracle
+
+    def _eval_pair(self, a, b):
+        return _lowest(*_ratio(self.oracle.eval(Fraction(*a), Fraction(*b))))
+
+    def _cut_pair(self, a, target):
+        response = self.oracle.cut(Fraction(*a), Fraction(*target))
+        if isinstance(response, CutResult):
+            return (*_lowest(*_ratio(response.point)), response.exact)
+        return (*_lowest(*_ratio(response)), True)
+
+
 class Recorder:
-    """Routes queries to oracles (0-indexed agents) and is the run's transcript."""
+    """Routes queries to oracles (0-indexed agents) and is the run's transcript.
+
+    Points, targets and answers are kept as integer pairs (numerator,
+    denominator > 0); `records` builds their QueryRecords of Fractions on
+    each read.
+    """
 
     def __init__(self, oracles):
-        self.oracles = list(oracles)
-        self.records = []
+        self._agents = [o if type(o) is Valuation else _StandIn(o) for o in oracles]
+        self._log = []
+        self.cut_count = 0
         self.inexact_cuts = 0
 
     @property
+    def records(self):
+        return [
+            QueryRecord(i, kind, (Fraction(*x), Fraction(*y)), Fraction(*response))
+            for i, kind, x, y, response in self._log
+        ]
+
+    @property
     def total(self):
-        return len(self.records)
+        return len(self._log)
 
     @property
     def eval_count(self):
-        return self.total - self.cut_count
-
-    @property
-    def cut_count(self):
-        return sum(1 for r in self.records if r.kind == "cut")
+        return len(self._log) - self.cut_count
 
     def eval(self, i, a, b):
-        response = frac(self.oracles[i].eval(a, b))
-        self.records.append(QueryRecord(i, "eval", (a, b), response))
-        return response
+        return Fraction(*self._eval_pair(i, _ratio(a), _ratio(b)))
 
     def cut(self, i, a, target, end=1):
         """Agent i's cut of the slice [a, end], held to the slice."""
-        response = self.oracles[i].cut(a, target)
-        if isinstance(response, CutResult):
-            self.inexact_cuts += not response.exact
-            response = response.point
-        response = frac(response)
-        self.records.append(QueryRecord(i, "cut", (a, target), response))
-        n, d = response.as_integer_ratio()
-        (an, ad), (en, ed) = _ratio(a), _ratio(end)
-        if n * ad <= an * d:
-            return frac(a)
-        if n * ed >= en * d:
-            return frac(end)
+        return Fraction(*self._cut_pair(i, _ratio(a), _ratio(target), _ratio(end)))
+
+    def _eval_pair(self, i, a, b):
+        # Agent i's worth of [a, b], all three as integer pairs.
+        response = self._agents[i]._eval_pair(a, b)
+        self._log.append((i, "eval", a, b, response))
         return response
+
+    def _cut_pair(self, i, a, target, end=(1, 1)):
+        # Agent i's cut of the slice [a, end], held to the slice, all as
+        # integer pairs: a bound is returned as given.
+        n, d, exact = self._agents[i]._cut_pair(a, target)
+        self._log.append((i, "cut", a, target, (n, d)))
+        self.cut_count += 1
+        self.inexact_cuts += not exact
+        (an, ad), (en, ed) = a, end
+        if n * ad <= an * d:
+            return a
+        if n * ed >= en * d:
+            return end
+        return n, d
 
 
 @dataclass(frozen=True)

@@ -17,7 +17,7 @@ once and in integers: the piece ends over one scale D, the mass left of
 each piece over one scale M, and F on each piece as integer coefficients
 over M.  A query point p/r falls on the piece whose start is the last one
 at or below floor(p*D/r), and F(p/r) comes out as an unreduced integer
-pair.  eval(a, b) is F(b) - F(a), reduced into one Fraction.  masses_at
+pair.  eval(a, b) is F(b) - F(a), for a <= b on the cake.  masses_at
 reads F at many sorted points over one scale S in one merge, as integers
 over M S^2, which is how an equity table is built and `optimal` rates
 its segments; measure reads a region's integer ends, over the region's
@@ -35,13 +35,18 @@ support are built from the arrays on first read, the support by the
 integer span merge of `intervals`.  The raw-piece constructor, eval and
 cut read their numbers as integer pairs through `intervals._ratio`.
 
+Each query has one body, a pair kernel: `_eval_pair` takes the points as
+integer pairs (numerator, denominator > 0) and answers a pair in lowest
+terms, and `_cut_pair` answers the point's pair and whether it is exact.
+The Recorder asks the kernels; eval and cut wrap them, in a Fraction and
+a CutResult.
+
 cut adds its target to F(a), finds the piece where F reaches that goal by
 bisecting the integer masses for ceil(goal*M), and solves F(x) = goal there
 as one integer equation A x^2 + B x + C = 0.  A constant piece (A = 0) and
 a linear piece whose discriminant is a square give the exact rational
 root; only an irrational root is bisected, in integers, to
-BISECT_TOLERANCE and flagged as inexact.  Every other answer is an exact
-Fraction.
+BISECT_TOLERANCE and flagged as inexact.  Every other answer is exact.
 """
 
 import math
@@ -50,8 +55,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from fairslice.intervals import (
-    Interval, IntervalSet, _as_region, _check_span, _merged, _ratio, _scaled_pairs, _span,
-    _spans_region, _text,
+    Interval, IntervalSet, _as_region, _check_span, _lowest, _merged, _ratio, _scaled_pairs,
+    _span, _spans_region, _text,
 )
 
 BISECT_TOLERANCE = Fraction(1, 10**12)
@@ -294,19 +299,26 @@ class Valuation:
         return beta * p + delta * r, total * r
 
     def eval(self, a, b):
-        """Exact mass of [a,b], as F(b) - F(a).
+        """Exact mass of [a,b], as F(b) - F(a), for 0 <= a <= b <= 1.
 
         >>> v = Valuation.uniform_on([(0, "0.6")])
         >>> v.eval(Fraction(1, 2), 1)
         Fraction(1, 6)
         """
-        pa, ra = _ratio(a)
-        pb, rb = _ratio(b)
+        return Fraction(*self._eval_pair(_ratio(a), _ratio(b)))
+
+    def _eval_pair(self, a, b):
+        # eval on integer pairs (numerator, denominator > 0): the mass of
+        # [a, b] as a reduced pair.
+        pa, ra = a
+        pb, rb = b
         if pb * ra < pa * rb:
             raise ValueError("need a <= b")
+        if pa < 0 or pb > rb:
+            raise ValueError("eval bounds must lie in [0,1]")
         nl, dl = self._mass_below(pa, ra)
         nh, dh = self._mass_below(pb, rb)
-        return Fraction(nh * dl - nl * dh, dl * dh)
+        return _lowest(nh * dl - nl * dh, dl * dh)
 
     def measure(self, region):
         """Exact mass of a region, from one masses_at sweep of its ends."""
@@ -366,14 +378,20 @@ class Valuation:
         >>> ramp.cut(0, Fraction(1, 2))
         CutResult(point=Fraction(388736063997, 549755813888), exact=False)
         """
-        p, r = _ratio(a)
-        tn, td = _ratio(target)
+        num, den, exact = self._cut_pair(_ratio(a), _ratio(target))
+        return CutResult(Fraction(num, den), exact)
+
+    def _cut_pair(self, a, target):
+        # cut on integer pairs (numerator, denominator > 0): the point as a
+        # reduced pair, and whether it is exact.
+        p, r = a
+        tn, td = target
         if not 0 <= p <= r:
             raise ValueError("cut start must lie in [0,1]")
         if tn < 0:
             raise ValueError("cut target must be non-negative")
         if tn == 0:
-            return CutResult(Fraction(p, r), True)
+            return (*_lowest(p, r), True)
         # The goal F(a) + target is gn / gd.  The cut lies on the first piece
         # whose right end reaches it: masses[k + 1] >= goal * M, an integer
         # inequality that holds iff masses[k + 1] >= ceil(goal * M).
@@ -384,7 +402,7 @@ class Valuation:
         if k == len(self._los):
             raise TargetUnreachable(
                 "requested mass %s exceeds mass %s right of %s"
-                % (_text(tn, td), self.eval(a, 1), _text(p, r))
+                % (_text(tn, td), _text(*self._eval_pair(a, (1, 1))), _text(p, r))
             )
         # On piece k, F(x) = goal is A x^2 + B x + C = 0 in integers.  F
         # rises there, so its root in the piece is the one where the
@@ -392,11 +410,11 @@ class Valuation:
         alpha, beta, delta = self._poly[k]
         A, B, C = alpha * gd, beta * gd, delta * gd - gn * total
         if not A:
-            return CutResult(Fraction(-C, B), True)
+            return (*_lowest(-C, B), True)
         disc = B * B - 4 * A * C
         root = math.isqrt(disc)
         if root * root == disc:
-            return CutResult(Fraction(root - B, 2 * A), True)
+            return (*_lowest(root - B, 2 * A), True)
         # Bisect [lo, hi] / d, from the later of a and the piece start to the
         # piece end, with dyadic midpoints: keep the right half while F is
         # below the goal at the midpoint.
@@ -412,4 +430,4 @@ class Valuation:
                 lo = mid
             else:
                 hi = mid
-        return CutResult(Fraction(hi, d), False)
+        return (*_lowest(hi, d), False)

@@ -25,7 +25,7 @@ from fairslice.equilibrium import (
 )
 from fairslice.intervals import Interval, IntervalSet, _atom_table, _weight, frac, union_all
 from fairslice.optimal import SegmentRateMatrix, Segmentation
-from fairslice.oracle import MechanismResult, QueryRecord, Recorder
+from fairslice.oracle import MechanismResult, QueryRecord
 from fairslice.simplex import (
     EQUAL,
     GREATER,
@@ -1214,8 +1214,34 @@ def reference_leximin_lengths(preferences):
 # the query protocols, deciding by Fraction comparisons
 
 
-class ReferenceRecorder(Recorder):
-    """The Recorder, holding each cut to its slice by Fraction max and min."""
+class ReferenceRecorder:
+    """A transcript in Fractions, sharing no code with the library's Recorder.
+
+    Each answer is read by `frac` and recorded as given, and each cut is
+    held to its slice by Fraction max and min.
+    """
+
+    def __init__(self, oracles):
+        self.oracles = list(oracles)
+        self.records = []
+        self.inexact_cuts = 0
+
+    @property
+    def total(self):
+        return len(self.records)
+
+    @property
+    def eval_count(self):
+        return sum(1 for r in self.records if r.kind == "eval")
+
+    @property
+    def cut_count(self):
+        return sum(1 for r in self.records if r.kind == "cut")
+
+    def eval(self, i, a, b):
+        response = frac(self.oracles[i].eval(a, b))
+        self.records.append(QueryRecord(i, "eval", (a, b), response))
+        return response
 
     def cut(self, i, a, target, end=1):
         response = self.oracles[i].cut(a, target)

@@ -17,7 +17,9 @@ from fairslice.audit import (
     utilitarian_efficiency,
     utilitarian_equivalent,
 )
+from fairslice.generator import random_uniform_agents
 from fairslice.intervals import IntervalSet, union_all
+from fairslice.mechanisms import even_paz
 from fairslice.optimal import pareto_oracle
 from fairslice.valuation import Valuation
 from helpers import (
@@ -342,6 +344,27 @@ def test_equity_table_round_trips_its_entries(rows):
     assert EquityTable(table.entries) == table
     assert table.strings() == [[str(x) for x in row] for row in rows]
     assert criteria(table) == reference_criteria(rows)
+
+
+@pytest.mark.parametrize("kind", sorted(LARGE_DENOMINATORS))
+@settings(max_examples=100)
+@given(data=st.data())
+def test_strings_print_repeated_entries_as_str_does(kind, data):
+    # Each row draws from a pool of at most three values, zero among them,
+    # so entries repeat, within a row and across rows of other denominators.
+    n = data.draw(st.integers(1, 6))
+    pool = [Fraction(0)] + data.draw(st.lists(large_scale_fractions(kind), min_size=1, max_size=2))
+    rows = data.draw(st.lists(st.lists(st.sampled_from(pool), min_size=n, max_size=n),
+                              min_size=n, max_size=n))
+    table = EquityTable(rows)
+    assert table.strings() == [[str(e) for e in row] for row in table.entries]
+
+
+def test_strings_of_an_even_paz_table_print_as_str_does():
+    # Generator agents' table: most entries of a row are zeros or repeats.
+    agents = random_uniform_agents(3, 24)
+    table = equity_table(agents, even_paz(agents).allocation)
+    assert table.strings() == [[str(e) for e in row] for row in table.entries]
 
 
 @pytest.mark.parametrize("valuations", [HALVES[:1], THREE_AGENTS], ids=["fewer", "more"])

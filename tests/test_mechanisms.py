@@ -416,11 +416,15 @@ class _Scripted:
         return next(self.answers)
 
 
+def counts(transcript):
+    return transcript.total, transcript.eval_count, transcript.cut_count, transcript.inexact_cuts
+
+
 def assert_runs_as_the_reference(mechanism, make_oracles):
     result, reference = mechanism(make_oracles()), REFERENCES[mechanism](make_oracles())
     assert result.transcript.records == reference.transcript.records
     assert result.allocation == reference.allocation
-    assert result.transcript.inexact_cuts == reference.transcript.inexact_cuts
+    assert counts(result.transcript) == counts(reference.transcript)
 
 
 @pytest.mark.parametrize("agents", ["generator", "constant", "linear"])
@@ -501,3 +505,24 @@ def test_protocols_take_no_fraction_ordering_comparison(mechanism, agents, monke
     assert compared == []
     REFERENCES[mechanism](sincere_oracles(vals))
     assert compared
+
+
+@pytest.mark.parametrize("mechanism", [even_paz, last_diminisher], ids=lambda m: m.__name__)
+def test_sincere_protocols_build_a_fraction_only_per_allocation_end(mechanism, monkeypatch):
+    # Answers pass from the valuation to the decisions as integer pairs:
+    # a run builds a Fraction only for each end of each allocated slice,
+    # and the transcript builds its records when they are read.
+    n = 64
+    vals = random_uniform_agents(1, n)
+    built = []
+    new = Fraction.__new__
+
+    def counting(cls, *args, **kwargs):
+        built.append(cls)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", counting)
+    result = mechanism(sincere_oracles(vals))
+    assert len(built) <= 2 * n
+    assert len(result.transcript.records) > 2 * n
+    assert len(built) > 4 * n

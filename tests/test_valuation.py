@@ -1,4 +1,5 @@
 import json
+import math
 import re
 from fractions import Fraction
 
@@ -6,7 +7,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from fairslice.generator import random_uniform_agents
 from fairslice.intervals import IntervalSet
+from fairslice.oracle import Recorder
 from fairslice.scenario import parse_scenario
 from fairslice.valuation import CutResult, TargetUnreachable, Valuation, ZeroMassError
 from helpers import (
@@ -15,6 +18,7 @@ from helpers import (
     constant_valuations,
     grid_fractions,
     interval_sets,
+    large_scale_fractions,
     large_scale_regions,
     large_scale_valuations,
     linear_valuations,
@@ -84,6 +88,18 @@ def test_eval_refuses_a_reversed_span():
 def test_cut_refuses_a_start_off_the_cake(start):
     with pytest.raises(ValueError, match=r"cut start must lie in \[0,1\]"):
         Valuation.uniform().cut(start, Fraction(1, 4))
+
+
+@pytest.mark.parametrize(
+    "a, b", [(-1, 2), (Fraction(-1, 3), 0), ("-1/3", "1/2"), (0, "3/2"), (0, Fraction(3, 2))]
+)
+def test_eval_refuses_points_off_the_cake(a, b):
+    # Either end off the cake, given as an int, a Fraction or text, and
+    # asked directly or through a Recorder.
+    with pytest.raises(ValueError, match=r"eval bounds must lie in \[0,1\]"):
+        Valuation.uniform().eval(a, b)
+    with pytest.raises(ValueError, match=r"eval bounds must lie in \[0,1\]"):
+        Recorder([Valuation.uniform()]).eval(0, a, b)
 
 
 def test_cut_refuses_a_negative_target():
@@ -247,7 +263,7 @@ def test_cut_eval_round_trip(v, a, share):
     assert v.eval(a, got.point) == target
 
 
-# Points off the cake lie outside every piece too; eval clips them.
+# Points off the cake lie outside every piece too; eval refuses them.
 OFF_CAKE = st.sampled_from([Fraction(-1, 3), Fraction(4, 3)])
 
 
@@ -262,6 +278,10 @@ def test_eval_matches_piecewise_reference(v, data):
     # piece ends, where a point leaves one piece's integer key for the next.
     point = st.one_of(query_points(), OFF_CAKE, st.sampled_from(piece_ends(v)))
     a, b = sorted((data.draw(point), data.draw(point)))
+    if a < 0 or b > 1:
+        with pytest.raises(ValueError, match=r"eval bounds must lie in \[0,1\]"):
+            v.eval(a, b)
+        return
     assert v.eval(a, b) == reference_eval(v, a, b)
     assert v.eval(a, a) == 0
 
@@ -314,6 +334,52 @@ def test_cut_matches_piecewise_reference(query):
     else:
         got = v.cut(a, target)
         assert got == expected and type(got.point) is Fraction
+
+
+def reduced(pair):
+    num, den = pair
+    return type(num) is int and type(den) is int and den > 0 and math.gcd(num, den) == 1
+
+
+@st.composite
+def pair_queries(draw):
+    # Generator, constant and linear agents; points on the grid, off it and
+    # over large denominators; cut targets within reach, so that linear
+    # agents' cuts are often bisected.
+    family = draw(st.sampled_from(["generator", "constant", "linear"]))
+    if family == "generator":
+        v = random_uniform_agents(draw(st.integers(0, 10**6)), 1)[0]
+    else:
+        v = draw(constant_valuations() if family == "constant" else linear_valuations())
+    kind = draw(st.sampled_from(sorted(LARGE_DENOMINATORS)))
+    point = st.one_of(query_points(), large_scale_fractions(kind))
+    a, b = sorted((draw(point), draw(point)))
+    share = draw(point)
+    return v, a, b, share * v.eval(a, 1)
+
+
+@settings(max_examples=300)
+@given(pair_queries(), st.integers(1, 3))
+# Bisected from 0 and from inside the piece.
+@example((Valuation.piecewise_linear([((0, 1), 2, 0)]), Fraction(0), Fraction(1), Fraction(1, 2)), 1)
+@example(
+    (Valuation.piecewise_linear([((0, 1), 2, 0)]), Fraction(1, 3), Fraction(1, 2), Fraction(1, 4)),
+    2,
+)
+def test_eval_and_cut_are_their_pair_kernels(query, k):
+    # The kernels answer in lowest terms with a positive denominator, the
+    # same for a pair given unreduced (both terms times k), and the public
+    # methods are those answers as a Fraction and a CutResult.
+    v, a, b, target = query
+
+    def pair(x):
+        num, den = x.as_integer_ratio()
+        return num * k, den * k
+
+    got = v._eval_pair(pair(a), pair(b))
+    assert reduced(got) and v.eval(a, b) == Fraction(*got)
+    *point, exact = v._cut_pair(pair(a), pair(target))
+    assert reduced(point) and v.cut(a, target) == CutResult(Fraction(*point), exact)
 
 
 # ----------------------------------------------------------------------
