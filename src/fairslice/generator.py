@@ -8,9 +8,8 @@ reproducible across runs and platforms.
 """
 
 import random
-from fractions import Fraction
 
-from fairslice.intervals import IntervalSet
+from fairslice.intervals import _merged, _spans_region
 from fairslice.valuation import Valuation
 
 GRID = 64
@@ -20,11 +19,10 @@ MAX_INTERVALS = 4
 def random_region(rng):
     """A non-empty union of up to MAX_INTERVALS grid-aligned intervals."""
     while True:
-        spans = []
+        ends = []
         for _ in range(rng.randint(1, MAX_INTERVALS)):
-            a, b = sorted((rng.randint(0, GRID), rng.randint(0, GRID)))
-            spans.append((Fraction(a, GRID), Fraction(b, GRID)))
-        region = IntervalSet(spans)
+            ends += sorted((rng.randint(0, GRID), rng.randint(0, GRID)))
+        region = _spans_region(_merged(ends, GRID), GRID)
         if not region.is_empty():
             return region
 

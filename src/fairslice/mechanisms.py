@@ -26,14 +26,13 @@ Answers reach a protocol as the reduced integer pairs the Recorder read,
 and every decision between them is taken on integers: answers are ranked
 over one scale (`intervals._scaled_pairs`) and a worth is tested against
 a share by cross-multiplying, never by a Fraction comparison.  Points,
-shares and targets are pairs too; a Fraction is built only for each end
-of an allocated slice.
+shares and targets are pairs too, and each portion becomes a region
+straight from its slices' pairs, over the lcm of their denominators
+(`intervals._merged`, `_spans_region`), with no Fraction at all.
 """
 
-from fractions import Fraction
-
 from fairslice.audit import Allocation
-from fairslice.intervals import _scaled_pairs
+from fairslice.intervals import _merged, _scaled_pairs, _spans_region
 from fairslice.oracle import MechanismResult, Recorder
 
 _ZERO, _ONE = (0, 1), (1, 1)
@@ -44,12 +43,13 @@ class ArityMismatch(ValueError):
 
 
 def _result(portions, recorder):
-    # Each portion is a list of slices whose ends are integer pairs; the
-    # allocation gets them as Fractions.
-    return MechanismResult(
-        Allocation([[(Fraction(*lo), Fraction(*hi)) for lo, hi in p] for p in portions]),
-        recorder,
-    )
+    # Each portion is a list of slices whose ends are integer pairs, made a
+    # region over the lcm of their denominators with no Fraction.
+    regions = []
+    for p in portions:
+        ends, scale = _scaled_pairs([end for piece in p for end in piece])
+        regions.append(_spans_region(_merged(ends, scale), scale))
+    return MechanismResult(Allocation(regions), recorder)
 
 
 def cut_and_choose(oracles):

@@ -11,11 +11,24 @@ hold, and most are far smaller.  The tableau is condensed, as in exact
 simplex codes since Avis & Fukuda (1992): a row holds only the nonbasic
 columns, because a basic column is a unit column that a pivot need not
 rewrite.  A `>=` row with rhs 0 enters negated as a `<=` row, on its
-slack, with no artificial.  Bland's rule picks both the entering and the
-leaving variable by smallest column id, trading pivot count for a
-termination guarantee on degenerate instances; a row's scaling, by a
-positive number, keeps every sign and every ratio order of the Fraction
-tableau, so the pivots are the ones that tableau would take.
+slack, with no artificial.  Dantzig's rule picks the entering column: the
+largest reduced cost as the Fraction tableau holds it, ties to the smaller
+column id.  The leaving row has the least ratio, ties to the smaller basic
+column id.  Dantzig's rule can cycle on degenerate programs, so after more
+than one degenerate pivot per row in a row the entering column is picked
+by Bland's rule (Bland 1977), the smallest improving column id, until the
+next pivot that moves the vertex.  A row's scaling, by a positive number,
+keeps every sign and every ratio order of the Fraction tableau, and a
+column's scaling is undone before reduced costs are compared, so the
+pivots are the ones that tableau would take.
+Which optimal vertex phase two stops at depends on the pivot path, so a
+last stage moves to one that does not: the lexicographically least
+optimal x, by column.  Only columns of zero reduced cost enter it, and
+together they span the optimal face.  For each structural column j in
+turn it pivots x_j down to its least value on the face, entering by
+Bland's rule, and then fixes at zero every free column that would raise
+x_j again.  An entering column of zero reduced cost leaves the cost row
+as it is, so the duals are those phase two ended with.
 Every optimal solve is certified in integers before it is returned: the
 vertex against each row, the multipliers' signs, dual feasibility
 (A^T y >= c) and strong duality.  Fractions appear only at the boundary.
@@ -69,9 +82,10 @@ class LpProblem:
 class LpSolution:
     """Outcome of a solve: a status plus, when optimal, the certificate.
 
-    value and x are the exact optimum and an optimal vertex; duals holds one
-    multiplier per input row with duals . rhs == value (strong duality).
-    pivots counts simplex pivots across both phases.
+    value and x are the exact optimum and the lexicographically least
+    optimal x, a vertex; duals holds one multiplier per input row with
+    duals . rhs == value (strong duality).  pivots counts simplex pivots
+    across both phases and the last stage.
     """
 
     status: str
@@ -103,8 +117,8 @@ class _Tableau:
     # listed in nonbasic, column nonbasic[q] at position q.  Column
     # basis[i] is dens[i] in row i and 0 in every other row, so it is not
     # stored.  A pivot swaps basis[r] and nonbasic[q]; as positions get
-    # permuted, Bland's rule compares column ids, never positions.  Row i
-    # holds ints over its own denominator dens[i]: entry (i, j) of the
+    # permuted, every rule breaks ties by column id, never by position.
+    # Row i holds ints over its own denominator dens[i]: entry (i, j) of the
     # Fraction tableau, j = nonbasic[q], is
     # body[i][q] * scale[j] / (dens[i] * scale[basis[i]]), and the costs are
     # over cden.  Every row, with its rhs and denominator, is in lowest
@@ -178,6 +192,7 @@ class _Tableau:
         status = self._optimize(self._phase2_costs())
         if status == UNBOUNDED:
             return LpSolution(UNBOUNDED, pivots=self.pivots)
+        self._canonicalize()
         return self._certify()
 
     # ------------------------------------------------------------------
@@ -208,40 +223,77 @@ class _Tableau:
                 reduced = [v - factor * w for v, w in zip(reduced, row)]
         return reduced
 
+    def _entering(self, costs, bland):
+        # The position of the entering column, or None at an optimum.  Column
+        # j stands for scale[j] times the Fraction tableau's, so its reduced
+        # cost there is costs[q] * scale[j] over one positive factor common
+        # to all columns: Dantzig's rule compares those products.
+        improving = [
+            (c, q)
+            for q, (c, v) in enumerate(zip(self.nonbasic, costs))
+            if v > 0 and c not in self.artificials
+        ]
+        if not improving:
+            return None
+        if bland:
+            return min(improving)[1]
+        scale = self.scale
+        return max(improving, key=lambda cq: (costs[cq[1]] * scale[cq[0]], -cq[0]))[1]
+
+    def _leaving(self, q):
+        # The row of least rhs / entry over the positive entries at q,
+        # compared by cross-multiplying; ties go to the smallest basic
+        # column.  None when no entry is positive.
+        leaving = None
+        for r, row in enumerate(self.body):
+            a = row[q]
+            if a <= 0:
+                continue
+            if leaving is not None:
+                left = self.rhs[r] * best_a
+                right = best_rhs * a
+                if left > right or (left == right and self.basis[r] > self.basis[leaving]):
+                    continue
+            leaving, best_rhs, best_a = r, self.rhs[r], a
+        return leaving
+
     def _optimize(self, costs):
-        artificials = self.artificials
-        nonbasic = self.nonbasic
+        # Count the degenerate pivots in a row; past one per row, Bland's
+        # rule enters until a pivot moves the vertex.
+        degenerate = 0
         while True:
-            entering = min(
-                (
-                    c
-                    for c, v in zip(nonbasic, costs)
-                    if v > 0 and c not in artificials
-                ),
-                default=None,
-            )
-            if entering is None:
+            q = self._entering(costs, degenerate > len(self.body))
+            if q is None:
                 self.costs = costs
                 return OPTIMAL
-            q = nonbasic.index(entering)
-            # Smallest rhs / entry, compared by cross-multiplying; ties go
-            # to the smallest basic index.
-            leaving = None
-            for r, row in enumerate(self.body):
-                a = row[q]
-                if a <= 0:
-                    continue
-                if leaving is not None:
-                    left = self.rhs[r] * best_a
-                    right = best_rhs * a
-                    if left > right or (
-                        left == right and self.basis[r] > self.basis[leaving]
-                    ):
-                        continue
-                leaving, best_rhs, best_a = r, self.rhs[r], a
+            leaving = self._leaving(q)
             if leaving is None:
                 return UNBOUNDED
+            degenerate = degenerate + 1 if self.rhs[leaving] == 0 else 0
             self._pivot(leaving, q, costs)
+
+    def _canonicalize(self):
+        # Move to the lexicographically least optimal x.  The face is held
+        # by the set of columns fixed at zero: at first every artificial and
+        # every column of nonzero reduced cost.  Minimizing a basic x_j has
+        # reduced costs the entries of its row, signed as the Fraction
+        # tableau's: a free column with a positive entry lowers x_j, one
+        # with a negative entry raises it.  A column that leaves the basis
+        # has zero reduced cost for the objective and each x_j before, so
+        # no pivot changes the cost row or what the stage has fixed.
+        fixed = self.artificials | {c for c, v in zip(self.nonbasic, self.costs) if v != 0}
+        for j in range(self.problem.n_vars):
+            while j in self.basis:
+                row = self.body[self.basis.index(j)]
+                free = [(c, q) for q, c in enumerate(self.nonbasic) if c not in fixed]
+                entering = min(((c, q) for c, q in free if row[q] > 0), default=None)
+                if entering is None:
+                    fixed.update(c for c, q in free if row[q] < 0)
+                    break
+                q = entering[1]
+                self._pivot(self._leaving(q), q)
+            else:
+                fixed.add(j)
 
     def _pivot(self, r, q, costs=None):
         # Column nonbasic[q] enters, basis[r] leaves and takes position q.

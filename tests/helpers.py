@@ -1369,13 +1369,43 @@ def reference_even_paz(oracles):
 
 
 def reference_lp_solve(problem, trace=None):
-    """The two-phase Bland simplex on a dense tableau of Fractions.
+    """The two-phase simplex on a dense tableau of Fractions.
 
-    The library pivots on integer rows in lowest terms instead; it must
-    take the same pivots, print the same trace and return the same vertex
-    and duals as this one.
+    Dantzig's rule enters the largest reduced cost, ties to the smaller
+    column; after more than one degenerate pivot per row in a row, Bland's
+    rule enters until the next pivot that moves the vertex.  A last stage
+    walks the optimal face to the lexicographically least optimal x.  The
+    library pivots on integer rows in lowest terms instead; it must take
+    the same pivots, print the same trace and return the same vertex and
+    duals as this one.
     """
     return _ReferenceTableau(problem, trace).solve()
+
+
+def reference_lex_min(problem):
+    """The lexicographically least optimal x of an LpProblem, column by column.
+
+    Solves for the optimum z* with `reference_lp_solve`, then for each
+    column j in turn minimizes x_j subject to the rows, c . x == z* and
+    every earlier x fixed at its minimum (substituted into the rows).
+    Only the optimal values of those programs are read, never a vertex, so
+    the result does not depend on where any solve stops.  Returns
+    (status, z*, x), the last two None unless optimal.
+    """
+    solution = reference_lp_solve(problem)
+    if solution.status != OPTIMAL:
+        return solution.status, None, None
+    n = problem.n_vars
+    rows = list(problem.rows) + [(problem.objective, EQUAL, solution.value)]
+    least = []
+    for j in range(n):
+        # The fixed x_k are substituted: columns j.. remain, x_j first.
+        step = LpProblem([-1] + [0] * (n - j - 1))
+        for coefficients, sense, rhs in rows:
+            fixed = sum((a * v for a, v in zip(coefficients, least)), Fraction(0))
+            step.add(coefficients[j:], sense, rhs - fixed)
+        least.append(-reference_lp_solve(step).value)
+    return OPTIMAL, solution.value, tuple(least)
 
 
 class _ReferenceTableau:
@@ -1454,6 +1484,7 @@ class _ReferenceTableau:
         status = self._optimize(self._phase2_costs(), allow=self._not_artificial)
         if status == UNBOUNDED:
             return LpSolution(UNBOUNDED, pivots=self.pivots)
+        self._canonicalize()
         return self._certify()
 
     # ------------------------------------------------------------------
@@ -1484,34 +1515,57 @@ class _ReferenceTableau:
         return col not in self.artificials
 
     def _optimize(self, costs, allow):
+        degenerate = 0
         while True:
-            entering = next(
-                (
-                    c
-                    for c in range(self.cols)
-                    if costs[c] > 0 and allow(c)
-                ),
-                None,
-            )
-            if entering is None:
+            candidates = [c for c in range(self.cols) if costs[c] > 0 and allow(c)]
+            if not candidates:
                 self.costs = costs
                 return OPTIMAL
-            leaving = None
-            best = None
-            for r, row in enumerate(self.body):
-                if row[entering] <= 0:
-                    continue
-                ratio = self.rhs[r] / row[entering]
-                if (
-                    best is None
-                    or ratio < best
-                    or (ratio == best and self.basis[r] < self.basis[leaving])
-                ):
-                    best = ratio
-                    leaving = r
+            if degenerate > len(self.body):
+                entering = candidates[0]
+            else:
+                entering = max(candidates, key=lambda c: (costs[c], -c))
+            leaving = self._leaving(entering)
             if leaving is None:
                 return UNBOUNDED
+            degenerate = degenerate + 1 if self.rhs[leaving] == 0 else 0
             self._pivot(leaving, entering, costs)
+
+    def _leaving(self, entering):
+        leaving = None
+        best = None
+        for r, row in enumerate(self.body):
+            if row[entering] <= 0:
+                continue
+            ratio = self.rhs[r] / row[entering]
+            if (
+                best is None
+                or ratio < best
+                or (ratio == best and self.basis[r] < self.basis[leaving])
+            ):
+                best = ratio
+                leaving = r
+        return leaving
+
+    def _canonicalize(self):
+        # For each structural column j, minimize x_j over the columns still
+        # free: at first those of zero reduced cost, then less every column
+        # whose entry in x_j's row would raise x_j at its minimum.
+        fixed = set(self.artificials)
+        fixed.update(
+            c for c in range(self.cols) if c not in self.basis and self.costs[c] != 0
+        )
+        for j in range(self.problem.n_vars):
+            while j in self.basis:
+                row = self.body[self.basis.index(j)]
+                free = [c for c in range(self.cols) if c not in self.basis and c not in fixed]
+                entering = next((c for c in free if row[c] > 0), None)
+                if entering is None:
+                    fixed.update(c for c in free if row[c] < 0)
+                    break
+                self._pivot(self._leaving(entering), entering, self.costs)
+            else:
+                fixed.add(j)
 
     def _pivot(self, r, c, costs):
         self.pivots += 1

@@ -2,13 +2,18 @@
 
 The library pivots on integer rows that each keep a denominator of their
 own and stay in lowest terms; `reference_lp_solve` in helpers.py pivots on
-Fractions.  Both run Bland's rule and take a `>=` row with rhs 0 as the
-`<=` row it negates to, so they must agree on everything a caller or a
-reader of --verbose-lp can see: status, value, vertex, duals, pivot count
-and the trace text, on random programs and on the CLI's --verbose-lp.
-Further cases pin the pivot mechanics (a row with a zero in the pivot
-column is left as it was, rows hold only the nonbasic columns and stay in
-lowest terms, envy-free programs need no artificial) and the integer certificate, which must
+Fractions.  Both price by Dantzig's rule on the Fraction tableau's reduced
+costs, fall back to Bland's rule on a long degenerate run, walk the
+optimal face to the lexicographically least optimal x, and take a `>=`
+row with rhs 0 as the `<=` row it negates to, so they must agree on
+everything a caller or a reader of --verbose-lp can see: status, value,
+vertex, duals, pivot count and the trace text, on random programs and on
+the CLI's --verbose-lp.  The x returned must also be the one
+`reference_lex_min` finds with one LP per column, and it must not change
+when Bland's rule prices every pivot.  Further cases pin the pivot
+mechanics (a row with a zero in the pivot column is left as it was, rows
+hold only the nonbasic columns and stay in lowest terms, envy-free
+programs need no artificial) and the integer certificate, which must
 refuse a vertex that is feasible but not optimal.
 """
 
@@ -25,7 +30,7 @@ import fairslice.optimal
 from fairslice import simplex
 from fairslice.cli import main
 from fairslice.generator import random_uniform_agents
-from fairslice.optimal import max_ue
+from fairslice.optimal import max_ee, max_ue
 from fairslice.simplex import (
     EQUAL,
     GREATER,
@@ -36,7 +41,7 @@ from fairslice.simplex import (
     LpProblem,
     lp_solve,
 )
-from helpers import reference_lp_solve
+from helpers import reference_lex_min, reference_lp_solve
 
 
 def solve_both(problem):
@@ -80,10 +85,43 @@ def lp_problems(draw):
     return problem
 
 
+@st.composite
+def redundant_lp_problems(draw):
+    # lp_problems, with up to two rows repeated times a positive factor:
+    # a repeated == row is dropped after phase one, a repeated inequality
+    # leaves a second slack on the optimal face.
+    problem = draw(lp_problems())
+    for _ in range(draw(st.integers(min_value=0, max_value=2))):
+        coefficients, sense, rhs = draw(st.sampled_from(problem.rows))
+        k = draw(st.sampled_from((1, 2, Fraction(1, 3))))
+        problem.add([k * c for c in coefficients], sense, k * rhs)
+    return problem
+
+
 @settings(max_examples=400, deadline=None)
 @given(lp_problems())
 def test_matches_fraction_tableau_on_random_programs(problem):
     solve_both(problem)
+
+
+def bland_only(patch):
+    """Price every pivot by Bland's rule, as the degenerate-run guard does."""
+    entering = simplex._Tableau._entering
+    patch.setattr(
+        simplex._Tableau, "_entering", lambda self, costs, bland: entering(self, costs, True)
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(redundant_lp_problems())
+def test_returns_the_lexicographically_least_optimum_under_either_rule(problem):
+    status, value, x = reference_lex_min(problem)
+    dantzig = lp_solve(problem)
+    with pytest.MonkeyPatch.context() as patch:
+        bland_only(patch)
+        bland = lp_solve(problem)
+    for solution in (dantzig, bland):
+        assert (solution.status, solution.value, solution.x) == (status, value, x)
 
 
 def test_add_refuses_a_row_of_the_wrong_width():
@@ -96,16 +134,27 @@ def test_add_refuses_an_unknown_sense():
         LpProblem([1]).add([1], "<", 1)
 
 
-def test_beale_cycling_program():
-    # Degenerate at the origin: a largest-coefficient rule cycles here,
-    # Bland's rule walks out.
+def test_beale_cycling_program(monkeypatch):
+    # Degenerate at the origin: Dantzig's rule alone cycles here.  After
+    # more than one degenerate pivot per row in a row the guard prices by
+    # Bland's rule, which walks out.
     problem = LpProblem([Fraction(3, 4), -150, Fraction(1, 50), -6])
     problem.add([Fraction(1, 4), -60, Fraction(-1, 25), 9], LESS, 0)
     problem.add([Fraction(1, 2), -90, Fraction(-1, 50), 3], LESS, 0)
     problem.add([0, 0, 1, 0], LESS, 1)
+    rules = []
+    entering = simplex._Tableau._entering
+
+    def spy(self, costs, bland):
+        rules.append(bland)
+        return entering(self, costs, bland)
+
+    monkeypatch.setattr(simplex._Tableau, "_entering", spy)
     solution = solve_both(problem)
+    assert rules[:5] == [False] * 4 + [True]
     assert solution.status == OPTIMAL
     assert solution.value == Fraction(1, 20)
+    assert solution.x == (Fraction(1, 25), 0, 1, 0)
 
 
 def test_redundant_equality_row_is_dropped():
@@ -195,7 +244,40 @@ def test_envy_free_welfare_program(monkeypatch):
     problem, value = welfare_program(monkeypatch, 5)
     solution = solve_both(problem)
     assert solution.value == value
-    assert solution.pivots == 71
+    assert solution.pivots == 61
+
+
+@pytest.mark.parametrize("n", [4, 5])
+def test_envy_free_welfare_program_is_the_lexicographically_least(monkeypatch, n):
+    problem, value = welfare_program(monkeypatch, n)
+    assert reference_lex_min(problem) == (OPTIMAL, value, lp_solve(problem).x)
+
+
+def welfare_solves(agents):
+    """max_ue under each criterion and max_ee, with every LP solution they read."""
+    solutions = []
+
+    def record(problem, trace=None):
+        solutions.append(lp_solve(problem, trace))
+        return solutions[-1]
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(fairslice.optimal, "lp_solve", record)
+        results = [max_ue(agents, c) for c in ("proportional", "envy-free", "equitable")]
+        results.append(max_ee(agents))
+    return results, solutions
+
+
+@pytest.mark.parametrize("seed, n", [(0, 3), (0, 4), (1, 5)])
+def test_welfare_allocations_do_not_depend_on_the_pricing_rule(monkeypatch, seed, n):
+    agents = random_uniform_agents(seed, n)
+    results, solutions = welfare_solves(agents)
+    bland_only(monkeypatch)
+    bland_results, bland_solutions = welfare_solves(agents)
+    assert bland_results == results
+    assert [s.x for s in bland_solutions] == [s.x for s in solutions]
+    # The two rules take different paths to that one optimum.
+    assert [s.pivots for s in bland_solutions] != [s.pivots for s in solutions]
 
 
 def test_envy_free_tableau_has_no_artificials(monkeypatch):
