@@ -1,26 +1,26 @@
 """Exact linear programming over rationals.
 
-A two-phase primal simplex on a tableau of integer rows in lowest terms.
-Each row is scaled to integers once and keeps its own denominator, as do
-the costs; a pivot forms each touched row from integer products and
-divides it by the gcd of its entries, rhs and denominator, and leaves
-alone every row with a zero in the pivot column.  A row in lowest terms is
-the smallest integer form of its Fraction row, so no stored integer is
-larger than the minor an integer-preserving (Bareiss 1968) tableau would
-hold, and most are far smaller.  The tableau is condensed, as in exact
-simplex codes since Avis & Fukuda (1992): a row holds only the nonbasic
-columns, because a basic column is a unit column that a pivot need not
-rewrite.  A `>=` row with rhs 0 enters negated as a `<=` row, on its
-slack, with no artificial.  Dantzig's rule picks the entering column: the
-largest reduced cost as the Fraction tableau holds it, ties to the smaller
-column id.  The leaving row has the least ratio, ties to the smaller basic
-column id.  Dantzig's rule can cycle on degenerate programs, so after more
-than one degenerate pivot per row in a row the entering column is picked
-by Bland's rule (Bland 1977), the smallest improving column id, until the
-next pivot that moves the vertex.  A row's scaling, by a positive number,
-keeps every sign and every ratio order of the Fraction tableau, and a
-column's scaling is undone before reduced costs are compared, so the
-pivots are the ones that tableau would take.
+A two-phase primal simplex on the Fraction tableau, held in integers: each
+row is integers over a positive denominator of its own, in lowest terms,
+and so are the reduced costs.  A row starts as the row written times s_r,
+the lcm of its denominators, over s_r.  A pivot forms each touched row
+from integer products and divides it by the gcd of its entries, rhs and
+denominator, and leaves alone every row with a zero in the pivot column.
+A row in lowest terms is the smallest integer form of its Fraction row,
+so no stored integer is larger than the minor an integer-preserving
+(Bareiss 1968) tableau would hold, and most are far smaller.  The
+tableau is condensed, as in exact simplex codes since Avis & Fukuda
+(1992): a row holds only the nonbasic columns, because a basic column is
+a unit column that a pivot need not rewrite.  A `>=` row with rhs 0
+enters negated as a `<=` row, on its slack, with no artificial.
+Dantzig's rule picks the entering column: the largest reduced cost, ties
+to the smaller column id.  The leaving row has the least ratio, ties to
+the smaller basic column id.  Dantzig's rule can cycle on degenerate
+programs, so after more than one degenerate pivot per row in a row the
+entering column is picked by Bland's rule (Bland 1977), the smallest
+improving column id, until the next pivot that moves the vertex.  Every
+rule reads the Fraction tableau's signs, ratios and reduced costs off the
+integers as they are, so the pivots are the ones that tableau would take.
 Which optimal vertex phase two stops at depends on the pivot path, so a
 last stage moves to one that does not: the lexicographically least
 optimal x, by column.  Only columns of zero reduced cost enter it, and
@@ -83,8 +83,11 @@ class LpSolution:
     """Outcome of a solve: a status plus, when optimal, the certificate.
 
     value and x are the exact optimum and the lexicographically least
-    optimal x, a vertex; duals holds one multiplier per input row with
-    duals . rhs == value (strong duality).  pivots counts simplex pivots
+    optimal x, a vertex.  duals holds one multiplier per input row, a
+    certified dual optimum: each has the sign its row's sense asks,
+    duals . rhs == value (strong duality) and A^T duals >= objective.  A
+    program can have more than one dual optimum, and which one is
+    returned can depend on the pivot path.  pivots counts simplex pivots
     across both phases and the last stage.
     """
 
@@ -108,30 +111,28 @@ class _Tableau:
     # remembered so the duals reported at the end refer to the rows as the
     # caller wrote them.
     #
-    # Row r is multiplied by s_r, the lcm of its denominators, and its slack
-    # and artificial stand for s_r times the ones of the row as written, so
-    # the starting basis is still the identity.  scale[j] is s_r for those
-    # two columns and 1 for a structural one.
-    #
     # The tableau is condensed: row i and the costs hold only the columns
     # listed in nonbasic, column nonbasic[q] at position q.  Column
     # basis[i] is dens[i] in row i and 0 in every other row, so it is not
     # stored.  A pivot swaps basis[r] and nonbasic[q]; as positions get
     # permuted, every rule breaks ties by column id, never by position.
     # Row i holds ints over its own denominator dens[i]: entry (i, j) of the
-    # Fraction tableau, j = nonbasic[q], is
-    # body[i][q] * scale[j] / (dens[i] * scale[basis[i]]), and the costs are
-    # over cden.  Every row, with its rhs and denominator, is in lowest
-    # terms (their gcd is 1), and so are the costs with cden once a pivot
-    # has touched them.
+    # Fraction tableau, j = nonbasic[q], is body[i][q] / dens[i], and the
+    # reduced costs are over cden.  Every row, with its rhs and denominator,
+    # is in lowest terms (their gcd is 1), and so are the costs with cden
+    # once a pivot has touched them.  Row r starts as the row written times
+    # s_r, the lcm of its denominators, over s_r, with a >= row's surplus at
+    # -s_r; s_r shares no factor with all of those integers.
 
     def __init__(self, problem, trace):
         self.problem = problem
         self.trace = trace
         self.pivots = 0
         n = problem.n_vars
+        self.objective, self.cost_scale = _scaled(problem.objective)
         rows = []
-        # Each row as written times s_r, with the rhs last, for the certificate.
+        # Each row as written times s_r, with the rhs last, and s_r in
+        # row_scales, for the certificate.
         self.written = []
         for coefficients, sense, rhs in problem.rows:
             ints, s = _scaled(coefficients + [rhs])
@@ -148,7 +149,6 @@ class _Tableau:
         art_col = {r: n + len(with_slack) + k for k, r in enumerate(with_artificial)}
         self.artificials = set(art_col.values())
         self.cols = n + len(with_slack) + len(with_artificial)
-        self.scale = [1] * self.cols
         self.body = []
         self.rhs = []
         self.basis = []
@@ -161,21 +161,15 @@ class _Tableau:
         self.nonbasic = list(range(n)) + [slack_col[r] for r in greater]
         for r, (ints, sense, s, flipped) in enumerate(rows):
             row = ints[:n] + [0] * len(greater)
-            if sense == LESS:
-                self.scale[slack_col[r]] = s
-                self.basis.append(slack_col[r])
-            elif sense == GREATER:
-                row[surplus_at[r]] = -1
-                self.scale[slack_col[r]] = self.scale[art_col[r]] = s
-                self.basis.append(art_col[r])
-            else:
-                self.scale[art_col[r]] = s
-                self.basis.append(art_col[r])
+            if sense == GREATER:
+                row[surplus_at[r]] = -s
+            self.basis.append(slack_col[r] if sense == LESS else art_col[r])
             self.body.append(row)
             self.rhs.append(ints[n])
             self.flipped.append(flipped)
         self.id_col = list(self.basis)
-        self.dens = [1] * len(rows)
+        self.dens = [s for _, _, s, _ in rows]
+        self.row_scales = list(self.dens)
         # Dropped redundant rows keep a dual of zero.
         self.row_of = list(range(len(rows)))
 
@@ -199,18 +193,14 @@ class _Tableau:
     # pivoting
 
     def _phase1_costs(self):
-        # Maximize minus the artificial total.  An artificial here is s_r
-        # times the written one, so it weighs 1/s_r; all weights are taken
-        # times the lcm of the s_r to stay integral.
-        weight = math.lcm(*(self.scale[a] for a in self.artificials))
+        # Maximize minus the artificial total.
         costs = [0] * self.cols
         for a in self.artificials:
-            costs[a] = -(weight // self.scale[a])
+            costs[a] = -1
         return self._reduce(costs)
 
     def _phase2_costs(self):
-        costs, _ = _scaled(self.problem.objective)
-        return self._reduce(costs + [0] * (self.cols - len(costs)))
+        return self._reduce(self.objective + [0] * (self.cols - len(self.objective)))
 
     def _reduce(self, costs):
         # Reduced costs of the nonbasic columns (a basic one's is 0), over
@@ -224,10 +214,7 @@ class _Tableau:
         return reduced
 
     def _entering(self, costs, bland):
-        # The position of the entering column, or None at an optimum.  Column
-        # j stands for scale[j] times the Fraction tableau's, so its reduced
-        # cost there is costs[q] * scale[j] over one positive factor common
-        # to all columns: Dantzig's rule compares those products.
+        # The position of the entering column, or None at an optimum.
         improving = [
             (c, q)
             for q, (c, v) in enumerate(zip(self.nonbasic, costs))
@@ -237,8 +224,7 @@ class _Tableau:
             return None
         if bland:
             return min(improving)[1]
-        scale = self.scale
-        return max(improving, key=lambda cq: (costs[cq[1]] * scale[cq[0]], -cq[0]))[1]
+        return max(improving, key=lambda cq: (costs[cq[1]], -cq[0]))[1]
 
     def _leaving(self, q):
         # The row of least rhs / entry over the positive entries at q,
@@ -368,7 +354,9 @@ class _Tableau:
         # In ints: row r as written times s_r, with the rhs last; the vertex
         # times den, the lcm of the row denominators and cden; and, read off
         # the costs of the slacks and artificials, the multiplier of each
-        # such row times den * the objective's scale.
+        # such row times den * the objective's scale.  The sums over rows
+        # (strong duality, A^T y >= c) take multiplier r times common // s_r,
+        # common the lcm of the s_r, as if every row were over common.
         n = self.problem.n_vars
         den = math.lcm(self.cden, *self.dens)
         written = self.written
@@ -383,11 +371,13 @@ class _Tableau:
             q = position.get(self.id_col[original])
             y = 0 if q is None else -self.costs[q] * (den // self.cden)
             duals[original] = -y if self.flipped[original] else y
-        objective, cost_scale = _scaled(self.problem.objective)
+        objective = self.objective
         value = sum(c * v for c, v in zip(objective, x))
+        common = math.lcm(*self.row_scales)
+        weights = [y * (common // s) for y, s in zip(duals, self.row_scales)]
 
-        checks = all(v >= 0 for v in x) and value == sum(
-            y * row[n] for y, row in zip(duals, written)
+        checks = all(v >= 0 for v in x) and common * value == sum(
+            w * row[n] for w, row in zip(weights, written)
         )
         for (_, sense, _), row, y in zip(self.problem.rows, written, duals):
             lhs = sum(a * v for a, v in zip(row, x))
@@ -399,13 +389,13 @@ class _Tableau:
                 checks = checks and lhs == den * row[n]
         # Dual feasibility, A^T y >= c, column by column.
         checks = checks and all(
-            sum(y * row[j] for y, row in zip(duals, written)) >= den * objective[j]
+            sum(w * row[j] for w, row in zip(weights, written)) >= common * den * objective[j]
             for j in range(n)
         )
         if not checks:
             raise RuntimeError("simplex returned an uncertified solution")
-        scale = den * cost_scale
-        duals = tuple(Fraction(y * self.scale[c], scale) for y, c in zip(duals, self.id_col))
+        scale = den * self.cost_scale
+        duals = tuple(Fraction(y, scale) for y in duals)
         point = tuple(Fraction(v, den) for v in x)
         return LpSolution(OPTIMAL, Fraction(value, scale), point, duals, self.pivots)
 
@@ -416,14 +406,12 @@ class _Tableau:
             full[self.basis[r]] = self.dens[r]
             for c, v in zip(self.nonbasic, row):
                 full[c] = v
-            basic = self.dens[r] * self.scale[self.basis[r]]
+            d = self.dens[r]
             self.trace.write(
                 "  [%s | %s] basic %d\n"
                 % (
-                    " ".join(
-                        str(Fraction(v * s, basic)) for v, s in zip(full, self.scale)
-                    ),
-                    Fraction(self.rhs[r], basic),
+                    " ".join(str(Fraction(v, d)) for v in full),
+                    Fraction(self.rhs[r], d),
                     self.basis[r],
                 )
             )

@@ -10,9 +10,11 @@ everything a caller or a reader of --verbose-lp can see: status, value,
 vertex, duals, pivot count and the trace text, on random programs and on
 the CLI's --verbose-lp.  The x returned must also be the one
 `reference_lex_min` finds with one LP per column, and it must not change
-when Bland's rule prices every pivot.  Further cases pin the pivot
-mechanics (a row with a zero in the pivot column is left as it was, rows
-hold only the nonbasic columns and stay in lowest terms, envy-free
+when Bland's rule prices every pivot, and the duals, under either rule,
+must be a dual optimum of the rows as written.  Further cases pin the
+pivot mechanics (rows start as the rows written, over the lcm of their
+denominators, a row with a zero in the pivot column is left as it was,
+rows hold only the nonbasic columns and stay in lowest terms, envy-free
 programs need no artificial) and the integer certificate, which must
 refuse a vertex that is feasible but not optimal.
 """
@@ -122,6 +124,64 @@ def test_returns_the_lexicographically_least_optimum_under_either_rule(problem):
         bland = lp_solve(problem)
     for solution in (dantzig, bland):
         assert (solution.status, solution.value, solution.x) == (status, value, x)
+
+
+def assert_duals_certify(problem, solution):
+    """Check an optimal solution's duals against the rows as written, in Fractions.
+
+    Each multiplier has the sign its row's sense asks (>= 0 on a <= row,
+    <= 0 on a >= row, free on an == row), y . b equals the optimum, and
+    A^T y >= c column by column.
+    """
+    duals = solution.duals
+    assert len(duals) == len(problem.rows)
+    for y, (_, sense, _) in zip(duals, problem.rows):
+        assert isinstance(y, Fraction)
+        assert (sense != LESS or y >= 0) and (sense != GREATER or y <= 0)
+    assert sum(y * rhs for y, (_, _, rhs) in zip(duals, problem.rows)) == solution.value
+    for j, c in enumerate(problem.objective):
+        assert sum(y * row[j] for y, (row, _, _) in zip(duals, problem.rows)) >= c
+
+
+@settings(max_examples=300, deadline=None)
+@given(redundant_lp_problems())
+def test_duals_are_a_dual_optimum_under_either_rule(problem):
+    # The duals are one certified dual optimum, which can depend on the
+    # pivot path; under either rule they must be a dual optimum.
+    dantzig = lp_solve(problem)
+    with pytest.MonkeyPatch.context() as patch:
+        bland_only(patch)
+        bland = lp_solve(problem)
+    for solution in (dantzig, bland):
+        if solution.status == OPTIMAL:
+            assert_duals_certify(problem, solution)
+
+
+@settings(max_examples=200, deadline=None)
+@given(lp_problems())
+def test_starting_rows_are_the_written_rows_in_lowest_terms(problem):
+    # Row r starts over s_r, the lcm of its denominators: each stored
+    # entry over the row's denominator is the coefficient of the row as
+    # written (negated when flipped), -1 at the surplus of a >= row and 0
+    # at every other surplus, and the rhs is the written one, made
+    # non-negative.
+    tableau = simplex._Tableau(problem, None)
+    n = problem.n_vars
+    inequalities = [r for r, (_, sense, _) in enumerate(problem.rows) if sense != EQUAL]
+    slack_col = {r: n + k for k, r in enumerate(inequalities)}
+    for r, (coefficients, sense, rhs) in enumerate(problem.rows):
+        row, d = tableau.body[r], tableau.dens[r]
+        assert d > 0 and math.gcd(*row, tableau.rhs[r], d) == 1
+        flipped = rhs < 0 or (rhs == 0 and sense == GREATER)
+        sign = -1 if flipped else 1
+        greater = sense == (LESS if flipped else GREATER)
+        assert Fraction(tableau.rhs[r], d) == sign * rhs >= 0
+        for c, v in zip(tableau.nonbasic, row):
+            if c < n:
+                expected = sign * coefficients[c]
+            else:
+                expected = -1 if greater and c == slack_col[r] else 0
+            assert Fraction(v, d) == expected
 
 
 def test_add_refuses_a_row_of_the_wrong_width():
